@@ -1,9 +1,9 @@
 """Startup capability probe (round-4 verdict item 6).
 
 Every optional heavy dependency in the engine sits behind an import gate
-(``HAVE_LANCE`` in sources/io.py, ``HAVE_PYAV``/``HAVE_SOUNDFILE`` and the
-CLIP-tower gate in pipelines/multimodal.py) so the same code runs real
-decoders on a full cluster and deterministic stand-ins in this sandbox.
+(``HAVE_PYAV``/``HAVE_SOUNDFILE`` and the CLIP-tower gate in
+pipelines/multimodal.py) so the same code runs real decoders on a full
+cluster and deterministic stand-ins in this sandbox.
 This module makes that state VISIBLE: bench.py embeds ``capability_report()``
 in its JSON line, so an environment upgrade (a PyAV wheel appearing, CLIP
 weights mounted) is noticed the round it happens instead of the stub paths
@@ -24,13 +24,10 @@ def _importable(name: str) -> bool:
 
 def capability_report() -> dict[str, bool]:
     """One bool per optional capability; ``True`` means the REAL
-    implementation serves, ``False`` means the declared stand-in (vendored
-    minilance store, deterministic fake towers, NotImplementedError video
-    decode) is on the path."""
-    from crawler_ray.sources.io import HAVE_LANCE
-
+    implementation serves, ``False`` means the declared stand-in
+    (deterministic fake towers, NotImplementedError video decode) is on the
+    path."""
     caps = {
-        "lance_wheel": HAVE_LANCE,
         "pyav": _importable("av"),
         "soundfile": _importable("soundfile"),
         "pillow": _importable("PIL"),

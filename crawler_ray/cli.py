@@ -111,7 +111,7 @@ def cmd_report(args) -> int:
 
 def cmd_compact(args) -> int:
     """Compact a crawl sink's part tree into one serving table (the single
-    north-rule Lance table when lance is installed, parquet otherwise)."""
+    north-rule Lance table, as a minilance dataset)."""
     import os
 
     _init_ray(args.cpus)

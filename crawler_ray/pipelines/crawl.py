@@ -4,7 +4,7 @@ reference's whole-crawl lifecycle (SURVEY.md §3).
 Each round is ONE distributed streaming execution; the frontier never
 exists on the driver:
 
-    frontier_k (previous round's checkpoint parquet dir; seeds for round 0)
+    frontier_k (previous round's checkpoint part dir; seeds for round 0)
       → map_batches(add host-hash partition key)
       → groupby(part).map_groups(make_round_fn)   # fused, per partition:
             per-host top-quota SELECT (priority desc, url — deterministic)
@@ -13,7 +13,7 @@ exists on the driver:
               redirect→successor resolution) → image decode/hash/dedup →
               parse → robots → seen anti-join → brand first-wins upsert
             → images/entities/brands/errors/successors ALL written in-stage
-              (sources/io.write_part: Lance fragment or parquet part with
+              (sources/io.write_part: one minilance dataset per part,
               content-derived idempotent names)
       → output = per-(host,kind) sel_stat + <type>_stat summary ROWS only
     driver: one small collect for metrics/lineage/loop control, then
@@ -30,7 +30,7 @@ runs AND parallelism levels (north-rule reproducibility; verified in tests,
 including mid-run SIGKILL + resume).
 
 Scale notes (10^10-URL design point): between rounds the frontier is
-partitioned parquet on shared storage (written/read by stage tasks, one
+minilance parts on shared storage (written/read by stage tasks, one
 partition per task); within a round it is object-store blocks (spillable).
 Driver state = paths, counters, actor handles (asserted in tests). The
 pages index inside each fetch worker is a sandbox stand-in for HTTP
@@ -55,10 +55,14 @@ import ray
 import ray.data as rd
 
 from crawler_ray import schemas
-from crawler_ray.sources.io import resolve_table_format as _resolve_table_format
+from crawler_ray.sources.io import read_parts
 from crawler_ray.state.checkpoint import CheckpointManager
 from crawler_ray.state.politeness import PolitenessActor
 from crawler_ray.state.seen import SeenSet
+
+# round input blocks per CPU: 1 is a single wave of uniform tasks (best for
+# the uniform breadth workload); 3 absorbs skewed, straggler-prone rounds
+_BLOCKS_PER_CPU = 3
 
 
 @dataclass
@@ -79,14 +83,6 @@ class CrawlConfig:
     # image rows are pruned from the broadcast pages index — the per-actor
     # state no longer grows with the site (see stages/fetch.py)
     synth_images: dict | None = None
-    # "tasks": fused stage runs as stateless tasks on pre-started workers
-    # with per-worker stage caching (no per-round actor-pool spin-up);
-    # "actors": classic fixed actor pool (sized by fetch_concurrency).
-    # NOTE: applies to big-seed STREAMING rounds only — quota rounds always
-    # run the fused groupby(part).map_groups task path (selection and
-    # processing are one fused function there; an actor pool cannot host a
-    # map_groups stage)
-    fetch_mode: str = "tasks"
     # "synthetic": deterministic in-sandbox site stand-in; "http": real
     # requests.Session fetching with redirect→frontier resolution
     # (stages/fetch.py HttpFetchStage)
@@ -260,7 +256,7 @@ class CrawlDriver:
         pending_big_seed = False
         seeds_path = os.path.join(cfg.fixture_dir, "seeds.parquet")
         # the frontier NEVER lives on the driver: between rounds it is the
-        # checkpoint's per-round parquet dir (``frontier_source``); the
+        # checkpoint's per-round part dir (``frontier_source``); the
         # driver holds only this path plus row counters (round-1 VERDICT #5)
         frontier_source: str | None = None  # None → seed round pending
         frontier_rows: int | None = None  # None → unknown (seed round)
@@ -346,11 +342,7 @@ class CrawlDriver:
         else:
             pages_ref = None
 
-        from crawler_ray.stages.process import (
-            CrawlProcessStage,
-            make_process_fn,
-            make_round_fn,
-        )
+        from crawler_ray.stages.process import make_process_fn, make_round_fn
 
         # stable per-crawl stage args (shipped ONCE; per-round sink dirs are
         # plain attrs on the worker-cached stage, so workers build the stage
@@ -369,13 +361,25 @@ class CrawlDriver:
                     None,  # sink_dirs (per-round attr)
                     cfg.fetcher,
                     cfg.http_opts,
-                    # part-file format, resolved on the DRIVER (env is
-                    # visible here; it is not in workers), shipped with args
-                    _resolve_table_format(),
                 )
             )
 
         base_args_ref = _make_base_args_ref()
+
+        def _round_source(n_blocks: int) -> rd.Dataset:
+            """The round's input in ``n_blocks`` blocks: the seed file for
+            round 0 (projected to frontier rows), the previous round's
+            checkpoint frontier parts otherwise."""
+            if frontier_source is None:
+                return rd.read_parquet(
+                    seeds_path, override_num_blocks=n_blocks,
+                    ray_remote_args={"max_retries": 0},
+                ).map_batches(_seed_batch_to_frontier, batch_format="pyarrow",
+                              max_retries=0)
+            return read_parts(
+                frontier_source, override_num_blocks=n_blocks,
+                ray_remote_args={"max_retries": 0},
+            )
 
         rnd = start_round
         while rnd < cfg.max_rounds and (
@@ -388,14 +392,8 @@ class CrawlDriver:
                 base_args_ref = _make_base_args_ref()
                 self._actors_respawned = False
             t0 = _t()
-            if cfg.fetch_mode == "tasks":
-                width = int(ray.cluster_resources().get("CPU", cfg.fetch_concurrency))
-                # blocks per CPU: 1 → single wave of uniform tasks (best
-                # utilization for the uniform breadth workload); raise for
-                # skewed/straggler-prone inputs
-                target = width * int(os.environ.get("CRAWLER_RAY_BLOCKS_PER_CPU", "3"))
-            else:
-                target = cfg.fetch_concurrency * 2
+            width = int(ray.cluster_resources().get("CPU", cfg.fetch_concurrency))
+            target = width * _BLOCKS_PER_CPU
 
             big_seed_round = pending_big_seed
             # every output class sinks IN-STAGE (images, entities, errors,
@@ -426,118 +424,56 @@ class CrawlDriver:
                 # robots + seen dedup of the input happen IN-STAGE; no
                 # selection shuffle (quota is unconstrained by definition)
                 pending_big_seed = False
-                ds = rd.read_parquet(
-                    seeds_path, override_num_blocks=target,
-                    ray_remote_args={"max_retries": 0},
-                ).map_batches(
-                    _seed_batch_to_frontier, batch_format="pyarrow",
+                ds = _round_source(target)
+                t0 = _tick("seed_stream", t0)
+                processed = ds.map_batches(
+                    make_process_fn(base_args_ref, images_dir, sink_dirs,
+                                    filter_input=True),
+                    batch_format="pyarrow",
+                    batch_size=cfg.batch_size,
+                    # side-effecting stage: the round, not the task, is the
+                    # retry unit (see CrawlConfig.round_retries); max_retries
+                    # matches the producer map so the two stages still fuse
                     max_retries=0,
                 )
-                if cfg.fetch_mode != "tasks":
-                    # a FIXED actor pool inside the same execution as its
-                    # producer read can reserve every CPU and deadlock —
-                    # give the pool a materialized input instead
-                    ds = ds.materialize()
-                t0 = _tick("seed_stream", t0)
-                if cfg.fetch_mode == "tasks":
-                    processed = ds.map_batches(
-                        make_process_fn(base_args_ref, images_dir, sink_dirs,
-                                        filter_input=True),
-                        batch_format="pyarrow",
-                        batch_size=cfg.batch_size,
-                        # side-effecting stage: the round, not the task, is
-                        # the retry unit (see CrawlConfig.round_retries);
-                        # max_retries matches the producer map so the two
-                        # stages still fuse
-                        max_retries=0,
-                    )
-                else:
-                    processed = ds.map_batches(
-                        CrawlProcessStage,
-                        fn_constructor_args=(
-                            pages_ref, self.politeness, self.seen,
-                            self.robots_txt, cfg.max_attempts,
-                            cfg.synth_images, images_dir, True, sink_dirs,
-                            cfg.fetcher, cfg.http_opts,
-                            _resolve_table_format(),
-                        ),
-                        batch_format="pyarrow",
-                        batch_size=cfg.batch_size,
-                        # fixed-size pool: Ray's autoscaling pool tends to
-                        # stay at its minimum for bursty per-round
-                        # executions; the input is pre-materialized so a
-                        # fixed pool cannot starve its producer
-                        concurrency=cfg.fetch_concurrency,
-                        num_cpus=1,
-                    )
             else:
                 # quota-constrained BFS round, fully distributed: frontier
                 # source (seed file for round 0, previous round's checkpoint
-                # parquet otherwise) → host-hash partition shuffle → fused
+                # parts otherwise) → host-hash partition shuffle → fused
                 # per-partition SELECT (per-host quota) + PROCESS, with
                 # backlog rows passing through as data. The driver never
                 # touches a frontier row.
+                est_rows = frontier_rows
+                if est_rows is None:
+                    # seed round: row count from the parquet FOOTER only
+                    est_rows = pq.read_metadata(seeds_path).num_rows
+                # small-round fast path: the whole frontier fits one
+                # partition, so the host-hash sort exchange buys nothing —
+                # run the fused round fn over the single block (same global
+                # per-host selection, identical deterministic output; tail
+                # rounds of a BFS crawl are mostly this case and the sort
+                # floor was most of their wall time). Otherwise the
                 # partition count tracks the KNOWN frontier size (a driver
                 # counter): tiny frontiers get few partitions — fewer
                 # shuffle tasks and fewer (larger) frontier files per round
                 # — while big frontiers fan out to the full task target
-                est_rows = frontier_rows
-                if est_rows is None:
-                    # seed round: row count from the parquet FOOTER only
-                    import pyarrow.parquet as _pq
-
-                    est_rows = _pq.read_metadata(seeds_path).num_rows
-                n_parts = max(
+                small = est_rows <= max(512, cfg.batch_size * 2)
+                n_parts = 1 if small else max(
                     2, min(target, -(-est_rows // max(64, cfg.batch_size)))
                 )
-                filter_input = False
-                if frontier_source is None:
-                    src = rd.read_parquet(
-                        seeds_path, override_num_blocks=n_parts,
-                        ray_remote_args={"max_retries": 0},
-                    ).map_batches(_seed_batch_to_frontier,
-                                  batch_format="pyarrow", max_retries=0)
-                    filter_input = True  # seed admission inside the round fn
-                else:
-                    # Lance-aware: the frontier parts are whatever
-                    # sources/io.write_part produced (ADVICE round-2 high)
-                    from crawler_ray.sources.io import read_parts
-
-                    src = read_parts(
-                        frontier_source, override_num_blocks=n_parts,
-                        ray_remote_args={"max_retries": 0},
-                    )
-
+                src = _round_source(n_parts)
                 round_fn = make_round_fn(
                     base_args_ref,
                     cfg.quota_per_host,
                     cfg.batch_size,
-                    filter_input,
+                    # seed admission (robots + seen) inside the round fn
+                    frontier_source is None,
                     images_dir,
                     sink_dirs,
                     fail_once_marker=cfg.fail_once_marker,
                     kill_actor_once_marker=cfg.kill_actor_once_marker,
                 )
-                if est_rows <= max(512, cfg.batch_size * 2):
-                    # small-round fast path: the whole frontier fits one
-                    # partition, so the host-hash sort exchange buys nothing
-                    # — run the fused round fn over the single block (same
-                    # global per-host selection, identical deterministic
-                    # output; tail rounds of a BFS crawl are mostly this
-                    # case and the sort floor was most of their wall time)
-                    if frontier_source is None:
-                        src = rd.read_parquet(
-                            seeds_path, override_num_blocks=1,
-                            ray_remote_args={"max_retries": 0},
-                        ).map_batches(_seed_batch_to_frontier,
-                                      batch_format="pyarrow", max_retries=0)
-                    else:
-                        from crawler_ray.sources.io import read_parts
-
-                        src = read_parts(
-                            frontier_source, override_num_blocks=1,
-                            ray_remote_args={"max_retries": 0},
-                        )
+                if small:
                     processed = src.map_batches(
                         round_fn, batch_format="pyarrow", batch_size=None,
                         max_retries=0,
@@ -664,8 +600,6 @@ class CrawlDriver:
 
     # ------------------------------------------------------------------
     def images_dataset(self) -> rd.Dataset:
-        from crawler_ray.sources.io import read_parts
-
         root = os.path.join(self.cfg.out_dir, "images")
         if not os.path.isdir(root) or not os.listdir(root):
             return rd.from_arrow(pa.Table.from_pylist([], schema=schemas.IMAGES))

@@ -36,8 +36,8 @@ from crawler_ray.functions.codecs import decode_image, encode_image, sniff_fmt
 FAKE_AUDIO_MAGIC = b"FAUD"  # FAKE header: FAUD + u32 n_samples + u16 rate/100
 FAKE_VIDEO_MAGIC = b"FVID"  # FAKE header: FVID + u16 n_frames + u8 w + u8 h
 
-# optional real codecs, gated on import like HAVE_LANCE (sources/io.py): a
-# cluster that HAS the wheel gets the real decode with zero code changes;
+# optional real codecs, gated on import: a cluster that HAS the wheel gets
+# the real decode with zero code changes;
 # this sandbox (no PyAV/soundfile) falls through to the fixture containers
 try:  # pragma: no cover - absent in this sandbox
     import av as _av  # noqa: F401
@@ -327,7 +327,7 @@ def caption_tower(captions) -> np.ndarray:
 
 
 def _load_real_towers():
-    """Optional REAL two-tower path, feature-gated like HAVE_LANCE: when
+    """Optional REAL two-tower path, feature-gated on import: when
     ``CRAWLER_RAY_CLIP_MODEL`` names an open_clip model spec
     (``"ViT-B-32:laion2b_s34b_b79k"`` or ``"<arch>:<checkpoint path>"``)
     AND torch + open_clip are importable, returns

@@ -1,17 +1,12 @@
-"""Table IO: Lance-or-parquet datasets, local binary-file ingestion.
+"""Table IO: minilance part trees, local binary-file ingestion.
 
-The north rule targets **Lance** tables for the image+caption output. This
-container has no ``lance``/``pylance`` wheel, so the Lance path is gated
-behind an import-try — the real wheel is preferred when importable; setting
-``CRAWLER_RAY_LANCE=mini`` routes the same code paths through the vendored
-:mod:`crawler_ray.vendor.minilance` stand-in (fragmented, versioned,
+The north rule targets **Lance** tables for the image+caption output. Every
+crawl sink is written and read here as the vendored
+:mod:`crawler_ray.vendor.minilance` store (fragmented, versioned,
 atomically-committed datasets with the real library's API subset and write
-semantics, Arrow-IPC fragment encoding), exercised end-to-end in
-``tests/test_minilance.py``; default is the parquet fallback. Call sites and
-layouts are identical across all three, and flipping a real cluster to real
-Lance is this module only. Crawl workers never consult the environment: the
-format is resolved driver-side (``resolve_table_format``) and threaded
-through the stage init args.
+semantics, Arrow-IPC fragment encoding). This module is the only place that
+knows the sink format: a swap to the real ``pylance`` wheel is a change here
+and nowhere else.
 
 ``read_local_images`` is the reference's local-file image source (S5:
 ``UploadImgsByFile``/``GetImgStr``/``FileHelper.GetAllFiles``,
@@ -26,142 +21,42 @@ import os
 import pyarrow as pa
 import ray.data as rd
 
-try:  # pragma: no cover - not installed in this sandbox
-    import lance  # noqa: F401
-
-    HAVE_LANCE = True
-except ImportError:
-    HAVE_LANCE = False
+from crawler_ray.vendor import minilance
 
 
-def _use_minilance() -> bool:
-    """True when the vendored Lance stand-in should serve the Lance code
-    paths: either explicitly requested (``CRAWLER_RAY_LANCE=mini``, which
-    forces the vendored store even when the real wheel is importable — the
-    call sites check this BEFORE ``HAVE_LANCE``) or ``CRAWLER_RAY_LANCE=1``
-    with no real wheel present. ``CRAWLER_RAY_LANCE=off`` forces the parquet
-    fallback. Checked per call so tests can flip it with
-    ``monkeypatch.setenv``. Default (env unset): the north rule names Lance
-    image+caption tables as the serving layout, so with no real wheel the
-    vendored store IS the default sink (round-5 flip, A/B'd against parquet
-    across the full suite + bench — BASELINE.md); ``CRAWLER_RAY_LANCE=off``
-    restores the parquet fallback."""
-    v = os.environ.get("CRAWLER_RAY_LANCE", "")
-    if v == "mini":
-        return True
-    if v in ("off", "parquet"):
-        return False
-    return not HAVE_LANCE
-
-
-def write_table(ds: rd.Dataset, uri: str, **kwargs) -> None:
-    """Write a Dataset as Lance when available, parquet otherwise."""
-    if _use_minilance():
-        from crawler_ray.sources.lance_ray import write_minilance
-
-        write_minilance(ds, uri, mode=kwargs.pop("mode", "overwrite"))
-    elif HAVE_LANCE and hasattr(ds, "write_lance"):
-        ds.write_lance(uri, **kwargs)  # pragma: no cover
-    else:
-        ds.write_parquet(uri, **kwargs)
-
-
-def read_table(uri: str, columns: list[str] | None = None) -> rd.Dataset:
-    """Read a Lance dataset when available (and the uri is Lance), else
-    parquet. Column pruning pushed down either way. Dispatch is on what the
-    WRITER produced, not the current env: a ``.lance`` uri holding a
-    committed minilance dataset reads through the vendored store even when
-    ``CRAWLER_RAY_LANCE`` is unset (round-4 advice: env-gating the read path
-    made minilance data unreadable once the var was dropped)."""
-    from crawler_ray.vendor import minilance
-
-    # auto-detect regardless of suffix: compaction/serving dests carry
-    # arbitrary names, and is_dataset is one os.listdir
-    if minilance.is_dataset(uri):
-        from crawler_ray.sources.lance_ray import read_minilance
-
-        return read_minilance(uri, columns=columns)
-    if HAVE_LANCE and uri.endswith(".lance"):  # pragma: no cover - no wheel
-        return rd.read_lance(uri, columns=columns)
-    return rd.read_parquet(uri, columns=columns)
-
-
-def resolve_table_format() -> str:
-    """Decide the part-file format ONCE, on the driver: ``"minilance"``
-    (vendored stand-in — the sandbox default and the forced choice under
-    ``CRAWLER_RAY_LANCE=mini``), ``"lance"`` (real wheel), or ``"parquet"``
-    (``CRAWLER_RAY_LANCE=off``). Crawl code resolves this at driver time and
-    threads the result through the stage init args — workers must NOT
-    consult the environment, because on a real multi-node cluster (and in
-    Ray local mode, whose workers inherit the raylet's env from ``ray.init``
-    time) driver env changes never reach them."""
-    if _use_minilance():
-        return "minilance"
-    if HAVE_LANCE:  # pragma: no cover - no wheel in sandbox
-        return "lance"
-    return "parquet"
-
-
-def write_part(table: pa.Table, root: str, stem: str, fmt: str | None = None) -> str:
+def write_part(table: pa.Table, root: str, stem: str) -> str:
     """ONE deterministically-named part of a table directory — the unit every
-    crawl sink writes (images, entities, errors, frontier). When ``lance`` is
-    available each part is its OWN Lance dataset (``part-<stem>.lance``,
-    ``mode="overwrite"``): a Ray task retry re-running the same
-    content-derived ``stem`` replaces its own part rather than appending a
-    duplicate fragment, so retries stay idempotent — exactly like the parquet
-    fallback's same-name overwrite. Readers go through ``read_parts`` /
-    ``read_parts_table`` (Lance-aware); a post-crawl compaction
-    (``write_table(read_parts(root), uri)``) yields the single north-rule
-    Lance table when wanted. Returns the path written."""
+    crawl sink writes (images, entities, errors, frontier). Each part is its
+    OWN minilance dataset (``part-<stem>.lance``, ``mode="overwrite"``): a
+    Ray task retry re-running the same content-derived ``stem`` replaces its
+    own part rather than appending a duplicate fragment, so retries stay
+    idempotent. Readers go through ``read_parts`` / ``read_parts_table``; a
+    post-crawl ``compact_parts`` yields the single north-rule Lance table
+    when wanted. Returns the path written."""
     os.makedirs(root, exist_ok=True)
-    if fmt is None:
-        fmt = resolve_table_format()
-    if fmt == "lance":  # pragma: no cover - exercised via the mocked contract test
-        import lance as _lance
-
-        uri = os.path.join(root, f"part-{stem}.lance")
-        _lance.write_dataset(table, uri, mode="overwrite")
-        return uri
-    if fmt == "minilance":
-        from crawler_ray.vendor import minilance
-
-        uri = os.path.join(root, f"part-{stem}.lance")
-        minilance.write_dataset(table, uri, mode="overwrite")
-        return uri
-    import pyarrow.parquet as pq
-
-    # no dictionary encoding / compression: payloads are already-compressed
-    # image bytes; pyarrow's dictionary encoding of large binary values
-    # costs seconds per part file
-    path = os.path.join(root, f"part-{stem}.parquet")
-    pq.write_table(table, path, compression="none", use_dictionary=False)
-    return path
+    uri = os.path.join(root, f"part-{stem}.lance")
+    minilance.write_dataset(table, uri, mode="overwrite")
+    return uri
 
 
 def _part_entries(root: str):
     """Yield every part path under a ``write_part`` sink tree: parts directly
     in ``root`` (the frontier layout) and parts one level down in
     ``round_NNNN`` subdirs (the images / entity-table layout). Sorted for a
-    deterministic read order.
-
-    Mixed-format dirs (a crawl resumed with ``CRAWLER_RAY_LANCE`` flipped can
-    hold the SAME content-derived stem in both formats — ``write_part``'s
-    retry-overwrite only replaces the same-format file): part stems are
-    content-addressed, so duplicate stems are duplicate CONTENT; yield each
-    stem once, preferring the ``.lance`` part deterministically. Round-4
-    advice: ``read_parts`` previously dropped ALL parquet parts whenever any
-    lance part existed (silent data loss) while ``read_parts_table`` read
-    both and double-counted rewritten stems."""
+    deterministic read order. A ``.parquet`` part (a tree written by an
+    older parquet sink) raises instead of being skipped or read silently."""
     if not os.path.isdir(root):
         return
 
     def emit(dirpath: str, names: list[str]):
-        parts = [n for n in sorted(names) if n.endswith((".lance", ".parquet"))]
-        stems_with_lance = {n[: -len(".lance")] for n in parts if n.endswith(".lance")}
-        for n in parts:
-            if n.endswith(".parquet") and n[: -len(".parquet")] in stems_with_lance:
-                continue  # same content-addressed stem already yielded as lance
-            yield os.path.join(dirpath, n)
+        for n in sorted(names):
+            if n.endswith(".parquet"):
+                raise ValueError(
+                    f"parquet part {os.path.join(dirpath, n)} in a minilance "
+                    "sink tree: parquet sinks are no longer read"
+                )
+            if n.endswith(".lance"):
+                yield os.path.join(dirpath, n)
 
     top = sorted(os.listdir(root))
     yield from emit(root, top)
@@ -177,66 +72,31 @@ def read_parts(
     override_num_blocks: int | None = None,
     ray_remote_args: dict | None = None,
 ) -> rd.Dataset:
-    """Distributed read of a ``write_part`` sink tree, dispatching on what the
-    WRITER produced (round-1 advice: with lance installed the sinks are Lance
-    datasets but every consumer read parquet — the frontier silently vanished
-    between rounds). Lance parts → union of per-part ``read_lance`` (one
-    block per part; ``override_num_blocks`` is a parquet-only knob); parquet
-    parts → ``read_parquet`` with column pruning pushed down."""
-    entries = list(_part_entries(root))
-    lance_uris = [p for p in entries if p.endswith(".lance")]
-    parquet_paths = [p for p in entries if p.endswith(".parquet")]
-    if lance_uris:
-        if HAVE_LANCE and not _use_minilance():  # pragma: no cover - no wheel
-            dsets = [rd.read_lance(u, columns=columns) for u in lance_uris]
-            ds = dsets[0].union(*dsets[1:]) if len(dsets) > 1 else dsets[0]
-        else:
-            from crawler_ray.sources.lance_ray import read_minilance
+    """Distributed read of a ``write_part`` sink tree as ONE datasource over
+    every part: a per-part read + union plan pays per-operator driver
+    overhead for each part (measured 61 s vs 0.3 s on a 52-part frontier
+    round). Column pruning is pushed into the fragment reads. Callers whose
+    downstream map uses non-default remote args (the crawl's
+    ``max_retries=0``) must pass the same ``ray_remote_args`` here, or Ray
+    Data will not fuse the read with the map; ``override_num_blocks=1``
+    yields a single block (the crawl's small-round path relies on it)."""
+    from crawler_ray.sources.lance_ray import read_minilance
 
-            # ONE datasource over every part: a per-part read + union plan
-            # pays per-operator driver overhead for each part (measured 61 s
-            # vs 0.3 s on a 52-part frontier round). Block-count override
-            # and remote args are forwarded for parity with the parquet
-            # branch — fusion and the single-block fast path need them.
-            ds = read_minilance(
-                lance_uris,
-                columns=columns,
-                override_num_blocks=override_num_blocks,
-                ray_remote_args=ray_remote_args,
-            )
-        if parquet_paths:  # mixed-format dir: read BOTH formats in one plan
-            ds = ds.union(rd.read_parquet(parquet_paths, columns=columns))
-        return ds
-    kwargs = {}
-    if override_num_blocks is not None:
-        kwargs["override_num_blocks"] = override_num_blocks
-    if ray_remote_args is not None:
-        # callers passing max_retries=0 to their downstream map must pass
-        # the same here, or the read→map operator fusion breaks (Ray Data
-        # only fuses stages whose remote args are compatible)
-        kwargs["ray_remote_args"] = ray_remote_args
-    return rd.read_parquet(root, columns=columns, **kwargs)
+    return read_minilance(
+        list(_part_entries(root)),
+        columns=columns,
+        override_num_blocks=override_num_blocks,
+        ray_remote_args=ray_remote_args,
+    )
 
 
 def read_parts_table(root: str, columns: list[str] | None = None) -> pa.Table | None:
     """Driver-side read of a small ``write_part`` sink tree (entity tables,
-    test-scale image checks) → one concatenated Arrow table, Lance-aware like
-    ``read_parts``. Returns None when the tree is empty/absent."""
-    import pyarrow.parquet as pq
-
-    tables = []
-    for p in _part_entries(root):
-        if p.endswith(".lance"):
-            from crawler_ray.vendor import minilance
-
-            if minilance.is_dataset(p):
-                _lance = minilance
-            else:  # pragma: no cover - no real lance wheel in sandbox
-                import lance as _lance
-
-            tables.append(_lance.dataset(p).to_table(columns=columns))
-        else:
-            tables.append(pq.read_table(p, columns=columns))
+    test-scale image checks) → one concatenated Arrow table. Returns None
+    when the tree is empty/absent."""
+    tables = [
+        minilance.dataset(p).to_table(columns=columns) for p in _part_entries(root)
+    ]
     return pa.concat_tables(tables) if tables else None
 
 
@@ -271,14 +131,15 @@ def read_parquet_sized(
 
 def compact_parts(root: str, dest: str, columns: list[str] | None = None) -> int:
     """Post-crawl compaction: the per-round part tree written by
-    ``write_part`` → ONE table at ``dest`` (the single north-rule Lance
-    table when lance is installed; a parquet dataset dir otherwise). The
-    part tree stays resumable/idempotent during the crawl; compaction is the
-    serving-layout step afterwards. Returns the number of rows compacted."""
-    ds = read_parts(root, columns=columns)
-    n = ds.count()
-    write_table(ds, dest)
-    return n
+    ``write_part`` → ONE minilance table at ``dest`` (the single north-rule
+    Lance table). The part tree stays resumable/idempotent during the crawl;
+    compaction is the serving-layout step afterwards. Returns the number of
+    rows compacted, read from the committed manifest rather than by running
+    the read plan a second time."""
+    from crawler_ray.sources.lance_ray import write_minilance
+
+    write_minilance(read_parts(root, columns=columns), dest, mode="overwrite")
+    return minilance.dataset(dest).count_rows()
 
 
 def read_local_images(root: str) -> rd.Dataset:

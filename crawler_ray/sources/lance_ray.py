@@ -1,11 +1,10 @@
 """Ray Data ←→ minilance integration: distributed snapshot reads and
 distributed fragment writes with ONE atomic manifest commit.
 
-With the real ``pylance`` wheel installed, ``crawler_ray.sources.io`` uses
-``ray.data.read_lance`` / ``Dataset.write_lance`` and this module is never
-needed. In this sandbox (no wheel) these two classes give the vendored
-:mod:`crawler_ray.vendor.minilance` store the same execution shape the real
-integration has:
+``crawler_ray.sources.io`` reads and writes every crawl sink through these
+two classes. They give the vendored :mod:`crawler_ray.vendor.minilance`
+store the same execution shape as ``ray.data.read_lance`` /
+``Dataset.write_lance``:
 
 * **Read** — one ``ReadTask`` per committed fragment, planned from the
   manifest's per-fragment row/byte stats (so the streaming executor sizes
@@ -36,6 +35,12 @@ from ray.data.datasource import Datasink, Datasource, ReadTask
 from ray.data.datasource.datasink import WriteResult
 
 from crawler_ray.vendor import minilance
+
+
+def _total_size(sizes: List[Optional[int]]) -> Optional[int]:
+    """Summed byte size, or None (unknown) when no fragment has a size."""
+    known = [s for s in sizes if s is not None]
+    return sum(known) if known else None
 
 
 class MiniLanceDatasource(Datasource):
@@ -74,7 +79,7 @@ class MiniLanceDatasource(Datasource):
         sizes = [
             f.size_bytes for ds in self._dsets for f in ds.get_fragments()
         ]
-        return sum(s for s in sizes if s is not None) if sizes else 0
+        return _total_size(sizes) if sizes else 0
 
     def get_read_tasks(self, parallelism: int) -> List[ReadTask]:
         columns = self._columns
@@ -97,11 +102,9 @@ class MiniLanceDatasource(Datasource):
         for group in groups:
             paths = [f.path for f in group]
             rows = sum(f.count_rows() for f in group)
-            sizes = [f.size_bytes for f in group]
-            size = sum(s for s in sizes if s is not None) if sizes else None
             meta = BlockMetadata(
                 num_rows=rows,
-                size_bytes=size,
+                size_bytes=_total_size([f.size_bytes for f in group]),
                 exec_stats=None,
                 input_files=paths,
             )
@@ -134,18 +137,11 @@ class MiniLanceDatasource(Datasource):
 class MiniLanceDatasink(Datasink[List[dict]]):
     """Distributed fragment writes + one atomic driver-side commit."""
 
-    def __init__(
-        self, uri: str, mode: str = "create", schema: Optional[pa.Schema] = None
-    ):
+    def __init__(self, uri: str, mode: str = "create"):
         if mode not in ("create", "overwrite", "append"):
             raise ValueError(f"bad mode {mode!r}")
         self._uri = uri
         self._mode = mode
-        # schema captured at sink construction (from the Ray Dataset) so an
-        # all-empty create/overwrite still commits an empty version — without
-        # it, write_minilance(ds, uri, mode='overwrite') of an empty dataset
-        # left the PREVIOUS version's rows visible (round-4 advice)
-        self._schema = schema
 
     def get_name(self) -> str:
         return "MiniLance"
@@ -158,44 +154,47 @@ class MiniLanceDatasink(Datasink[List[dict]]):
         self, blocks: Iterable[pa.Table], ctx: TaskContext
     ) -> List[dict]:
         entries: List[dict] = []
+        schema: Optional[pa.Schema] = None
         for block in blocks:
             if not isinstance(block, pa.Table):  # pandas block from upstream
                 block = pa.Table.from_pandas(block, preserve_index=False)
+            if block.num_columns:  # a row-filtered empty block has none
+                schema = block.schema
             if block.num_rows == 0:
                 continue
             entries.append(minilance.write_fragment(block, self._uri))
-        # ship the schema back with the entries so the driver commit does
-        # not depend on sink-actor state (write runs in remote tasks)
-        if entries:
-            entries[0] = {**entries[0], "_schema_b64": minilance._schema_to_b64(block.schema)}
+        # ship the schema of the last block seen, even an empty one, back
+        # with the entries: the driver commit must not depend on sink-actor
+        # state (write runs in remote tasks), and an all-empty
+        # create/overwrite still has to commit an empty version, or the
+        # previous version's rows would stay visible
+        if schema is not None:
+            entries.append({"_schema_b64": minilance._schema_to_b64(schema)})
         return entries
 
     def on_write_complete(self, write_result: WriteResult[List[dict]]) -> None:
         entries: List[dict] = []
         schema_b64: Optional[str] = None
         for per_task in write_result.write_returns:
-            for e in per_task:
-                if "_schema_b64" in e:
-                    schema_b64 = e["_schema_b64"]
-                    e = {k: v for k, v in e.items() if k != "_schema_b64"}
-                entries.append(e)
-        if schema_b64 is not None:
-            schema = minilance._schema_from_b64(schema_b64)
-        elif self._mode in ("create", "overwrite"):
+            if not per_task:
+                continue  # the task saw no block at all
+            *frags, last = per_task  # write() ends with the schema entry
+            entries.extend(frags)
+            if frags or schema_b64 is None:
+                schema_b64 = last["_schema_b64"]  # prefer a task that wrote rows
+        if entries or self._mode in ("create", "overwrite"):
             # all-empty write: create/overwrite still publishes an (empty)
             # version so callers can truncate a dataset; append of zero rows
-            # is a no-op (no version bump needed). Schema source: the one
-            # captured at sink construction, else — Ray drops the schema of
-            # an all-empty Dataset entirely — the previous committed
-            # version's schema (truncation preserves the schema).
-            schema = self._schema
-            if schema is None and minilance.is_dataset(self._uri):
+            # is a no-op (no version bump needed). Ray may hand the sink no
+            # block at all for an all-empty Dataset; the schema then comes
+            # from the previous committed version (truncation preserves it).
+            if schema_b64 is not None:
+                schema = minilance._schema_from_b64(schema_b64)
+            elif minilance.is_dataset(self._uri):
                 schema = minilance.dataset(self._uri).schema
-            if schema is None:
+            else:
                 return
-        else:
-            return
-        minilance.commit(self._uri, schema, entries, mode=self._mode)
+            minilance.commit(self._uri, schema, entries, mode=self._mode)
 
 
 def read_minilance(
@@ -224,15 +223,6 @@ def read_minilance(
 
 
 def write_minilance(ds, uri: str, mode: str = "create") -> None:
-    """``Dataset.write_lance`` twin over the vendored store. The dataset
-    schema is captured up front (cheap metadata fetch) so an all-empty
-    create/overwrite still commits an empty version."""
-    schema = None
-    try:
-        s = ds.schema(fetch_if_missing=True)
-        base = getattr(s, "base_schema", s)
-        if isinstance(base, pa.Schema):
-            schema = base
-    except Exception:  # pragma: no cover - schema stays best-effort
-        pass
-    ds.write_datasink(MiniLanceDatasink(uri, mode=mode, schema=schema))
+    """``Dataset.write_lance`` twin over the vendored store. The plan runs
+    once: the schema comes back from the write tasks themselves."""
+    ds.write_datasink(MiniLanceDatasink(uri, mode=mode))

@@ -241,7 +241,7 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
             frontier_root = stage.sink_dirs.get("frontier")
             if frontier_root is not None:
                 # write backlog rows straight to the next-round frontier dir
-                # (same parquet layout as the in-stage successor sink)
+                # (same part layout as the in-stage successor sink)
                 stage._sink_write(
                     pa.Table.from_pandas(backlog, preserve_index=False)
                     .select(_FRONTIER_COLS),
@@ -282,7 +282,7 @@ class CrawlProcessStage:
                  max_attempts: int = 3, synth_images: dict | None = None,
                  images_dir: str | None = None, filter_input: bool = False,
                  sink_dirs: dict | None = None, fetcher: str = "synthetic",
-                 http_opts: dict | None = None, table_fmt: str = "parquet"):
+                 http_opts: dict | None = None):
         if fetcher == "http":
             from crawler_ray.stages.fetch import HttpFetchStage
 
@@ -296,8 +296,8 @@ class CrawlProcessStage:
         self.seen = seen
         self.robots = RobotsCache(lambda host: robots_txt.get(host))
         self.has_robots_rules = bool(robots_txt)
-        # direct image sink: when set, new-image rows are written to
-        # parquet HERE (one deterministically-named part file per batch)
+        # direct image sink: when set, new-image rows are written HERE
+        # (one deterministically-named part per batch, sources/io.write_part)
         # instead of being carried through the object store for a second
         # write pass — images are the bulk payload at scale, and this keeps
         # them out of the round's materialized control output entirely.
@@ -309,7 +309,7 @@ class CrawlProcessStage:
         # in-stage sinks (same rationale as the image sink above, applied to
         # EVERY output class): {"categories":…, "products":…, "errors":…,
         # "frontier":…} per-round dirs. When set, entity/error/successor
-        # rows are written to parquet HERE (deterministically named parts —
+        # rows are written HERE (deterministically named parts —
         # content-derived digests, so re-running the same batch overwrites
         # its own part; NOTE the seen-set mutation is NOT idempotent, which
         # is why crawl.py disables Ray task retries and retries whole ROUNDS
@@ -318,11 +318,6 @@ class CrawlProcessStage:
         # exactly ONE streaming execution whose output is a handful of stat
         # rows.
         self.sink_dirs = sink_dirs or {}
-        # part-file format, resolved ONCE on the driver (sources/io.py
-        # resolve_table_format) and shipped with the init args: workers may
-        # not consult the environment — driver env changes never reach
-        # already-started Ray workers, locally or on a real cluster
-        self.table_fmt = table_fmt
 
     def _robots_filter(self, batch: pa.Table) -> tuple[pa.Table, list[str]]:
         """Drop robots-disallowed rows; returns (batch, surviving urls) —
@@ -430,9 +425,7 @@ class CrawlProcessStage:
             from crawler_ray.sources.io import write_part
 
             digest = _hl.md5("".join(ids[j] for j in new_idx).encode()).hexdigest()[:16]
-            # Lance fragment when available (north-rule image+caption
-            # table), deterministic parquet part otherwise (sources/io.py)
-            write_part(table, self.images_dir, digest, fmt=self.table_fmt)
+            write_part(table, self.images_dir, digest)
             # one summary row per batch instead of 10^3 marker rows
             out.append(
                 _row(
@@ -635,7 +628,7 @@ class CrawlProcessStage:
         digest = _hl.md5(
             ("\x00".join(table[key_col].to_pylist()) + tag).encode()
         ).hexdigest()[:16]
-        write_part(table, root, digest, fmt=self.table_fmt)
+        write_part(table, root, digest)
 
     def _drain_sinks(self, result: pa.Table) -> pa.Table:
         """Write entity/error/successor rows to their per-round sinks and

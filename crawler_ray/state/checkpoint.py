@@ -6,7 +6,8 @@ The reference has no mid-run checkpoint — only a coarse DB warm start
 (``BaseSpider.cs:146-162``). Here every BFS round writes an atomic checkpoint:
 
     <dir>/round_0007/
-        frontier.parquet      # frontier entering the NEXT round
+        frontier/             # minilance parts: frontier entering the NEXT round
+        host_metrics.parquet  # per-(host, kind) page/error counts
         seen_shards.pkl       # cuckoo+bloom+exact snapshot per shard
         metrics.json          # cumulative per-host/kind counters
         lineage.json          # round -> input/output row counts + upstream round
@@ -44,7 +45,7 @@ class CheckpointManager:
 
     def begin_round(self, rnd: int) -> str:
         """Create the round's STAGING dir and return its frontier subdir.
-        The round's distributed stage tasks write successor/backlog parquet
+        The round's distributed stage tasks write successor/backlog
         parts straight into it (the frontier never lands on the driver;
         VERDICT round-1 item #5); ``save_round`` then completes the staging
         dir and atomically renames it."""

@@ -27,11 +27,19 @@ def crawl_once(ray_session, small_site, tmp_path_factory):
 
 
 def test_crawl_matches_ground_truth(crawl_once):
+    import glob
+
+    from crawler_ray.vendor import minilance
+
     site, _, out, drv, res = crawl_once
     # final URL-seen set == BFS-reachable robots-allowed URL set
     assert res.pages_fetched == len(site.expected_seen)
     imgs = read_images_table(str(out))
     assert imgs.equals(site.expected_images)  # bit-identical images table
+    # every image part is a minilance dataset; nothing is written as parquet
+    parts = glob.glob(str(out / "images" / "round_*" / "part-*"))
+    assert parts and all(minilance.is_dataset(p) for p in parts)
+    assert not glob.glob(str(out / "images" / "round_*" / "*.parquet"))
 
 
 def test_image_row_invariants(crawl_once):

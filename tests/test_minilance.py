@@ -5,11 +5,9 @@ item #8 — previously only mock-tested).
 Covers: single-process round-trip + versioning/time-travel/append semantics,
 fragments-first-manifest-last atomicity, the Ray Data Datasource (one block
 per fragment, pruned columns) and Datasink (distributed fragment writes, one
-atomic commit), the ``sources/io`` dispatch surface under
-``CRAWLER_RAY_LANCE=mini``, and an end-to-end CRAWL whose every sink
-(images, entities, errors, frontier checkpoints) is a minilance dataset —
-asserting the images table is bit-identical to the site ground truth, i.e.
-identical to what the parquet-mode crawl produces.
+atomic commit, the upstream plan run once), and the ``sources/io`` part-tree
+surface. The end-to-end crawl over minilance sinks is covered by
+``tests/test_crawl.py``.
 """
 
 import glob
@@ -17,7 +15,6 @@ import json
 import os
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pytest
 
 from crawler_ray.vendor import minilance
@@ -260,15 +257,90 @@ def test_ray_datasink_distributed_write_then_read_back(ray_session, tmp_path):
     assert ids == expect
 
 
+def _marker(dirpath):
+    """A Ray-side side-effect counter: every call leaves one file."""
+
+    def mark():
+        import os as _os
+        import uuid as _uuid
+
+        open(_os.path.join(dirpath, _uuid.uuid4().hex), "w").close()
+
+    return mark
+
+
+def test_write_minilance_runs_upstream_plan_once(ray_session, tmp_path):
+    """The schema comes back from the write tasks, so the upstream plan is
+    not executed a second time just to learn it: one map call per block."""
+    import ray.data as rd
+
+    from crawler_ray.sources.lance_ray import write_minilance
+
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    mark = _marker(str(marks))
+
+    def counted(b):
+        mark()
+        return b
+
+    ds = rd.from_arrow(_t(10)).map_batches(counted, batch_format="pyarrow")
+    write_minilance(ds, str(tmp_path / "once.lance"), mode="create")
+    assert len(os.listdir(marks)) == 1
+    assert minilance.dataset(str(tmp_path / "once.lance")).count_rows() == 10
+
+
+def test_compact_parts_reads_each_fragment_once(ray_session, tmp_path, monkeypatch):
+    from crawler_ray.sources import io as io_mod
+    from crawler_ray.sources import lance_ray
+
+    root = str(tmp_path / "parts")
+    for i in range(4):
+        io_mod.write_part(_t(2, off=2 * i), os.path.join(root, f"round_{i:04d}"), f"s{i}")
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    mark = _marker(str(marks))
+    orig = lance_ray.MiniLanceDatasource.get_read_tasks
+
+    def get_read_tasks(self, parallelism):
+        tasks = orig(self, parallelism)
+        for task in tasks:
+            def read_fn(fn=task._read_fn):
+                mark()
+                return fn()
+
+            task._read_fn = read_fn
+        return tasks
+
+    monkeypatch.setattr(lance_ray.MiniLanceDatasource, "get_read_tasks", get_read_tasks)
+    assert io_mod.compact_parts(root, str(tmp_path / "final.lance")) == 8
+    assert len(os.listdir(marks)) == 4
+
+
+def test_datasource_unknown_fragment_size_reported_unknown(tmp_path):
+    """A manifest entry without ``size_bytes`` means the size is unknown:
+    the datasource reports None, not 0 bytes."""
+    from crawler_ray.sources.lance_ray import MiniLanceDatasource
+
+    uri = str(tmp_path / "ds.lance")
+    minilance.write_dataset(_t(10), uri)
+    mpath = minilance._manifest_path(uri, 1)
+    with open(mpath) as f:
+        manifest = json.load(f)
+    for frag in manifest["fragments"]:
+        del frag["size_bytes"]
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+    src = MiniLanceDatasource(uri)
+    assert src.estimate_inmemory_data_size() is None
+    (task,) = src.get_read_tasks(parallelism=1)
+    assert task.metadata.num_rows == 10 and task.metadata.size_bytes is None
+
+
 # ------------------------------------------------------- io dispatch surface
 
 
-@pytest.fixture
-def mini_env(monkeypatch):
-    monkeypatch.setenv("CRAWLER_RAY_LANCE", "mini")
-
-
-def test_io_write_part_minilance_retry_idempotent(mini_env, tmp_path):
+def test_io_write_part_minilance_retry_idempotent(tmp_path):
     from crawler_ray.sources import io as io_mod
 
     t = _t(4)
@@ -283,9 +355,7 @@ def test_io_write_part_minilance_retry_idempotent(mini_env, tmp_path):
     assert ds.count_rows() == 4 and ds.versions() == [1, 2]
 
 
-def test_io_read_parts_and_table_dispatch_on_writer_format(
-    mini_env, ray_session, tmp_path
-):
+def test_io_read_parts_and_table_dispatch_on_writer_format(ray_session, tmp_path):
     from crawler_ray.sources import io as io_mod
 
     t1, t2 = _t(3), _t(2, off=3)
@@ -303,21 +373,7 @@ def test_io_read_parts_and_table_dispatch_on_writer_format(
     )
 
 
-def test_io_write_table_and_read_table_roundtrip(mini_env, ray_session, tmp_path):
-    import ray.data as rd
-
-    from crawler_ray.sources import io as io_mod
-
-    uri = str(tmp_path / "tbl.lance")
-    t = _t(25)
-    io_mod.write_table(rd.from_arrow(t).repartition(3), uri)
-    back = io_mod.read_table(uri)
-    got = back.take_all()
-    assert sorted(r["phash"] for r in got) == list(range(25))
-    assert {r["image_id"] for r in got} == {f"id{i}" for i in range(25)}
-
-
-def test_io_compact_parts_to_single_lance_table(mini_env, ray_session, tmp_path):
+def test_io_compact_parts_to_single_lance_table(ray_session, tmp_path):
     from crawler_ray.sources import io as io_mod
 
     root = str(tmp_path / "parts")
@@ -331,51 +387,23 @@ def test_io_compact_parts_to_single_lance_table(mini_env, ray_session, tmp_path)
     assert got["phash"].to_pylist() == sorted(range(12), key=lambda i: f"id{i}")
 
 
-def test_io_read_parts_mixed_format_dir(mini_env, ray_session, tmp_path, monkeypatch):
-    """A crawl resumed with CRAWLER_RAY_LANCE flipped leaves a part dir with
-    BOTH formats — possibly the same content-addressed stem twice. Both
-    readers must see each stem exactly once and read both formats (round-4
-    advice: read_parts dropped all parquet rows; read_parts_table
-    double-counted same-stem rewrites)."""
+def test_io_parquet_part_in_tree_raises(ray_session, tmp_path):
+    """A part tree holding a ``.parquet`` part (written by an older parquet
+    sink) is rejected by both readers with an error naming the file, never
+    read or skipped silently."""
+    import pyarrow.parquet as pq
+
     from crawler_ray.sources import io as io_mod
 
     root = str(tmp_path / "images")
-    t_lance, t_pq, t_both = _t(3), _t(2, off=3), _t(2, off=5)
-    io_mod.write_part(t_lance, os.path.join(root, "round_0000"), "aaa", fmt="minilance")
-    io_mod.write_part(t_pq, os.path.join(root, "round_0000"), "bbb", fmt="parquet")
-    # same stem written in both formats (retry after the env flip): content-
-    # addressed stems mean identical content — must count ONCE
-    io_mod.write_part(t_both, os.path.join(root, "round_0001"), "ccc", fmt="parquet")
-    io_mod.write_part(t_both, os.path.join(root, "round_0001"), "ccc", fmt="minilance")
-
-    expect = pa.concat_tables([t_lance, t_pq, t_both]).sort_by("image_id")
-    tbl = io_mod.read_parts_table(root)
-    assert tbl.sort_by("image_id").equals(expect)
-    rows = io_mod.read_parts(root).take_all()
-    assert sorted(r["image_id"] for r in rows) == expect["image_id"].to_pylist()
-    # and identically with the env var dropped (dispatch on writer output)
-    monkeypatch.delenv("CRAWLER_RAY_LANCE")
-    rows2 = io_mod.read_parts(root, columns=["image_id"]).take_all()
-    assert sorted(r["image_id"] for r in rows2) == expect["image_id"].to_pylist()
-
-
-def test_io_read_table_autodetects_minilance_without_env(
-    mini_env, ray_session, tmp_path, monkeypatch
-):
-    """Data written under CRAWLER_RAY_LANCE=mini must stay readable via
-    read_table once the env var is unset (round-4 advice: the read path was
-    env-gated and fell through to read_parquet on a minilance dir)."""
-    import ray.data as rd
-
-    from crawler_ray.sources import io as io_mod
-
-    uri = str(tmp_path / "tbl.lance")
-    t = _t(12)
-    io_mod.write_table(rd.from_arrow(t), uri)
-    monkeypatch.delenv("CRAWLER_RAY_LANCE")
-    got = io_mod.read_table(uri, columns=["image_id", "caption"]).take_all()
-    assert sorted(r["image_id"] for r in got) == sorted(f"id{i}" for i in range(12))
-    assert all(set(r) == {"image_id", "caption"} for r in got)
+    io_mod.write_part(_t(3), os.path.join(root, "round_0000"), "aaa")
+    bad = os.path.join(root, "round_0001", "part-bbb.parquet")
+    os.makedirs(os.path.dirname(bad))
+    pq.write_table(_t(2, off=3), bad)
+    with pytest.raises(ValueError, match="part-bbb.parquet"):
+        io_mod.read_parts(root)
+    with pytest.raises(ValueError, match="part-bbb.parquet"):
+        io_mod.read_parts_table(root)
 
 
 def test_datasink_empty_overwrite_truncates(ray_session, tmp_path):
@@ -402,68 +430,17 @@ def test_datasink_empty_overwrite_truncates(ray_session, tmp_path):
     assert minilance.dataset(uri, version=1).count_rows() == 6
 
 
-# ------------------------------------------------------------------ e2e crawl
+def test_datasink_empty_create_commits_shipped_schema(ray_session, tmp_path):
+    """An all-empty create with no previous version still commits an empty
+    version: the write task ships the schema of the empty block it saw."""
+    import ray.data as rd
 
+    from crawler_ray.sources.lance_ray import write_minilance
 
-def test_crawl_end_to_end_all_sinks_minilance(
-    mini_env, ray_session, small_site, tmp_path_factory
-):
-    """The full crawl with EVERY sink (images, entities, errors, pages,
-    frontier checkpoints) written as minilance datasets: the Lance branch of
-    write_part/read_parts/read_parts_table executes for real across worker
-    processes (format threaded through the stage init args, not env), the
-    per-round frontier is read back from minilance parts, and the final
-    images table is bit-identical to the site ground truth — the exact
-    equality the parquet-mode crawl test asserts."""
-    from crawler_ray.pipelines.crawl import CrawlConfig, CrawlDriver, read_images_table
-
-    site, site_dir = small_site
-    out = tmp_path_factory.mktemp("crawl_lance")
-    cfg = CrawlConfig(
-        fixture_dir=site_dir,
-        out_dir=str(out),
-        quota_per_host=50,
-        fetch_concurrency=2,
-        num_seen_shards=2,
-    )
-    drv = CrawlDriver(cfg)
-    res = drv.run()
-    drv.shutdown()
-    assert res.pages_fetched == len(site.expected_seen)
-    # the sinks really are minilance datasets, not parquet
-    lance_parts = glob.glob(str(out / "images" / "round_*" / "part-*.lance"))
-    assert lance_parts, "no minilance image parts written"
-    assert all(minilance.is_dataset(p) for p in lance_parts)
-    assert not glob.glob(str(out / "images" / "round_*" / "*.parquet"))
-    imgs = read_images_table(str(out))
-    assert imgs.equals(site.expected_images)
-
-
-def test_crawl_kill_resume_minilance(
-    mini_env, ray_session, small_site, tmp_path_factory
-):
-    """Kill mid-crawl and resume with every checkpoint (frontier parts
-    included) stored as minilance datasets: the resume path's distributed
-    ``read_parts`` over minilance parts must reconstruct the frontier
-    exactly, yielding the same final images table as an uninterrupted run."""
-    from crawler_ray.pipelines.crawl import CrawlConfig, CrawlDriver, read_images_table
-
-    site, site_dir = small_site
-    out = tmp_path_factory.mktemp("resume_lance")
-    cfg = CrawlConfig(
-        fixture_dir=site_dir,
-        out_dir=str(out),
-        quota_per_host=50,
-        fetch_concurrency=2,
-        num_seen_shards=2,
-    )
-    drv1 = CrawlDriver(cfg)
-    drv1.run(stop_after_round=1)
-    drv1.shutdown()
-    assert read_images_table(str(out)).num_rows < site.expected_images.num_rows
-
-    drv2 = CrawlDriver(cfg)
-    res = drv2.run(resume=True)
-    drv2.shutdown()
-    assert res.pages_fetched == len(site.expected_seen)
-    assert read_images_table(str(out)).equals(site.expected_images)
+    uri = str(tmp_path / "fresh.lance")
+    t = _t(6)
+    write_minilance(rd.from_arrow(t).filter(expr="phash < 0"), uri, mode="create")
+    ds = minilance.dataset(uri)
+    assert ds.versions() == [1]
+    assert ds.count_rows() == 0
+    assert ds.schema.equals(t.schema)

@@ -133,17 +133,6 @@ def test_local_image_reader(ray_session, tmp_path):
     assert out["bytes"].map(len).min() > 0
 
 
-def test_lance_gate_falls_back(ray_session, tmp_path):
-    import ray.data as rd
-
-    from crawler_ray.sources import io as tio
-
-    ds = rd.from_arrow(pa.table({"x": [1, 2, 3]}))
-    tio.write_table(ds, str(tmp_path / "t"))
-    back = tio.read_table(str(tmp_path / "t"))
-    assert back.count() == 3
-
-
 def test_phash_banding_guarantees_requested_distance(ray_session):
     """The round-1 fixed 4x16 banding silently guaranteed only d<=3 at the
     default d=6; adaptive max_hamming+1 bands must find EVERY pair within
