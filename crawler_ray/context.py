@@ -42,7 +42,9 @@ def tune_data_context(progress_bars: bool = False) -> None:
     # (hash_shuffle was also tried: its aggregator actors deadlock against
     # the crawl's state actors on small CPU counts — do not use.)
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-    _silence_known_noise()
+    # the driver process gets the workers' filter; the hook dedupes by
+    # class name, so repeated calls leave one filter on the logger
+    worker_runtime_env()["worker_process_setup_hook"]()
 
 
 def worker_runtime_env() -> dict:
@@ -61,7 +63,15 @@ def worker_runtime_env() -> dict:
     and die with ModuleNotFoundError (which stalls worker startup and hangs
     the whole session). cloudpickle ships a closure by value."""
 
-    def _hook():  # pragma: no cover - runs inside worker processes
+    def _hook():
+        """Drop exactly ONE known-cosmetic Ray log line so real warnings
+        stay visible at scale: "Failed to hash the schemas (for
+        deduplication): unhashable type 'dict'" from
+        ray/data/_internal/arrow_ops/transform_pyarrow.py. Schema dedup is
+        a memory micro-optimization, so failing it is harmless, but at one
+        line per block it floods multi-thousand-block runs. The filter
+        matches that message prefix on that one module's logger only; any
+        other message or logger passes through."""
         import logging
 
         class _DropSchemaHashNoise(logging.Filter):
@@ -77,26 +87,3 @@ def worker_runtime_env() -> dict:
             lg.addFilter(_DropSchemaHashNoise())
 
     return {"worker_process_setup_hook": _hook}
-
-
-def _silence_known_noise() -> None:
-    """Drop exactly ONE known-cosmetic Ray log line so real warnings stay
-    visible at scale: "Failed to hash the schemas (for deduplication):
-    unhashable type 'dict'" — emitted by
-    ray/data/_internal/arrow_ops/transform_pyarrow.py for every block whose
-    schema carries map-typed column metadata. Schema-dedup is a memory
-    micro-optimization; failing it is harmless, but at one line per block it
-    floods multi-thousand-block runs. The filter matches the message prefix
-    on that one module's logger only — novel warnings (any other message,
-    any other logger) pass through untouched."""
-    import logging
-
-    class _DropSchemaHashNoise(logging.Filter):
-        def filter(self, record: logging.LogRecord) -> bool:
-            return not str(record.getMessage()).startswith(
-                "Failed to hash the schemas (for deduplication)"
-            )
-
-    lg = logging.getLogger("ray.data._internal.arrow_ops.transform_pyarrow")
-    if not any(isinstance(f, _DropSchemaHashNoise) for f in lg.filters):
-        lg.addFilter(_DropSchemaHashNoise())

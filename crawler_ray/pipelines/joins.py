@@ -1,12 +1,23 @@
-"""Large-side joins: explicit partitioned hash join.
+"""The join family over large sides: one co-partition exchange and one
+broadcast probe.
 
-The reference only ever joins against small in-memory bags (J1/J2 broadcast
-pattern, see relational.py). For two LARGE sides Ray Data's portable pattern
-(ray_guide) is an explicit bucketed hash join: add ``bucket = hash(key) % B``
-to both sides, tag the side, union, ``groupby(bucket)`` and merge each bucket
-pairwise inside ``map_groups``. B controls shuffle granularity; skewed keys
-can be salted into sub-buckets (documented knob, not needed for the uniform
-TPC-H keys here).
+Every join-shaped query here is built from two primitives:
+
+- ``copartition(sides, fold, schema, n_parts)`` is one hash exchange over N
+  streams. Rows of every side whose ``key % n_parts`` agree meet in one
+  ``fold`` call, which receives each side's rows as its own Arrow table.
+  Inner, outer, semi, anti, as-of and range joins differ only in the fold;
+  a side pre-aggregates in its own map (the combiner) before the exchange.
+- ``SortedLookup(keys, *vals)`` is a broadcast probe of a small dimension:
+  sorted arrays ship once with ``ray.put`` and a fact side's map probes
+  them with ``searchsorted``, so the dimension never enters an exchange.
+
+``partitioned_hash_join`` is the generic pandas-merge fold over
+``copartition``. ``salted_partitioned_hash_join`` is the same merge with
+a skew-aware routing bucket as the exchange key: a hot left key spreads
+over salted sub-buckets and its right rows replicate into each.
+``_bloom_gated`` prefilters an orders probe side above a measured size
+crossover.
 """
 
 from __future__ import annotations
@@ -23,15 +34,118 @@ from crawler_ray.functions.rounding import round_np
 from crawler_ray.pipelines.result import schema_safe
 
 
-def _tag_and_bucket(ds: rd.Dataset, key: str, side: str, n_buckets: int) -> rd.Dataset:
-    def fn(t: pa.Table) -> pa.Table:
-        keys = t[key].to_numpy()
-        bucket = (keys % n_buckets).astype(np.int64)
-        return t.append_column("_bucket", pa.array(bucket, pa.int64())).append_column(
-            "_side", pa.array([side] * t.num_rows, pa.string())
-        )
+def copartition(
+    sides: list[rd.Dataset],
+    fold,
+    schema: pa.Schema,
+    n_parts: int,
+    key: str = "key",
+) -> rd.Dataset:
+    """One hash exchange over N streams: rows of all ``sides`` with the same
+    ``key % n_parts`` meet in one ``fold(*tables)`` call.
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    Each side's blocks carry an int64 ``key`` plus any subset of the
+    ``schema`` fields; absent fields are padded with typed nulls (so the
+    union has one schema) and other columns are dropped. Each table handed
+    to ``fold`` holds one side's rows of the partition, in ``sides`` order,
+    with columns ``key`` + ``schema``; fields the side does not carry are
+    all-null there, so select a side's own columns before ``to_pandas``.
+    The tagging is one map per side, which fuses with the side's own map."""
+    fields = pa.schema([pa.field(key, pa.int64())] + list(schema))
+
+    def tagger(side: int):
+        def tag(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            cols = [
+                t[f.name] if f.name in t.column_names else pa.nulls(n, f.type)
+                for f in fields
+            ]
+            part = t[key].to_numpy() % n_parts
+            return pa.table(
+                cols + [pa.array(part, pa.int64()),
+                        pa.array(np.full(n, side, np.int8))],
+                names=fields.names + ["part", "_side"],
+            )
+
+        return tag
+
+    tagged = [
+        ds.map_batches(tagger(i), batch_format="pyarrow")
+        for i, ds in enumerate(sides)
+    ]
+    union = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+
+    def per_part(g: pa.Table):
+        # split sides in ARROW before any pandas conversion: pad nulls live
+        # only on the other sides' rows, so a side's own int64 columns
+        # reach pandas null-free and cannot degrade to float64 (which
+        # silently rounds keys wider than 53 bits and breaks the equi-join)
+        side = g["_side"]
+        g = g.select(fields.names)
+        return fold(*(g.filter(pc.equal(side, i)) for i in range(len(sides))))
+
+    per_part.__name__ = fold.__name__  # keeps the fold's name in the plan
+    return union.groupby("part").map_groups(per_part, batch_format="pyarrow")
+
+
+class SortedLookup:
+    """Broadcast probe of a small int64-keyed dimension. The key-sorted
+    arrays ship ONCE via ``ray.put`` and resolve lazily, once per worker,
+    at the first ``probe``."""
+
+    def __init__(self, keys, *vals):
+        keys = np.asarray(keys, np.int64)
+        order = np.argsort(keys, kind="stable")
+        self._ref = ray.put((keys[order], *(np.asarray(v)[order] for v in vals)))
+        self._arrays = None
+
+    def probe(self, k: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(hit, *vals)``: whether each of ``k`` is a key, and each value
+        array at the probed positions (meaningful where ``hit``). An empty
+        key set misses every probe."""
+        if self._arrays is None:
+            self._arrays = ray.get(self._ref)
+        keys, *vals = self._arrays
+        if not len(keys):
+            return (np.zeros(len(k), bool),
+                    *(np.zeros(len(k), v.dtype) for v in vals))
+        pos = np.clip(np.searchsorted(keys, k), 0, len(keys) - 1)
+        return (keys[pos] == k, *(v[pos] for v in vals))
+
+
+def _fields(ds: rd.Dataset, given) -> list[tuple[str, pa.DataType]] | None:
+    if given is not None:
+        return [(f.name, f.type) for f in given]
+    # works for Arrow AND (numeric) pandas block schemas
+    sch = ds.schema()
+    if sch is None:  # zero-block side (empty corpus): no type info
+        return None
+    out = []
+    for name, typ in zip(sch.names, sch.types):
+        if not isinstance(typ, pa.DataType):
+            typ = pa.from_numpy_dtype(np.dtype(typ))
+        out.append((name, typ))
+    return out
+
+
+def _merge_fold(lf, rf, on: str, how: str):
+    """The pandas merge of one partition's left and right rows. Output is
+    an Arrow table with a FIXED schema (left fields, then right fields
+    minus ``on``), so empty partitions cannot drift dtypes."""
+    lcols = [n for n, _ in lf]
+    rcols = [n for n, _ in rf]
+    out_schema = pa.schema(lf + [(n, t) for n, t in rf if n != on])
+
+    def merge(left: pa.Table, right: pa.Table) -> pa.Table:
+        lg = left.select(lcols).to_pandas()
+        rg = right.select(rcols).to_pandas()
+        if how == "inner" and (lg.empty or rg.empty):
+            df = pd.DataFrame(columns=out_schema.names)
+        else:
+            df = lg.merge(rg, on=on, how=how)[out_schema.names]
+        return pa.Table.from_pandas(df, schema=out_schema, preserve_index=False)
+
+    return merge
 
 
 def partitioned_hash_join(
@@ -43,29 +157,12 @@ def partitioned_hash_join(
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
 ) -> rd.Dataset:
-    """Hash-partitioned join of two Datasets on an integer key column.
-    Column sets of the two sides must be disjoint apart from ``on``.
-    Union requires aligned schemas, so each side is padded with typed null
-    columns for the other side's fields before the bucket shuffle. Output
-    blocks are Arrow tables with a FIXED schema (left fields then right
-    fields minus the key) so empty buckets can't drift dtypes.
+    """Hash-partitioned join of two Datasets on an integer key column: one
+    ``copartition`` exchange over ``n_buckets`` parts and a pandas merge per
+    part. Column sets of the two sides must be disjoint apart from ``on``.
 
     Pass ``left_schema`` / ``right_schema`` when a side's block schema is
     pandas-typed with object columns (bytes vs str is not inferrable)."""
-    def _fields(ds: rd.Dataset, given) -> list[tuple[str, pa.DataType]] | None:
-        if given is not None:
-            return [(f.name, f.type) for f in given]
-        # works for Arrow AND (numeric) pandas block schemas
-        sch = ds.schema()
-        if sch is None:  # zero-block side (empty corpus): no type info
-            return None
-        out = []
-        for name, typ in zip(sch.names, sch.types):
-            if not isinstance(typ, pa.DataType):
-                typ = pa.from_numpy_dtype(np.dtype(typ))
-            out.append((name, typ))
-        return out
-
     lf, rf = _fields(left, left_schema), _fields(right, right_schema)
     if lf is None or rf is None:
         # A schema-less side has zero rows, so the join degenerates: empty
@@ -81,60 +178,34 @@ def partitioned_hash_join(
         return rd.from_arrow(
             pa.schema(fields).empty_table() if fields else pa.table({})
         )
-    lcols = [n for n, _ in lf]
-    rcols = [n for n, _ in rf]
-    l_extra = [(n, t) for n, t in rf if n not in lcols]
-    r_extra = [(n, t) for n, t in lf if n not in rcols]
-
-    def pad(extra):
-        def fn(t: pa.Table) -> pa.Table:
-            for name, typ in extra:
-                t = t.append_column(name, pa.nulls(t.num_rows, typ))
-            # stable column order for union
-            return t.select(sorted(t.column_names))
-
-        return fn
-
-    tagged = (
-        _tag_and_bucket(left, on, "L", n_buckets)
-        .map_batches(pad(l_extra), batch_format="pyarrow")
-        .union(
-            _tag_and_bucket(right, on, "R", n_buckets).map_batches(
-                pad(r_extra), batch_format="pyarrow"
-            )
-        )
+    payload = pa.schema([(n, t) for n, t in lf + rf if n != on])
+    return copartition(
+        [left, right], _merge_fold(lf, rf, on, how), payload, n_buckets, key=on
     )
-
-    out_schema = pa.schema(lf + [(n, t) for n, t in rf if n != on])
-
-    def merge(g: pa.Table) -> pa.Table:
-        # split sides in ARROW before any pandas conversion: the padded
-        # null columns live only on the OTHER side's rows, so each split
-        # frame is null-free — pandas cannot degrade int64 keys to float64
-        # (which silently rounds keys wider than 53 bits and breaks the
-        # equi-join)
-        side = g["_side"]
-        lg = g.filter(pa.compute.equal(side, "L")).select(lcols).to_pandas()
-        rg = g.filter(pa.compute.equal(side, "R")).select(rcols).to_pandas()
-        if how == "inner" and (lg.empty or rg.empty):
-            df = pd.DataFrame(columns=[f.name for f in out_schema])
-        else:
-            df = lg.merge(rg, on=on, how=how)[[f.name for f in out_schema]]
-        return pa.Table.from_pandas(df, schema=out_schema, preserve_index=False)
-
-    return tagged.groupby("_bucket").map_groups(merge, batch_format="pyarrow")
 
 
 def order_lineitem_join_totals(sf_dir: str) -> rd.Dataset:
     """Both-sides-large join: lineitem ⨝ orders on orderkey, then per-order
-    revenue. The lineitem side is pre-aggregated per (bucket, orderkey)
+    revenue. The lineitem side is pre-aggregated per (block, orderkey)
     BEFORE the join shuffle (combiner), so the exchange moves one row per
-    order per side instead of one per lineitem."""
+    order per side instead of one per lineitem.
+
+    ONE exchange serves aggregate AND join: both sides key on the orderkey,
+    so instead of a ``groupby().aggregate()`` exchange followed by a join
+    exchange, the partials and the orders co-partition once and each
+    partition finishes the aggregation and the merge in pandas. (The
+    replaced shape measured 7.3 s for the Ray Aggregate alone at sf0.1;
+    this runs the whole query in ~1.5 s.) Values stay exact: rev partials
+    are 1e-4-unit integers < 2^53, so float64 passage cannot round them."""
     from crawler_ray.sources.io import read_parquet_sized
 
     li = read_parquet_sized(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
+        target_rows_per_block=4096,
+    )
+    orders = read_parquet_sized(
+        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"],
         target_rows_per_block=4096,
     )
 
@@ -147,64 +218,23 @@ def order_lineitem_join_totals(sf_dir: str) -> rd.Dataset:
         disc_c = np.round((1.0 - t["l_discount"].to_numpy()) * 100.0)
         df = pd.DataFrame(
             {
-                "l_orderkey": t["l_orderkey"].to_numpy(),
+                "key": t["l_orderkey"].to_numpy(),
                 "rev": price_c * disc_c,  # revenue in 1e-4 units, exact
             }
         )
         out = (
-            df.groupby("l_orderkey", sort=False)
+            df.groupby("key", sort=False)
             .agg(rev_p=("rev", "sum"), n_items_p=("rev", "size"))
             .reset_index()
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    # ONE exchange for aggregate AND join (round 3): both sides key on the
-    # orderkey, so instead of a full groupby().aggregate() exchange followed
-    # by a bucketed-join exchange, the combined (li-partial ∪ orders) rows
-    # hash-partition ONCE on the key and each partition finishes the
-    # aggregation and the merge in pandas. (The replaced shape measured
-    # 7.3 s for the Ray Aggregate alone at sf0.1; this runs the whole query
-    # in ~1.5 s.) Values stay exact: rev partials are 1e-4-unit integers
-    # < 2^53, so float64 passage cannot round them.
-    from crawler_ray.sources.io import read_parquet_sized
+    def o_rows(t: pa.Table) -> pa.Table:
+        return pa.table({"key": t["o_orderkey"], "o_totalprice": t["o_totalprice"]})
 
-    n_parts = 32
-    orders = read_parquet_sized(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"],
-        target_rows_per_block=4096,
-    )
-
-    def prep_li(t: pa.Table) -> pa.Table:
-        p = li_partial(t)
-        key = p["l_orderkey"].to_numpy()
-        return pa.table(
-            {
-                "key": p["l_orderkey"],
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                "rev_p": p["rev_p"],
-                "n_items_p": p["n_items_p"],
-                "o_totalprice": pa.nulls(p.num_rows, pa.float64()),
-            }
-        )
-
-    def prep_orders(t: pa.Table) -> pa.Table:
-        key = t["o_orderkey"].to_numpy()
-        return pa.table(
-            {
-                "key": t["o_orderkey"],
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                "rev_p": pa.nulls(t.num_rows, pa.float64()),
-                "n_items_p": pa.nulls(t.num_rows, pa.int64()),
-                "o_totalprice": t["o_totalprice"],
-            }
-        )
-
-    def merge_part(g: pa.Table) -> pa.Table:
-        is_o = pa.compute.is_valid(g["o_totalprice"])
-        og = g.filter(is_o).select(["key", "o_totalprice"]).to_pandas()
-        lg = g.filter(pa.compute.invert(is_o)).select(
-            ["key", "rev_p", "n_items_p"]
-        ).to_pandas()
+    def merge_part(li: pa.Table, o: pa.Table) -> pa.Table:
+        og = o.select(["key", "o_totalprice"]).to_pandas()
+        lg = li.select(["key", "rev_p", "n_items_p"]).to_pandas()
         agg = (
             lg.groupby("key", sort=False)
             .agg(revenue_raw=("rev_p", "sum"), n_items=("n_items_p", "sum"))
@@ -222,12 +252,13 @@ def order_lineitem_join_totals(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    li_tagged = li.map_batches(prep_li, batch_format="pyarrow")
-    o_tagged = orders.map_batches(prep_orders, batch_format="pyarrow")
-    return (
-        li_tagged.union(o_tagged)
-        .groupby("part")
-        .map_groups(merge_part, batch_format="pyarrow")
+    return copartition(
+        [li.map_batches(li_partial, batch_format="pyarrow"),
+         orders.map_batches(o_rows, batch_format="pyarrow")],
+        merge_part,
+        pa.schema([("rev_p", pa.float64()), ("n_items_p", pa.int64()),
+                   ("o_totalprice", pa.float64())]),
+        n_parts=32,
     )
 
 
@@ -251,18 +282,15 @@ def events_asof_order_join(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     """For each event, the most recent order of the same customer placed at
     or before the event time (backward as-of join), inner semantics.
 
-    Shape: both sides hash-partition ONCE on the shared key
-    (user_id = o_custkey) via the same union-exchange trick as
-    ``order_lineitem_join_totals`` — every (key, time)-match is confined to
-    one partition, so the merge is embarrassingly parallel. Inside each
+    Shape: both sides co-partition ONCE on the shared key
+    (user_id = o_custkey) — every (key, time)-match is confined to one
+    partition, so the merge is embarrassingly parallel. Inside each
     partition ``pd.merge_asof`` (vectorized C galloping search over both
     sides sorted by time) resolves the point-in-time match. Ties on
     o_orderdate break to the HIGHEST o_orderkey: the order side is sorted
     by (o_orderdate, o_orderkey) and merge_asof takes the last row ≤ ts,
     matching the oracle's ``ORDER BY o_orderdate DESC, o_orderkey DESC``
-    rank-1 row. Skewed keys: a hot user salts into sub-partitions by
-    time-range the same way the frontier salts hot hosts (documented knob;
-    uniform here)."""
+    rank-1 row."""
     from crawler_ray.sources.io import read_parquet_sized
 
     events = read_parquet_sized(
@@ -275,28 +303,15 @@ def events_asof_order_join(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         target_rows_per_block=8192,
     )
 
-    def prep_events(t: pa.Table) -> pa.Table:
-        key = t["user_id"].to_numpy()
+    def e_rows(t: pa.Table) -> pa.Table:
         return pa.table(
-            {
-                "key": t["user_id"],
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                "event_id": t["event_id"],
-                "ts": t["ts"],
-                "o_orderkey": pa.nulls(t.num_rows, pa.int64()),
-                "o_orderdate": pa.nulls(t.num_rows, pa.timestamp("us")),
-                "o_totalprice": pa.nulls(t.num_rows, pa.float64()),
-            }
+            {"key": t["user_id"], "event_id": t["event_id"], "ts": t["ts"]}
         )
 
-    def prep_orders(t: pa.Table) -> pa.Table:
-        key = t["o_custkey"].to_numpy()
+    def o_rows(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "key": t["o_custkey"],
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                "event_id": pa.nulls(t.num_rows, pa.int64()),
-                "ts": pa.nulls(t.num_rows, pa.timestamp("us")),
                 "o_orderkey": t["o_orderkey"],
                 "o_orderdate": t["o_orderdate"],
                 "o_totalprice": t["o_totalprice"],
@@ -308,10 +323,9 @@ def events_asof_order_join(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
          ("asof_orderkey", pa.int64()), ("asof_totalprice", pa.float64())]
     )
 
-    def merge_part(g: pa.Table) -> pa.Table:
-        is_e = pa.compute.is_valid(g["event_id"])
-        eg = g.filter(is_e).select(["key", "event_id", "ts"]).to_pandas()
-        og = g.filter(pa.compute.invert(is_e)).select(
+    def merge_part(e: pa.Table, o: pa.Table) -> pa.Table:
+        eg = e.select(["key", "event_id", "ts"]).to_pandas()
+        og = o.select(
             ["key", "o_orderkey", "o_orderdate", "o_totalprice"]
         ).to_pandas()
         if eg.empty or og.empty:
@@ -334,11 +348,15 @@ def events_asof_order_join(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
             }
         )
 
-    return (
-        events.map_batches(prep_events, batch_format="pyarrow")
-        .union(orders.map_batches(prep_orders, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(merge_part, batch_format="pyarrow")
+    return copartition(
+        [events.map_batches(e_rows, batch_format="pyarrow"),
+         orders.map_batches(o_rows, batch_format="pyarrow")],
+        merge_part,
+        pa.schema([("event_id", pa.int64()), ("ts", pa.timestamp("us")),
+                   ("o_orderkey", pa.int64()),
+                   ("o_orderdate", pa.timestamp("us")),
+                   ("o_totalprice", pa.float64())]),
+        n_parts,
     )
 
 
@@ -381,10 +399,6 @@ def user_events_next_hour(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     )
     hour_us = 3_600_000_000  # INTERVAL 1 HOUR in microseconds
 
-    def add_part(t: pa.Table) -> pa.Table:
-        part = (t["user_id"].to_numpy() % n_parts).astype(np.int64)
-        return t.append_column("part", pa.array(part, pa.int64()))
-
     def count_window(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
@@ -405,10 +419,12 @@ def user_events_next_hour(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
              "n_next_hour": pa.array((hi - lo).astype(np.int64), pa.int64())}
         )
 
-    return (
-        events.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_window, batch_format="pyarrow")
+    return copartition(
+        [events],
+        count_window,
+        pa.schema([("event_id", pa.int64()), ("ts", pa.timestamp("us"))]),
+        n_parts,
+        key="user_id",
     )
 
 
@@ -432,8 +448,8 @@ def customers_without_urgent_orders(sf_dir: str, n_parts: int = 32) -> rd.Datase
     The probe side collapses to DISTINCT keys inside ``map_batches``
     BEFORE the exchange (semi/anti joins never need the probe rows, only
     key presence — the same combiner-first discipline as the aggregates),
-    then one hash partition co-locates each customer with every evidence
-    key and a vectorized ``isin`` mask drops matches."""
+    then one co-partition brings each customer together with every
+    evidence key and a vectorized ``is_in`` mask drops matches."""
     from crawler_ray.sources.io import read_parquet_sized
 
     cust = read_parquet_sized(
@@ -447,54 +463,39 @@ def customers_without_urgent_orders(sf_dir: str, n_parts: int = 32) -> rd.Datase
         target_rows_per_block=8192,
     )
 
-    def prep_cust(t: pa.Table) -> pa.Table:
-        key = t["c_custkey"].to_numpy()
+    def c_rows(t: pa.Table) -> pa.Table:
         return pa.table(
-            {
-                "key": t["c_custkey"],
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                "c_name": t["c_name"],
-                "c_acctbal": t["c_acctbal"],
-            }
+            {"key": t["c_custkey"], "c_name": t["c_name"],
+             "c_acctbal": t["c_acctbal"]}
         )
 
-    def prep_probe(t: pa.Table) -> pa.Table:
-        mask = pa.compute.equal(t["o_orderpriority"], "1-URGENT")
+    def urgent_keys(t: pa.Table) -> pa.Table:
+        mask = pc.equal(t["o_orderpriority"], "1-URGENT")
         keys = np.unique(t.filter(mask)["o_custkey"].to_numpy())
-        n = len(keys)
-        return pa.table(
-            {
-                "key": pa.array(keys, pa.int64()),
-                "part": pa.array((keys % n_parts).astype(np.int64), pa.int64()),
-                "c_name": pa.nulls(n, pa.string()),
-                "c_acctbal": pa.nulls(n, pa.float64()),
-            }
-        )
+        return pa.table({"key": pa.array(keys, pa.int64())})
 
     out_schema = pa.schema(
         [("c_custkey", pa.int64()), ("c_name", pa.string()),
          ("c_acctbal", pa.float64())]
     )
 
-    def anti(g: pa.Table) -> pa.Table:
-        is_cust = pa.compute.is_valid(g["c_name"])
-        cg = g.filter(is_cust)
-        probe = g.filter(pa.compute.invert(is_cust))["key"]
-        keep = pa.compute.invert(
-            pa.compute.is_in(cg["key"], value_set=probe.combine_chunks())
+    def anti(c: pa.Table, urgent: pa.Table) -> pa.Table:
+        keep = pc.invert(
+            pc.is_in(c["key"], value_set=urgent["key"].combine_chunks())
         )
-        out = cg.filter(keep)
+        out = c.filter(keep)
         return pa.table(
             {"c_custkey": out["key"], "c_name": out["c_name"],
              "c_acctbal": out["c_acctbal"]},
             schema=out_schema,
         )
 
-    return (
-        cust.map_batches(prep_cust, batch_format="pyarrow")
-        .union(orders.map_batches(prep_probe, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(anti, batch_format="pyarrow")
+    return copartition(
+        [cust.map_batches(c_rows, batch_format="pyarrow"),
+         orders.map_batches(urgent_keys, batch_format="pyarrow")],
+        anti,
+        pa.schema([("c_name", pa.string()), ("c_acctbal", pa.float64())]),
+        n_parts,
     )
 
 
@@ -519,10 +520,10 @@ def customer_order_counts(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
 
     Shape: orders collapse to per-batch (custkey, n, cents) partials BEFORE
     any exchange (combiner-first, integer cents so block split and
-    accumulation order cannot flip values); customers and partials co-locate
-    on ONE custkey-hash partition; the per-partition fold sums partials and
-    left-attaches with zero fill. No second exchange and no padded null
-    blowup — the unmatched side is filled in-task."""
+    accumulation order cannot flip values); customers and partials
+    co-partition ONCE on custkey; the per-partition fold sums partials and
+    left-attaches with zero fill. No second exchange — the unmatched side
+    is filled in-task."""
     from crawler_ray.sources.io import read_parquet_sized
 
     cust = read_parquet_sized(
@@ -534,22 +535,10 @@ def customer_order_counts(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         target_rows_per_block=8192,
     )
 
-    _SCHEMA = pa.schema(
-        [("key", pa.int64()), ("c_name", pa.string()),
-         ("n", pa.int64()), ("cents", pa.int64()),
-         ("part", pa.int64())]
-    )
+    def c_rows(t: pa.Table) -> pa.Table:
+        return pa.table({"key": t["c_custkey"], "c_name": t["c_name"]})
 
-    def prep_cust(t: pa.Table) -> pa.Table:
-        key = t["c_custkey"].to_numpy()
-        return pa.table(
-            {"key": t["c_custkey"], "c_name": t["c_name"],
-             "n": pa.nulls(t.num_rows, pa.int64()),
-             "cents": pa.nulls(t.num_rows, pa.int64()),
-             "part": pa.array((key % n_parts).astype(np.int64), pa.int64())}
-        ).cast(_SCHEMA)
-
-    def prep_orders(t: pa.Table) -> pa.Table:
+    def o_partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame(
             {"key": t["o_custkey"].to_numpy(),
              "cents": np.round(t["o_totalprice"].to_numpy() * 100)
@@ -558,26 +547,20 @@ def customer_order_counts(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         g = df.groupby("key", sort=False).agg(
             n=("cents", "size"), cents=("cents", "sum")
         ).reset_index()
-        keys = g["key"].to_numpy(np.int64)
         return pa.table(
-            {"key": pa.array(keys, pa.int64()),
-             "c_name": pa.nulls(len(g), pa.string()),
+            {"key": pa.array(g["key"].to_numpy(np.int64), pa.int64()),
              "n": pa.array(g["n"].to_numpy(np.int64)),
-             "cents": pa.array(g["cents"].to_numpy(np.int64)),
-             "part": pa.array((keys % n_parts).astype(np.int64), pa.int64())}
-        ).cast(_SCHEMA)
+             "cents": pa.array(g["cents"].to_numpy(np.int64))}
+        )
 
     out_schema = pa.schema(
         [("c_custkey", pa.int64()), ("c_name", pa.string()),
          ("n_orders", pa.int64()), ("total_spend", pa.float64())]
     )
 
-    def fold(g: pa.Table) -> pa.Table:
-        is_cust = pa.compute.is_valid(g["c_name"])
-        cg = g.filter(is_cust).select(["key", "c_name"]).to_pandas()
-        og = g.filter(pa.compute.invert(is_cust)).select(
-            ["key", "n", "cents"]
-        ).to_pandas()
+    def fold(c: pa.Table, o: pa.Table) -> pa.Table:
+        cg = c.select(["key", "c_name"]).to_pandas()
+        og = o.select(["key", "n", "cents"]).to_pandas()
         agg = og.groupby("key", sort=False)[["n", "cents"]].sum()
         m = cg.merge(agg, left_on="key", right_index=True, how="left")
         n = m["n"].fillna(0).astype(np.int64)
@@ -592,12 +575,13 @@ def customer_order_counts(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
             schema=out_schema, preserve_index=False,
         )
 
-    return (
-        cust.map_batches(prep_cust, batch_format="pyarrow")
-        .union(orders.map_batches(prep_orders, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
-        .select_columns(["c_custkey", "c_name", "n_orders", "total_spend"])
+    return copartition(
+        [cust.map_batches(c_rows, batch_format="pyarrow"),
+         orders.map_batches(o_partial, batch_format="pyarrow")],
+        fold,
+        pa.schema([("c_name", pa.string()), ("n", pa.int64()),
+                   ("cents", pa.int64())]),
+        n_parts,
     )
 
 
@@ -627,10 +611,9 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 def _bloom_ref_from_keys(ds: rd.Dataset, col: str, cap: int | None = None):
     """OR-fold per-block Bloom partials over ``ds[col]`` (slim, already
-    filtered) and ``ray.put`` the packed state — the build half of the
-    bloom-semi-join shape (``orders_from_event_users``), factored so any
-    fact-vs-filtered-dim exchange can prefilter its probe side. Only
-    fixed-size bit arrays reach the driver.
+    filtered) and ``ray.put`` the packed state — the build half of every
+    bloom-prefiltered exchange here. Only fixed-size bit arrays reach the
+    driver.
 
     Pass ``cap`` (an upper bound, e.g. the dim table's footer row count)
     to size the filter without a counting pass — oversizing only wastes
@@ -649,14 +632,18 @@ def _bloom_ref_from_keys(ds: rd.Dataset, col: str, cap: int | None = None):
 
     parts = ds.map_batches(block_bloom, batch_format="pyarrow").to_pandas()
     bloom = BloomFilter(cap)
-    for b in parts["bits"]:
+    # .empty guard: a zero-row build drops the fold's schema; the all-zero
+    # filter then correctly rejects every probe
+    for b in (parts["bits"] if not parts.empty else ()):
         bloom.bits |= np.frombuffer(b, dtype=np.uint8)
     return ray.put(bloom.state())
 
 
 class _BloomGate:
-    """Lazy per-worker bloom membership test over one int64 column —
-    resolve the broadcast state once per task/actor, filter each batch."""
+    """Bloom membership filter over one int64 column of a probe side. The
+    broadcast state resolves lazily, once per worker. No false negatives:
+    survivors still get exact verification in the fold; the bloom only
+    cuts exchange volume."""
 
     def __init__(self, ref, col: str):
         self.ref = ref
@@ -666,19 +653,20 @@ class _BloomGate:
     def keep(self, t: pa.Table) -> pa.Table:
         if self.ref is None:  # gate disabled (below the bloom crossover)
             return t
-        import ray as _ray
-
         from crawler_ray.state.filters import BloomFilter
 
         if self._f is None:
-            st = (
-                _ray.get(self.ref)
-                if isinstance(self.ref, _ray.ObjectRef)
-                else self.ref
-            )
-            self._f = BloomFilter.from_state(st)
+            self._f = BloomFilter.from_state(ray.get(self.ref))
         keys = t[self.col].to_numpy()
         return t.filter(pa.array(self._f.contains(_splitmix64(keys))))
+
+
+def _footer_rows(parquet: str) -> int:
+    """Row count from the parquet footer — the size signal of every
+    auto-mode strategy choice (no data scan)."""
+    import pyarrow.parquet as pq_
+
+    return pq_.ParquetFile(parquet).metadata.num_rows
 
 
 # bloom-prefilter crossover: the build's materialize gates the probe stream
@@ -689,45 +677,27 @@ class _BloomGate:
 BLOOM_PROBE_CROSSOVER_ROWS = 1_500_000
 
 
-def _want_bloom(flag: bool | None, probe_parquet: str) -> bool:
-    if flag is not None:
-        return flag
-    import pyarrow.parquet as pq_
+def _bloom_gated(
+    build: rd.Dataset, flag: bool | None, sf_dir: str
+) -> tuple[rd.Dataset, _BloomGate]:
+    """The guarded bloom prefilter of an ``orders`` probe on ``o_custkey``
+    against a filtered ``customer`` build stream keyed by ``key``. Returns
+    the build stream and the probe side's gate. Only ~matching customers'
+    orders then enter the custkey exchange.
 
-    return (
-        pq_.ParquetFile(probe_parquet).metadata.num_rows
-        >= BLOOM_PROBE_CROSSOVER_ROWS
+    ``flag=None`` decides from the orders footer row count. When off, the
+    gate passes every row and ``build`` streams as given. When on, ``build``
+    materializes ONCE (it is the exchange's build side too) and the filter
+    is capacity-sized from the customer footer."""
+    if flag is None:
+        flag = _footer_rows(f"{sf_dir}/orders.parquet") >= BLOOM_PROBE_CROSSOVER_ROWS
+    if not flag:
+        return build, _BloomGate(None, "o_custkey")
+    build = build.materialize()
+    ref = _bloom_ref_from_keys(
+        build, "key", cap=_footer_rows(f"{sf_dir}/customer.parquet")
     )
-
-
-class _BloomProbe:
-    """Task-mode bloom prefilter: the packed bit array ships once via
-    ``ray.put`` and is resolved lazily per worker (the BroadcastJoiner
-    convention). No false negatives — survivors still get exact
-    verification downstream; the bloom only cuts shuffle volume."""
-
-    def __init__(self, state_ref, key: str, n_parts: int):
-        self.ref = state_ref
-        self.key = key
-        self.n_parts = n_parts
-        self._f = None
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import ray
-
-        from crawler_ray.state.filters import BloomFilter
-
-        if self._f is None:
-            st = ray.get(self.ref) if isinstance(self.ref, ray.ObjectRef) else self.ref
-            self._f = BloomFilter.from_state(st)
-        keys = t[self.key].to_numpy()
-        hit = self._f.contains(_splitmix64(keys))
-        t = t.filter(pa.array(hit))
-        return t.append_column(
-            "part",
-            pa.array((t[self.key].to_numpy() % self.n_parts).astype(np.int64),
-                     pa.int64()),
-        )
+    return build, _BloomGate(ref, "o_custkey")
 
 
 def orders_from_event_users(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
@@ -743,93 +713,54 @@ def orders_from_event_users(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
        broadcast once with ``ray.put``,
     3. the probe fact PREFILTERS against the bloom inside ``map_batches``
        (no false negatives), so only ~matching + ε·FP rows enter
-    4. the exact semi fold (probe rows ∪ distinct build keys co-located
-       by key-hash; in-task membership test removes bloom false
+    4. the exact semi fold (probe rows and distinct build keys
+       co-partitioned by key; in-task membership test removes bloom false
        positives).
 
     The probe side's shuffle volume shrinks from |orders| to
     |semi matches| + FP — the entire point of a bloom join when the probe
     fact is 100× the match rate. Output is exact regardless of FP rate."""
-    import ray
-
     from crawler_ray.sources.io import read_parquet_sized
-    from crawler_ray.state.filters import BloomFilter
 
     events = read_parquet_sized(f"{sf_dir}/events.parquet", columns=["user_id"])
 
     def distinct_batch(t: pa.Table) -> pa.Table:
         u = np.unique(t["user_id"].to_numpy())
-        return pa.table(
-            {"user_id": pa.array(u, pa.int64()),
-             "part": pa.array((u % n_parts).astype(np.int64), pa.int64())}
-        )
+        return pa.table({"key": pa.array(u, pa.int64())})
 
     def distinct_fold(g: pa.Table) -> pa.Table:
-        u = np.unique(g["user_id"].to_numpy())
-        return pa.table(
-            {"user_id": pa.array(u, pa.int64()),
-             "part": pa.array((u % n_parts).astype(np.int64), pa.int64())}
-        )
+        return pa.table({"key": pa.array(np.unique(g["key"].to_numpy()), pa.int64())})
 
-    users = (
-        events.map_batches(distinct_batch, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(distinct_fold, batch_format="pyarrow")
-        .materialize()  # slim (user_id, part) rows; reused twice below
-    )
-
-    cap = max(1024, int(users.count()))
-
-    def block_bloom(t: pa.Table) -> pa.Table:
-        f = BloomFilter(cap)
-        f.add(_splitmix64(t["user_id"].to_numpy()))
-        return pa.table({"bits": pa.array([f.bits.tobytes()], pa.binary())})
-
-    parts = users.map_batches(block_bloom, batch_format="pyarrow").to_pandas()
-    bloom = BloomFilter(cap)
-    # .empty guard: a zero-user corpus drops the fold's schema; the all-zero
-    # filter then correctly rejects every orders probe
-    for b in (parts["bits"] if not parts.empty else ()):
-        bloom.bits |= np.frombuffer(b, dtype=np.uint8)
-    state_ref = ray.put(bloom.state())
+    users = copartition(
+        [events.map_batches(distinct_batch, batch_format="pyarrow")],
+        distinct_fold,
+        pa.schema([]),
+        n_parts,
+    ).materialize()  # slim key rows; reused twice below
+    gate = _BloomGate(_bloom_ref_from_keys(users, "key"), "o_custkey")
 
     orders = read_parquet_sized(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
         target_rows_per_block=4096,
     )
-    prefiltered = orders.map_batches(
-        _BloomProbe(state_ref, "o_custkey", n_parts), batch_format="pyarrow"
-    )
 
-    def semi(g: pa.Table) -> pa.Table:
-        is_build = pa.compute.is_valid(g["user_id"])
-        build = g.filter(is_build)["user_id"].to_numpy(zero_copy_only=False)
-        probe = g.filter(pa.compute.invert(is_build))
-        keep = np.isin(
-            probe["o_custkey"].to_numpy(zero_copy_only=False), build
+    def probe_rows(t: pa.Table) -> pa.Table:
+        t = gate.keep(t)
+        return t.append_column("key", t["o_custkey"])
+
+    def semi(probe: pa.Table, build: pa.Table) -> pa.Table:
+        keep = np.isin(probe["key"].to_numpy(), build["key"].to_numpy())
+        return probe.filter(pa.array(keep)).select(
+            ["o_orderkey", "o_custkey", "o_totalprice"]
         )
-        out = probe.filter(pa.array(keep))
-        return out.select(["o_orderkey", "o_custkey", "o_totalprice"])
 
-    probe_rows = prefiltered.map_batches(
-        lambda t: t.append_column("user_id", pa.nulls(t.num_rows, pa.int64())),
-        batch_format="pyarrow",
-    )
-    build_rows = users.map_batches(
-        lambda t: pa.table(
-            {"o_orderkey": pa.nulls(t.num_rows, pa.int64()),
-             "o_custkey": pa.nulls(t.num_rows, pa.int64()),
-             "o_totalprice": pa.nulls(t.num_rows, pa.float64()),
-             "part": t["part"],
-             "user_id": t["user_id"]}
-        ),
-        batch_format="pyarrow",
-    )
-    return (
-        probe_rows.union(build_rows)
-        .groupby("part")
-        .map_groups(semi, batch_format="pyarrow")
+    return copartition(
+        [orders.map_batches(probe_rows, batch_format="pyarrow"), users],
+        semi,
+        pa.schema([("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
+                   ("o_totalprice", pa.float64())]),
+        n_parts,
     )
 
 
@@ -849,9 +780,9 @@ def customer_order_event_counts(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     vs event count per user (testdata convention: ``events.user_id`` keys
     the customer domain), zero-filled on BOTH sides — keys present in
     either fact survive. Shape: each fact folds its per-key combiner in
-    batch, the two slim partial streams union into ONE key-hash exchange,
-    and the in-task pivot sums each side with zero fill. No driver-side
-    rows, no second pass over either fact."""
+    batch, the two slim partial streams co-partition ONCE on the key, and
+    the in-task fold sums each side with zero fill. No driver-side rows,
+    no second pass over either fact."""
     from crawler_ray.sources.io import read_parquet_sized
 
     orders = read_parquet_sized(
@@ -863,35 +794,33 @@ def customer_order_event_counts(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         target_rows_per_block=4096,
     )
 
-    def partial(col: str, side: int):
+    def partial(col: str):
         def fn(t: pa.Table) -> pa.Table:
             k, cnt = np.unique(t[col].to_numpy(), return_counts=True)
             return pa.table(
-                {"key_id": pa.array(k, pa.int64()),
-                 "part": pa.array((k % n_parts).astype(np.int64), pa.int64()),
-                 "side": pa.array(np.full(len(k), side, np.int64), pa.int64()),
+                {"key": pa.array(k, pa.int64()),
                  "n": pa.array(cnt.astype(np.int64), pa.int64())}
             )
 
         return fn
 
-    def fold(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        p = df.pivot_table(
-            index="key_id", columns="side", values="n", aggfunc="sum",
-            fill_value=0,
-        ).reindex(columns=[0, 1], fill_value=0)
+    def fold(o: pa.Table, e: pa.Table) -> pa.Table:
+        p = pd.DataFrame(
+            {"n_orders": o.to_pandas().groupby("key")["n"].sum(),
+             "n_events": e.to_pandas().groupby("key")["n"].sum()}
+        ).fillna(0)
         return pa.table(
             {"key_id": pa.array(p.index.to_numpy(np.int64), pa.int64()),
-             "n_orders": pa.array(p[0].to_numpy(np.int64), pa.int64()),
-             "n_events": pa.array(p[1].to_numpy(np.int64), pa.int64())}
+             "n_orders": pa.array(p["n_orders"].to_numpy(np.int64), pa.int64()),
+             "n_events": pa.array(p["n_events"].to_numpy(np.int64), pa.int64())}
         )
 
-    return (
-        orders.map_batches(partial("o_custkey", 0), batch_format="pyarrow")
-        .union(events.map_batches(partial("user_id", 1), batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
+    return copartition(
+        [orders.map_batches(partial("o_custkey"), batch_format="pyarrow"),
+         events.map_batches(partial("user_id"), batch_format="pyarrow")],
+        fold,
+        pa.schema([("n", pa.int64())]),
+        n_parts,
     )
 
 
@@ -917,7 +846,7 @@ def late_ship_priority_counts(
     """Per order priority, how many orders had at least one line item
     shipped more than ``grace_days`` after the order date — the TPC-H Q4
     shape (aggregate over an EXISTS correlated to another fact). ONE
-    orderkey-hash exchange co-locates each order with its line items'
+    orderkey co-partition brings each order together with its line items'
     per-batch MAX-shipdate partials (combiner: one slim row per
     (batch, orderkey), never one per line item); the in-task exists-test
     emits per-priority count partials and the final groupby folds
@@ -947,31 +876,22 @@ def late_ship_priority_counts(
                  .astype(np.int64)}
         )
         g = df.groupby("key", sort=False)["ship"].max()
-        k = g.index.to_numpy(np.int64)
         return pa.table(
-            {"key": pa.array(k, pa.int64()),
-             "part": pa.array((k % n_parts).astype(np.int64), pa.int64()),
-             "ship_max": pa.array(g.to_numpy(np.int64), pa.int64()),
-             "odate": pa.nulls(len(k), pa.int64()),
-             "priority": pa.nulls(len(k), pa.string())}
+            {"key": pa.array(g.index.to_numpy(np.int64), pa.int64()),
+             "ship_max": pa.array(g.to_numpy(np.int64), pa.int64())}
         )
 
     def o_rows(t: pa.Table) -> pa.Table:
-        k = t["o_orderkey"].to_numpy()
         od = t["o_orderdate"].to_numpy().astype("datetime64[us]").astype(np.int64)
         return pa.table(
-            {"key": pa.array(k, pa.int64()),
-             "part": pa.array((k % n_parts).astype(np.int64), pa.int64()),
-             "ship_max": pa.nulls(len(k), pa.int64()),
+            {"key": t["o_orderkey"],
              "odate": pa.array(od, pa.int64()),
              "priority": t["o_orderpriority"]}
         )
 
-    def fold(g: pa.Table) -> pd.DataFrame:
-        df = g.to_pandas()
-        is_li = df["ship_max"].notna()
-        mx = df[is_li].groupby("key")["ship_max"].max()
-        od = df[~is_li].drop(columns=["ship_max"]).set_index("key")
+    def fold(li: pa.Table, o: pa.Table) -> pd.DataFrame:
+        mx = li.select(["key", "ship_max"]).to_pandas().groupby("key")["ship_max"].max()
+        od = o.select(["key", "odate", "priority"]).to_pandas().set_index("key")
         joined = od.join(mx, how="inner")
         late = joined[
             joined["ship_max"]
@@ -981,10 +901,14 @@ def late_ship_priority_counts(
         return out.reset_index()
 
     agg = (
-        li.map_batches(li_partial, batch_format="pyarrow")
-        .union(orders.map_batches(o_rows, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
+        copartition(
+            [li.map_batches(li_partial, batch_format="pyarrow"),
+             orders.map_batches(o_rows, batch_format="pyarrow")],
+            fold,
+            pa.schema([("ship_max", pa.int64()), ("odate", pa.int64()),
+                       ("priority", pa.string())]),
+            n_parts,
+        )
         .groupby("priority")
         .aggregate(Sum("n_p", alias_name="late_orders"))
     )
@@ -1018,17 +942,15 @@ def returned_item_report(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     - lineitem filtered to ``l_returnflag='R'`` AT THE READ side and
       pre-aggregated per (block, orderkey) — the combiner — in exact
       1e-4-unit integer revenue;
-    - lineitem-partials ⋈ orders (date-window filtered) in ONE fused
-      union-exchange on orderkey (the ``order_lineitem_join_totals``
-      shape), re-keyed to custkey with in-partition partial sums;
+    - lineitem-partials ⋈ orders (date-window filtered) in ONE orderkey
+      co-partition (the ``order_lineitem_join_totals`` shape), re-keyed
+      to custkey with in-partition partial sums;
     - ONE custkey exchange finishes the per-customer fold;
     - customer and nation are BROADCAST dimensions (1500 + 25 rows —
       shipping them to every task beats shuffling the fact);
     - deterministic top-20: (revenue_raw DESC, custkey ASC) over exact
       integers, folded per-block then once globally (bounded driver set).
     """
-    import pyarrow.compute as pc_
-
     from crawler_ray.sources.io import read_parquet_sized
 
     lo = np.datetime64("1996-01-01")
@@ -1041,20 +963,17 @@ def returned_item_report(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     )
 
     def li_partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc_.equal(t["l_returnflag"], "R"))
+        t = t.filter(pc.equal(t["l_returnflag"], "R"))
         price_c = np.round(t["l_extendedprice"].to_numpy() * 100.0)
         disc_c = np.round((1.0 - t["l_discount"].to_numpy()) * 100.0)
         df = pd.DataFrame(
             {"key": t["l_orderkey"].to_numpy(), "rev": price_c * disc_c}
         )
         out = df.groupby("key", sort=False)["rev"].sum().reset_index()
-        key = out["key"].to_numpy()
         return pa.table(
             {
-                "key": pa.array(key, pa.int64()),
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
+                "key": pa.array(out["key"].to_numpy(), pa.int64()),
                 "rev": pa.array(out["rev"].to_numpy(), pa.float64()),
-                "o_custkey": pa.nulls(len(out), pa.int64()),
             }
         )
 
@@ -1067,31 +986,23 @@ def returned_item_report(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     def o_rows(t: pa.Table) -> pa.Table:
         d = t["o_orderdate"].to_numpy()
         t = t.filter(pa.array((d >= lo) & (d < hi)))
-        key = t["o_orderkey"].to_numpy()
         return pa.table(
-            {
-                "key": pa.array(key, pa.int64()),
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                "rev": pa.nulls(t.num_rows, pa.float64()),
-                "o_custkey": t["o_custkey"].cast(pa.int64()),
-            }
+            {"key": t["o_orderkey"], "o_custkey": t["o_custkey"].cast(pa.int64())}
         )
 
-    def merge_orderkey(g: pa.Table) -> pa.Table:
+    def merge_orderkey(li: pa.Table, o: pa.Table) -> pa.Table:
         # join + re-key to custkey with an in-partition partial fold
-        is_o = pa.compute.is_valid(g["o_custkey"])
-        og = g.filter(is_o).select(["key", "o_custkey"]).to_pandas()
-        lg = g.filter(pa.compute.invert(is_o)).select(["key", "rev"]).to_pandas()
+        og = o.select(["key", "o_custkey"]).to_pandas()
+        lg = li.select(["key", "rev"]).to_pandas()
         m = og.merge(
             lg.groupby("key", sort=False)["rev"].sum().reset_index(),
             on="key", how="inner",
         )
         out = m.groupby("o_custkey", sort=False)["rev"].sum().reset_index()
-        ck = out["o_custkey"].to_numpy().astype(np.int64)
         return pa.table(
             {
-                "part": pa.array((ck % n_parts).astype(np.int64), pa.int64()),
-                "c_custkey": pa.array(ck, pa.int64()),
+                "c_custkey": pa.array(
+                    out["o_custkey"].to_numpy().astype(np.int64), pa.int64()),
                 "rev": pa.array(out["rev"].to_numpy(), pa.float64()),
             }
         )
@@ -1106,13 +1017,16 @@ def returned_item_report(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         ).head(20)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    folded = (
-        li.map_batches(li_partial, batch_format="pyarrow")
-        .union(orders.map_batches(o_rows, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(merge_orderkey, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold_custkey, batch_format="pyarrow")
+    per_cust = copartition(
+        [li.map_batches(li_partial, batch_format="pyarrow"),
+         orders.map_batches(o_rows, batch_format="pyarrow")],
+        merge_orderkey,
+        pa.schema([("rev", pa.float64()), ("o_custkey", pa.int64())]),
+        n_parts,
+    )
+    folded = copartition(
+        [per_cust], fold_custkey, pa.schema([("rev", pa.float64())]), n_parts,
+        key="c_custkey",
     )
 
     # bounded final fold (≤ 20 × n_parts rows) + broadcast dims
@@ -1179,23 +1093,22 @@ def local_supplier_volume(
 
     - region ⋈ nation: driver-side (5 × 25 rows) → the set of in-region
       nation keys;
-    - supplier: slim (s_suppkey → s_nationkey) map, PRE-FILTERED to
-      in-region nations and BROADCAST into the lineitem combiner
-      (supplier is ~1/10000 of lineitem — shipping it beats a shuffle);
-      lineitem rows of out-of-region suppliers die at the read;
-    - orders (date-filtered) ⋈ customer: both large → ONE tagged-union
-      custkey exchange, emitting (o_orderkey, c_nationkey) re-keyed by
+    - supplier: slim (s_suppkey → s_nationkey) ``SortedLookup``,
+      PRE-FILTERED to in-region nations and probed in the lineitem
+      combiner (supplier is ~1/10000 of lineitem — shipping it beats a
+      shuffle); lineitem rows of out-of-region suppliers die at the read;
+    - orders (date-filtered) ⋈ customer: both large → ONE custkey
+      co-partition, emitting (o_orderkey, c_nationkey) re-keyed by
       orderkey;
     - lineitem partials (per-block (orderkey, s_nat) integer-revenue
-      combiner) join that stream in ONE orderkey exchange, keeping rows with
-      c_nationkey == s_nationkey (the Q5 "local" predicate) and folding
-      to per-nation partials in-task;
+      combiner) join that stream in ONE orderkey co-partition, keeping
+      rows with c_nationkey == s_nationkey (the Q5 "local" predicate) and
+      folding to per-nation partials in-task;
     - the final groupby moves ≤ |nations| × n_parts rows.
 
     Revenue is exact 1e-4-unit integers end to end (the
     ``returned_item_report`` convention); /10000 + round(2) happens once
     at the finish with the oracle's arithmetic."""
-    import pyarrow.compute as pc_
     import pyarrow.parquet as pq_
 
     from crawler_ray.sources.io import read_parquet_sized
@@ -1225,11 +1138,8 @@ def local_supplier_volume(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
     ).to_pandas()
     sup = sup[sup["s_nationkey"].isin(nat_keys)]
-    sup_ref = ray.put(
-        dict(zip(sup["s_suppkey"].astype(int), sup["s_nationkey"].astype(int)))
-    )
+    sup_nat = SortedLookup(sup["s_suppkey"], sup["s_nationkey"].to_numpy(np.int64))
 
-    # orders (date-filtered) ⋈ customer on custkey — tagged union exchange
     orders = read_parquet_sized(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
@@ -1239,14 +1149,8 @@ def local_supplier_volume(
     def o_rows(t: pa.Table) -> pa.Table:
         d = t["o_orderdate"].to_numpy()
         t = t.filter(pa.array((d >= lo) & (d < hi)))
-        ck = t["o_custkey"].to_numpy()
         return pa.table(
-            {
-                "part": pa.array((ck % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ck, pa.int64()),
-                "o_orderkey": t["o_orderkey"].cast(pa.int64()),
-                "c_nat": pa.nulls(t.num_rows, pa.int64()),
-            }
+            {"key": t["o_custkey"], "o_orderkey": t["o_orderkey"].cast(pa.int64())}
         )
 
     cust = read_parquet_sized(
@@ -1259,105 +1163,57 @@ def local_supplier_volume(
         # only in-region customers can satisfy c_nat == s_nat later
         keep = np.isin(t["c_nationkey"].to_numpy(), list(nat_keys))
         t = t.filter(pa.array(keep))
-        ck = t["c_custkey"].to_numpy()
         return pa.table(
-            {
-                "part": pa.array((ck % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ck, pa.int64()),
-                "o_orderkey": pa.nulls(t.num_rows, pa.int64()),
-                "c_nat": t["c_nationkey"].cast(pa.int64()),
-            }
+            {"key": t["c_custkey"], "c_nat": t["c_nationkey"].cast(pa.int64())}
         )
 
-    def merge_custkey(g: pa.Table) -> pa.Table:
-        is_c = pc_.is_valid(g["c_nat"])
-        cg = g.filter(is_c).select(["key", "c_nat"]).to_pandas()
-        og = g.filter(pc_.invert(is_c)).select(["key", "o_orderkey"]).to_pandas()
+    def merge_custkey(o: pa.Table, c: pa.Table) -> pa.Table:
+        og = o.select(["key", "o_orderkey"]).to_pandas()
+        cg = c.select(["key", "c_nat"]).to_pandas()
         m = og.merge(cg, on="key", how="inner")
-        ok = m["o_orderkey"].to_numpy().astype(np.int64)
         return pa.table(
             {
-                "part": pa.array((ok % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ok, pa.int64()),
+                "key": pa.array(m["o_orderkey"].to_numpy(np.int64), pa.int64()),
                 "c_nat": pa.array(m["c_nat"].to_numpy(np.int64), pa.int64()),
-                "rev": pa.nulls(len(m), pa.float64()),
-                "s_nat": pa.nulls(len(m), pa.int64()),
             }
         )
 
-    o_c = (
-        orders.map_batches(o_rows, batch_format="pyarrow")
-        .union(cust.map_batches(c_rows, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(merge_custkey, batch_format="pyarrow")
+    o_c = copartition(
+        [orders.map_batches(o_rows, batch_format="pyarrow"),
+         cust.map_batches(c_rows, batch_format="pyarrow")],
+        merge_custkey,
+        pa.schema([("o_orderkey", pa.int64()), ("c_nat", pa.int64())]),
+        n_parts,
     )
 
-    # lineitem combiner: broadcast supplier map, per-block integer partials
+    # lineitem combiner: supplier probe, per-block integer partials
     li = read_parquet_sized(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
         target_rows_per_block=4096,
     )
 
-    class LiPartial:
-        def __init__(self, ref):
-            self.ref = ref
-            self._map: dict | None = None
+    def li_partial(t: pa.Table) -> pa.Table:
+        hit, s_nat = sup_nat.probe(t["l_suppkey"].to_numpy())
+        t = t.filter(pa.array(hit))  # in-region suppliers only
+        rev = np.round(t["l_extendedprice"].to_numpy() * 100.0) * np.round(
+            (1.0 - t["l_discount"].to_numpy()) * 100.0
+        )
+        df = pd.DataFrame(
+            {"key": t["l_orderkey"].to_numpy(), "s_nat": s_nat[hit], "rev": rev}
+        )
+        out = df.groupby(["key", "s_nat"], sort=False)["rev"].sum().reset_index()
+        return pa.table(
+            {
+                "key": pa.array(out["key"].to_numpy(np.int64), pa.int64()),
+                "s_nat": pa.array(out["s_nat"].to_numpy(np.int64), pa.int64()),
+                "rev": pa.array(out["rev"].to_numpy(), pa.float64()),
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._map is None:
-                self._map = (
-                    ray.get(self.ref)
-                    if isinstance(self.ref, ray.ObjectRef)
-                    else self.ref
-                )
-                keys = np.fromiter(self._map, dtype=np.int64)
-                vals = np.fromiter(self._map.values(), dtype=np.int64)
-                order = np.argsort(keys)
-                self._keys, self._vals = keys[order], vals[order]
-            sk = t["l_suppkey"].to_numpy()
-            pos = np.searchsorted(self._keys, sk)
-            pos = np.clip(pos, 0, max(len(self._keys) - 1, 0))
-            # empty key list (no in-region suppliers): every probe misses
-            hit = (
-                self._keys[pos] == sk  # in-region suppliers only
-                if len(self._keys)
-                else np.zeros(len(sk), bool)
-            )
-            t = t.filter(pa.array(hit))
-            s_nat = self._vals[pos[hit]]
-            rev = np.round(t["l_extendedprice"].to_numpy() * 100.0) * np.round(
-                (1.0 - t["l_discount"].to_numpy()) * 100.0
-            )
-            df = pd.DataFrame(
-                {
-                    "key": t["l_orderkey"].to_numpy(),
-                    "s_nat": s_nat,
-                    "rev": rev,
-                }
-            )
-            out = (
-                df.groupby(["key", "s_nat"], sort=False)["rev"]
-                .sum()
-                .reset_index()
-            )
-            key = out["key"].to_numpy(np.int64)
-            return pa.table(
-                {
-                    "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                    "key": pa.array(key, pa.int64()),
-                    "c_nat": pa.nulls(len(out), pa.int64()),
-                    "rev": pa.array(out["rev"].to_numpy(), pa.float64()),
-                    "s_nat": pa.array(
-                        out["s_nat"].to_numpy(np.int64), pa.int64()
-                    ),
-                }
-            )
-
-    def merge_orderkey(g: pa.Table) -> pa.Table:
-        is_li = pc_.is_valid(g["s_nat"])
-        lg = g.filter(is_li).select(["key", "s_nat", "rev"]).to_pandas()
-        og = g.filter(pc_.invert(is_li)).select(["key", "c_nat"]).to_pandas()
+    def merge_orderkey(li: pa.Table, o: pa.Table) -> pa.Table:
+        lg = li.select(["key", "s_nat", "rev"]).to_pandas()
+        og = o.select(["key", "c_nat"]).to_pandas()
         m = lg.merge(og, on="key", how="inner")
         m = m[m["s_nat"] == m["c_nat"]]  # the Q5 "local" predicate
         out = m.groupby("s_nat", sort=False)["rev"].sum().reset_index()
@@ -1368,11 +1224,12 @@ def local_supplier_volume(
             }
         )
 
-    folded = (
-        li.map_batches(LiPartial(sup_ref), batch_format="pyarrow")
-        .union(o_c)
-        .groupby("part")
-        .map_groups(merge_orderkey, batch_format="pyarrow")
+    folded = copartition(
+        [li.map_batches(li_partial, batch_format="pyarrow"), o_c],
+        merge_orderkey,
+        pa.schema([("s_nat", pa.int64()), ("rev", pa.float64()),
+                   ("c_nat", pa.int64())]),
+        n_parts,
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -1431,11 +1288,11 @@ def nation_trade_flows(
 
     Plan (two exchanges total, both on integer keys):
     - nation: driver-side name→key (25 rows);
-    - supplier: slim suppkey→nationkey map PRE-FILTERED to the two nations,
-      broadcast via ``ray.put`` as sorted arrays (searchsorted probe — rows
-      of out-of-pair suppliers die inside the lineitem combiner);
-    - orders ⋈ customer (filtered to the two nations): ONE tagged-union
-      custkey exchange emitting (orderkey, c_nat);
+    - supplier: slim suppkey→nationkey ``SortedLookup`` PRE-FILTERED to
+      the two nations (rows of out-of-pair suppliers die inside the
+      lineitem combiner);
+    - orders ⋈ customer (filtered to the two nations): ONE custkey
+      co-partition emitting (orderkey, c_nat);
     - lineitem combiner: ship-year window filter + supplier probe + exact
       1e-4-unit integer revenue, pre-folded per (orderkey, s_nat, year);
       joins the o_c stream in ONE orderkey exchange, keeping opposite-nation
@@ -1469,13 +1326,8 @@ def nation_trade_flows(
     sup = pq_.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
     ).to_pandas()
-    sup = sup[sup["s_nationkey"].isin(pair)].sort_values("s_suppkey")
-    sup_ref = ray.put(
-        (
-            sup["s_suppkey"].to_numpy(np.int64),
-            sup["s_nationkey"].to_numpy(np.int64),
-        )
-    )
+    sup = sup[sup["s_nationkey"].isin(pair)]
+    sup_nat = SortedLookup(sup["s_suppkey"], sup["s_nationkey"].to_numpy(np.int64))
 
     cust = read_parquet_sized(
         f"{sf_dir}/customer.parquet",
@@ -1486,31 +1338,16 @@ def nation_trade_flows(
     def c_rows(t: pa.Table) -> pa.Table:
         keep = np.isin(t["c_nationkey"].to_numpy(), list(pair))
         t = t.filter(pa.array(keep))
-        ck = t["c_custkey"].to_numpy()
         return pa.table(
-            {
-                "part": pa.array((ck % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ck, pa.int64()),
-                "o_orderkey": pa.nulls(t.num_rows, pa.int64()),
-                "c_nat": t["c_nationkey"].cast(pa.int64()),
-            }
+            {"key": t["c_custkey"], "c_nat": t["c_nationkey"].cast(pa.int64())}
         )
 
     # bloom-prefilter the orders probe: only ~2/|nations| of customers
     # qualify, so shipping every order through the custkey exchange wastes
-    # the dominant shuffle at scale — the bloom (no false negatives; the
-    # in-partition merge stays exact) cuts it to ~matching + ε·FP rows.
-    # Auto mode (``_want_bloom``): the build's materialize gates the probe
-    # stream, so below the measured crossover the gate is skipped. When
-    # on: the filtered dim materializes ONCE (it is the c_rows stream
-    # too) and the filter is capacity-sized from the parquet footer.
-    if _want_bloom(bloom_prefilter, f"{sf_dir}/orders.parquet"):
-        cust_f = cust.map_batches(c_rows, batch_format="pyarrow").materialize()
-        cap = pq_.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
-        bloom_ref = _bloom_ref_from_keys(cust_f, "key", cap=cap)
-    else:
-        cust_f = cust.map_batches(c_rows, batch_format="pyarrow")
-        bloom_ref = None
+    # the dominant shuffle at scale
+    cust_f, gate = _bloom_gated(
+        cust.map_batches(c_rows, batch_format="pyarrow"), bloom_prefilter, sf_dir
+    )
 
     orders = read_parquet_sized(
         f"{sf_dir}/orders.parquet",
@@ -1518,45 +1355,28 @@ def nation_trade_flows(
         target_rows_per_block=4096,
     )
 
-    class ORows(_BloomGate):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            t = self.keep(t)
-            ck = t["o_custkey"].to_numpy()
-            return pa.table(
-                {
-                    "part": pa.array(
-                        (ck % n_parts).astype(np.int64), pa.int64()
-                    ),
-                    "key": pa.array(ck, pa.int64()),
-                    "o_orderkey": t["o_orderkey"].cast(pa.int64()),
-                    "c_nat": pa.nulls(t.num_rows, pa.int64()),
-                }
-            )
+    def o_rows(t: pa.Table) -> pa.Table:
+        t = gate.keep(t)
+        return pa.table(
+            {"key": t["o_custkey"], "o_orderkey": t["o_orderkey"].cast(pa.int64())}
+        )
 
-    o_rows = ORows(bloom_ref, "o_custkey")
-
-    def merge_custkey(g: pa.Table) -> pa.Table:
-        is_c = pc.is_valid(g["c_nat"])
-        cg = g.filter(is_c).select(["key", "c_nat"]).to_pandas()
-        og = g.filter(pc.invert(is_c)).select(["key", "o_orderkey"]).to_pandas()
+    def merge_custkey(o: pa.Table, c: pa.Table) -> pa.Table:
+        og = o.select(["key", "o_orderkey"]).to_pandas()
+        cg = c.select(["key", "c_nat"]).to_pandas()
         m = og.merge(cg, on="key", how="inner")
-        ok = m["o_orderkey"].to_numpy().astype(np.int64)
         return pa.table(
             {
-                "part": pa.array((ok % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ok, pa.int64()),
+                "key": pa.array(m["o_orderkey"].to_numpy(np.int64), pa.int64()),
                 "c_nat": pa.array(m["c_nat"].to_numpy(np.int64), pa.int64()),
-                "s_nat": pa.nulls(len(m), pa.int64()),
-                "year": pa.nulls(len(m), pa.int64()),
-                "rev": pa.nulls(len(m), pa.float64()),
             }
         )
 
-    o_c = (
-        orders.map_batches(o_rows, batch_format="pyarrow")
-        .union(cust_f)
-        .groupby("part")
-        .map_groups(merge_custkey, batch_format="pyarrow")
+    o_c = copartition(
+        [orders.map_batches(o_rows, batch_format="pyarrow"), cust_f],
+        merge_custkey,
+        pa.schema([("o_orderkey", pa.int64()), ("c_nat", pa.int64())]),
+        n_parts,
     )
 
     li = read_parquet_sized(
@@ -1568,66 +1388,43 @@ def nation_trade_flows(
         target_rows_per_block=4096,
     )
 
-    class LiPartial:
-        def __init__(self, ref):
-            self.ref = ref
-            self._keys = None
+    def li_partial(t: pa.Table) -> pa.Table:
+        d = t["l_shipdate"].to_numpy()
+        t = t.filter(pa.array((d >= lo) & (d < hi)))
+        hit, s_nat = sup_nat.probe(t["l_suppkey"].to_numpy())
+        t = t.filter(pa.array(hit))
+        year = (
+            t["l_shipdate"].to_numpy().astype("datetime64[Y]").astype(np.int64)
+            + 1970
+        )
+        rev = np.round(t["l_extendedprice"].to_numpy() * 100.0) * np.round(
+            (1.0 - t["l_discount"].to_numpy()) * 100.0
+        )
+        df = pd.DataFrame(
+            {
+                "key": t["l_orderkey"].to_numpy(),
+                "s_nat": s_nat[hit],
+                "year": year,
+                "rev": rev,
+            }
+        )
+        out = (
+            df.groupby(["key", "s_nat", "year"], sort=False)["rev"]
+            .sum()
+            .reset_index()
+        )
+        return pa.table(
+            {
+                "key": pa.array(out["key"].to_numpy(np.int64), pa.int64()),
+                "s_nat": pa.array(out["s_nat"].to_numpy(np.int64), pa.int64()),
+                "year": pa.array(out["year"].to_numpy(np.int64), pa.int64()),
+                "rev": pa.array(out["rev"].to_numpy(), pa.float64()),
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._keys is None:
-                self._keys, self._vals = (
-                    ray.get(self.ref)
-                    if isinstance(self.ref, ray.ObjectRef)
-                    else self.ref
-                )
-            d = t["l_shipdate"].to_numpy()
-            t = t.filter(pa.array((d >= lo) & (d < hi)))
-            sk = t["l_suppkey"].to_numpy()
-            pos = np.searchsorted(self._keys, sk)
-            pos = np.clip(pos, 0, max(len(self._keys) - 1, 0))
-            hit = (
-                self._keys[pos] == sk
-                if len(self._keys)
-                else np.zeros(len(sk), bool)
-            )
-            t = t.filter(pa.array(hit))
-            s_nat = self._vals[pos[hit]]
-            year = (
-                t["l_shipdate"].to_numpy().astype("datetime64[Y]").astype(np.int64)
-                + 1970
-            )
-            rev = np.round(t["l_extendedprice"].to_numpy() * 100.0) * np.round(
-                (1.0 - t["l_discount"].to_numpy()) * 100.0
-            )
-            df = pd.DataFrame(
-                {
-                    "key": t["l_orderkey"].to_numpy(),
-                    "s_nat": s_nat,
-                    "year": year,
-                    "rev": rev,
-                }
-            )
-            out = (
-                df.groupby(["key", "s_nat", "year"], sort=False)["rev"]
-                .sum()
-                .reset_index()
-            )
-            key = out["key"].to_numpy(np.int64)
-            return pa.table(
-                {
-                    "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                    "key": pa.array(key, pa.int64()),
-                    "c_nat": pa.nulls(len(out), pa.int64()),
-                    "s_nat": pa.array(out["s_nat"].to_numpy(np.int64), pa.int64()),
-                    "year": pa.array(out["year"].to_numpy(np.int64), pa.int64()),
-                    "rev": pa.array(out["rev"].to_numpy(), pa.float64()),
-                }
-            )
-
-    def merge_orderkey(g: pa.Table) -> pa.Table:
-        is_li = pc.is_valid(g["s_nat"])
-        lg = g.filter(is_li).select(["key", "s_nat", "year", "rev"]).to_pandas()
-        og = g.filter(pc.invert(is_li)).select(["key", "c_nat"]).to_pandas()
+    def merge_orderkey(li: pa.Table, o: pa.Table) -> pa.Table:
+        lg = li.select(["key", "s_nat", "year", "rev"]).to_pandas()
+        og = o.select(["key", "c_nat"]).to_pandas()
         m = lg.merge(og, on="key", how="inner")
         m = m[m["s_nat"] != m["c_nat"]]  # opposite-direction flows only
         out = (
@@ -1637,11 +1434,12 @@ def nation_trade_flows(
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    folded = (
-        li.map_batches(LiPartial(sup_ref), batch_format="pyarrow")
-        .union(o_c)
-        .groupby("part")
-        .map_groups(merge_orderkey, batch_format="pyarrow")
+    folded = copartition(
+        [li.map_batches(li_partial, batch_format="pyarrow"), o_c],
+        merge_orderkey,
+        pa.schema([("s_nat", pa.int64()), ("year", pa.int64()),
+                   ("rev", pa.float64()), ("c_nat", pa.int64())]),
+        n_parts,
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -1751,18 +1549,11 @@ def nation_market_share(
         )
     target_key = int(tgt_rows.iloc[0])
 
-    sup = (
-        pq_.read_table(
-            f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-        )
-        .to_pandas()
-        .sort_values("s_suppkey")
-    )
-    sup_ref = ray.put(
-        (
-            sup["s_suppkey"].to_numpy(np.int64),
-            (sup["s_nationkey"].to_numpy(np.int64) == target_key),
-        )
+    sup = pq_.read_table(
+        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
+    ).to_pandas()
+    sup_tgt = SortedLookup(
+        sup["s_suppkey"], sup["s_nationkey"].to_numpy(np.int64) == target_key
     )
 
     cust = read_parquet_sized(
@@ -1773,27 +1564,13 @@ def nation_market_share(
 
     def c_rows(t: pa.Table) -> pa.Table:
         keep = np.isin(t["c_nationkey"].to_numpy(), list(in_region))
-        t = t.filter(pa.array(keep))
-        ck = t["c_custkey"].to_numpy()
-        return pa.table(
-            {
-                "part": pa.array((ck % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ck, pa.int64()),
-                "o_orderkey": pa.nulls(t.num_rows, pa.int64()),
-                "year": pa.nulls(t.num_rows, pa.int64()),
-                "is_cust": pa.array(np.ones(t.num_rows, bool), pa.bool_()),
-            }
-        )
+        return pa.table({"key": t.filter(pa.array(keep))["c_custkey"]})
 
     # bloom-prefilter the orders probe to in-region customers (the
     # nation_trade_flows rationale + the same measured crossover gate)
-    if _want_bloom(bloom_prefilter, f"{sf_dir}/orders.parquet"):
-        cust_f = cust.map_batches(c_rows, batch_format="pyarrow").materialize()
-        cap = pq_.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
-        bloom_ref = _bloom_ref_from_keys(cust_f, "key", cap=cap)
-    else:
-        cust_f = cust.map_batches(c_rows, batch_format="pyarrow")
-        bloom_ref = None
+    cust_f, gate = _bloom_gated(
+        cust.map_batches(c_rows, batch_format="pyarrow"), bloom_prefilter, sf_dir
+    )
 
     orders = read_parquet_sized(
         f"{sf_dir}/orders.parquet",
@@ -1801,53 +1578,38 @@ def nation_market_share(
         target_rows_per_block=4096,
     )
 
-    class ORows(_BloomGate):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            d = t["o_orderdate"].to_numpy()
-            t = t.filter(pa.array((d >= lo) & (d < hi)))
-            t = self.keep(t)
-            ck = t["o_custkey"].to_numpy()
-            year = (
-                t["o_orderdate"].to_numpy().astype("datetime64[Y]")
-                .astype(np.int64) + 1970
-            )
-            return pa.table(
-                {
-                    "part": pa.array(
-                        (ck % n_parts).astype(np.int64), pa.int64()
-                    ),
-                    "key": pa.array(ck, pa.int64()),
-                    "o_orderkey": t["o_orderkey"].cast(pa.int64()),
-                    "year": pa.array(year, pa.int64()),
-                    "is_cust": pa.nulls(t.num_rows, pa.bool_()),
-                }
-            )
-
-    o_rows = ORows(bloom_ref, "o_custkey")
-
-    def merge_custkey(g: pa.Table) -> pa.Table:
-        is_c = pc.is_valid(g["is_cust"])
-        cg = g.filter(is_c).select(["key"]).to_pandas()
-        og = g.filter(pc.invert(is_c)).select(
-            ["key", "o_orderkey", "year"]
-        ).to_pandas()
-        m = og.merge(cg, on="key", how="inner")
-        ok = m["o_orderkey"].to_numpy().astype(np.int64)
+    def o_rows(t: pa.Table) -> pa.Table:
+        d = t["o_orderdate"].to_numpy()
+        t = t.filter(pa.array((d >= lo) & (d < hi)))
+        t = gate.keep(t)
+        year = (
+            t["o_orderdate"].to_numpy().astype("datetime64[Y]")
+            .astype(np.int64) + 1970
+        )
         return pa.table(
             {
-                "part": pa.array((ok % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ok, pa.int64()),
-                "year": pa.array(m["year"].to_numpy(np.int64), pa.int64()),
-                "rev_t": pa.nulls(len(m), pa.float64()),
-                "rev_all": pa.nulls(len(m), pa.float64()),
+                "key": t["o_custkey"],
+                "o_orderkey": t["o_orderkey"].cast(pa.int64()),
+                "year": pa.array(year, pa.int64()),
             }
         )
 
-    o_c = (
-        orders.map_batches(o_rows, batch_format="pyarrow")
-        .union(cust_f)
-        .groupby("part")
-        .map_groups(merge_custkey, batch_format="pyarrow")
+    def merge_custkey(o: pa.Table, c: pa.Table) -> pa.Table:
+        og = o.select(["key", "o_orderkey", "year"]).to_pandas()
+        cg = c.select(["key"]).to_pandas()
+        m = og.merge(cg, on="key", how="inner")
+        return pa.table(
+            {
+                "key": pa.array(m["o_orderkey"].to_numpy(np.int64), pa.int64()),
+                "year": pa.array(m["year"].to_numpy(np.int64), pa.int64()),
+            }
+        )
+
+    o_c = copartition(
+        [orders.map_batches(o_rows, batch_format="pyarrow"), cust_f],
+        merge_custkey,
+        pa.schema([("o_orderkey", pa.int64()), ("year", pa.int64())]),
+        n_parts,
     )
 
     li = read_parquet_sized(
@@ -1856,53 +1618,30 @@ def nation_market_share(
         target_rows_per_block=4096,
     )
 
-    class LiPartial:
-        def __init__(self, ref):
-            self.ref = ref
-            self._keys = None
+    def li_partial(t: pa.Table) -> pa.Table:
+        hit, tgt = sup_tgt.probe(t["l_suppkey"].to_numpy())
+        rev = np.round(t["l_extendedprice"].to_numpy() * 100.0) * np.round(
+            (1.0 - t["l_discount"].to_numpy()) * 100.0
+        )
+        df = pd.DataFrame(
+            {
+                "key": t["l_orderkey"].to_numpy(),
+                "rev_t": np.where(hit & tgt, rev, 0.0),
+                "rev_all": rev,
+            }
+        )
+        out = df.groupby("key", sort=False).sum().reset_index()
+        return pa.table(
+            {
+                "key": pa.array(out["key"].to_numpy(np.int64), pa.int64()),
+                "rev_t": pa.array(out["rev_t"].to_numpy(), pa.float64()),
+                "rev_all": pa.array(out["rev_all"].to_numpy(), pa.float64()),
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._keys is None:
-                self._keys, self._is_tgt = (
-                    ray.get(self.ref)
-                    if isinstance(self.ref, ray.ObjectRef)
-                    else self.ref
-                )
-            sk = t["l_suppkey"].to_numpy()
-            pos = np.searchsorted(self._keys, sk)
-            pos = np.clip(pos, 0, max(len(self._keys) - 1, 0))
-            # empty key list (no target-nation suppliers): every probe misses
-            is_tgt = (
-                self._is_tgt[pos] & (self._keys[pos] == sk)
-                if len(self._keys)
-                else np.zeros(len(sk), bool)
-            )
-            rev = np.round(t["l_extendedprice"].to_numpy() * 100.0) * np.round(
-                (1.0 - t["l_discount"].to_numpy()) * 100.0
-            )
-            df = pd.DataFrame(
-                {
-                    "key": t["l_orderkey"].to_numpy(),
-                    "rev_t": np.where(is_tgt, rev, 0.0),
-                    "rev_all": rev,
-                }
-            )
-            out = df.groupby("key", sort=False).sum().reset_index()
-            key = out["key"].to_numpy(np.int64)
-            return pa.table(
-                {
-                    "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                    "key": pa.array(key, pa.int64()),
-                    "year": pa.nulls(len(out), pa.int64()),
-                    "rev_t": pa.array(out["rev_t"].to_numpy(), pa.float64()),
-                    "rev_all": pa.array(out["rev_all"].to_numpy(), pa.float64()),
-                }
-            )
-
-    def merge_orderkey(g: pa.Table) -> pa.Table:
-        is_li = pc.is_valid(g["rev_all"])
-        lg = g.filter(is_li).select(["key", "rev_t", "rev_all"]).to_pandas()
-        og = g.filter(pc.invert(is_li)).select(["key", "year"]).to_pandas()
+    def merge_orderkey(li: pa.Table, o: pa.Table) -> pa.Table:
+        lg = li.select(["key", "rev_t", "rev_all"]).to_pandas()
+        og = o.select(["key", "year"]).to_pandas()
         m = lg.merge(og, on="key", how="inner")
         out = (
             m.groupby("year", sort=False)[["rev_t", "rev_all"]]
@@ -1911,11 +1650,12 @@ def nation_market_share(
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    folded = (
-        li.map_batches(LiPartial(sup_ref), batch_format="pyarrow")
-        .union(o_c)
-        .groupby("part")
-        .map_groups(merge_orderkey, batch_format="pyarrow")
+    folded = copartition(
+        [li.map_batches(li_partial, batch_format="pyarrow"), o_c],
+        merge_orderkey,
+        pa.schema([("rev_t", pa.float64()), ("rev_all", pa.float64()),
+                   ("year", pa.int64())]),
+        n_parts,
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -1972,7 +1712,7 @@ def large_volume_customers(
     doubles (1..50), so per-block partial sums are exact.
 
     - lineitem: per-(block, orderkey) quantity partials (combiner) join
-      orders in ONE orderkey union-exchange; the HAVING (> min_qty) fires
+      orders in ONE orderkey co-partition; the HAVING (> min_qty) fires
       in-task, so only qualifying orders (a tiny fraction) leave;
     - customer name attaches via a BROADCAST slim map (the qualifying set
       is small, shipping the dim beats a second exchange — and the dim is
@@ -1998,15 +1738,10 @@ def large_volume_customers(
             }
         )
         out = df.groupby("key", sort=False)["qty"].sum().reset_index()
-        key = out["key"].to_numpy(np.int64)
         return pa.table(
             {
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(key, pa.int64()),
+                "key": pa.array(out["key"].to_numpy(np.int64), pa.int64()),
                 "qty": pa.array(out["qty"].to_numpy(), pa.float64()),
-                "o_custkey": pa.nulls(len(out), pa.int64()),
-                "o_orderdate": pa.nulls(len(out), pa.timestamp("us")),
-                "o_totalprice": pa.nulls(len(out), pa.float64()),
             }
         )
 
@@ -2017,22 +1752,18 @@ def large_volume_customers(
     )
 
     def o_rows(t: pa.Table) -> pa.Table:
-        key = t["o_orderkey"].to_numpy()
         return pa.table(
             {
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(key, pa.int64()),
-                "qty": pa.nulls(t.num_rows, pa.float64()),
+                "key": t["o_orderkey"],
                 "o_custkey": t["o_custkey"].cast(pa.int64()),
                 "o_orderdate": t["o_orderdate"],
                 "o_totalprice": t["o_totalprice"],
             }
         )
 
-    def merge_orderkey(g: pa.Table) -> pa.Table:
-        is_li = pc.is_valid(g["qty"])
-        lg = g.filter(is_li).select(["key", "qty"]).to_pandas()
-        og = g.filter(pc.invert(is_li)).select(
+    def merge_orderkey(li: pa.Table, o: pa.Table) -> pa.Table:
+        lg = li.select(["key", "qty"]).to_pandas()
+        og = o.select(
             ["key", "o_custkey", "o_orderdate", "o_totalprice"]
         ).to_pandas()
         tot = lg.groupby("key", sort=False)["qty"].sum().reset_index()
@@ -2044,11 +1775,14 @@ def large_volume_customers(
         ).head(k)
         return pa.Table.from_pandas(m, preserve_index=False)
 
-    folded = (
-        li.map_batches(li_partial, batch_format="pyarrow")
-        .union(orders.map_batches(o_rows, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(merge_orderkey, batch_format="pyarrow")
+    folded = copartition(
+        [li.map_batches(li_partial, batch_format="pyarrow"),
+         orders.map_batches(o_rows, batch_format="pyarrow")],
+        merge_orderkey,
+        pa.schema([("qty", pa.float64()), ("o_custkey", pa.int64()),
+                   ("o_orderdate", pa.timestamp("us")),
+                   ("o_totalprice", pa.float64())]),
+        n_parts,
     )
 
     cust = pq_.read_table(
@@ -2137,14 +1871,11 @@ def waiting_supplier_counts(
         out = (
             df.groupby(["key", "supp"], sort=False)["ship"].max().reset_index()
         )
-        key = out["key"].to_numpy(np.int64)
         return pa.table(
             {
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(key, pa.int64()),
+                "key": pa.array(out["key"].to_numpy(np.int64), pa.int64()),
                 "supp": pa.array(out["supp"].to_numpy(np.int64), pa.int64()),
                 "ship": pa.array(out["ship"].to_numpy(np.int64), pa.int64()),
-                "odate": pa.nulls(len(out), pa.int64()),
             }
         )
 
@@ -2155,28 +1886,18 @@ def waiting_supplier_counts(
     )
 
     def o_rows(t: pa.Table) -> pa.Table:
-        key = t["o_orderkey"].to_numpy()
         od = t["o_orderdate"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(key, pa.int64()),
-                "supp": pa.nulls(t.num_rows, pa.int64()),
-                "ship": pa.nulls(t.num_rows, pa.int64()),
-                "odate": pa.array(od, pa.int64()),
-            }
-        )
+        return pa.table({"key": t["o_orderkey"], "odate": pa.array(od, pa.int64())})
 
-    def fold(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        is_li = df["odate"].isna()
+    def fold(li: pa.Table, o: pa.Table) -> pa.Table:
         ps = (
-            df[is_li]
+            li.select(["key", "supp", "ship"])
+            .to_pandas()
             .groupby(["key", "supp"], sort=False)["ship"]
             .max()
             .reset_index()
         )
-        od = df[~is_li][["key", "odate"]]
+        od = o.select(["key", "odate"]).to_pandas()
         m = ps.merge(od, on="key", how="inner")
         m["late"] = (
             m["ship"] > m["odate"] + np.int64(grace_days) * 86_400_000_000
@@ -2193,10 +1914,14 @@ def waiting_supplier_counts(
         )
 
     agg = (
-        li.map_batches(li_partial, batch_format="pyarrow")
-        .union(orders.map_batches(o_rows, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
+        copartition(
+            [li.map_batches(li_partial, batch_format="pyarrow"),
+             orders.map_batches(o_rows, batch_format="pyarrow")],
+            fold,
+            pa.schema([("supp", pa.int64()), ("ship", pa.int64()),
+                       ("odate", pa.int64())]),
+            n_parts,
+        )
         .groupby("supp")
         .aggregate(Sum("n_p", alias_name="numwait"))
     )
@@ -2298,11 +2023,9 @@ def dormant_customer_balance(
         cents = np.round(t["c_acctbal"].to_numpy() * 100.0)
         keep = cents * float(n_pos) > sum_cents  # bal > avg, exactly
         t = t.filter(pa.array(keep))
-        ck = t["c_custkey"].to_numpy()
         return pa.table(
             {
-                "part": pa.array((ck % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ck, pa.int64()),
+                "key": t["c_custkey"],
                 "nat": t["c_nationkey"].cast(pa.int64()),
                 "cents": pa.array(cents[keep], pa.float64()),
             }
@@ -2318,19 +2041,11 @@ def dormant_customer_balance(
         d = t["o_orderdate"].to_numpy()
         t = t.filter(pa.array(d >= cut))
         ck = np.unique(t["o_custkey"].to_numpy())  # per-block distinct
-        return pa.table(
-            {
-                "part": pa.array((ck % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ck, pa.int64()),
-                "nat": pa.nulls(len(ck), pa.int64()),
-                "cents": pa.nulls(len(ck), pa.float64()),
-            }
-        )
+        return pa.table({"key": pa.array(ck, pa.int64())})
 
-    def anti_fold(g: pa.Table) -> pa.Table:
-        is_c = pc.is_valid(g["nat"])
-        cg = g.filter(is_c).select(["key", "nat", "cents"]).to_pandas()
-        active = g.filter(pc.invert(is_c))["key"].to_numpy()
+    def anti_fold(c: pa.Table, o: pa.Table) -> pa.Table:
+        cg = c.select(["key", "nat", "cents"]).to_pandas()
+        active = o["key"].to_numpy()
         keep = cg[~cg["key"].isin(pd.unique(active))]
         out = (
             keep.groupby("nat", sort=False)["cents"]
@@ -2345,11 +2060,12 @@ def dormant_customer_balance(
             }
         )
 
-    folded = (
-        cust.map_batches(c_rows, batch_format="pyarrow")
-        .union(orders.map_batches(o_rows, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(anti_fold, batch_format="pyarrow")
+    folded = copartition(
+        [cust.map_batches(c_rows, batch_format="pyarrow"),
+         orders.map_batches(o_rows, batch_format="pyarrow")],
+        anti_fold,
+        pa.schema([("nat", pa.int64()), ("cents", pa.float64())]),
+        n_parts,
     )
 
     nat = pq_.read_table(
@@ -2396,8 +2112,10 @@ GROUP BY 1
 
 
 # ---------------------------------------------------------------------------
-# skew handling: hot-key detection + salted partitioned hash join — the
-# documented "salt hot keys" knob of ``partitioned_hash_join``, made real
+# skew handling: hot-key detection + salted partitioned hash join
+
+# candidate hot keys each block reports to the driver-side fold
+_HOT_TOPK_PER_BLOCK = 16
 
 
 def detect_hot_keys(
@@ -2405,20 +2123,19 @@ def detect_hot_keys(
     key: str,
     n_buckets: int = 32,
     hot_factor: float = 4.0,
-    topk_per_block: int = 16,
 ) -> np.ndarray:
     """Find join keys hot enough to skew a ``% n_buckets`` exchange: keys
     whose global row count exceeds ``hot_factor ×`` the average bucket
-    load. ONE pass: each block emits its top-``topk_per_block`` key counts
-    plus its row count (bounded combiner rows), the driver folds that
-    small table. Per-block top-k makes the fold an UNDER-estimate of a
+    load. ONE pass: each block emits its top-``_HOT_TOPK_PER_BLOCK`` key
+    counts plus its row count (bounded combiner rows), the driver folds
+    that small table. Per-block top-k makes the fold an UNDER-estimate of a
     key's true count — a key spread thinly across blocks can evade
     detection — but a key big enough to hurt one bucket is by construction
     concentrated enough to surface in block top-ks."""
     def partial(t: pa.Table) -> pa.Table:
         k = t[key].to_numpy()
         vals, counts = np.unique(k, return_counts=True)
-        top = np.argsort(counts)[::-1][:topk_per_block]
+        top = np.argsort(counts)[::-1][:_HOT_TOPK_PER_BLOCK]
         return pa.table(
             {
                 "k": pa.array(vals[top], pa.int64()),
@@ -2474,86 +2191,49 @@ def salted_partitioned_hash_join(
             left_schema=left_schema, right_schema=right_schema,
         )
 
-    def _fields(ds: rd.Dataset, given) -> list[tuple[str, pa.DataType]]:
-        if given is not None:
-            return [(f.name, f.type) for f in given]
-        sch = ds.schema()
-        out = []
-        for name, typ in zip(sch.names, sch.types):
-            if not isinstance(typ, pa.DataType):
-                typ = pa.from_numpy_dtype(np.dtype(typ))
-            out.append((name, typ))
-        return out
-
     lf, rf = _fields(left, left_schema), _fields(right, right_schema)
-    lcols = [n for n, _ in lf]
-    rcols = [n for n, _ in rf]
-    l_extra = [(n, t) for n, t in rf if n not in lcols]
-    r_extra = [(n, t) for n, t in lf if n not in rcols]
-    out_schema = pa.schema(lf + [(n, t) for n, t in rf if n != on])
+    hot = SortedLookup(hot_keys, np.arange(len(hot_keys), dtype=np.int64))
 
-    def hot_idx(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pos = np.searchsorted(hot_keys, keys)
-        pos = np.clip(pos, 0, len(hot_keys) - 1)
-        return hot_keys[pos] == keys, pos
-
+    # the routing bucket is the exchange key: cold keys land in
+    # key % n_buckets, hot keys in the dedicated range above it
     def tag_left(t: pa.Table) -> pa.Table:
-        for name, typ in l_extra:
-            t = t.append_column(name, pa.nulls(t.num_rows, typ))
         keys = t[on].to_numpy()
-        is_hot, idx = hot_idx(keys)
-        # cold: key % n_buckets; hot: dedicated bucket range, rows spread
-        # round-robin by in-block position (placement only — never affects
-        # the output row set)
+        is_hot, idx = hot.probe(keys)
+        # hot rows spread round-robin by in-block position (placement only
+        # — never affects the output row set)
         salt = np.arange(len(keys), dtype=np.int64) % n_salts
         bucket = np.where(
             is_hot,
             n_buckets + idx * n_salts + salt,
             keys % n_buckets,
-        ).astype(np.int64)
-        t = t.append_column("_bucket", pa.array(bucket, pa.int64()))
-        t = t.append_column("_side", pa.array(["L"] * t.num_rows, pa.string()))
-        return t.select(sorted(t.column_names))
+        )
+        return t.append_column("_bucket", pa.array(bucket, pa.int64()))
 
     def tag_right(t: pa.Table) -> pa.Table:
-        for name, typ in r_extra:
-            t = t.append_column(name, pa.nulls(t.num_rows, typ))
         keys = t[on].to_numpy()
-        is_hot, idx = hot_idx(keys)
-        cold = t.filter(pa.array(~is_hot))
-        cold_bucket = (cold[on].to_numpy() % n_buckets).astype(np.int64)
-        cold = cold.append_column("_bucket", pa.array(cold_bucket, pa.int64()))
-        hot = t.filter(pa.array(is_hot))
+        is_hot, idx = hot.probe(keys)
         hot_i = idx[is_hot]
         # replicate each hot right row into all n_salts sub-buckets
-        rep_idx = np.repeat(np.arange(hot.num_rows), n_salts)
-        hot = hot.take(pa.array(rep_idx, pa.int64()))
+        rep_idx = np.repeat(np.flatnonzero(is_hot), n_salts)
         rep_bucket = (
             n_buckets
             + np.repeat(hot_i, n_salts) * n_salts
             + np.tile(np.arange(n_salts, dtype=np.int64), len(hot_i))
         )
-        hot = hot.append_column("_bucket", pa.array(rep_bucket, pa.int64()))
-        both = pa.concat_tables([cold, hot])
-        both = both.append_column(
-            "_side", pa.array(["R"] * both.num_rows, pa.string())
+        both = pa.concat_tables(
+            [t.filter(pa.array(~is_hot)), t.take(pa.array(rep_idx, pa.int64()))]
         )
-        return both.select(sorted(both.column_names))
+        bucket = np.concatenate([keys[~is_hot] % n_buckets, rep_bucket])
+        return both.append_column("_bucket", pa.array(bucket, pa.int64()))
 
-    def merge(g: pa.Table) -> pa.Table:
-        side = g["_side"]
-        lg = g.filter(pc.equal(side, "L")).select(lcols).to_pandas()
-        rg = g.filter(pc.equal(side, "R")).select(rcols).to_pandas()
-        if how == "inner" and (lg.empty or rg.empty):
-            df = pd.DataFrame(columns=[f.name for f in out_schema])
-        else:
-            df = lg.merge(rg, on=on, how=how)[[f.name for f in out_schema]]
-        return pa.Table.from_pandas(df, schema=out_schema, preserve_index=False)
-
-    tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
+    return copartition(
+        [left.map_batches(tag_left, batch_format="pyarrow"),
+         right.map_batches(tag_right, batch_format="pyarrow")],
+        _merge_fold(lf, rf, on, how),
+        pa.schema(lf + [(n, t) for n, t in rf if n != on]),
+        n_buckets + len(hot_keys) * n_salts,
+        key="_bucket",
     )
-    return tagged.groupby("_bucket").map_groups(merge, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -2588,29 +2268,15 @@ def shipping_priority_orders(
     )
 
     def c_rows(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["c_mktsegment"], segment))
-        ck = t["c_custkey"].to_numpy()
         return pa.table(
-            {
-                "part": pa.array((ck % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ck, pa.int64()),
-                "o_orderkey": pa.nulls(t.num_rows, pa.int64()),
-                "o_orderdate": pa.nulls(t.num_rows, pa.timestamp("us")),
-                "priority": pa.nulls(t.num_rows, pa.string()),
-            }
+            {"key": t.filter(pc.equal(t["c_mktsegment"], segment))["c_custkey"]}
         )
 
     # bloom-prefilter the orders probe to the segment's customers
     # (same measured crossover gate as nation_trade_flows)
-    import pyarrow.parquet as pq_
-
-    if _want_bloom(bloom_prefilter, f"{sf_dir}/orders.parquet"):
-        cust_f = cust.map_batches(c_rows, batch_format="pyarrow").materialize()
-        cap = pq_.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
-        bloom_ref = _bloom_ref_from_keys(cust_f, "key", cap=cap)
-    else:
-        cust_f = cust.map_batches(c_rows, batch_format="pyarrow")
-        bloom_ref = None
+    cust_f, gate = _bloom_gated(
+        cust.map_batches(c_rows, batch_format="pyarrow"), bloom_prefilter, sf_dir
+    )
 
     orders = read_parquet_sized(
         f"{sf_dir}/orders.parquet",
@@ -2618,48 +2284,40 @@ def shipping_priority_orders(
         target_rows_per_block=4096,
     )
 
-    class ORows(_BloomGate):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            d = t["o_orderdate"].to_numpy()
-            t = t.filter(pa.array(d < cut))
-            t = self.keep(t)
-            ck = t["o_custkey"].to_numpy()
-            return pa.table(
-                {
-                    "part": pa.array(
-                        (ck % n_parts).astype(np.int64), pa.int64()
-                    ),
-                    "key": pa.array(ck, pa.int64()),
-                    "o_orderkey": t["o_orderkey"].cast(pa.int64()),
-                    "o_orderdate": t["o_orderdate"],
-                    "priority": t["o_orderpriority"],
-                }
-            )
-
-    o_rows = ORows(bloom_ref, "o_custkey")
-
-    def merge_custkey(g: pa.Table) -> pa.Table:
-        is_c = pc.is_valid(g["o_orderkey"])
-        og = g.filter(is_c).select(
-            ["key", "o_orderkey", "o_orderdate", "priority"]
-        ).to_pandas()
-        cg = g.filter(pc.invert(is_c)).select(["key"]).to_pandas()
-        m = og.merge(cg, on="key", how="inner")
-        ok = m["o_orderkey"].to_numpy().astype(np.int64)
+    def o_rows(t: pa.Table) -> pa.Table:
+        d = t["o_orderdate"].to_numpy()
+        t = t.filter(pa.array(d < cut))
+        t = gate.keep(t)
         return pa.table(
             {
-                "part": pa.array((ok % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ok, pa.int64()),
-                "o_orderdate": pa.array(m["o_orderdate"], pa.timestamp("us")),
-                "priority": pa.array(m["priority"], pa.string()),
-                "rev": pa.nulls(len(m), pa.float64()),
+                "key": t["o_custkey"],
+                "o_orderkey": t["o_orderkey"].cast(pa.int64()),
+                "o_orderdate": t["o_orderdate"],
+                "priority": t["o_orderpriority"],
             }
         )
 
-    o_c = (
-        cust_f.union(orders.map_batches(o_rows, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(merge_custkey, batch_format="pyarrow")
+    def merge_custkey(c: pa.Table, o: pa.Table) -> pa.Table:
+        og = o.select(
+            ["key", "o_orderkey", "o_orderdate", "priority"]
+        ).to_pandas()
+        cg = c.select(["key"]).to_pandas()
+        m = og.merge(cg, on="key", how="inner")
+        return pa.table(
+            {
+                "key": pa.array(m["o_orderkey"].to_numpy(np.int64), pa.int64()),
+                "o_orderdate": pa.array(m["o_orderdate"], pa.timestamp("us")),
+                "priority": pa.array(m["priority"], pa.string()),
+            }
+        )
+
+    o_c = copartition(
+        [cust_f, orders.map_batches(o_rows, batch_format="pyarrow")],
+        merge_custkey,
+        pa.schema([("o_orderkey", pa.int64()),
+                   ("o_orderdate", pa.timestamp("us")),
+                   ("priority", pa.string())]),
+        n_parts,
     )
 
     li = read_parquet_sized(
@@ -2676,23 +2334,16 @@ def shipping_priority_orders(
         )
         df = pd.DataFrame({"key": t["l_orderkey"].to_numpy(), "rev": rev})
         out = df.groupby("key", sort=False)["rev"].sum().reset_index()
-        key = out["key"].to_numpy(np.int64)
         return pa.table(
             {
-                "part": pa.array((key % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(key, pa.int64()),
-                "o_orderdate": pa.nulls(len(out), pa.timestamp("us")),
-                "priority": pa.nulls(len(out), pa.string()),
+                "key": pa.array(out["key"].to_numpy(np.int64), pa.int64()),
                 "rev": pa.array(out["rev"].to_numpy(), pa.float64()),
             }
         )
 
-    def merge_orderkey(g: pa.Table) -> pa.Table:
-        is_li = pc.is_valid(g["rev"])
-        lg = g.filter(is_li).select(["key", "rev"]).to_pandas()
-        og = g.filter(pc.invert(is_li)).select(
-            ["key", "o_orderdate", "priority"]
-        ).to_pandas()
+    def merge_orderkey(o: pa.Table, li: pa.Table) -> pa.Table:
+        lg = li.select(["key", "rev"]).to_pandas()
+        og = o.select(["key", "o_orderdate", "priority"]).to_pandas()
         agg = lg.groupby("key", sort=False)["rev"].sum().reset_index()
         m = og.merge(agg, on="key", how="inner")
         m = m.sort_values(
@@ -2700,10 +2351,12 @@ def shipping_priority_orders(
         ).head(k)
         return pa.Table.from_pandas(m, preserve_index=False)
 
-    folded = (
-        o_c.union(li.map_batches(li_partial, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(merge_orderkey, batch_format="pyarrow")
+    folded = copartition(
+        [o_c, li.map_batches(li_partial, batch_format="pyarrow")],
+        merge_orderkey,
+        pa.schema([("o_orderdate", pa.timestamp("us")),
+                   ("priority", pa.string()), ("rev", pa.float64())]),
+        n_parts,
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -2768,14 +2421,7 @@ def order_count_distribution(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     )
 
     def c_rows(t: pa.Table) -> pa.Table:
-        ck = t["c_custkey"].to_numpy()
-        return pa.table(
-            {
-                "part": pa.array((ck % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(ck, pa.int64()),
-                "n_p": pa.nulls(t.num_rows, pa.int64()),
-            }
-        )
+        return pa.table({"key": t["c_custkey"]})
 
     orders = read_parquet_sized(
         f"{sf_dir}/orders.parquet", columns=["o_custkey"],
@@ -2786,20 +2432,16 @@ def order_count_distribution(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         ck, cnt = np.unique(t["o_custkey"].to_numpy(), return_counts=True)
         return pa.table(
             {
-                "part": pa.array((ck % n_parts).astype(np.int64), pa.int64()),
                 "key": pa.array(ck, pa.int64()),
                 "n_p": pa.array(cnt.astype(np.int64), pa.int64()),
             }
         )
 
-    def fold(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        is_c = df["n_p"].isna()
-        per_cust = (
-            df[~is_c].groupby("key", sort=False)["n_p"].sum()
-        )
-        all_keys = df[is_c]["key"]
-        counts = per_cust.reindex(all_keys, fill_value=0).astype(np.int64)
+    def fold(c: pa.Table, o: pa.Table) -> pa.Table:
+        per_cust = o.to_pandas().groupby("key", sort=False)["n_p"].sum()
+        counts = per_cust.reindex(
+            c["key"].to_numpy(), fill_value=0
+        ).astype(np.int64)
         dist = counts.value_counts()
         return pa.table(
             {
@@ -2809,10 +2451,13 @@ def order_count_distribution(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         )
 
     agg = (
-        cust.map_batches(c_rows, batch_format="pyarrow")
-        .union(orders.map_batches(o_partial, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
+        copartition(
+            [cust.map_batches(c_rows, batch_format="pyarrow"),
+             orders.map_batches(o_partial, batch_format="pyarrow")],
+            fold,
+            pa.schema([("n_p", pa.int64())]),
+            n_parts,
+        )
         .groupby("c_count")
         .aggregate(Sum("d_p", alias_name="custdist"))
     )

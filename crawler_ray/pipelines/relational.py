@@ -97,21 +97,19 @@ def _bjoin(ds: rd.Dataset, small: pd.DataFrame, on, how="inner", concurrency=Non
 # at sf100 and a driver OOM at the 100-TB design point — so a driver-side
 # ``.to_pandas()`` broadcast is only safe below a size bar. Above it the dim
 # side streams through ``joins.partitioned_hash_join`` with the same
-# downstream combiner. The gate mirrors ``joins._want_bloom``: a parquet
-# FOOTER row-count read (no data scan) decides; ``broadcast=True/False``
-# forces either path (tests pin both and assert identical results).
+# downstream combiner. A parquet FOOTER row count (``joins._footer_rows``,
+# the bloom prefilter's size signal too; no data scan) decides;
+# ``broadcast=True/False`` forces either path (tests pin both and assert
+# identical results).
 BROADCAST_DIM_CROSSOVER_ROWS = 2_000_000
 
 
 def _want_broadcast(flag: bool | None, dim_parquet: str) -> bool:
     if flag is not None:
         return flag
-    import pyarrow.parquet as pq_
+    from crawler_ray.pipelines.joins import _footer_rows
 
-    return (
-        pq_.ParquetFile(dim_parquet).metadata.num_rows
-        < BROADCAST_DIM_CROSSOVER_ROWS
-    )
+    return _footer_rows(dim_parquet) < BROADCAST_DIM_CROSSOVER_ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -2014,18 +2012,20 @@ def small_qty_part_revenue(
     integer cross-multiply ``2 × qty × count < sum_qty`` (no float
     division), and revenue partials are exact price-cents sums; the single
     ``/100/7`` happens once at the finish with the oracle's arithmetic.
-    The brand filter broadcasts the part-key set (sorted array probe), so
+    The brand filter broadcasts the part-key set (``SortedLookup``), so
     only ~1/|brands| of lineitem enters the exchange."""
     import pyarrow.parquet as pq_
 
+    from crawler_ray.pipelines.joins import SortedLookup, copartition
     from crawler_ray.sources.io import read_parquet_sized
 
-    part_keys = pq_.read_table(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_brand"],
-        filters=[("p_brand", "=", brand)],
-    )["p_partkey"].to_numpy()
-    keys_ref = ray.put(np.sort(part_keys.astype(np.int64)))
+    brand_parts = SortedLookup(
+        pq_.read_table(
+            f"{sf_dir}/part.parquet",
+            columns=["p_partkey", "p_brand"],
+            filters=[("p_brand", "=", brand)],
+        )["p_partkey"].to_numpy()
+    )
 
     li = read_parquet_sized(
         f"{sf_dir}/lineitem.parquet",
@@ -2033,39 +2033,19 @@ def small_qty_part_revenue(
         target_rows_per_block=4096,
     )
 
-    class BrandRows:
-        def __init__(self, ref):
-            self.ref = ref
-            self._keys = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._keys is None:
-                self._keys = (
-                    ray.get(self.ref)
-                    if isinstance(self.ref, ray.ObjectRef)
-                    else self.ref
-                )
-            pk = t["l_partkey"].to_numpy()
-            pos = np.searchsorted(self._keys, pk)
-            pos = np.clip(pos, 0, max(len(self._keys) - 1, 0))
-            hit = (
-                self._keys[pos] == pk
-                if len(self._keys)
-                else np.zeros(len(pk), bool)
-            )
-            t = t.filter(pa.array(hit))
-            pk = t["l_partkey"].to_numpy().astype(np.int64)
-            return pa.table(
-                {
-                    "part": pa.array((pk % n_parts), pa.int64()),
-                    "l_partkey": pa.array(pk, pa.int64()),
-                    "qty": t["l_quantity"].cast(pa.float64()),
-                    "price_c": pa.array(
-                        np.round(t["l_extendedprice"].to_numpy() * 100.0),
-                        pa.float64(),
-                    ),
-                }
-            )
+    def brand_rows(t: pa.Table) -> pa.Table:
+        (hit,) = brand_parts.probe(t["l_partkey"].to_numpy())
+        t = t.filter(pa.array(hit))
+        return pa.table(
+            {
+                "l_partkey": t["l_partkey"].cast(pa.int64()),
+                "qty": t["l_quantity"].cast(pa.float64()),
+                "price_c": pa.array(
+                    np.round(t["l_extendedprice"].to_numpy() * 100.0),
+                    pa.float64(),
+                ),
+            }
+        )
 
     def fold(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
@@ -2076,10 +2056,12 @@ def small_qty_part_revenue(
             {"rev_c": pa.array([float(small["price_c"].sum())], pa.float64())}
         )
 
-    folded = (
-        li.map_batches(BrandRows(keys_ref), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
+    folded = copartition(
+        [li.map_batches(brand_rows, batch_format="pyarrow")],
+        fold,
+        pa.schema([("qty", pa.float64()), ("price_c", pa.float64())]),
+        n_parts,
+        key="l_partkey",
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -2132,6 +2114,7 @@ def brand_size_quantity_revenue(sf_dir: str) -> rd.Dataset:
     global sum. No shuffle of either fact."""
     import pyarrow.parquet as pq_
 
+    from crawler_ray.pipelines.joins import SortedLookup
     from crawler_ray.sources.io import read_parquet_sized
 
     spec = [  # (brand, max_size, qty_lo, qty_hi)
@@ -2144,13 +2127,10 @@ def brand_size_quantity_revenue(sf_dir: str) -> rd.Dataset:
     ).to_pandas()
     part = part[part["p_brand"].isin([b for b, *_ in spec])]
     brand_id = {b: i for i, (b, *_ ) in enumerate(spec)}
-    part = part.sort_values("p_partkey")
-    bc = ray.put(
-        (
-            part["p_partkey"].to_numpy(np.int64),
-            part["p_brand"].map(brand_id).to_numpy(np.int64),
-            part["p_size"].to_numpy(np.int64),
-        )
+    part_attrs = SortedLookup(
+        part["p_partkey"],
+        part["p_brand"].map(brand_id).to_numpy(np.int64),
+        part["p_size"].to_numpy(np.int64),
     )
 
     li = read_parquet_sized(
@@ -2159,42 +2139,26 @@ def brand_size_quantity_revenue(sf_dir: str) -> rd.Dataset:
         target_rows_per_block=4096,
     )
 
-    class Disjunct:
-        def __init__(self, ref):
-            self.ref = ref
-            self._keys = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._keys is None:
-                self._keys, self._bid, self._size = (
-                    ray.get(self.ref)
-                    if isinstance(self.ref, ray.ObjectRef)
-                    else self.ref
-                )
-            pk = t["l_partkey"].to_numpy()
-            if not len(self._keys):  # no qualifying parts: zero revenue
-                return pa.table({"rev_p": pa.array([0.0], pa.float64())})
-            pos = np.searchsorted(self._keys, pk)
-            pos = np.clip(pos, 0, len(self._keys) - 1)
-            hit = self._keys[pos] == pk
-            qty = t["l_quantity"].to_numpy()
-            keep = np.zeros(len(pk), bool)
-            for i, (_b, max_size, q_lo, q_hi) in enumerate(spec):
-                keep |= (
-                    hit
-                    & (self._bid[pos] == i)
-                    & (self._size[pos] >= 1)
-                    & (self._size[pos] <= max_size)
-                    & (qty >= q_lo)
-                    & (qty <= q_hi)
-                )
-            t2 = t.filter(pa.array(keep))
-            rev = np.round(t2["l_extendedprice"].to_numpy() * 100.0) * np.round(
-                (1.0 - t2["l_discount"].to_numpy()) * 100.0
+    def disjunct(t: pa.Table) -> pa.Table:
+        hit, bid, size = part_attrs.probe(t["l_partkey"].to_numpy())
+        qty = t["l_quantity"].to_numpy()
+        keep = np.zeros(len(hit), bool)
+        for i, (_b, max_size, q_lo, q_hi) in enumerate(spec):
+            keep |= (
+                hit
+                & (bid == i)
+                & (size >= 1)
+                & (size <= max_size)
+                & (qty >= q_lo)
+                & (qty <= q_hi)
             )
-            return pa.table({"rev_p": pa.array([float(rev.sum())], pa.float64())})
+        t2 = t.filter(pa.array(keep))
+        rev = np.round(t2["l_extendedprice"].to_numpy() * 100.0) * np.round(
+            (1.0 - t2["l_discount"].to_numpy()) * 100.0
+        )
+        return pa.table({"rev_p": pa.array([float(rev.sum())], pa.float64())})
 
-    folded = li.map_batches(Disjunct(bc), batch_format="pyarrow")
+    folded = li.map_batches(disjunct, batch_format="pyarrow")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         total = float(df["rev_p"].sum())
@@ -2360,13 +2324,14 @@ WHERE l_shipdate >= TIMESTAMP '1996-01-01'
 def promo_revenue_share(sf_dir: str, year: int = 1996) -> rd.Dataset:
     """Per ship-month of ``year``, the percentage of revenue from PROMO
     parts (TPC-H Q14). The part attribute is a slim (partkey → is_promo)
-    broadcast probe (sorted-array searchsorted; an open part vocabulary
+    broadcast probe (``SortedLookup``; an open part vocabulary
     would switch to a partitioned join — the doc_top_tfidf guard
     pattern); each block folds [promo, total] exact integer partials per
     month, the exchange is 12 × blocks slim rows, and the only float op
     is the final ratio — the oracle's exact arithmetic."""
     import pyarrow.parquet as pq_
 
+    from crawler_ray.pipelines.joins import SortedLookup
     from crawler_ray.sources.io import read_parquet_sized
 
     lo = np.datetime64(f"{year}-01-01")
@@ -2374,12 +2339,9 @@ def promo_revenue_share(sf_dir: str, year: int = 1996) -> rd.Dataset:
 
     part = pq_.read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
-    ).to_pandas().sort_values("p_partkey")
-    bc = ray.put(
-        (
-            part["p_partkey"].to_numpy(np.int64),
-            (part["p_type"] == "PROMO").to_numpy(),
-        )
+    ).to_pandas()
+    part_promo = SortedLookup(
+        part["p_partkey"], (part["p_type"] == "PROMO").to_numpy()
     )
 
     li = read_parquet_sized(
@@ -2388,43 +2350,29 @@ def promo_revenue_share(sf_dir: str, year: int = 1996) -> rd.Dataset:
         target_rows_per_block=4096,
     )
 
-    class Partial:
-        def __init__(self, ref):
-            self.ref = ref
-            self._keys = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._keys is None:
-                self._keys, self._promo = (
-                    ray.get(self.ref)
-                    if isinstance(self.ref, ray.ObjectRef)
-                    else self.ref
-                )
-            d = t["l_shipdate"].to_numpy()
-            t = t.filter(pa.array((d >= lo) & (d < hi)))
-            pk = t["l_partkey"].to_numpy()
-            pos = np.searchsorted(self._keys, pk)
-            pos = np.clip(pos, 0, len(self._keys) - 1)
-            is_promo = self._promo[pos] & (self._keys[pos] == pk)
-            month = (
-                t["l_shipdate"].to_numpy().astype("datetime64[M]")
-                .astype(np.int64) % 12 + 1
-            )
-            rev = np.round(t["l_extendedprice"].to_numpy() * 100.0) * np.round(
-                (1.0 - t["l_discount"].to_numpy()) * 100.0
-            )
-            df = pd.DataFrame(
-                {
-                    "month": month,
-                    "promo": np.where(is_promo, rev, 0.0),
-                    "total": rev,
-                }
-            )
-            out = df.groupby("month", sort=False).sum().reset_index()
-            return pa.Table.from_pandas(out, preserve_index=False)
+    def partial(t: pa.Table) -> pa.Table:
+        d = t["l_shipdate"].to_numpy()
+        t = t.filter(pa.array((d >= lo) & (d < hi)))
+        hit, promo = part_promo.probe(t["l_partkey"].to_numpy())
+        month = (
+            t["l_shipdate"].to_numpy().astype("datetime64[M]")
+            .astype(np.int64) % 12 + 1
+        )
+        rev = np.round(t["l_extendedprice"].to_numpy() * 100.0) * np.round(
+            (1.0 - t["l_discount"].to_numpy()) * 100.0
+        )
+        df = pd.DataFrame(
+            {
+                "month": month,
+                "promo": np.where(hit & promo, rev, 0.0),
+                "total": rev,
+            }
+        )
+        out = df.groupby("month", sort=False).sum().reset_index()
+        return pa.Table.from_pandas(out, preserve_index=False)
 
     agg = (
-        li.map_batches(Partial(bc), batch_format="pyarrow")
+        li.map_batches(partial, batch_format="pyarrow")
         .groupby("month")
         .aggregate(
             Sum("promo", alias_name="promo_f"), Sum("total", alias_name="total_f")

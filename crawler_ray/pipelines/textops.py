@@ -16,15 +16,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Mean
 
 from crawler_ray.functions.rounding import round_np
-
-
-def _read_docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
-    """Documents reader with nulls coalesced to '' at the boundary — see
-    ``dedup._read_docs`` (same contract; duplicated to keep each module's
-    reader self-contained)."""
-    from crawler_ray.pipelines.dedup import _read_docs as _impl
-
-    return _impl(sf_dir, columns)
+from crawler_ray.pipelines.dedup import _read_docs
 
 
 class TokenStats:

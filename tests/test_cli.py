@@ -35,3 +35,17 @@ def test_query_runs_and_writes_parquet(ray_session, tmp_path, capsys):
     # stdout ends with a machine-readable JSON line
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert json.loads(last)["query"] == "revenue_cube"
+
+
+def test_tune_data_context_installs_one_log_filter():
+    """Repeated tuning (bench, CLI, fixture and entry point each call it)
+    leaves exactly one known-noise filter on the Ray logger."""
+    import logging
+
+    from crawler_ray.context import tune_data_context
+
+    lg = logging.getLogger("ray.data._internal.arrow_ops.transform_pyarrow")
+    tune_data_context()
+    tune_data_context()
+    noise = [f for f in lg.filters if type(f).__name__ == "_DropSchemaHashNoise"]
+    assert len(noise) == 1

@@ -15,6 +15,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -357,6 +358,150 @@ def test_bloom_prefilter_on_off_identical(ray_session):
         on = on[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
         off = off[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
         pd.testing.assert_frame_equal(on, off)
+
+
+# ---------------------------------------------------------------------------
+# the two join-family primitives: copartition and SortedLookup
+
+
+def test_copartition_zero_row_side(ray_session):
+    import ray.data as rd
+
+    left = rd.from_arrow(pa.table({"key": pa.array([1, 2, 3], pa.int64()),
+                                   "lv": pa.array([10, 20, 30], pa.int64())}))
+    empty = rd.from_arrow(pa.table({"key": pa.array([], pa.int64()),
+                                    "rv": pa.array([], pa.float64())}))
+
+    def fold(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return pa.table({"key": lt["key"], "lv": lt["lv"],
+                         "n_right": pa.array(np.full(lt.num_rows, rt.num_rows))})
+
+    out = joins.copartition(
+        [left, empty], fold,
+        pa.schema([("lv", pa.int64()), ("rv", pa.float64())]), n_parts=4,
+    ).to_pandas().sort_values("key")
+    assert out["key"].tolist() == [1, 2, 3]
+    assert out["lv"].tolist() == [10, 20, 30]
+    assert (out["n_right"] == 0).all()
+
+
+def test_copartition_key_only_side(ray_session):
+    """A side may carry nothing but ``key`` (semi-join evidence): its
+    table holds the schema fields as typed all-null columns."""
+    import ray.data as rd
+
+    rows = rd.from_arrow(pa.table({"key": np.arange(20, dtype=np.int64),
+                                   "v": pa.array(np.arange(20) * 1.5)}))
+    evidence = rd.from_arrow(pa.table({"key": pa.array([3, 7, 7, 19], pa.int64())}))
+
+    def semi(rt: pa.Table, et: pa.Table) -> pa.Table:
+        assert et.schema.field("v").type == pa.float64()
+        assert et["v"].null_count == et.num_rows
+        keep = pc.is_in(rt["key"], value_set=et["key"].combine_chunks())
+        return rt.filter(keep)
+
+    out = joins.copartition(
+        [rows, evidence], semi, pa.schema([("v", pa.float64())]), n_parts=5
+    ).to_pandas().sort_values("key")
+    assert out["key"].tolist() == [3, 7, 19]
+    assert out["v"].tolist() == [4.5, 10.5, 28.5]
+
+
+def test_copartition_wide_int64_exact(ray_session):
+    """Keys and int64 payloads above 2^53 survive the exchange exactly:
+    float64 would merge 2^53 and 2^53 + 1."""
+    import ray.data as rd
+
+    base = 1 << 53
+    lk = np.array([base, base + 1, base + 3, (1 << 62) + 7], np.int64)
+    left = rd.from_arrow(pa.table({"key": lk, "big": lk + 1}))
+    right = rd.from_arrow(pa.table({"key": lk[[1, 3]],
+                                    "tag": pa.array([1, 3], pa.int64())}))
+    got = joins.partitioned_hash_join(left, right, "key", n_buckets=3)
+    got = got.to_pandas().sort_values("key")
+    assert got["key"].tolist() == [int(base + 1), int((1 << 62) + 7)]
+    assert got["big"].tolist() == [int(base + 2), int((1 << 62) + 8)]
+    assert got["tag"].tolist() == [1, 3]
+
+
+def test_copartition_n_parts_invariant(ray_session):
+    """Three streams, one fold: the answer is the same at 1 and 7 parts."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(5)
+    a = rd.from_arrow(pa.table({"key": rng.integers(0, 50, 400),
+                                "x": rng.integers(0, 9, 400)})).repartition(4)
+    b = rd.from_arrow(pa.table({"key": rng.integers(0, 50, 300),
+                                "y": rng.integers(0, 9, 300)})).repartition(3)
+    c = rd.from_arrow(pa.table({"key": np.arange(0, 50, 2, dtype=np.int64)}))
+
+    def fold(at: pa.Table, bt: pa.Table, ct: pa.Table) -> pa.Table:
+        sx = at.select(["key", "x"]).to_pandas().groupby("key")["x"].sum()
+        sy = bt.select(["key", "y"]).to_pandas().groupby("key")["y"].sum()
+        keys = ct["key"].to_numpy()
+        return pa.table({
+            "key": keys,
+            "sx": sx.reindex(keys, fill_value=0).to_numpy(np.int64),
+            "sy": sy.reindex(keys, fill_value=0).to_numpy(np.int64),
+        })
+
+    schema = pa.schema([("x", pa.int64()), ("y", pa.int64())])
+    one, seven = (
+        joins.copartition([a, b, c], fold, schema, n_parts=n)
+        .to_pandas().sort_values("key").reset_index(drop=True)
+        for n in (1, 7)
+    )
+    pd.testing.assert_frame_equal(one, seven)
+    assert len(one) == 25 and one["sx"].sum() > 0 and one["sy"].sum() > 0
+
+
+def test_sorted_lookup_probe(ray_session):
+    look = joins.SortedLookup(np.array([30, 10, 20]), np.array([3, 1, 2]))
+    hit, val = look.probe(np.array([20, 5, 30, 31]))
+    assert hit.tolist() == [True, False, True, False]
+    assert val[hit].tolist() == [2, 3]
+    # an empty key set misses every probe instead of indexing an empty array
+    empty = joins.SortedLookup(np.array([], np.int64), np.array([], np.float64))
+    hit, val = empty.probe(np.array([1, 2, 3]))
+    assert not hit.any() and len(val) == 3
+
+
+def test_anti_join_keeps_customer_with_null_payload(ray_session, tmp_path):
+    """Sides split on the exchange's side tag, not on a payload column's
+    validity: a customer whose name is NULL is still a customer row, not
+    anti-join evidence that removes its own key."""
+    _write(tmp_path, "customer", pd.DataFrame({
+        "c_custkey": np.array([1, 2, 3], np.int64),
+        "c_name": ["a", None, "c"],
+        "c_acctbal": [1.0, 2.0, 3.0],
+    }))
+    _write(tmp_path, "orders", pd.DataFrame({
+        "o_custkey": np.array([3], np.int64),
+        "o_orderpriority": ["1-URGENT"],
+    }))
+    got = joins.customers_without_urgent_orders(str(tmp_path), n_parts=2)
+    got = got.to_pandas().sort_values("c_custkey")
+    assert got["c_custkey"].tolist() == [1, 2]
+    assert got["c_name"].tolist() == ["a", None]
+
+
+def _all_to_all_ops(ds) -> list[str]:
+    import re
+
+    names = re.findall(r"^Operator \d+ (\S+?):", ds.stats(), re.M)
+    return [n for n in names
+            if n in ("Sort", "Repartition", "Aggregate", "RandomShuffle")]
+
+
+@pytest.mark.parametrize("name", [
+    "local_supplier_volume", "nation_market_share", "nation_trade_flows",
+    "shipping_priority_orders",
+])
+def test_join_plan_shape_pinned(ray_session, name):
+    """Each multi-join plan runs exactly two co-partition exchanges and
+    one final repartition; a strategy change must show up here."""
+    ds = getattr(joins, name)(SF_DIR).materialize()
+    assert _all_to_all_ops(ds) == ["Sort", "Sort", "Repartition"]
 
 
 # ------------------------------------------------------------ 2-D skyline
