@@ -2,22 +2,32 @@
 reference's whole-crawl lifecycle (SURVEY.md §3).
 
 Each round is ONE distributed streaming execution; the frontier never
-exists on the driver:
+exists on the driver, and no round runs an exchange:
 
-    frontier_k (previous round's checkpoint part dir; seeds for round 0)
-      → map_batches(add host-hash partition key)
-      → groupby(part).map_groups(make_round_fn)   # fused, per partition:
+    frontier_k: the previous round's checkpoint dir, host-bucketed
+                (frontier/bucket=NNNN/part-*.lance, bucket = hash(host) % B).
+                Round 0: the seed list as one driver-built block when it fits
+                one read group, else first staged into buckets by a map-only
+                pass through the same writer
+      → read_parts: one block per group of WHOLE bucket dirs (group count
+        from the frontier size, capped at the non-empty buckets)
+      → map_batches(make_round_fn, batch_size=None)  # fused, per group:
             per-host top-quota SELECT (priority desc, url — deterministic)
-            → backlog rows → checkpoint frontier dir (in-stage sink)
+            → backlog rows → next frontier, bucketed (in-stage sink)
             → selected rows, chunked: fetch (synthetic | real HTTP w/
               redirect→successor resolution) → image decode/hash/dedup →
               parse → robots → seen anti-join → brand first-wins upsert
             → images/entities/brands/errors/successors ALL written in-stage
               (sources/io.write_part: one minilance dataset per part,
-              content-derived idempotent names)
+              content-derived idempotent names; successors bucketed)
       → output = per-(host,kind) sel_stat + <type>_stat summary ROWS only
     driver: one small collect for metrics/lineage/loop control, then
     save_round (atomic rename of the staging dir) → frontier_{k+1} path
+
+B is the round's task target (cluster CPUs × ``_BLOCKS_PER_CPU``), shared by
+every task of the round. Each bucket dir holds every row of its hosts, so a
+read group of whole bucket dirs is host-complete: the selection sees each
+host's whole frontier in one call, as a host-hash exchange would give it.
 
 The reference's do/while page loop (``BaseSpider.cs:115-141``) becomes
 successor *data* (next-page rows); its thread pool (``BaseSpider.cs:90-114``)
@@ -30,8 +40,9 @@ runs AND parallelism levels (north-rule reproducibility; verified in tests,
 including mid-run SIGKILL + resume).
 
 Scale notes (10^10-URL design point): between rounds the frontier is
-minilance parts on shared storage (written/read by stage tasks, one
-partition per task); within a round it is object-store blocks (spillable).
+host-bucketed minilance parts on shared storage (written/read by stage
+tasks, one group of buckets per task); within a round it is object-store
+blocks (spillable).
 Driver state = paths, counters, actor handles (asserted in tests). The
 pages index inside each fetch worker is a sandbox stand-in for HTTP
 (``fetcher="http"`` holds real sessions instead). Seen-set = ``num_shards``
@@ -43,9 +54,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
-
-import time as _time
 
 import numpy as np
 import pandas as pd
@@ -61,7 +71,9 @@ from crawler_ray.state.politeness import PolitenessActor
 from crawler_ray.state.seen import SeenSet
 
 # round input blocks per CPU: 1 is a single wave of uniform tasks (best for
-# the uniform breadth workload); 3 absorbs skewed, straggler-prone rounds
+# the uniform breadth workload); 3 absorbs skewed, straggler-prone rounds.
+# Width × this is also B, the host-bucket count of the frontier each round
+# writes
 _BLOCKS_PER_CPU = 3
 
 
@@ -150,6 +162,24 @@ def _seed_batch_to_frontier(t: pa.Table) -> pa.Table:
         }
     )
     return pa.Table.from_pandas(out, preserve_index=False).cast(schemas.FRONTIER)
+
+
+def _stage_seed_frontier(seeds_path: str, root: str, n_blocks: int,
+                         buckets: int) -> None:
+    """Write the seed list as a host-bucketed frontier under ``root``: a
+    map-only pass (no exchange) through the writer the round stage uses
+    for successors and backlog, so a seed list above one group is read by
+    round 0 as whole host buckets, like every later round. Parts are
+    content-named, so a re-run of the pass rewrites the same parts."""
+    from crawler_ray.sources.io import write_keyed_part
+
+    def stage(t: pa.Table) -> pa.Table:
+        write_keyed_part(_seed_batch_to_frontier(t), root, "seed", buckets)
+        return pa.table({"rows": [t.num_rows]})
+
+    rd.read_parquet(seeds_path, override_num_blocks=n_blocks).map_batches(
+        stage, batch_format="pyarrow", batch_size=None
+    ).materialize()
 
 
 def _prewarm_worker(t: pa.Table) -> pa.Table:
@@ -245,13 +275,6 @@ class CrawlDriver:
     # ------------------------------------------------------------------
     def run(self, resume: bool = False, stop_after_round: int | None = None) -> CrawlResult:
         cfg = self.cfg
-        _dbg = os.environ.get("CRAWLER_RAY_TIMING")
-        _t = _time.monotonic
-
-        def _tick(label, t0):
-            if _dbg:
-                print(f"[crawl-timing] {label}: {_t() - t0:.2f}s", flush=True)
-            return _t()
         start_round = 0
         pending_big_seed = False
         seeds_path = os.path.join(cfg.fixture_dir, "seeds.parquet")
@@ -366,21 +389,6 @@ class CrawlDriver:
 
         base_args_ref = _make_base_args_ref()
 
-        def _round_source(n_blocks: int) -> rd.Dataset:
-            """The round's input in ``n_blocks`` blocks: the seed file for
-            round 0 (projected to frontier rows), the previous round's
-            checkpoint frontier parts otherwise."""
-            if frontier_source is None:
-                return rd.read_parquet(
-                    seeds_path, override_num_blocks=n_blocks,
-                    ray_remote_args={"max_retries": 0},
-                ).map_batches(_seed_batch_to_frontier, batch_format="pyarrow",
-                              max_retries=0)
-            return read_parts(
-                frontier_source, override_num_blocks=n_blocks,
-                ray_remote_args={"max_retries": 0},
-            )
-
         rnd = start_round
         while rnd < cfg.max_rounds and (
             pending_big_seed or frontier_rows is None or frontier_rows > 0
@@ -391,8 +399,9 @@ class CrawlDriver:
                 # new cache key) so workers rebuild against the live actors
                 base_args_ref = _make_base_args_ref()
                 self._actors_respawned = False
-            t0 = _t()
             width = int(ray.cluster_resources().get("CPU", cfg.fetch_concurrency))
+            # the round's task target; also the number of host buckets its
+            # tasks split the next frontier into (io.write_keyed_part)
             target = width * _BLOCKS_PER_CPU
 
             big_seed_round = pending_big_seed
@@ -418,17 +427,22 @@ class CrawlDriver:
                 "frontier": self.ckpt.begin_round(rnd),
             }
             images_dir = self.ckpt.images_dir(rnd)  # direct image sink
+            seeds_dir = None  # round 0's bucketed seed list, when staged
             if pending_big_seed:
                 # unconstrained breadth ingest: stream the seed list straight
                 # into the fused stage — frontier build is a vectorized map;
                 # robots + seen dedup of the input happen IN-STAGE; no
-                # selection shuffle (quota is unconstrained by definition)
+                # per-host selection (quota is unconstrained by definition)
                 pending_big_seed = False
-                ds = _round_source(target)
-                t0 = _tick("seed_stream", t0)
-                processed = ds.map_batches(
+                processed = rd.read_parquet(
+                    seeds_path, override_num_blocks=target,
+                    ray_remote_args={"max_retries": 0},
+                ).map_batches(
+                    _seed_batch_to_frontier, batch_format="pyarrow",
+                    max_retries=0,
+                ).map_batches(
                     make_process_fn(base_args_ref, images_dir, sink_dirs,
-                                    filter_input=True),
+                                    filter_input=True, buckets=target),
                     batch_format="pyarrow",
                     batch_size=cfg.batch_size,
                     # side-effecting stage: the round, not the task, is the
@@ -437,31 +451,48 @@ class CrawlDriver:
                     max_retries=0,
                 )
             else:
-                # quota-constrained BFS round, fully distributed: frontier
-                # source (seed file for round 0, previous round's checkpoint
-                # parts otherwise) → host-hash partition shuffle → fused
-                # per-partition SELECT (per-host quota) + PROCESS, with
-                # backlog rows passing through as data. The driver never
-                # touches a frontier row.
+                # quota-constrained BFS round, fully distributed and with NO
+                # exchange: the frontier is stored host-bucketed
+                # (frontier/bucket=NNNN/), and the read hands each task the
+                # rows of whole bucket dirs as one block, so every host's
+                # rows meet in one round_fn call — fused per-host SELECT
+                # (quota) + PROCESS, with backlog rows written back to the
+                # next frontier. The driver never touches a frontier row.
                 est_rows = frontier_rows
                 if est_rows is None:
                     # seed round: row count from the parquet FOOTER only
                     est_rows = pq.read_metadata(seeds_path).num_rows
-                # small-round fast path: the whole frontier fits one
-                # partition, so the host-hash sort exchange buys nothing —
-                # run the fused round fn over the single block (same global
-                # per-host selection, identical deterministic output; tail
-                # rounds of a BFS crawl are mostly this case and the sort
-                # floor was most of their wall time). Otherwise the
-                # partition count tracks the KNOWN frontier size (a driver
-                # counter): tiny frontiers get few partitions — fewer
-                # shuffle tasks and fewer (larger) frontier files per round
-                # — while big frontiers fan out to the full task target
-                small = est_rows <= max(512, cfg.batch_size * 2)
-                n_parts = 1 if small else max(
-                    2, min(target, -(-est_rows // max(64, cfg.batch_size)))
+                # the group count tracks the KNOWN frontier size (a driver
+                # counter): a small frontier is one group (tail rounds of a
+                # BFS crawl are mostly this case), a big one fans out to the
+                # full task target; the read caps it at the non-empty
+                # buckets
+                n_groups = 1 if est_rows <= max(512, cfg.batch_size * 2) else (
+                    max(2, min(target, -(-est_rows // max(64, cfg.batch_size))))
                 )
-                src = _round_source(n_parts)
+                src_dir = frontier_source
+                if src_dir is None and n_groups > 1:
+                    # a seed list above one group is first written as a
+                    # bucketed frontier by a map-only pass through the
+                    # stage's writer; round 0 then reads it like any round
+                    seeds_dir = os.path.join(
+                        os.path.dirname(sink_dirs["frontier"]), "seeds"
+                    )
+                    _stage_seed_frontier(seeds_path, seeds_dir, n_groups,
+                                         target)
+                    src_dir = seeds_dir
+                if src_dir is None:
+                    # a seed list that fits one group: one driver-built
+                    # block (bounded by the one-group threshold above),
+                    # which no read-side block splitting can cut
+                    src = rd.from_arrow(
+                        _seed_batch_to_frontier(pq.read_table(seeds_path))
+                    )
+                else:
+                    src = read_parts(
+                        src_dir, override_num_blocks=n_groups,
+                        ray_remote_args={"max_retries": 0},
+                    )
                 round_fn = make_round_fn(
                     base_args_ref,
                     cfg.quota_per_host,
@@ -470,30 +501,19 @@ class CrawlDriver:
                     frontier_source is None,
                     images_dir,
                     sink_dirs,
+                    buckets=target,
                     fail_once_marker=cfg.fail_once_marker,
                     kill_actor_once_marker=cfg.kill_actor_once_marker,
                 )
-                if small:
-                    processed = src.map_batches(
-                        round_fn, batch_format="pyarrow", batch_size=None,
-                        max_retries=0,
-                    )
-                else:
-                    def _add_part(t: pa.Table) -> pa.Table:
-                        host = t["host"].to_numpy(zero_copy_only=False)
-                        part = (
-                            pd.util.hash_array(host.astype(object)) % n_parts
-                        ).astype(np.int64)
-                        return t.append_column("part", pa.array(part, pa.int64()))
-
-                    processed = (
-                        src.map_batches(_add_part, batch_format="pyarrow",
-                                        max_retries=0)
-                        .groupby("part")
-                        .map_groups(round_fn, batch_format="pyarrow",
-                                    max_retries=0)
-                    )
-            t0 = _tick("process", t0)
+                # batch_size=None: each block — one host-complete group —
+                # is exactly one round_fn call. The read carries the same
+                # max_retries so Ray fuses it with round_fn: an unfused read
+                # would slice a group above target_max_block_size into
+                # several blocks, and each piece would get the full quota
+                processed = src.map_batches(
+                    round_fn, batch_format="pyarrow", batch_size=None,
+                    max_retries=0,
+                )
 
             # the round output is ONLY summary-stat rows (every data class
             # sank in-stage) — a single small collect drives the execution.
@@ -519,7 +539,8 @@ class CrawlDriver:
             n_backlog = int(s.get("backlog_stat", 0))
             in_frontier = frontier_rows
             frontier_rows = n_succ + n_backlog
-            t0 = _tick("counts", t0)
+            if seeds_dir is not None:
+                shutil.rmtree(seeds_dir)  # round 0 has read it
 
             if not big_seed_round:
                 # --- metrics: pages by (host, kind) from the in-stage
@@ -577,12 +598,10 @@ class CrawlDriver:
             for p in self.politeness:
                 p.advance_clock.remote(1.0)
 
-            t0 = _t()
             self.ckpt.save_round(
                 rnd, self.seen.snapshot(), self.metrics, self.lineage
             )
             frontier_source = self.ckpt.frontier_dir(rnd)
-            _tick("checkpoint", t0)
             if stop_after_round is not None and rnd >= stop_after_round:
                 rnd += 1
                 break

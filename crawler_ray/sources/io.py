@@ -6,7 +6,9 @@ crawl sink is written and read here as the vendored
 atomically-committed datasets with the real library's API subset and write
 semantics, Arrow-IPC fragment encoding). This module is the only place that
 knows the sink format: a swap to the real ``pylance`` wheel is a change here
-and nowhere else.
+and nowhere else. It also owns the part naming (content digests) and the
+crawl frontier's host-bucketed layout (``bucket=NNNN`` subdirs), on both
+the write side (``write_keyed_part``) and the read side (``read_parts``).
 
 ``read_local_images`` is the reference's local-file image source (S5:
 ``UploadImgsByFile``/``GetImgStr``/``FileHelper.GetAllFiles``,
@@ -41,10 +43,11 @@ def write_part(table: pa.Table, root: str, stem: str) -> str:
 
 def _part_entries(root: str):
     """Yield every part path under a ``write_part`` sink tree: parts directly
-    in ``root`` (the frontier layout) and parts one level down in
-    ``round_NNNN`` subdirs (the images / entity-table layout). Sorted for a
-    deterministic read order. A ``.parquet`` part (a tree written by an
-    older parquet sink) raises instead of being skipped or read silently."""
+    in ``root`` and parts one level down (``round_NNNN`` subdirs in the
+    images / entity-table layout, ``bucket=NNNN`` subdirs in the frontier
+    layout). Sorted for a deterministic read order. A ``.parquet`` part (a
+    tree written by an older parquet sink) raises instead of being skipped
+    or read silently."""
     if not os.path.isdir(root):
         return
 
@@ -66,6 +69,43 @@ def _part_entries(root: str):
             yield from emit(p, os.listdir(p))
 
 
+_BUCKET = "bucket="
+
+
+def write_keyed_part(table: pa.Table, root: str, tag: str,
+                     buckets: int | None = None) -> None:
+    """Write a sink batch as part(s) named by a digest of its key column
+    (``url``, else ``record``) and ``tag``, so re-running the same batch
+    overwrites its own parts.
+
+    With ``buckets`` the rows are host-bucketed (the crawl frontier): the
+    rows of bucket ``b = hash(host) % buckets`` go to
+    ``root/bucket=NNNN/part-<digest>.lance``. Every row of a host lands in
+    one bucket dir, whichever task wrote it, so a reader that hands whole
+    bucket dirs to one consumer call (``read_parts``) co-partitions hosts
+    without an exchange."""
+    import hashlib
+
+    import numpy as np
+    import pandas as pd
+
+    def write(t: pa.Table, dest: str) -> None:
+        key_col = "url" if "url" in t.column_names else "record"
+        digest = hashlib.md5(
+            ("\x00".join(t[key_col].to_pylist()) + tag).encode()
+        ).hexdigest()[:16]
+        write_part(t, dest, digest)
+
+    if buckets is None:
+        write(table, root)
+        return
+    host = table["host"].to_numpy(zero_copy_only=False).astype(object)
+    bucket = pd.util.hash_array(host) % np.uint64(buckets)
+    for b in np.unique(bucket):
+        write(table.filter(pa.array(bucket == b)),
+              os.path.join(root, f"{_BUCKET}{int(b):04d}"))
+
+
 def read_parts(
     root: str,
     columns: list[str] | None = None,
@@ -78,15 +118,25 @@ def read_parts(
     round). Column pruning is pushed into the fragment reads. Callers whose
     downstream map uses non-default remote args (the crawl's
     ``max_retries=0``) must pass the same ``ray_remote_args`` here, or Ray
-    Data will not fuse the read with the map; ``override_num_blocks=1``
-    yields a single block (the crawl's small-round path relies on it)."""
+    Data will not fuse the read with the map.
+
+    A host-bucketed tree (parts under ``bucket=NNNN`` subdirs, the crawl
+    frontier) is read as one block per group of WHOLE bucket dirs:
+    ``override_num_blocks`` groups, fewer when there are fewer non-empty
+    buckets (``MiniLanceDatasource.groups``). With a fused
+    ``map_batches(batch_size=None)`` consumer, each host's rows therefore
+    reach one consumer call, with no exchange."""
     from crawler_ray.sources.lance_ray import read_minilance
 
+    uris = list(_part_entries(root))
+    keys = [os.path.basename(os.path.dirname(u)) for u in uris]
+    bucketed = any(k.startswith(_BUCKET) for k in keys)
     return read_minilance(
-        list(_part_entries(root)),
+        uris,
         columns=columns,
         override_num_blocks=override_num_blocks,
         ray_remote_args=ray_remote_args,
+        buckets=keys if bucketed else None,
     )
 
 

@@ -6,11 +6,12 @@ two classes. They give the vendored :mod:`crawler_ray.vendor.minilance`
 store the same execution shape as ``ray.data.read_lance`` /
 ``Dataset.write_lance``:
 
-* **Read** — one ``ReadTask`` per committed fragment, planned from the
-  manifest's per-fragment row/byte stats (so the streaming executor sizes
-  and schedules blocks from real metadata, exactly like the parquet
-  footer-driven reads elsewhere in the engine), with column projection
-  pushed into the fragment read.
+* **Read** — one ``ReadTask`` per committed fragment, or per group of
+  whole units (fragments, or co-partitioned bucket dirs) when fewer blocks
+  are asked for, planned from the manifest's per-fragment row/byte stats
+  (so the streaming executor sizes and schedules blocks from real
+  metadata, exactly like the parquet footer-driven reads elsewhere in the
+  engine), with column projection pushed into the fragment read.
 * **Write** — every Ray write task lands its blocks as immutable fragment
   files (no coordination), returns the manifest entries, and the driver
   commits ALL of them in one atomic manifest rename in
@@ -44,22 +45,27 @@ def _total_size(sizes: List[Optional[int]]) -> Optional[int]:
 
 
 class MiniLanceDatasource(Datasource):
-    """Plan one read task per fragment, across ONE OR MANY committed
-    datasets.
+    """Plan read tasks over ONE OR MANY committed datasets.
 
     Accepting a list of URIs matters: the crawl sinks write one dataset per
     content-addressed part, and a frontier round reads dozens of them. A
     per-part ``read_datasource`` + ``Dataset.union`` plan gives every part
     its own input operator — measured 61 s for a 52-part round on the tiny
     CLI fixture, pure driver/operator overhead — while one datasource over
-    all parts is a single operator with one read task per fragment (0.3 s
-    for the same round), exactly how ``read_parquet`` treats a directory."""
+    all parts is a single operator, exactly how ``read_parquet`` treats a
+    directory.
+
+    ``buckets`` (one key per uri) marks a co-partitioned read: the datasets
+    that share a key form one indivisible unit (the crawl frontier's
+    ``bucket=NNNN`` dirs, each holding every row of its hosts). Without it
+    every fragment is its own unit."""
 
     def __init__(
         self,
         uris: str | List[str],
         columns: Optional[List[str]] = None,
         version: Optional[int] = None,
+        buckets: Optional[List[str]] = None,
     ):
         if isinstance(uris, str):
             uris = [uris]
@@ -67,7 +73,10 @@ class MiniLanceDatasource(Datasource):
             raise ValueError("no dataset uris given")
         if version is not None and len(uris) != 1:
             raise ValueError("version= only applies to a single-uri read")
+        if buckets is not None and len(buckets) != len(uris):
+            raise ValueError("buckets= needs one key per uri")
         self._columns = columns
+        self._buckets = buckets
         # resolve the snapshots ONCE on the driver: every read task then
         # reads the same committed versions even if writers commit meanwhile
         self._dsets = [minilance.dataset(u, version=version) for u in uris]
@@ -81,25 +90,44 @@ class MiniLanceDatasource(Datasource):
         ]
         return _total_size(sizes) if sizes else 0
 
+    def _units(self) -> List[list]:
+        """Fragments in indivisible read units: one per bucket key for a
+        co-partitioned read (empty buckets dropped), else one per
+        fragment."""
+        if self._buckets is None:
+            return [[f] for ds in self._dsets for f in ds.get_fragments()]
+        by_key: dict = {}
+        for key, ds in zip(self._buckets, self._dsets):
+            by_key.setdefault(key, []).extend(ds.get_fragments())
+        return [frags for _, frags in sorted(by_key.items()) if frags]
+
+    def groups(self, parallelism: int) -> List[list]:
+        """Deal whole units into at most ``parallelism`` groups (one per
+        unit when ``parallelism`` is unset or not lower), balanced by
+        manifest row counts: largest unit first, into the lightest group
+        (an empty group first, so every group gets a unit)."""
+        units = self._units()
+        n = len(units)
+        if parallelism and 0 < parallelism < n:
+            n = parallelism
+        rows = [sum(f.count_rows() for f in u) for u in units]
+        load = [0] * n
+        members: List[list] = [[] for _ in range(n)]
+        for i in sorted(range(len(units)), key=lambda i: (-rows[i], i)):
+            g = min(range(n), key=lambda j: (load[j], len(members[j]), j))
+            load[g] += rows[i]
+            members[g].extend(units[i])
+        return members
+
     def get_read_tasks(self, parallelism: int) -> List[ReadTask]:
         columns = self._columns
-        frags = [f for ds in self._dsets for f in ds.get_fragments()]
         tasks: List[ReadTask] = []
-        # honor a LOWER requested parallelism (read_datasource's
-        # override_num_blocks) by coalescing contiguous fragments into
-        # groups — each task then yields ONE concatenated table, so
-        # override_num_blocks=1 really produces a single block. The crawl's
-        # small-round fast path depends on that invariant (global per-host
-        # quota selection runs on the whole frontier in one batch), and
-        # read→map fusion needs the task count to match the plan.
-        if parallelism and 0 < parallelism < len(frags):
-            groups, step = [], len(frags) / parallelism
-            for i in range(parallelism):
-                groups.append(frags[int(i * step): int((i + 1) * step)])
-            groups = [g for g in groups if g]
-        else:
-            groups = [[f] for f in frags]
-        for group in groups:
+        # one task per group of WHOLE units, yielding ONE concatenated
+        # table: a fused map_batches(batch_size=None) consumer sees each
+        # group as one batch. The crawl's per-host quota selection relies
+        # on it (a group of whole bucket dirs holds every row of its hosts),
+        # and read→map fusion needs the task count to match the plan.
+        for group in self.groups(parallelism):
             paths = [f.path for f in group]
             rows = sum(f.count_rows() for f in group)
             meta = BlockMetadata(
@@ -203,23 +231,31 @@ def read_minilance(
     version: Optional[int] = None,
     override_num_blocks: Optional[int] = None,
     ray_remote_args: Optional[dict] = None,
+    buckets: Optional[List[str]] = None,
 ):
     """``ray.data.read_lance`` twin over the vendored store; a list of uris
     reads many datasets as ONE operator (see MiniLanceDatasource).
     ``ray_remote_args`` must be forwarded by callers whose downstream map
     uses non-default remote args (e.g. the crawl's ``max_retries=0``) or
     Ray Data will not fuse the read with the map — the round-5 minilance
-    crawl regression was exactly this missing fusion."""
+    crawl regression was exactly this missing fusion.
+
+    A co-partitioned read (``buckets``) yields exactly one block per group
+    of whole buckets: it asks Ray for as many blocks as ``groups`` makes,
+    because a read that plans fewer tasks than requested has each task's
+    output split to make up the count."""
     import ray.data as rd
 
+    src = MiniLanceDatasource(uris, columns=columns, version=version,
+                              buckets=buckets)
+    if buckets is not None:
+        override_num_blocks = max(1, len(src.groups(override_num_blocks)))
     kwargs = {}
     if override_num_blocks is not None:
         kwargs["override_num_blocks"] = override_num_blocks
     if ray_remote_args is not None:
         kwargs["ray_remote_args"] = ray_remote_args
-    return rd.read_datasource(
-        MiniLanceDatasource(uris, columns=columns, version=version), **kwargs
-    )
+    return rd.read_datasource(src, **kwargs)
 
 
 def write_minilance(ds, uri: str, mode: str = "create") -> None:

@@ -103,7 +103,7 @@ _PROC_CACHE: dict[str, "CrawlProcessStage"] = {}
 
 
 def make_process_fn(init_args_ref, images_dir=None, sink_dirs=None,
-                    filter_input=False):
+                    filter_input=False, buckets=1):
     """Task-mode wrapper around CrawlProcessStage.
 
     Ray Data actor pools are created per execution — a BFS crawl pays the
@@ -125,7 +125,7 @@ def make_process_fn(init_args_ref, images_dir=None, sink_dirs=None,
 
 
 def _cached_stage(init_args_ref, images_dir=None, sink_dirs=None,
-                  filter_input=False) -> "CrawlProcessStage":
+                  filter_input=False, buckets=1) -> "CrawlProcessStage":
     import ray
 
     key = init_args_ref.hex() if hasattr(init_args_ref, "hex") else str(init_args_ref)
@@ -137,6 +137,7 @@ def _cached_stage(init_args_ref, images_dir=None, sink_dirs=None,
     stage.images_dir = images_dir
     stage.sink_dirs = sink_dirs or {}
     stage.filter_input = filter_input
+    stage.buckets = buckets
     return stage
 
 
@@ -177,18 +178,23 @@ def _passthrough_rows(df, row_type: str, status=None) -> pa.Table:
 
 def make_round_fn(init_args_ref, quota: int, batch_size: int,
                   filter_input: bool = False, images_dir=None,
-                  sink_dirs=None, fail_once_marker: str | None = None,
+                  sink_dirs=None, buckets: int = 1,
+                  fail_once_marker: str | None = None,
                   kill_actor_once_marker: str | None = None):
-    """Fused SELECT + PROCESS for one host-hash partition of the frontier
-    (``groupby('part').map_groups``): per-host top-``quota`` selection
-    (priority desc, url asc — deterministic, arrival-order-free) runs
-    vectorized where the partition's rows already are; unselected rows pass
-    through as ``row_type='backlog'`` ROUND_SCHEMA rows and selected rows
-    are processed in ``batch_size`` chunks by the cached CrawlProcessStage.
-    The frontier therefore never exists on the driver: selection, backlog
-    carry-over and fetching all happen inside one distributed execution
-    (VERDICT round-1 item #5). Per-(host,kind) ``sel_stat`` summary rows
-    replace the driver-side metrics pass."""
+    """Fused SELECT + PROCESS for one host-complete group of the frontier:
+    the caller hands each call ALL rows of the hosts it holds, in one
+    block (``map_batches(batch_size=None)`` over a read of whole
+    ``bucket=NNNN`` dirs, or over the one-block seed list), so no exchange
+    runs in front of it. Per-host top-``quota`` selection (priority desc,
+    url asc — deterministic, arrival-order-free) runs vectorized where the
+    group's rows already are, so any host-complete grouping selects the
+    same rows. Unselected rows go to the next round's frontier as backlog
+    (host-bucketed into ``buckets`` dirs, like the successors) and selected
+    rows are processed in ``batch_size`` chunks by the cached
+    CrawlProcessStage. The frontier therefore never exists on the driver:
+    selection, backlog carry-over and fetching all happen inside one
+    distributed execution (VERDICT round-1 item #5). Per-(host,kind)
+    ``sel_stat`` summary rows replace the driver-side metrics pass."""
 
     def round_fn(group: pa.Table) -> pa.Table:
         if fail_once_marker is not None:
@@ -206,7 +212,8 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
                 raise RuntimeError("injected round failure (fail_once_marker)")
             except FileExistsError:
                 pass
-        stage = _cached_stage(init_args_ref, images_dir, sink_dirs)
+        stage = _cached_stage(init_args_ref, images_dir, sink_dirs,
+                              buckets=buckets)
         if kill_actor_once_marker is not None:
             # fault-injection hook (tests only): the FIRST task to claim the
             # marker KILLS a seen-shard STATE ACTOR mid-round (no_restart —
@@ -238,14 +245,13 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
         sel = (df.groupby("host", sort=False).cumcount() < quota).to_numpy()
         backlog = df[~sel]
         if len(backlog):
-            frontier_root = stage.sink_dirs.get("frontier")
-            if frontier_root is not None:
+            if stage.sink_dirs.get("frontier") is not None:
                 # write backlog rows straight to the next-round frontier dir
-                # (same part layout as the in-stage successor sink)
+                # (same bucketed layout as the in-stage successor sink)
                 stage._sink_write(
                     pa.Table.from_pandas(backlog, preserve_index=False)
                     .select(_FRONTIER_COLS),
-                    frontier_root,
+                    "frontier",
                     "backlog",
                 )
                 acct.append(
@@ -318,6 +324,9 @@ class CrawlProcessStage:
         # exactly ONE streaming execution whose output is a handful of stat
         # rows.
         self.sink_dirs = sink_dirs or {}
+        # frontier rows (successors, backlog) are split into this many host
+        # buckets (io.write_keyed_part); the driver sets it per round
+        self.buckets = 1
 
     def _robots_filter(self, batch: pa.Table) -> tuple[pa.Table, list[str]]:
         """Drop robots-disallowed rows; returns (batch, surviving urls) —
@@ -619,16 +628,12 @@ class CrawlProcessStage:
          ["url", "host", "kind", "depth", "priority", "seed_id", "caption"]),
     )
 
-    def _sink_write(self, table: pa.Table, root: str, tag: str) -> None:
-        import hashlib as _hl
+    def _sink_write(self, table: pa.Table, sink: str, tag: str) -> None:
+        from crawler_ray.sources.io import write_keyed_part
 
-        from crawler_ray.sources.io import write_part
-
-        key_col = "url" if "url" in table.column_names else "record"
-        digest = _hl.md5(
-            ("\x00".join(table[key_col].to_pylist()) + tag).encode()
-        ).hexdigest()[:16]
-        write_part(table, root, digest)
+        # frontier rows (successors, backlog) go to host buckets
+        buckets = self.buckets if sink == "frontier" else None
+        write_keyed_part(table, self.sink_dirs[sink], tag, buckets)
 
     def _drain_sinks(self, result: pa.Table) -> pa.Table:
         """Write entity/error/successor rows to their per-round sinks and
@@ -637,12 +642,11 @@ class CrawlProcessStage:
         stats: list[dict] = []
         drained = []
         for row_type, sink, columns in self._SINK_SPECS:
-            root = self.sink_dirs.get(sink)
-            if root is None:
+            if self.sink_dirs.get(sink) is None:
                 continue
             rows = result.filter(pa.compute.equal(result["row_type"], row_type))
             if rows.num_rows:
-                self._sink_write(rows.select(columns), root, row_type)
+                self._sink_write(rows.select(columns), sink, row_type)
                 if row_type == "error":
                     # per-(host, kind) stat rows, like sel_stat, so the
                     # round's host_metrics can report real per-host error

@@ -6,12 +6,21 @@ The reference has no mid-run checkpoint — only a coarse DB warm start
 (``BaseSpider.cs:146-162``). Here every BFS round writes an atomic checkpoint:
 
     <dir>/round_0007/
-        frontier/             # minilance parts: frontier entering the NEXT round
+        frontier/             # the frontier entering the NEXT round:
+          bucket=0003/        #   host-bucketed minilance parts; a host's
+            part-<digest>.lance  # rows all sit in bucket hash(host) % B
         host_metrics.parquet  # per-(host, kind) page/error counts
         seen_shards.pkl       # cuckoo+bloom+exact snapshot per shard
         metrics.json          # cumulative per-host/kind counters
         lineage.json          # round -> input/output row counts + upstream round
         _COMPLETE             # written last; resume only trusts complete rounds
+
+B is the writing round's task target (cluster CPUs × blocks per CPU). It is
+not recorded: each frontier dir describes itself by its ``bucket=NNNN``
+subdirs, and a reader only needs every host inside one of them, so a
+resume at another width simply writes later rounds with another B. While
+round 0 runs, ``round_0000.tmp/seeds/`` holds a seed list too large for one
+read group, staged in the same bucketed layout.
 
 Output images land in ``<dir>/images/round_%04d/`` — one directory per round
 partition, so a resumed run skips rounds that already produced output
@@ -159,8 +168,20 @@ class CheckpointManager:
 
     def load_round(self, rnd: int) -> tuple[str, list[dict], dict, dict]:
         """Returns (frontier_dir, seen snapshot, metrics, lineage). The
-        frontier stays on disk — callers read it as a Dataset."""
+        frontier stays on disk — callers read it as a Dataset. A frontier
+        dir with parts directly in it (no ``bucket=`` subdirs) was written
+        by the older unbucketed layout: its hosts are not co-partitioned,
+        so it is rejected before any part is read."""
         d = self._round_dir(rnd)
+        fdir = self.frontier_dir(rnd)
+        if os.path.isdir(fdir) and any(
+            n.endswith(".lance") for n in os.listdir(fdir)
+        ):
+            raise ValueError(
+                f"frontier dir {fdir} holds parts without bucket= subdirs: "
+                "it was written by the older unbucketed layout and cannot be "
+                "resumed; start the crawl afresh"
+            )
         with open(os.path.join(d, "seen_shards.pkl"), "rb") as f:
             snaps = pickle.load(f)
         with open(os.path.join(d, "metrics.json")) as f:

@@ -1,6 +1,8 @@
 """End-to-end crawl tests (SURVEY.md §5 items 2–3): golden reproducibility,
 parallelism-invariance, PSNR/caption invariants, kill/resume."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,24 @@ def _run(site_dir, out, **over):
     res = drv.run()
     drv.shutdown()  # release state actors (fractional-CPU reservations)
     return drv, res
+
+
+@contextlib.contextmanager
+def _no_exchanges(monkeypatch):
+    """Make the all-to-all Dataset operators raise on the driver, where
+    every plan is built: a crawl that runs under this plans no exchange."""
+    import ray.data as rd
+
+    def refuse(name):
+        def _raise(self, *args, **kwargs):
+            raise AssertionError(f"Dataset.{name} called during the crawl")
+
+        return _raise
+
+    with monkeypatch.context() as m:
+        for name in ("groupby", "sort", "repartition"):
+            m.setattr(rd.Dataset, name, refuse(name))
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -304,38 +324,54 @@ def test_frontier_never_driver_resident(crawl_once):
         assert rows == lin["successors"] + lin["backlog"], key
 
 
-def test_big_seed_streaming_path_equivalence(ray_session, tmp_path_factory):
+def test_big_seed_streaming_path_equivalence(ray_session, tmp_path_factory,
+                                             monkeypatch):
     """The big-seed streaming round (the ingest/scaling headline: seeds
     stream straight into the fused stage, in-stage admission, no selection
     shuffle) must produce the BIT-IDENTICAL images table as the
-    quota-selection path over the same seed list."""
+    quota-selection path over the same seed list. 400 seeds fit one read
+    group (one driver-built block); 1,200 do not, so the quota path first
+    stages them as a host-bucketed frontier — with no exchange either
+    way."""
+    import os
+
     import pyarrow.parquet as pq
 
+    from crawler_ray.pipelines import crawl as crawl_mod
     from crawler_ray.sources.synthetic import generate_image_frontier
 
-    fix = tmp_path_factory.mktemp("bigseed_fix")
-    seeds = generate_image_frontier(400, n_hosts=8, img_sizes=(16,))
-    pq.write_table(seeds, str(fix / "seeds.parquet"))
-    (fix / "robots.json").write_text("{}")
+    staged = []
+    stage = crawl_mod._stage_seed_frontier
+    monkeypatch.setattr(crawl_mod, "_stage_seed_frontier",
+                        lambda *a: staged.append(a) or stage(*a))
     synth = {"seed": 42, "img_sizes": [16], "robots_frac": 0.0}
+    for n_seeds in (400, 1200):
+        fix = tmp_path_factory.mktemp(f"bigseed_fix{n_seeds}")
+        seeds = generate_image_frontier(n_seeds, n_hosts=8, img_sizes=(16,))
+        pq.write_table(seeds, str(fix / "seeds.parquet"))
+        (fix / "robots.json").write_text("{}")
 
-    out_a = tmp_path_factory.mktemp("bigseed_a")
-    _, res_a = _run(
-        str(fix), out_a, quota_per_host=10**9, synth_images=synth,
-        big_seed_threshold=100,  # forces the streaming path
-    )
-    out_b = tmp_path_factory.mktemp("bigseed_b")
-    _, res_b = _run(
-        str(fix), out_b, quota_per_host=10**9, synth_images=synth,
-        big_seed_threshold=10**9,  # forces the quota-selection path
-    )
-    n_distinct = len(set(seeds["url"].to_pylist()))  # dup_frac plants dup URLs
-    assert res_a.rounds == 1 and res_a.pages_fetched == n_distinct
-    assert res_a.pages_fetched == res_b.pages_fetched
-    assert res_a.images_written == res_b.images_written > 0
-    a = read_images_table(str(out_a))
-    b = read_images_table(str(out_b))
-    assert a.equals(b)
+        out_a = tmp_path_factory.mktemp("bigseed_a")
+        _, res_a = _run(
+            str(fix), out_a, quota_per_host=10**9, synth_images=synth,
+            big_seed_threshold=100,  # forces the streaming path
+        )
+        staged.clear()
+        out_b = tmp_path_factory.mktemp("bigseed_b")
+        with _no_exchanges(monkeypatch):
+            _, res_b = _run(
+                str(fix), out_b, quota_per_host=10**9, synth_images=synth,
+                big_seed_threshold=10**9,  # forces the quota-selection path
+            )
+        assert len(staged) == (n_seeds > 512)
+        assert not os.path.exists(out_b / "round_0000" / "seeds")  # cleaned
+        n_distinct = len(set(seeds["url"].to_pylist()))  # planted dup URLs
+        assert res_a.rounds == 1 and res_a.pages_fetched == n_distinct
+        assert res_a.pages_fetched == res_b.pages_fetched
+        assert res_a.images_written == res_b.images_written > 0
+        a = read_images_table(str(out_a))
+        b = read_images_table(str(out_b))
+        assert a.equals(b)
 
 
 def test_driver_metrics_scalar_per_round(ray_session, small_site, tmp_path_factory):
@@ -440,3 +476,151 @@ def test_seen_shard_actor_death_fresh_driver_resume(
     drv1.shutdown()
     assert res.pages_fetched == len(site.expected_seen)
     assert read_images_table(str(out)).equals(site.expected_images)
+
+
+# ----------------------------------------------- rounds above one read group
+# Every small_site round fits one read group (<= 512 frontier rows). The
+# site below has rounds of ~700 and ~560 frontier rows, which are read as
+# several groups of whole host buckets, and hosts with more rows than the
+# quota, so the selection binds.
+
+WIDE_QUOTA = 100
+
+
+@pytest.fixture(scope="module")
+def wide_site(tmp_path_factory):
+    from crawler_ray.sources.synthetic import SiteSpec, generate_site, write_site
+
+    d = tmp_path_factory.mktemp("wide_site")
+    site = generate_site(SiteSpec(
+        n_hosts=8, products_per_host=100, categories_per_host=6,
+        page_size=40, imgs_per_product=1, img_sizes=(16,), zipf_s=1.05,
+    ))
+    write_site(site, str(d))
+    return site, str(d)
+
+
+def _check_wide(site, drv, res) -> None:
+    """Golden images and URL count, and the quota held per (round, host)
+    in a round whose frontier was above one group and bound the quota."""
+    assert res.pages_fetched == len(site.expected_seen)
+    assert read_images_table(drv.cfg.out_dir).equals(site.expected_images)
+    binding_wide_round = False
+    for rnd in range(res.rounds):
+        per_host = drv.ckpt.read_host_metrics(rnd).to_pandas().groupby(
+            "host")["pages"].sum()
+        assert per_host.max() <= WIDE_QUOTA, (rnd, per_host.to_dict())
+        lin = drv.lineage[f"round_{rnd:04d}"]
+        binding_wide_round |= lin["in_frontier"] > 512 and lin["backlog"] > 0
+    assert binding_wide_round
+
+
+def _bucket_ids(drv, res) -> set[int]:
+    import glob
+    import os
+
+    ids = set()
+    for rnd in range(res.rounds):
+        fdir = drv.ckpt.frontier_dir(rnd)
+        assert not glob.glob(os.path.join(fdir, "*.lance"))  # bucketed only
+        ids |= {int(os.path.basename(p).split("=")[1])
+                for p in glob.glob(os.path.join(fdir, "bucket=*"))}
+    return ids
+
+
+def test_wide_rounds_bucket_count_invariant_and_exchange_free(
+    ray_session, wide_site, tmp_path_factory, monkeypatch
+):
+    """Rounds above one group read whole host buckets: the output is the
+    golden one whatever the bucket count B (width × blocks per CPU) and the
+    group count that follows from it, also when a crawl resumes at another
+    B, and no round plans an exchange."""
+    from crawler_ray.pipelines import crawl as crawl_mod
+
+    site, site_dir = wide_site
+    seen_sizes = []
+    # 4 CPUs in the test session: B = 4, and B = 20 resumed at B = 8
+    for blocks_per_cpu, resume_blocks_per_cpu in ((1, None), (5, 2)):
+        monkeypatch.setattr(crawl_mod, "_BLOCKS_PER_CPU", blocks_per_cpu)
+        cfg = CrawlConfig(
+            fixture_dir=site_dir, quota_per_host=WIDE_QUOTA,
+            out_dir=str(tmp_path_factory.mktemp(f"wide_b{blocks_per_cpu}")),
+            fetch_concurrency=4, num_seen_shards=2,
+        )
+        with _no_exchanges(monkeypatch):
+            drv = CrawlDriver(cfg)
+            if resume_blocks_per_cpu is None:
+                res = drv.run()
+            else:
+                drv.run(stop_after_round=2)  # round 2 read ~700 rows
+                drv.shutdown()
+                monkeypatch.setattr(crawl_mod, "_BLOCKS_PER_CPU",
+                                    resume_blocks_per_cpu)
+                drv = CrawlDriver(cfg)
+                res = drv.run(resume=True)
+            drv.shutdown()
+        _check_wide(site, drv, res)
+        ids = _bucket_ids(drv, res)
+        assert max(ids) < 4 * blocks_per_cpu
+        assert blocks_per_cpu == 1 or max(ids) >= 8
+        seen_sizes.append(res.seen_size)
+    assert seen_sizes[0] == seen_sizes[1]
+
+
+def test_group_reaches_round_fn_whole_under_small_block_size(
+    ray_session, wide_site, tmp_path_factory, monkeypatch
+):
+    """A read group must reach round_fn as ONE batch: a group cut inside a
+    host would let each piece select up to the quota. batch_size=512 makes
+    round 2's ~91 KB frontier a single group, and every bucket is 3–27 KB;
+    an 8 KiB target_max_block_size is below all of them. Ray slices an
+    oversized block where one operator hands it to the next, and the read
+    is fused with round_fn, so the group still arrives whole: images,
+    URL count and per-(round, host) quotas are unchanged."""
+    from ray.data import DataContext
+
+    site, site_dir = wide_site
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
+                        8 * 1024)
+    out = tmp_path_factory.mktemp("wide_block8k")
+    drv, res = _run(site_dir, out, quota_per_host=WIDE_QUOTA, batch_size=512)
+    _check_wide(site, drv, res)
+
+
+def test_resume_rejects_unbucketed_frontier(ray_session, small_site,
+                                            tmp_path_factory, monkeypatch):
+    """A checkpoint whose frontier parts sit directly in ``frontier/`` (the
+    layout before host buckets) is rejected on resume with an error naming
+    the dir, before any part is read."""
+    import glob
+    import os
+    import re
+    import shutil
+
+    from crawler_ray.vendor import minilance
+
+    site, site_dir = small_site
+    out = tmp_path_factory.mktemp("old_layout")
+    cfg = CrawlConfig(fixture_dir=site_dir, out_dir=str(out),
+                      quota_per_host=50, fetch_concurrency=2,
+                      num_seen_shards=2)
+    drv1 = CrawlDriver(cfg)
+    drv1.run(stop_after_round=0)
+    drv1.shutdown()
+    fdir = drv1.ckpt.frontier_dir(0)
+    for part in glob.glob(os.path.join(fdir, "bucket=*", "part-*.lance")):
+        shutil.move(part, fdir)
+    for b in glob.glob(os.path.join(fdir, "bucket=*")):
+        os.rmdir(b)
+    assert glob.glob(os.path.join(fdir, "part-*.lance"))
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a frontier part was opened")
+
+    monkeypatch.setattr(minilance, "dataset", no_read)
+    drv2 = CrawlDriver(cfg)
+    try:
+        with pytest.raises(ValueError, match=re.escape(fdir)):
+            drv2.run(resume=True)
+    finally:
+        drv2.shutdown()

@@ -42,10 +42,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-sys.path.insert(0, "/root/repo")
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from hashcheck import DEFAULT_SKIP, TABLES, _canon, _to_pandas  # noqa: E402
+# hashcheck puts the checkout root (derived from its own path) on sys.path
+from hashcheck import (  # noqa: E402
+    DEFAULT_SKIP, TABLES, _canon, _to_pandas, init_ray,
+)
 
 BASE = os.environ.get("FUZZ_BASE", "/root/testdata/sf0.001")
 
@@ -346,10 +348,7 @@ def main(argv: list[str]) -> int:
     argv = [a for a in argv if not a.startswith("--")]
     seed0 = int(os.environ.get("FUZZ_SEED0", "1000"))
 
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False, logging_level="ERROR")
+    init_ray()
 
     import __ray_entry__ as entry_mod
 

@@ -33,11 +33,18 @@ Exit code: number of failing queries (0 = all green).
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import duckdb
 import pandas as pd
+
+# the checkout this tool lives in: the driver imports ``__ray_entry__`` and
+# ``crawler_ray`` from it, and the Ray workers get it on their PYTHONPATH
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
@@ -78,6 +85,27 @@ def _to_pandas(result) -> pd.DataFrame:
     return result.to_pandas()
 
 
+def init_ray() -> None:
+    """Start a local Ray session (unless one is running) whose workers import
+    this checkout: the package's worker runtime env, with ``REPO_ROOT`` on
+    the workers' PYTHONPATH. Without it a driver started outside the repo
+    root fails every task with ``No module named 'crawler_ray'``, and the
+    workers miss the package's log filter."""
+    import ray
+
+    from crawler_ray.context import worker_runtime_env
+
+    if ray.is_initialized():
+        return
+    runtime_env = worker_runtime_env()
+    env_vars = dict(runtime_env.get("env_vars", {}))
+    env_vars["PYTHONPATH"] = os.pathsep.join(
+        p for p in (REPO_ROOT, os.environ.get("PYTHONPATH", "")) if p
+    )
+    ray.init(address="local", include_dashboard=False, logging_level="ERROR",
+             runtime_env={**runtime_env, "env_vars": env_vars})
+
+
 def main(argv: list[str]) -> int:
     include_quadratic = "--include-quadratic" in argv
     rows_only_too = "--rows-only" in argv
@@ -86,7 +114,6 @@ def main(argv: list[str]) -> int:
     )
     args = [a for a in argv if not a.startswith("--")]
     sf_dir = args[0] if args else "/tmp/sf_x20"
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entry_mod
 
     queries = entry_mod.queries()
@@ -107,10 +134,7 @@ def main(argv: list[str]) -> int:
             f"SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
         )
 
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False)
+    init_ray()
 
     records: dict[str, dict] = {}
     n_fail = 0
