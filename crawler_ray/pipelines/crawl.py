@@ -6,9 +6,8 @@ exists on the driver, and no round runs an exchange:
 
     frontier_k: the previous round's checkpoint dir, host-bucketed
                 (frontier/bucket=NNNN/part-*.lance, bucket = hash(host) % B).
-                Round 0: the seed list as one driver-built block when it fits
-                one read group, else first staged into buckets by a map-only
-                pass through the same writer
+                Round 0: the seed list, first staged into buckets by a
+                map-only pass through the same writer
       → read_parts: one block per group of WHOLE bucket dirs (group count
         from the frontier size, capped at the non-empty buckets)
       → map_batches(make_round_fn, batch_size=None)  # fused, per group:
@@ -164,20 +163,22 @@ def _seed_batch_to_frontier(t: pa.Table) -> pa.Table:
     return pa.Table.from_pandas(out, preserve_index=False).cast(schemas.FRONTIER)
 
 
-def _stage_seed_frontier(seeds_path: str, root: str, n_blocks: int,
-                         buckets: int) -> None:
+def _stage_seed_frontier(seeds_path: str, root: str, n_groups: int) -> None:
     """Write the seed list as a host-bucketed frontier under ``root``: a
     map-only pass (no exchange) through the writer the round stage uses
-    for successors and backlog, so a seed list above one group is read by
-    round 0 as whole host buckets, like every later round. Parts are
-    content-named, so a re-run of the pass rewrites the same parts."""
+    for successors and backlog, so round 0 reads the seeds as whole host
+    buckets, like every later round. Only round 0 reads it, as ``n_groups``
+    groups, so it is split into ``n_groups`` buckets: more would only add
+    parts (a seed list that fits one group is one part per read block).
+    Parts are content-named, so a re-run of the pass rewrites the same
+    parts."""
     from crawler_ray.sources.io import write_keyed_part
 
     def stage(t: pa.Table) -> pa.Table:
-        write_keyed_part(_seed_batch_to_frontier(t), root, "seed", buckets)
+        write_keyed_part(_seed_batch_to_frontier(t), root, "seed", n_groups)
         return pa.table({"rows": [t.num_rows]})
 
-    rd.read_parquet(seeds_path, override_num_blocks=n_blocks).map_batches(
+    rd.read_parquet(seeds_path, override_num_blocks=n_groups).map_batches(
         stage, batch_format="pyarrow", batch_size=None
     ).materialize()
 
@@ -427,7 +428,7 @@ class CrawlDriver:
                 "frontier": self.ckpt.begin_round(rnd),
             }
             images_dir = self.ckpt.images_dir(rnd)  # direct image sink
-            seeds_dir = None  # round 0's bucketed seed list, when staged
+            seeds_dir = None  # round 0's bucketed seed list
             if pending_big_seed:
                 # unconstrained breadth ingest: stream the seed list straight
                 # into the fused stage — frontier build is a vectorized map;
@@ -441,10 +442,12 @@ class CrawlDriver:
                     _seed_batch_to_frontier, batch_format="pyarrow",
                     max_retries=0,
                 ).map_batches(
+                    # one call per block, chunked by batch_size inside, so
+                    # each block writes its successors once (bucketed)
                     make_process_fn(base_args_ref, images_dir, sink_dirs,
-                                    filter_input=True, buckets=target),
+                                    True, target, cfg.batch_size),
                     batch_format="pyarrow",
-                    batch_size=cfg.batch_size,
+                    batch_size=None,
                     # side-effecting stage: the round, not the task, is the
                     # retry unit (see CrawlConfig.round_retries); max_retries
                     # matches the producer map so the two stages still fuse
@@ -471,28 +474,19 @@ class CrawlDriver:
                     max(2, min(target, -(-est_rows // max(64, cfg.batch_size))))
                 )
                 src_dir = frontier_source
-                if src_dir is None and n_groups > 1:
-                    # a seed list above one group is first written as a
-                    # bucketed frontier by a map-only pass through the
-                    # stage's writer; round 0 then reads it like any round
+                if src_dir is None:
+                    # round 0 reads the seed list like any frontier: a
+                    # map-only pass through the stage's writer first stores
+                    # it host-bucketed
                     seeds_dir = os.path.join(
                         os.path.dirname(sink_dirs["frontier"]), "seeds"
                     )
-                    _stage_seed_frontier(seeds_path, seeds_dir, n_groups,
-                                         target)
+                    _stage_seed_frontier(seeds_path, seeds_dir, n_groups)
                     src_dir = seeds_dir
-                if src_dir is None:
-                    # a seed list that fits one group: one driver-built
-                    # block (bounded by the one-group threshold above),
-                    # which no read-side block splitting can cut
-                    src = rd.from_arrow(
-                        _seed_batch_to_frontier(pq.read_table(seeds_path))
-                    )
-                else:
-                    src = read_parts(
-                        src_dir, override_num_blocks=n_groups,
-                        ray_remote_args={"max_retries": 0},
-                    )
+                src = read_parts(
+                    src_dir, override_num_blocks=n_groups,
+                    ray_remote_args={"max_retries": 0},
+                )
                 round_fn = make_round_fn(
                     base_args_ref,
                     cfg.quota_per_host,

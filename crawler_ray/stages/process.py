@@ -102,8 +102,8 @@ def _row(base: dict, **over) -> dict:
 _PROC_CACHE: dict[str, "CrawlProcessStage"] = {}
 
 
-def make_process_fn(init_args_ref, images_dir=None, sink_dirs=None,
-                    filter_input=False, buckets=1):
+def make_process_fn(init_args_ref, images_dir, sink_dirs, filter_input,
+                    buckets: int, batch_size: int):
     """Task-mode wrapper around CrawlProcessStage.
 
     Ray Data actor pools are created per execution — a BFS crawl pays the
@@ -113,19 +113,30 @@ def make_process_fn(init_args_ref, images_dir=None, sink_dirs=None,
     pages index ref — all small or shared) is built lazily once per worker
     and cached. The truly stateful components stay actors; only the fetch
     session wrapper becomes elastic. Per-ROUND settings (sink dirs, input
-    admission) are plain attrs set on the cached stage per call, so the
-    cache key — and the stage build — is stable across rounds.
+    admission, frontier bucket count) are plain attrs set on the cached
+    stage per call, so the cache key — and the stage build — is stable
+    across rounds.
+
+    Each call processes its whole block in ``batch_size`` chunks and writes
+    the block's frontier rows once (``CrawlProcessStage.flush_frontier``):
+    one part per bucket per call, not per chunk.
     """
 
-    def process_fn(batch: pa.Table) -> pa.Table:
-        return _cached_stage(init_args_ref, images_dir, sink_dirs,
-                             filter_input)(batch)
+    def process_fn(block: pa.Table) -> pa.Table:
+        stage = _cached_stage(init_args_ref, images_dir, sink_dirs,
+                              filter_input, buckets)
+        outs = [stage(block.slice(c0, batch_size))
+                for c0 in range(0, block.num_rows, batch_size)]
+        stage.flush_frontier()
+        if not outs:
+            return pa.Table.from_pylist([], schema=ROUND_SCHEMA)
+        return pa.concat_tables(outs)
 
     return process_fn
 
 
-def _cached_stage(init_args_ref, images_dir=None, sink_dirs=None,
-                  filter_input=False, buckets=1) -> "CrawlProcessStage":
+def _cached_stage(init_args_ref, images_dir, sink_dirs, filter_input,
+                  buckets: int) -> "CrawlProcessStage":
     import ray
 
     key = init_args_ref.hex() if hasattr(init_args_ref, "hex") else str(init_args_ref)
@@ -138,6 +149,9 @@ def _cached_stage(init_args_ref, images_dir=None, sink_dirs=None,
     stage.sink_dirs = sink_dirs or {}
     stage.filter_input = filter_input
     stage.buckets = buckets
+    # frontier rows a failed call left unflushed belong to a round that is
+    # rolled back; they must not reach this call's frontier
+    stage.frontier_rows = []
     return stage
 
 
@@ -177,24 +191,24 @@ def _passthrough_rows(df, row_type: str, status=None) -> pa.Table:
 
 
 def make_round_fn(init_args_ref, quota: int, batch_size: int,
-                  filter_input: bool = False, images_dir=None,
-                  sink_dirs=None, buckets: int = 1,
+                  filter_input: bool, images_dir, sink_dirs, buckets: int,
                   fail_once_marker: str | None = None,
                   kill_actor_once_marker: str | None = None):
     """Fused SELECT + PROCESS for one host-complete group of the frontier:
     the caller hands each call ALL rows of the hosts it holds, in one
     block (``map_batches(batch_size=None)`` over a read of whole
-    ``bucket=NNNN`` dirs, or over the one-block seed list), so no exchange
-    runs in front of it. Per-host top-``quota`` selection (priority desc,
+    ``bucket=NNNN`` dirs; round 0 reads the staged seed list the same way),
+    so no exchange runs in front of it. Per-host top-``quota`` selection (priority desc,
     url asc — deterministic, arrival-order-free) runs vectorized where the
     group's rows already are, so any host-complete grouping selects the
     same rows. Unselected rows go to the next round's frontier as backlog
-    (host-bucketed into ``buckets`` dirs, like the successors) and selected
-    rows are processed in ``batch_size`` chunks by the cached
-    CrawlProcessStage. The frontier therefore never exists on the driver:
-    selection, backlog carry-over and fetching all happen inside one
-    distributed execution (VERDICT round-1 item #5). Per-(host,kind)
-    ``sel_stat`` summary rows replace the driver-side metrics pass."""
+    and selected rows are processed in ``batch_size`` chunks by the cached
+    CrawlProcessStage; the call's backlog and successors are written once,
+    at its end, host-bucketed into ``buckets`` dirs. The frontier therefore
+    never exists on the driver: selection, backlog carry-over and fetching
+    all happen inside one distributed execution (VERDICT round-1 item #5).
+    Per-(host,kind) ``sel_stat`` summary rows replace the driver-side
+    metrics pass."""
 
     def round_fn(group: pa.Table) -> pa.Table:
         if fail_once_marker is not None:
@@ -212,8 +226,8 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
                 raise RuntimeError("injected round failure (fail_once_marker)")
             except FileExistsError:
                 pass
-        stage = _cached_stage(init_args_ref, images_dir, sink_dirs,
-                              buckets=buckets)
+        stage = _cached_stage(init_args_ref, images_dir, sink_dirs, False,
+                              buckets)
         if kill_actor_once_marker is not None:
             # fault-injection hook (tests only): the FIRST task to claim the
             # marker KILLS a seen-shard STATE ACTOR mid-round (no_restart —
@@ -246,8 +260,8 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
         backlog = df[~sel]
         if len(backlog):
             if stage.sink_dirs.get("frontier") is not None:
-                # write backlog rows straight to the next-round frontier dir
-                # (same bucketed layout as the in-stage successor sink)
+                # backlog rows go to the next-round frontier with the
+                # successors (flushed together below)
                 stage._sink_write(
                     pa.Table.from_pandas(backlog, preserve_index=False)
                     .select(_FRONTIER_COLS),
@@ -272,6 +286,7 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
             sel_t = pa.Table.from_pandas(sdf, preserve_index=False)
             for c0 in range(0, len(sdf), batch_size):
                 outs.append(stage(sel_t.slice(c0, batch_size)))
+        stage.flush_frontier()
         if acct:
             outs.append(pa.Table.from_pylist(acct, schema=ROUND_SCHEMA))
         if not outs:
@@ -324,9 +339,10 @@ class CrawlProcessStage:
         # exactly ONE streaming execution whose output is a handful of stat
         # rows.
         self.sink_dirs = sink_dirs or {}
-        # frontier rows (successors, backlog) are split into this many host
-        # buckets (io.write_keyed_part); the driver sets it per round
-        self.buckets = 1
+        # frontier rows (successors, backlog) wait in ``frontier_rows``
+        # until the caller's ``flush_frontier``, which splits them into
+        # ``buckets`` host buckets; _cached_stage sets both per call
+        self.frontier_rows: list[pa.Table] = []
 
     def _robots_filter(self, batch: pa.Table) -> tuple[pa.Table, list[str]]:
         """Drop robots-disallowed rows; returns (batch, surviving urls) —
@@ -631,9 +647,23 @@ class CrawlProcessStage:
     def _sink_write(self, table: pa.Table, sink: str, tag: str) -> None:
         from crawler_ray.sources.io import write_keyed_part
 
-        # frontier rows (successors, backlog) go to host buckets
-        buckets = self.buckets if sink == "frontier" else None
-        write_keyed_part(table, self.sink_dirs[sink], tag, buckets)
+        if sink == "frontier":
+            self.frontier_rows.append(table)
+        else:
+            write_keyed_part(table, self.sink_dirs[sink], tag)
+
+    def flush_frontier(self) -> None:
+        """Write the frontier rows held since the last flush as one part per
+        host bucket they touch. Called once per task-level call, so a
+        round's frontier has at most (calls × buckets) parts however many
+        chunks each call processed."""
+        from crawler_ray.sources.io import write_keyed_part
+
+        if self.frontier_rows:
+            rows = pa.concat_tables(self.frontier_rows)
+            self.frontier_rows = []
+            write_keyed_part(rows, self.sink_dirs["frontier"], "frontier",
+                             self.buckets)
 
     def _drain_sinks(self, result: pa.Table) -> pa.Table:
         """Write entity/error/successor rows to their per-round sinks and

@@ -18,9 +18,11 @@ The reference has no mid-run checkpoint — only a coarse DB warm start
 B is the writing round's task target (cluster CPUs × blocks per CPU). It is
 not recorded: each frontier dir describes itself by its ``bucket=NNNN``
 subdirs, and a reader only needs every host inside one of them, so a
-resume at another width simply writes later rounds with another B. While
-round 0 runs, ``round_0000.tmp/seeds/`` holds a seed list too large for one
-read group, staged in the same bucketed layout.
+resume at another width simply writes later rounds with another B. Each
+task-level stage call writes its frontier rows once, so a bucket dir holds
+at most one part per read group of the writing round. While a quota-path
+round 0 runs, ``round_0000.tmp/seeds/`` holds the seed list, staged in the
+same layout with one bucket per round-0 read group.
 
 Output images land in ``<dir>/images/round_%04d/`` — one directory per round
 partition, so a resumed run skips rounds that already produced output

@@ -329,9 +329,9 @@ def test_big_seed_streaming_path_equivalence(ray_session, tmp_path_factory,
     """The big-seed streaming round (the ingest/scaling headline: seeds
     stream straight into the fused stage, in-stage admission, no selection
     shuffle) must produce the BIT-IDENTICAL images table as the
-    quota-selection path over the same seed list. 400 seeds fit one read
-    group (one driver-built block); 1,200 do not, so the quota path first
-    stages them as a host-bucketed frontier — with no exchange either
+    quota-selection path over the same seed list. The quota path first
+    stages the seeds as a host-bucketed frontier, which round 0 reads as
+    one group (400 seeds) or several (1,200) — with no exchange either
     way."""
     import os
 
@@ -363,7 +363,7 @@ def test_big_seed_streaming_path_equivalence(ray_session, tmp_path_factory,
                 str(fix), out_b, quota_per_host=10**9, synth_images=synth,
                 big_seed_threshold=10**9,  # forces the quota-selection path
             )
-        assert len(staged) == (n_seeds > 512)
+        assert len(staged) == 1
         assert not os.path.exists(out_b / "round_0000" / "seeds")  # cleaned
         n_distinct = len(set(seeds["url"].to_pylist()))  # planted dup URLs
         assert res_a.rounds == 1 and res_a.pages_fetched == n_distinct
@@ -515,17 +515,16 @@ def _check_wide(site, drv, res) -> None:
     assert binding_wide_round
 
 
-def _bucket_ids(drv, res) -> set[int]:
+def _buckets(drv, rnd) -> dict[int, int]:
+    """Round ``rnd``'s frontier layout: {bucket id: parts in its dir}."""
     import glob
     import os
 
-    ids = set()
-    for rnd in range(res.rounds):
-        fdir = drv.ckpt.frontier_dir(rnd)
-        assert not glob.glob(os.path.join(fdir, "*.lance"))  # bucketed only
-        ids |= {int(os.path.basename(p).split("=")[1])
-                for p in glob.glob(os.path.join(fdir, "bucket=*"))}
-    return ids
+    fdir = drv.ckpt.frontier_dir(rnd)
+    assert not glob.glob(os.path.join(fdir, "*.lance"))  # bucketed only
+    return {int(os.path.basename(b).split("=")[1]):
+            len(glob.glob(os.path.join(b, "part-*.lance")))
+            for b in glob.glob(os.path.join(fdir, "bucket=*"))}
 
 
 def test_wide_rounds_bucket_count_invariant_and_exchange_free(
@@ -546,6 +545,7 @@ def test_wide_rounds_bucket_count_invariant_and_exchange_free(
             fixture_dir=site_dir, quota_per_host=WIDE_QUOTA,
             out_dir=str(tmp_path_factory.mktemp(f"wide_b{blocks_per_cpu}")),
             fetch_concurrency=4, num_seen_shards=2,
+            batch_size=32,  # several stage chunks per read group
         )
         with _no_exchanges(monkeypatch):
             drv = CrawlDriver(cfg)
@@ -560,11 +560,32 @@ def test_wide_rounds_bucket_count_invariant_and_exchange_free(
                 res = drv.run(resume=True)
             drv.shutdown()
         _check_wide(site, drv, res)
-        ids = _bucket_ids(drv, res)
+        layouts = [_buckets(drv, rnd) for rnd in range(res.rounds)]
+        ids = {b for lay in layouts for b in lay}
         assert max(ids) < 4 * blocks_per_cpu
         assert blocks_per_cpu == 1 or max(ids) >= 8
+        # each round_fn call writes its frontier rows once, so a bucket
+        # dir holds at most one part per read group (groups <= B)
+        assert max(n for lay in layouts for n in lay.values()) \
+            <= 4 * blocks_per_cpu
         seen_sizes.append(res.seen_size)
     assert seen_sizes[0] == seen_sizes[1]
+
+
+def test_big_seed_streaming_round_buckets_its_successors(
+    ray_session, wide_site, tmp_path_factory
+):
+    """The big-seed streaming round 0 writes its successors over B host
+    buckets like a quota round, so round 1 can read them as more than one
+    group; the crawl that follows gives the golden output."""
+    site, site_dir = wide_site
+    out = tmp_path_factory.mktemp("wide_stream")
+    drv, res = _run(site_dir, out, quota_per_host=10**9,
+                    big_seed_threshold=1)  # round 0 streams its seeds
+    assert res.rounds > 1
+    assert res.pages_fetched == len(site.expected_seen)
+    assert read_images_table(drv.cfg.out_dir).equals(site.expected_images)
+    assert len(_buckets(drv, 0)) > 1
 
 
 def test_group_reaches_round_fn_whole_under_small_block_size(
