@@ -1,4 +1,5 @@
-"""Process-wide Ray Data executor tuning shared by every entry point.
+"""Process-wide Ray Data executor tuning shared by every entry point, and
+the per-worker state cache of task-mode map stages (``worker_cached``).
 
 ``tune_data_context()`` is called by bench.py, the CLI, the test fixture
 and ``__ray_entry__`` (the library itself never calls ``ray.init``; a
@@ -87,3 +88,32 @@ def worker_runtime_env() -> dict:
             lg.addFilter(_DropSchemaHashNoise())
 
     return {"worker_process_setup_hook": _hook}
+
+
+# slot -> (key, value): the per-worker-process state of task-mode map
+# stages. Module-level in an importable module ON PURPOSE: a dict that a
+# closure references would be pickled by value with the closure, so every
+# task would get a fresh empty copy and rebuild silently.
+_WORKER_CACHE: dict[str, tuple[str, object]] = {}
+
+
+def worker_cached(slot: str, key: str, build):
+    """Per-worker-process state for task-mode ``map_batches`` stages.
+
+    Ray Data starts an actor pool per execution, so a query or crawl round
+    that maps an actor class pays the pool spin-up on every call. Plain
+    tasks run on Ray's pre-started, reused worker processes; a stage that
+    needs built state (a resolved broadcast table, a crawl stage's actor
+    handles) builds it here once per worker instead of once per task.
+
+    Holds ONE live value per ``slot`` per worker process and rebuilds it
+    when ``key`` changes. Callers key by the call's ``ObjectRef.hex()``, so
+    nothing built for one query call or crawl can serve the next one.
+    """
+    hit = _WORKER_CACHE.get(slot)
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    _WORKER_CACHE.pop(slot, None)  # drop the old value before building
+    value = build()
+    _WORKER_CACHE[slot] = (key, value)
+    return value

@@ -390,10 +390,13 @@ class CrawlDriver:
 
         base_args_ref = _make_base_args_ref()
 
+        # a pending seed round (frontier_rows None, big-seed or not) runs
+        # only if the seed list has rows: an empty one has nothing to read
+        seed_rows = pq.read_metadata(seeds_path).num_rows
         rnd = start_round
         while rnd < cfg.max_rounds and (
-            pending_big_seed or frontier_rows is None or frontier_rows > 0
-        ):
+            seed_rows if frontier_rows is None else frontier_rows
+        ) > 0:
             if self._actors_respawned:
                 # a healed state actor means every worker-cached stage holds
                 # DEAD handles — re-put the broadcast args (new object ref =
@@ -461,10 +464,8 @@ class CrawlDriver:
                 # rows meet in one round_fn call — fused per-host SELECT
                 # (quota) + PROCESS, with backlog rows written back to the
                 # next frontier. The driver never touches a frontier row.
-                est_rows = frontier_rows
-                if est_rows is None:
-                    # seed round: row count from the parquet FOOTER only
-                    est_rows = pq.read_metadata(seeds_path).num_rows
+                # seed round: row count from the parquet FOOTER only
+                est_rows = seed_rows if frontier_rows is None else frontier_rows
                 # the group count tracks the KNOWN frontier size (a driver
                 # counter): a small frontier is one group (tail rounds of a
                 # BFS crawl are mostly this case), a big one fans out to the

@@ -33,6 +33,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from crawler_ray.context import worker_cached
+
 
 def _read_docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
     """Documents reader with the loader's NULL contract applied at the
@@ -233,20 +235,16 @@ class MinHashSignatures:
         )
 
 
-# per-worker stage cache for task-mode execution (same rationale as
-# stages/process.py:_PROC_CACHE: actor pools are spun up per execution,
-# pre-started task workers are not — and the MinHash state is just the
-# derived permutation params, cheap to build once per worker)
-_MINHASH_CACHE: dict[tuple, MinHashSignatures] = {}
-
-
 def make_minhash_fn(ngram: int = 3, seed: int = 13):
-    key = (ngram, seed)
+    """Task-mode MinHash map: the state is just the permutation params
+    derived from ``(ngram, seed)``, built once per worker process
+    (``context.worker_cached``) instead of once per actor-pool spin-up."""
+    key = f"{ngram}:{seed}"
 
     def minhash_fn(df: pd.DataFrame) -> pa.Table:
-        stage = _MINHASH_CACHE.get(key)
-        if stage is None:
-            stage = _MINHASH_CACHE.setdefault(key, MinHashSignatures(ngram, seed))
+        stage = worker_cached(
+            "minhash", key, lambda: MinHashSignatures(ngram, seed)
+        )
         return stage(df)
 
     return minhash_fn

@@ -7,8 +7,8 @@ with a DuckDB oracle in ``__ray_entry__.oracle_sql``. Conventions:
 
 - column pruning at ``read_parquet`` (only needed columns leave storage),
 - vectorized pyarrow/pandas kernels inside ``map_batches`` (no row loops),
-- small-side joins are broadcast (``ray.put`` once, merged per batch inside
-  an actor-pool stage) — no shuffle,
+- small-side joins are broadcast (``ray.put`` once, resolved once per task
+  worker and merged per batch in a task-mode stage) — no shuffle,
 - aggregates are named identically to the oracle SQL aliases,
 - floats that cross the hash-compare boundary are rounded in BOTH engines.
 
@@ -24,6 +24,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from crawler_ray.context import worker_cached
 from crawler_ray.functions.rounding import round_np, round_pa
 from crawler_ray.pipelines.result import scalar_safe, schema_safe
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
@@ -62,13 +63,14 @@ def _read_pandas(
 class BroadcastJoiner:
     """Map-side hash join against a broadcast small table (J1/J2 pattern:
     the reference probes in-memory brand/category bags,
-    ``ShiweijiaProduct.cs:228-240,395-396``). ``ray.put`` the small side once;
-    each actor fetches it in ``__init__`` — never re-shipped per batch."""
+    ``ShiweijiaProduct.cs:228-240,395-396``). ``ray.put`` the small side
+    once; the task-mode instance holds only the REF (shipped in the pickled
+    callable) and resolves it once per worker process
+    (``context.worker_cached``) — never re-shipped per batch, and no
+    actor-pool spin-up per execution."""
 
-    def __init__(self, small_ref, on: str | list[str], how: str = "inner"):
-        # task-mode instance: holds the broadcast REF (shipped in the
-        # pickled callable), resolves it lazily once per task from the
-        # local object store — no actor-pool spin-up per execution
+    def __init__(self, small_ref: ray.ObjectRef, on: str | list[str],
+                 how: str = "inner"):
         self.ref = small_ref
         self.on = on
         self.how = how
@@ -76,8 +78,11 @@ class BroadcastJoiner:
 
     def __call__(self, batch: pd.DataFrame) -> pa.Table:
         if self._small is None:
-            self._small = (
-                ray.get(self.ref) if isinstance(self.ref, ray.ObjectRef) else self.ref
+            # also held on the instance: two joiners fused into one task
+            # alternate on the worker slot, and would otherwise re-resolve
+            # per batch
+            self._small = worker_cached(
+                "broadcast_join", self.ref.hex(), lambda: ray.get(self.ref)
             )
         # Arrow out: broadcast-join results usually feed a groupby shuffle,
         # and sort-shuffles over Arrow blocks are much faster than pandas
@@ -86,7 +91,7 @@ class BroadcastJoiner:
         )
 
 
-def _bjoin(ds: rd.Dataset, small: pd.DataFrame, on, how="inner", concurrency=None):
+def _bjoin(ds: rd.Dataset, small: pd.DataFrame, on, how="inner"):
     return ds.map_batches(
         BroadcastJoiner(ray.put(small), on, how), batch_format="pandas"
     )

@@ -1,9 +1,11 @@
 """Text-analysis pipelines over the ``documents`` table (training-data suite:
 language-ID, quality scoring, token counting, fingerprinting).
 
-Stateful kernels (compiled regexes, stopword sets) live in actor-pool
-callables (``__init__`` once per actor); everything per-batch is vectorized
-pandas/numpy.
+Every map stage runs as plain tasks (no actor pool is started per call).
+Scorers are callable instances whose constructor state ships with the
+pickled callable; state that must be built from a broadcast ref is built
+once per worker process through ``context.worker_cached``. Everything
+per-batch is vectorized pandas/numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Count, Mean
 
+from crawler_ray.context import worker_cached
 from crawler_ray.functions.rounding import round_np
 from crawler_ray.pipelines.dedup import _read_docs
 
@@ -737,27 +740,33 @@ FROM c
 
 
 class TfIdfTopK:
-    """Per-doc top-k TF-IDF terms. The document-frequency table is fetched
-    from the object store ONCE per actor (``__init__``), never per batch.
+    """Per-doc top-k TF-IDF terms, as a task-mode callable instance. It
+    holds only the document-frequency table's REF; the term → df map is
+    built from it once per worker process per call
+    (``context.worker_cached`` keyed by the ref), never per batch or task.
     Scoring is exact-integer (idf_k = N*1e6 // df; score = tf * idf_k) so
     the DuckDB oracle reproduces it bit-for-bit — no float log drift."""
 
     def __init__(self, df_ref, n_docs: int, k: int):
-        import ray
-
-        t = ray.get(df_ref)
-        self.df_map = dict(zip(t["term"].to_pylist(), t["df"].to_pylist()))
+        self.df_ref = df_ref
         self.n_docs = n_docs
         self.k = k
 
+    def _build_df_map(self) -> dict:
+        import ray
+
+        t = ray.get(self.df_ref)
+        return dict(zip(t["term"].to_pylist(), t["df"].to_pylist()))
+
     def __call__(self, df: pd.DataFrame) -> pa.Table:
+        df_map = worker_cached("tfidf_df", self.df_ref.hex(), self._build_df_map)
         s = df["text"].str.strip().str.lower().str.split()
         ex = pd.DataFrame(
             {"doc_id": df["doc_id"].repeat(s.str.len()),
              "term": np.concatenate(s.to_numpy()) if len(df) else []}
         )
         tf = ex.groupby(["doc_id", "term"], sort=False).size().reset_index(name="tf")
-        dfv = tf["term"].map(self.df_map).astype("int64")
+        dfv = tf["term"].map(df_map).astype("int64")
         score = tf["tf"].to_numpy(dtype=np.int64) * (
             self.n_docs * 1_000_000 // dfv.to_numpy()
         )
@@ -823,12 +832,7 @@ def doc_top_tfidf(sf_dir: str, k: int = 3) -> rd.Dataset:
                            "df": pa.array([], pa.int64())})]
     df_ref = ray.put(pa.concat_tables(parts))
     n_docs = pq_.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    return docs.map_batches(
-        TfIdfTopK,
-        fn_constructor_args=(df_ref, n_docs, k),
-        concurrency=(1, 8),
-        batch_format="pandas",
-    )
+    return docs.map_batches(TfIdfTopK(df_ref, n_docs, k), batch_format="pandas")
 
 
 def doc_top_tfidf_sql(k: int = 3) -> str:
@@ -2948,8 +2952,9 @@ def bm25_search(
        document frequency (distinct docs in batch — doc rows are whole) plus
        one row carrying the batch token count and max doc length. The driver
        folds O((q+1) × blocks) rows — query-sized, never corpus-sized.
-    2. **Score pass** — the tiny (term → idf_fp) map, ``avgdl`` and ``k``
-       broadcast as actor-constructor constants; each batch tokenizes,
+    2. **Score pass** — a task-mode ``_Bm25Scorer`` instance carries the
+       tiny (term → idf_fp) map, ``avgdl`` and ``k`` in the pickled
+       callable (no actor pool is started per call); each batch tokenizes,
        computes tf for query terms only, scores in exact int64 fixed point
        (see ``_Bm25Scorer``), and emits its LOCAL top-k, so the final
        sort+limit exchange moves O(k × blocks) rows.
@@ -3035,10 +3040,7 @@ def bm25_search(
                 "idf fixed-point scale or split hi/lo"
             )
     return docs.map_batches(
-        _Bm25Scorer,
-        fn_constructor_args=(live_terms, idf_fp, avgdl, k),
-        concurrency=(1, 8),
-        batch_format="pandas",
+        _Bm25Scorer(live_terms, idf_fp, avgdl, k), batch_format="pandas"
     ).sort(["score_fp", "doc_id"], descending=[True, False]).limit(k)
 
 

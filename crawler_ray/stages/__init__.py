@@ -1,2 +1,3 @@
-"""Batch-transform stages: fetch (actor pool), parse (stateless), image
-processing (decode/hash/dedup), frontier selection."""
+"""Batch-transform stages: fetch, parse (stateless), image processing
+(decode/hash/dedup), frontier selection. Each is a callable run in task
+mode; the crawl fuses them into one stage (``stages/process.py``)."""

@@ -1,4 +1,5 @@
-"""Fetch stage — an actor-pool ``map_batches`` callable.
+"""Fetch stage — a ``map_batches`` callable (the crawl runs it inside the
+fused task-mode stage, ``stages/process.py``).
 
 Replaces the reference's per-thread fetch loop (``BaseSpider.TaskRun``,
 ``BaseSpider.cs:115-141``) and its ``IHttpClient`` session state
@@ -6,8 +7,9 @@ Replaces the reference's per-thread fetch loop (``BaseSpider.TaskRun``,
 ST3/ST4 in SURVEY.md §2.3). In this sandbox the network is replaced by the
 deterministic synthetic site graph (a pure function of the pages table), but
 the stage shape is the real one: a callable CLASS whose ``__init__`` builds
-per-actor session state once, and whose ``__call__`` maps a frontier batch to
-a fetched batch (zero-copy Arrow in/out).
+session state once per stage (once per worker process in the crawl), and
+whose ``__call__`` maps a frontier batch to a fetched batch (zero-copy Arrow
+in/out).
 
 On a real cluster ``__init__`` would create an HTTP session and the page
 lookup would be a network round-trip; here it loads the host-pruned pages

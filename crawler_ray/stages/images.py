@@ -8,10 +8,10 @@ Arrow ``binary`` column), MD5 keys the row (``BaseSpider.cs:275`` semantics)
 and dedup is the sharded seen-set with an ``img:`` key namespace (J4
 semi/anti join). ``phash`` (new design) enables near-dup by Hamming distance.
 
-Stateful (holds the SeenSet client) ⇒ used as an actor-pool
-``map_batches(ImageStage(seen), concurrency=N)``. Keep ``batch_size`` small
-for this stage — rows carry encoded image payloads (SURVEY.md §7.5 wide
-binary rows).
+Holds only the SeenSet client (actor handles, pickled with the instance),
+so it maps as a task-mode instance: ``map_batches(ImageStage(seen))``. Keep
+``batch_size`` small for this stage — rows carry encoded image payloads
+(SURVEY.md §7.5 wide binary rows).
 """
 
 from __future__ import annotations

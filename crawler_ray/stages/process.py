@@ -1,14 +1,16 @@
 """Fused per-round crawl stage: fetch → (image decode/hash/dedup | parse →
-robots filter → seen anti-join) in a single actor-pool ``map_batches``.
+robots filter → seen anti-join) in a single task-mode ``map_batches``.
 
 Why fused: between fetch and parse/decode there is no shuffle, so splitting
-them into separate ``map_batches`` stages only adds actor-pool startup and an
-extra object-store hop per round (Ray Data fuses adjacent map stages for the
-same reason). One actor pool per round keeps the round's fixed cost at one
-pool spin-up; the component stages (SyntheticFetchStage, ImageStage,
-RobotsFilterStage, SeenFilterStage in stages/) remain available unfused for
-pipelines that want separate pools (e.g. IO-bound fetch + CPU-bound decode
-with different ``num_cpus``).
+them into separate ``map_batches`` stages only adds an extra object-store
+hop per round (Ray Data fuses adjacent map stages for the same reason). The
+stage runs as plain tasks, not an actor pool: Ray Data starts a pool per
+execution, i.e. per round, while task workers are pre-started and reused,
+so the stage is built once per worker per crawl
+(``context.worker_cached``). The state that must be shared — seen-set and
+politeness — lives in state actors the stage holds handles to. The
+component stages (SyntheticFetchStage, ImageStage, RobotsFilterStage,
+SeenFilterStage in stages/) remain available unfused.
 
 Output: ONE union-schema Arrow table per batch with a ``row_type``
 discriminator:
@@ -35,6 +37,7 @@ import json
 import numpy as np
 import pyarrow as pa
 
+from crawler_ray.context import worker_cached
 from crawler_ray.functions.codecs import decode_image, sniff_fmt
 from crawler_ray.functions.hashing import md5_hex, phash64
 from crawler_ray.stages.fetch import SyntheticFetchStage
@@ -96,23 +99,17 @@ def _row(base: dict, **over) -> dict:
     return r
 
 
-# per-worker-process stage cache for task-mode execution (see
-# make_process_fn): Ray pre-starts and reuses worker processes, so the stage
-# builds once per worker instead of once per actor-pool spin-up per round.
-_PROC_CACHE: dict[str, "CrawlProcessStage"] = {}
-
-
 def make_process_fn(init_args_ref, images_dir, sink_dirs, filter_input,
                     buckets: int, batch_size: int):
     """Task-mode wrapper around CrawlProcessStage.
 
-    Ray Data actor pools are created per execution — a BFS crawl pays the
-    whole pool spin-up every round, which dominates small rounds and skews
-    scaling measurements. Plain tasks run on Ray's PRE-STARTED worker
+    Ray Data actor pools are created per execution — a BFS crawl would pay
+    the whole pool spin-up every round, which dominates small rounds and
+    skews scaling measurements. Plain tasks run on Ray's PRE-STARTED worker
     processes; the stage state (seen/politeness actor HANDLES, robots rules,
     pages index ref — all small or shared) is built lazily once per worker
-    and cached. The truly stateful components stay actors; only the fetch
-    session wrapper becomes elastic. Per-ROUND settings (sink dirs, input
+    through ``context.worker_cached``. The truly stateful components stay
+    actors; only the fetch session wrapper becomes elastic. Per-ROUND settings (sink dirs, input
     admission, frontier bucket count) are plain attrs set on the cached
     stage per call, so the cache key — and the stage build — is stable
     across rounds.
@@ -140,11 +137,11 @@ def _cached_stage(init_args_ref, images_dir, sink_dirs, filter_input,
     import ray
 
     key = init_args_ref.hex() if hasattr(init_args_ref, "hex") else str(init_args_ref)
-    stage = _PROC_CACHE.get(key)
-    if stage is None:
-        stage = CrawlProcessStage(*ray.get(init_args_ref))
-        _PROC_CACHE.clear()  # at most one live config per worker
-        _PROC_CACHE[key] = stage
+    # built once per worker per crawl: Ray pre-starts and reuses worker
+    # processes, so this replaces an actor-pool spin-up per round
+    stage = worker_cached(
+        "crawl_stage", key, lambda: CrawlProcessStage(*ray.get(init_args_ref))
+    )
     stage.images_dir = images_dir
     stage.sink_dirs = sink_dirs or {}
     stage.filter_input = filter_input
@@ -478,15 +475,6 @@ class CrawlProcessStage:
                 )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import os as _os
-        import time as _tm
-        _prof = _os.environ.get("CRAWLER_RAY_STAGE_TIMING")
-        _T = {}
-        def _mark(k, t0):
-            if _prof:
-                _T[k] = _T.get(k, 0.0) + (_tm.monotonic() - t0)
-            return _tm.monotonic()
-        _t0 = _tm.monotonic()
         out: list[dict] = []
         succ_rows: list[dict] = []
         brand_rows: list[dict] = []
@@ -507,7 +495,6 @@ class CrawlProcessStage:
                 batch = self._filter_input_batch(batch, out)
                 if batch.num_rows == 0:
                     return pa.Table.from_pylist(out, schema=ROUND_SCHEMA)
-        _t0 = _mark("admission", _t0)
         fetched = self.fetch(batch)
         if pending_admission is not None:
             seen_mask = type(self.seen).gather(pending_admission)
@@ -518,7 +505,6 @@ class CrawlProcessStage:
                       "depth": 0, "priority": 0.0, "seed_id": ""},
                      row_type="fetch_stat", status=int((~seen_mask).sum()))
             )
-        _t0 = _mark("fetch", _t0)
 
         # redirect chains become FRONTIER DATA (HttpResponse.cs:39-66
         # semantics, Ray-Data-shaped): a 3xx row contributes a successor at
@@ -553,7 +539,6 @@ class CrawlProcessStage:
 
         # vectorized image path (typically the bulk of a breadth round)
         self._process_images(fetched, out)
-        _t0 = _mark("images", _t0)
 
         # page + error rows: row-at-a-time is fine (control-plane volumes)
         rest = fetched.filter(
@@ -626,11 +611,6 @@ class CrawlProcessStage:
         result = pa.Table.from_pylist(out, schema=ROUND_SCHEMA)
         if self.sink_dirs:
             result = self._drain_sinks(result)
-        _mark("rest", _t0)
-        if _prof:
-            import sys as _sys
-            print("STAGE_T " + " ".join(f"{k}={v:.4f}" for k, v in _T.items()),
-                  file=_sys.stderr, flush=True)
         return result
 
     _SINK_SPECS = (
