@@ -229,7 +229,10 @@ def bench_crawl() -> dict:
 def bench_ingest(n_images: int | None = None, img_size: int | None = None) -> dict:
     """Image-frontier ingest throughput: one BFS round over a breadth-only
     frontier of image URLs — fetch (on-demand deterministic synthesis, the
-    network stand-in) → decode → md5 → phash → seen-set dedup → write.
+    network stand-in) → decode → md5 → phash → seen-set dedup → write. The
+    quota is above the seed count, so round 0 reads seeds.parquet directly
+    in balanced blocks (no staging pass; staging would put each host's
+    seeds in one task, and the generator's zipf hosts are skewed).
     This is the breadth-dominated regime the 10^10-URL design point lives in
     (round-barrier costs amortized away), so it is the scaling headline."""
     import shutil

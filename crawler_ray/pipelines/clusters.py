@@ -194,12 +194,7 @@ def connected_components(
              "dst": pa.array(np.concatenate([lab, node]), pa.int64())}
         )
 
-    import os
-    import time as _time
-
-    _dbg = bool(os.environ.get("CRAWLER_RAY_CC_DEBUG"))
-    for _round in range(max_rounds):
-        _t0 = _time.time()
+    for _ in range(max_rounds):
         contribs = partitioned_hash_join(
             e.union(labels.map_batches(lab_edges, batch_format="pyarrow")),
             labels.map_batches(
@@ -228,12 +223,6 @@ def connected_components(
             ),
             batch_format="pyarrow",
         ).sum("changed")
-        if _dbg:
-            print(
-                f"[cc] round={_round} changed={changed} "
-                f"t={_time.time() - _t0:.2f}s",
-                flush=True,
-            )
         # the derived maps only read node/lab, so the materialized merged
         # table (with its extra old column) serves as the next labels
         labels = merged

@@ -7,11 +7,13 @@ exists on the driver, and no round runs an exchange:
     frontier_k: the previous round's checkpoint dir, host-bucketed
                 (frontier/bucket=NNNN/part-*.lance, bucket = hash(host) % B).
                 Round 0: the seed list, first staged into buckets by a
-                map-only pass through the same writer
+                map-only pass through the same writer — or, when the quota
+                is at least the seed count, read straight from seeds.parquet
       → read_parts: one block per group of WHOLE bucket dirs (group count
         from the frontier size, capped at the non-empty buckets)
       → map_batches(make_round_fn, batch_size=None)  # fused, per group:
-            per-host top-quota SELECT (priority desc, url — deterministic)
+            round 0 only: seed admission (robots → seen anti-join)
+            → per-host top-quota SELECT (priority desc, url — deterministic)
             → backlog rows → next frontier, bucketed (in-stage sink)
             → selected rows, chunked: fetch (synthetic | real HTTP w/
               redirect→successor resolution) → image decode/hash/dedup →
@@ -20,8 +22,9 @@ exists on the driver, and no round runs an exchange:
               (sources/io.write_part: one minilance dataset per part,
               content-derived idempotent names; successors bucketed)
       → output = per-(host,kind) sel_stat + <type>_stat summary ROWS only
-    driver: one small collect for metrics/lineage/loop control, then
-    save_round (atomic rename of the staging dir) → frontier_{k+1} path
+    driver: one small collect for metrics/lineage/loop control and the
+    per-host quota guard, then save_round (atomic rename of the staging
+    dir) → frontier_{k+1} path
 
 B is the round's task target (cluster CPUs × ``_BLOCKS_PER_CPU``), shared by
 every task of the round. Each bucket dir holds every row of its hosts, so a
@@ -80,7 +83,9 @@ _BLOCKS_PER_CPU = 3
 class CrawlConfig:
     fixture_dir: str  # pages.parquet / seeds.parquet / robots.json
     out_dir: str  # checkpoint + output root
-    quota_per_host: int = 200  # per-round per-host politeness budget
+    # per-round per-host politeness budget; when it is at least the seed
+    # count, round 0 reads seeds.parquet directly instead of staging it
+    quota_per_host: int = 200
     num_seen_shards: int = 4
     seen_capacity: int = 1 << 16
     fetch_concurrency: int = 4
@@ -102,8 +107,7 @@ class CrawlConfig:
     use_politeness_actors: bool = True
     num_politeness_shards: int = 2
     seed: int = 7
-    # seed lists at least this large stream straight into the fused stage
-    # (no selection shuffle; requires an unconstrained quota)
+    # inert: nothing reads it; removed with the next benchmark change
     big_seed_threshold: int = 50_000
     # the recovery unit is the ROUND: stage tasks mutate the seen-set as a
     # side effect, so a Ray-level task retry would see its own first
@@ -131,9 +135,9 @@ class CrawlResult:
 
 
 def _seed_batch_to_frontier(t: pa.Table) -> pa.Table:
-    """Vectorized seeds→frontier projection for big-seed streaming rounds
-    (generator URLs are already normalized; order is irrelevant because the
-    whole seed frontier is admitted in one unconstrained round)."""
+    """Vectorized seeds→frontier projection, used by the seed-staging pass
+    and by round 0's direct seed read (generator URLs are already
+    normalized; row order is irrelevant, round_fn's selection sorts)."""
     df = t.to_pandas()
     parts = df["url"].str.split("/", n=4, expand=True)
     # hostname with the SAME semantics as functions.urls.url_host (strip
@@ -277,24 +281,12 @@ class CrawlDriver:
     def run(self, resume: bool = False, stop_after_round: int | None = None) -> CrawlResult:
         cfg = self.cfg
         start_round = 0
-        pending_big_seed = False
         seeds_path = os.path.join(cfg.fixture_dir, "seeds.parquet")
         # the frontier NEVER lives on the driver: between rounds it is the
         # checkpoint's per-round part dir (``frontier_source``); the
         # driver holds only this path plus row counters (round-1 VERDICT #5)
         frontier_source: str | None = None  # None → seed round pending
         frontier_rows: int | None = None  # None → unknown (seed round)
-
-        def _seed_round0():
-            """Big seed lists stream straight into round 0 (frontier build,
-            robots filter and seen anti-join all happen INSIDE the fused
-            stage) — the driver never materializes the seed list. Requires
-            an unconstrained quota (breadth/ingest mode); the quota path
-            streams seeds through the fused select+process round instead."""
-            import pyarrow.parquet as _pq
-
-            n = _pq.read_metadata(seeds_path).num_rows
-            return n >= cfg.big_seed_threshold and cfg.quota_per_host >= n
 
         def _rollback_to_latest() -> int:
             """Roll driver + actor state back to the last COMPLETE checkpoint
@@ -306,7 +298,7 @@ class CrawlDriver:
             otherwise leave the old parts alongside new ones — so later
             output is pruned and the seen shards are restored/reset before
             the round re-runs whole."""
-            nonlocal frontier_source, frontier_rows, pending_big_seed
+            nonlocal frontier_source, frontier_rows
             # respawn any DEAD state actor first: restore()/reset() on a
             # dead handle would re-raise and make the rollback itself fail
             self._heal_actors()
@@ -321,7 +313,6 @@ class CrawlDriver:
                 frontier_rows = int(lin.get("successors", 0)) + int(
                     lin.get("backlog", 0)
                 )
-                pending_big_seed = False
                 return latest + 1
             # no complete checkpoint: prune any partial round-0 output and
             # reset to the pristine pre-crawl state
@@ -329,13 +320,10 @@ class CrawlDriver:
             self.seen.reset()
             self.metrics, self.lineage = {}, {}
             frontier_source, frontier_rows = None, None
-            pending_big_seed = _seed_round0()
             return 0
 
         if resume:
             start_round = _rollback_to_latest()
-        elif _seed_round0():
-            pending_big_seed = True
 
         def _totals_from_metrics() -> dict:
             return {
@@ -366,7 +354,7 @@ class CrawlDriver:
         else:
             pages_ref = None
 
-        from crawler_ray.stages.process import make_process_fn, make_round_fn
+        from crawler_ray.stages.process import make_round_fn
 
         # stable per-crawl stage args (shipped ONCE; per-round sink dirs are
         # plain attrs on the worker-cached stage, so workers build the stage
@@ -381,7 +369,6 @@ class CrawlDriver:
                     cfg.max_attempts,
                     cfg.synth_images,
                     None,  # images_dir (per-round attr)
-                    False,  # filter_input (per-round attr)
                     None,  # sink_dirs (per-round attr)
                     cfg.fetcher,
                     cfg.http_opts,
@@ -390,8 +377,8 @@ class CrawlDriver:
 
         base_args_ref = _make_base_args_ref()
 
-        # a pending seed round (frontier_rows None, big-seed or not) runs
-        # only if the seed list has rows: an empty one has nothing to read
+        # a pending seed round (frontier_rows None) runs only if the seed
+        # list has rows: an empty one has nothing to read
         seed_rows = pq.read_metadata(seeds_path).num_rows
         rnd = start_round
         while rnd < cfg.max_rounds and (
@@ -408,7 +395,6 @@ class CrawlDriver:
             # tasks split the next frontier into (io.write_keyed_part)
             target = width * _BLOCKS_PER_CPU
 
-            big_seed_round = pending_big_seed
             # every output class sinks IN-STAGE (images, entities, errors,
             # successors+backlog): the round is ONE streaming execution whose
             # visible output is a handful of summary-stat rows — no branch
@@ -432,48 +418,48 @@ class CrawlDriver:
             }
             images_dir = self.ckpt.images_dir(rnd)  # direct image sink
             seeds_dir = None  # round 0's bucketed seed list
-            if pending_big_seed:
-                # unconstrained breadth ingest: stream the seed list straight
-                # into the fused stage — frontier build is a vectorized map;
-                # robots + seen dedup of the input happen IN-STAGE; no
-                # per-host selection (quota is unconstrained by definition)
-                pending_big_seed = False
-                processed = rd.read_parquet(
-                    seeds_path, override_num_blocks=target,
+            # every round is one round_fn call per host-complete group of
+            # its frontier, with NO exchange: the frontier is stored
+            # host-bucketed (frontier/bucket=NNNN/), and the read hands each
+            # task the rows of whole bucket dirs as one block — fused
+            # per-host SELECT (quota) + PROCESS, with backlog rows written
+            # back to the next frontier. The driver never touches a
+            # frontier row. The group count tracks the KNOWN frontier size
+            # (a driver counter; round 0's from the seed file's footer): a
+            # small frontier is one group (tail rounds of a BFS crawl are
+            # mostly this case), a big one fans out to the full task
+            # target; the read caps it at the non-empty buckets
+            est_rows = seed_rows if frontier_rows is None else frontier_rows
+            n_groups = 1 if est_rows <= max(512, cfg.batch_size * 2) else (
+                max(2, min(target, -(-est_rows // max(64, cfg.batch_size))))
+            )
+            round_fn = make_round_fn(
+                base_args_ref,
+                cfg.quota_per_host,
+                cfg.batch_size,
+                # seed admission (robots + seen) inside the round fn
+                frontier_source is None,
+                images_dir,
+                sink_dirs,
+                buckets=target,
+                fail_once_marker=cfg.fail_once_marker,
+                kill_actor_once_marker=cfg.kill_actor_once_marker,
+            )
+            if frontier_source is None and cfg.quota_per_host >= seed_rows:
+                # round 0 under a quota no host can reach (the exact seed
+                # count from the footer, not an estimate): every grouping
+                # selects every seed, so the seed file is read directly in
+                # n_groups balanced blocks, with no staging pass. Staging
+                # would put each host's seeds in one call, and a skewed seed
+                # list (zipf hosts) would then serialize on its top host
+                src = rd.read_parquet(
+                    seeds_path, override_num_blocks=n_groups,
                     ray_remote_args={"max_retries": 0},
                 ).map_batches(
                     _seed_batch_to_frontier, batch_format="pyarrow",
-                    max_retries=0,
-                ).map_batches(
-                    # one call per block, chunked by batch_size inside, so
-                    # each block writes its successors once (bucketed)
-                    make_process_fn(base_args_ref, images_dir, sink_dirs,
-                                    True, target, cfg.batch_size),
-                    batch_format="pyarrow",
-                    batch_size=None,
-                    # side-effecting stage: the round, not the task, is the
-                    # retry unit (see CrawlConfig.round_retries); max_retries
-                    # matches the producer map so the two stages still fuse
-                    max_retries=0,
+                    batch_size=None, max_retries=0,
                 )
             else:
-                # quota-constrained BFS round, fully distributed and with NO
-                # exchange: the frontier is stored host-bucketed
-                # (frontier/bucket=NNNN/), and the read hands each task the
-                # rows of whole bucket dirs as one block, so every host's
-                # rows meet in one round_fn call — fused per-host SELECT
-                # (quota) + PROCESS, with backlog rows written back to the
-                # next frontier. The driver never touches a frontier row.
-                # seed round: row count from the parquet FOOTER only
-                est_rows = seed_rows if frontier_rows is None else frontier_rows
-                # the group count tracks the KNOWN frontier size (a driver
-                # counter): a small frontier is one group (tail rounds of a
-                # BFS crawl are mostly this case), a big one fans out to the
-                # full task target; the read caps it at the non-empty
-                # buckets
-                n_groups = 1 if est_rows <= max(512, cfg.batch_size * 2) else (
-                    max(2, min(target, -(-est_rows // max(64, cfg.batch_size))))
-                )
                 src_dir = frontier_source
                 if src_dir is None:
                     # round 0 reads the seed list like any frontier: a
@@ -488,27 +474,18 @@ class CrawlDriver:
                     src_dir, override_num_blocks=n_groups,
                     ray_remote_args={"max_retries": 0},
                 )
-                round_fn = make_round_fn(
-                    base_args_ref,
-                    cfg.quota_per_host,
-                    cfg.batch_size,
-                    # seed admission (robots + seen) inside the round fn
-                    frontier_source is None,
-                    images_dir,
-                    sink_dirs,
-                    buckets=target,
-                    fail_once_marker=cfg.fail_once_marker,
-                    kill_actor_once_marker=cfg.kill_actor_once_marker,
-                )
-                # batch_size=None: each block — one host-complete group —
-                # is exactly one round_fn call. The read carries the same
-                # max_retries so Ray fuses it with round_fn: an unfused read
-                # would slice a group above target_max_block_size into
-                # several blocks, and each piece would get the full quota
-                processed = src.map_batches(
-                    round_fn, batch_format="pyarrow", batch_size=None,
-                    max_retries=0,
-                )
+            # batch_size=None: each block — one host-complete group — is
+            # exactly one round_fn call. The read carries the same
+            # max_retries so Ray fuses it with round_fn: an unfused read
+            # would slice a group above target_max_block_size into several
+            # blocks, and each piece would get the full quota (the quota
+            # guard below fails such a round). Side-effecting stage: the
+            # round, not the task, is the retry unit (see
+            # CrawlConfig.round_retries)
+            processed = src.map_batches(
+                round_fn, batch_format="pyarrow", batch_size=None,
+                max_retries=0,
+            )
 
             # the round output is ONLY summary-stat rows (every data class
             # sank in-stage) — a single small collect drives the execution.
@@ -537,44 +514,50 @@ class CrawlDriver:
             if seeds_dir is not None:
                 shutil.rmtree(seeds_dir)  # round 0 has read it
 
-            if not big_seed_round:
-                # --- metrics: pages by (host, kind) from the in-stage
-                # sel_stat summary rows (one per (host, kind) per partition).
-                # The per-host rows go to the round's CHECKPOINT dir, not the
-                # driver dict — at millions of hosts a dict accumulating
-                # hosts × rounds rows is driver state the de-drivered
-                # frontier otherwise avoids (round-2 VERDICT #5); the driver
-                # keeps scalar per-round totals only.
-                mdf = (
-                    stats[stats["row_type"] == "sel_stat"]
-                    .groupby(["host", "kind"], sort=True)["status"]
-                    .sum()
-                    .reset_index()
-                    .rename(columns={"status": "pages"})
+            # --- metrics: pages by (host, kind) from the in-stage sel_stat
+            # summary rows (one per (host, kind) per call). The per-host
+            # rows go to the round's CHECKPOINT dir, not the driver dict —
+            # at millions of hosts a dict accumulating hosts × rounds rows
+            # is driver state the de-drivered frontier otherwise avoids
+            # (round-2 VERDICT #5); the driver keeps scalar per-round totals
+            # only.
+            mdf = (
+                stats[stats["row_type"] == "sel_stat"]
+                .groupby(["host", "kind"], sort=True)["status"]
+                .sum()
+                .reset_index()
+                .rename(columns={"status": "pages"})
+            )
+            edf = (
+                stats[stats["row_type"] == "error_stat"]
+                .groupby(["host", "kind"], sort=True)["status"]
+                .sum()
+                .reset_index()
+                .rename(columns={"status": "errors"})
+            )
+            mdf = mdf.merge(edf, on=["host", "kind"], how="outer", sort=True)
+            mdf["pages"] = mdf["pages"].fillna(0).astype("int64")
+            mdf["errors"] = mdf["errors"].fillna(0).astype("int64")
+            # quota guard: a host group split over two round_fn calls gets
+            # the quota once per piece, and it over-selects exactly when
+            # the pieces' sum exceeds the quota — so this check is complete
+            per_host = mdf.groupby("host", sort=True)["pages"].sum()
+            over = per_host[per_host > cfg.quota_per_host]
+            if len(over):
+                raise RuntimeError(
+                    f"round {rnd}: host {over.index[0]!r} selected "
+                    f"{int(over.iloc[0])} pages, over its quota of "
+                    f"{cfg.quota_per_host} (a host group was split across "
+                    f"round_fn calls)"
                 )
-                edf = (
-                    stats[stats["row_type"] == "error_stat"]
-                    .groupby(["host", "kind"], sort=True)["status"]
-                    .sum()
-                    .reset_index()
-                    .rename(columns={"status": "errors"})
-                )
-                mdf = mdf.merge(edf, on=["host", "kind"], how="outer", sort=True)
-                mdf["pages"] = mdf["pages"].fillna(0).astype("int64")
-                mdf["errors"] = mdf["errors"].fillna(0).astype("int64")
-                self.ckpt.write_host_metrics(
-                    rnd, pa.Table.from_pandas(mdf, preserve_index=False)
-                )
-                n_pages = int(mdf["pages"].sum())
-                self.metrics[f"round_{rnd:04d}"] = {
-                    "pages": n_pages,
-                    "hosts": int(mdf["host"].nunique()),
-                }
-            else:
-                # big-seed streaming round: admitted-row accounting comes
-                # from the in-stage fetch_stat summary rows
-                n_pages = int(s.get("fetch_stat", 0))
-                self.metrics[f"round_{rnd:04d}"] = {"big_seed_pages": n_pages}
+            self.ckpt.write_host_metrics(
+                rnd, pa.Table.from_pandas(mdf, preserve_index=False)
+            )
+            n_pages = int(mdf["pages"].sum())
+            self.metrics[f"round_{rnd:04d}"] = {
+                "pages": n_pages,
+                "hosts": int(mdf["host"].nunique()),
+            }
             totals["pages"] += n_pages
             totals["images"] += n_imgs
             totals["errors"] += n_dead

@@ -1,8 +1,9 @@
 """Multimodal-column stages: image/audio/video as opaque ``binary`` columns
 with typed metadata, processed by actor-pool ``map_batches`` stages.
 
-The engine's own image path (stages/images.py) uses the real PNG codec and
-deterministic lossy stand-ins. The stages here are the GENERIC plumbing a
+The crawl's own image path (``CrawlProcessStage._process_images`` in
+stages/process.py) uses the real PNG codec and deterministic lossy
+stand-ins. The stages here are the GENERIC plumbing a
 training-data pipeline needs over arbitrary media blobs:
 
 - ``ImageResizeStage`` — decode → resize → re-encode (REAL for the formats

@@ -1,3 +1,3 @@
-"""Batch-transform stages: fetch, parse (stateless), image processing
-(decode/hash/dedup), frontier selection. Each is a callable run in task
-mode; the crawl fuses them into one stage (``stages/process.py``)."""
+"""Crawl stages: fetch (synthetic or HTTP) and the page parsers, fused with
+image decode/hash/dedup, admission and per-host selection into the one
+task-mode round stage (``stages/process.py``)."""

@@ -21,7 +21,6 @@ recorded, then dead-lettered (``BaseSpider.cs:235-247`` retry budget).
 from __future__ import annotations
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 
@@ -431,13 +430,3 @@ class HttpFetchStage:
             )
         )
 
-
-def split_fetched(fetched: pa.Table) -> dict[str, pa.Table]:
-    """Partition one fetched batch into ok-pages / ok-images / dead letters."""
-    ok = pc.equal(fetched["status"], 200)
-    is_img = pc.equal(fetched["kind"], "image")
-    return {
-        "pages": fetched.filter(pc.and_(ok, pc.invert(is_img))),
-        "images": fetched.filter(pc.and_(ok, is_img)),
-        "dead": fetched.filter(pc.invert(ok)),
-    }

@@ -1,9 +1,10 @@
-"""Parse stage — stateless ``map_batches`` over fetched pages.
+"""Page parsers — stateless functions from one decoded page to row dicts.
 
 Re-expresses the reference's parser family (SURVEY.md §2.2):
 
 - M1 envelope parse + ``IsSuccess`` predicate (``ShiweijiaCategory.cs:62-81``,
-  ``ShiweijiaProduct.cs:105-127``),
+  ``ShiweijiaProduct.cs:105-127``), checked by the fused stage before a
+  parser runs,
 - M2 recursive category-tree walk → rows (``ShiweijiaCategory.ParseItem``,
   ``:83-107``) — stack-based here, flattening ``Data[].Subs[]`` into
   ``(id, name, img, parent_id)`` adjacency rows,
@@ -15,32 +16,17 @@ Re-expresses the reference's parser family (SURVEY.md §2.2):
   (``ShiweijiaProduct.ParseProduct:226-265``, ``GetSpecifications:271-296``,
   empty values dropped).
 
-Output is a single Arrow schema with a ``row_type`` discriminator
-(succ | category | product); the crawl driver filters branches off the
-materialized per-round parse result (cheap — no re-execution).
+Each parser maps one decoded page to row dicts with a ``row_type``
+discriminator (succ | category | product | brand); the fused crawl
+stage (``stages/process.py``) looks the parser up in ``_PARSERS`` by page
+kind.
 """
 
 from __future__ import annotations
 
 import json
 
-import pyarrow as pa
-
 from crawler_ray.functions.urls import normalize_url, url_host
-
-PARSED_SCHEMA = pa.schema(
-    [
-        ("row_type", pa.string()),  # succ | category | product
-        ("url", pa.string()),
-        ("host", pa.string()),
-        ("kind", pa.string()),
-        ("depth", pa.int32()),
-        ("priority", pa.float64()),
-        ("seed_id", pa.string()),
-        ("caption", pa.string()),
-        ("record", pa.string()),  # JSON entity payload for category/product rows
-    ]
-)
 
 
 def _succ(url: str, kind: str, parent, caption: str = "") -> dict:
@@ -235,41 +221,3 @@ _PARSERS = {
     "product_detail": _parse_product_detail,
 }
 
-
-def parse_pages_batch(batch: pa.Table) -> pa.Table:
-    """Fetched (non-image, 200) batch → PARSED_SCHEMA rows. Rows whose JSON
-    fails to parse or with ``IsSuccess=false`` become ``row_type='error'``
-    dead letters (the reference spills them to error/*.txt,
-    ``BaseSpider.cs:183-193``; we keep lineage in-table instead)."""
-    out: list[dict] = []
-    cols = batch.select(
-        ["url", "host", "kind", "depth", "priority", "seed_id", "payload"]
-    ).to_pylist()
-    for row in cols:
-        parent = row
-        try:
-            from crawler_ray.functions.codecs import decode_text
-
-            doc = json.loads(decode_text(row["payload"]))
-            ok = bool(doc.get("IsSuccess"))
-        except (ValueError, UnicodeDecodeError):
-            doc, ok = None, False
-        if not ok:
-            out.append(
-                {
-                    "row_type": "error",
-                    "url": row["url"],
-                    "host": row["host"],
-                    "kind": row["kind"],
-                    "depth": row["depth"],
-                    "priority": row["priority"],
-                    "seed_id": row["seed_id"],
-                    "caption": "",
-                    "record": "",
-                }
-            )
-            continue
-        parser = _PARSERS.get(row["kind"])
-        if parser:
-            out.extend(parser(doc, parent))
-    return pa.Table.from_pylist(out, schema=PARSED_SCHEMA)

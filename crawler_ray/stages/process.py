@@ -8,9 +8,9 @@ stage runs as plain tasks, not an actor pool: Ray Data starts a pool per
 execution, i.e. per round, while task workers are pre-started and reused,
 so the stage is built once per worker per crawl
 (``context.worker_cached``). The state that must be shared — seen-set and
-politeness — lives in state actors the stage holds handles to. The
-component stages (SyntheticFetchStage, ImageStage, RobotsFilterStage,
-SeenFilterStage in stages/) remain available unfused.
+politeness — lives in state actors the stage holds handles to. Every crawl
+round runs ``make_round_fn``: seed admission (round 0 only), per-host
+selection (``select_per_host``), then this stage over the selected rows.
 
 Output: ONE union-schema Arrow table per batch with a ``row_type``
 discriminator:
@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 
 from crawler_ray.context import worker_cached
@@ -99,40 +100,7 @@ def _row(base: dict, **over) -> dict:
     return r
 
 
-def make_process_fn(init_args_ref, images_dir, sink_dirs, filter_input,
-                    buckets: int, batch_size: int):
-    """Task-mode wrapper around CrawlProcessStage.
-
-    Ray Data actor pools are created per execution — a BFS crawl would pay
-    the whole pool spin-up every round, which dominates small rounds and
-    skews scaling measurements. Plain tasks run on Ray's PRE-STARTED worker
-    processes; the stage state (seen/politeness actor HANDLES, robots rules,
-    pages index ref — all small or shared) is built lazily once per worker
-    through ``context.worker_cached``. The truly stateful components stay
-    actors; only the fetch session wrapper becomes elastic. Per-ROUND settings (sink dirs, input
-    admission, frontier bucket count) are plain attrs set on the cached
-    stage per call, so the cache key — and the stage build — is stable
-    across rounds.
-
-    Each call processes its whole block in ``batch_size`` chunks and writes
-    the block's frontier rows once (``CrawlProcessStage.flush_frontier``):
-    one part per bucket per call, not per chunk.
-    """
-
-    def process_fn(block: pa.Table) -> pa.Table:
-        stage = _cached_stage(init_args_ref, images_dir, sink_dirs,
-                              filter_input, buckets)
-        outs = [stage(block.slice(c0, batch_size))
-                for c0 in range(0, block.num_rows, batch_size)]
-        stage.flush_frontier()
-        if not outs:
-            return pa.Table.from_pylist([], schema=ROUND_SCHEMA)
-        return pa.concat_tables(outs)
-
-    return process_fn
-
-
-def _cached_stage(init_args_ref, images_dir, sink_dirs, filter_input,
+def _cached_stage(init_args_ref, images_dir, sink_dirs,
                   buckets: int) -> "CrawlProcessStage":
     import ray
 
@@ -144,7 +112,6 @@ def _cached_stage(init_args_ref, images_dir, sink_dirs, filter_input,
     )
     stage.images_dir = images_dir
     stage.sink_dirs = sink_dirs or {}
-    stage.filter_input = filter_input
     stage.buckets = buckets
     # frontier rows a failed call left unflushed belong to a round that is
     # rolled back; they must not reach this call's frontier
@@ -187,18 +154,33 @@ def _passthrough_rows(df, row_type: str, status=None) -> pa.Table:
     ).cast(ROUND_SCHEMA)
 
 
+def select_per_host(df: pd.DataFrame, quota: int
+                    ) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """Per-host top-``quota`` selection (O1 priority frontier): within each
+    host, rows rank by (priority desc, url asc) — deterministic and
+    arrival-order-free, so any host-complete grouping of a frontier selects
+    the same rows. Returns (selected, backlog), both in (host, priority
+    desc, url) order."""
+    df = df.sort_values(["host", "priority", "url"],
+                        ascending=[True, False, True], kind="mergesort")
+    sel = (df.groupby("host", sort=False).cumcount() < quota).to_numpy()
+    return df[sel], df[~sel]
+
+
 def make_round_fn(init_args_ref, quota: int, batch_size: int,
-                  filter_input: bool, images_dir, sink_dirs, buckets: int,
+                  admit_seeds: bool, images_dir, sink_dirs, buckets: int,
                   fail_once_marker: str | None = None,
                   kill_actor_once_marker: str | None = None):
-    """Fused SELECT + PROCESS for one host-complete group of the frontier:
-    the caller hands each call ALL rows of the hosts it holds, in one
-    block (``map_batches(batch_size=None)`` over a read of whole
-    ``bucket=NNNN`` dirs; round 0 reads the staged seed list the same way),
-    so no exchange runs in front of it. Per-host top-``quota`` selection (priority desc,
-    url asc — deterministic, arrival-order-free) runs vectorized where the
-    group's rows already are, so any host-complete grouping selects the
-    same rows. Unselected rows go to the next round's frontier as backlog
+    """Fused ADMIT + SELECT + PROCESS for one host-complete group of the
+    frontier: the caller hands each call ALL rows of the hosts it holds, in
+    one block (``map_batches(batch_size=None)`` over a read of whole
+    ``bucket=NNNN`` dirs), so no exchange runs in front of it. Round 0 runs
+    with ``admit_seeds``: the robots filter and seen anti-join drop seed
+    rows before selection. Its source is the seed list staged into buckets
+    the same way, or, when the quota is at least the whole seed count (no
+    host can exceed it, so any grouping selects every row), the seed file
+    read directly. ``select_per_host`` runs where the group's rows already
+    are. Unselected rows go to the next round's frontier as backlog
     and selected rows are processed in ``batch_size`` chunks by the cached
     CrawlProcessStage; the call's backlog and successors are written once,
     at its end, host-bucketed into ``buckets`` dirs. The frontier therefore
@@ -223,8 +205,7 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
                 raise RuntimeError("injected round failure (fail_once_marker)")
             except FileExistsError:
                 pass
-        stage = _cached_stage(init_args_ref, images_dir, sink_dirs, False,
-                              buckets)
+        stage = _cached_stage(init_args_ref, images_dir, sink_dirs, buckets)
         if kill_actor_once_marker is not None:
             # fault-injection hook (tests only): the FIRST task to claim the
             # marker KILLS a seen-shard STATE ACTOR mid-round (no_restart —
@@ -244,17 +225,12 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
             except FileExistsError:
                 pass
         outs: list[pa.Table] = []
-        acct: list[dict] = []
-        if filter_input:
-            # seed admission (robots + seen anti-join) BEFORE selection, as
-            # the driver-side seed round did: blocked/seen rows never take
+        group = group.select(_FRONTIER_COLS)
+        if admit_seeds:
+            # seed admission BEFORE selection: blocked/seen rows never take
             # quota slots and never reach the backlog
-            group = stage._filter_input_batch(group.select(_FRONTIER_COLS), acct)
-        df = group.select(_FRONTIER_COLS).to_pandas()
-        df = df.sort_values(["host", "priority", "url"],
-                            ascending=[True, False, True], kind="mergesort")
-        sel = (df.groupby("host", sort=False).cumcount() < quota).to_numpy()
-        backlog = df[~sel]
+            group = stage._admit(group)
+        sdf, backlog = select_per_host(group.to_pandas(), quota)
         if len(backlog):
             if stage.sink_dirs.get("frontier") is not None:
                 # backlog rows go to the next-round frontier with the
@@ -265,14 +241,14 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
                     "frontier",
                     "backlog",
                 )
-                acct.append(
-                    _row({"url": "", "host": "", "kind": "backlog",
-                          "depth": 0, "priority": 0.0, "seed_id": ""},
-                         row_type="backlog_stat", status=len(backlog))
-                )
+                outs.append(pa.Table.from_pylist(
+                    [_row({"url": "", "host": "", "kind": "backlog",
+                           "depth": 0, "priority": 0.0, "seed_id": ""},
+                          row_type="backlog_stat", status=len(backlog))],
+                    schema=ROUND_SCHEMA,
+                ))
             else:
                 outs.append(_passthrough_rows(backlog, "backlog"))
-        sdf = df[sel]
         if len(sdf):
             # per-(host,kind) selection accounting for driver metrics
             cnt = (sdf.groupby(["host", "kind"], sort=True)
@@ -284,8 +260,6 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
             for c0 in range(0, len(sdf), batch_size):
                 outs.append(stage(sel_t.slice(c0, batch_size)))
         stage.flush_frontier()
-        if acct:
-            outs.append(pa.Table.from_pylist(acct, schema=ROUND_SCHEMA))
         if not outs:
             return pa.Table.from_pylist([], schema=ROUND_SCHEMA)
         return pa.concat_tables(outs)
@@ -298,7 +272,7 @@ class CrawlProcessStage:
 
     def __init__(self, pages_ref, politeness, seen, robots_txt: dict[str, str],
                  max_attempts: int = 3, synth_images: dict | None = None,
-                 images_dir: str | None = None, filter_input: bool = False,
+                 images_dir: str | None = None,
                  sink_dirs: dict | None = None, fetcher: str = "synthetic",
                  http_opts: dict | None = None):
         if fetcher == "http":
@@ -320,10 +294,6 @@ class CrawlProcessStage:
         # write pass — images are the bulk payload at scale, and this keeps
         # them out of the round's materialized control output entirely.
         self.images_dir = images_dir
-        # breadth-seed mode: the round-0 frontier streams straight from the
-        # seed file, so robots + seen dedup of the INPUT happens here instead
-        # of on the driver (the driver never materializes the seed list)
-        self.filter_input = filter_input
         # in-stage sinks (same rationale as the image sink above, applied to
         # EVERY output class): {"categories":…, "products":…, "errors":…,
         # "frontier":…} per-round dirs. When set, entity/error/successor
@@ -341,35 +311,19 @@ class CrawlProcessStage:
         # ``buckets`` host buckets; _cached_stage sets both per call
         self.frontier_rows: list[pa.Table] = []
 
-    def _robots_filter(self, batch: pa.Table) -> tuple[pa.Table, list[str]]:
-        """Drop robots-disallowed rows; returns (batch, surviving urls) —
-        the local (no-RPC) half of admission, shared by the blocking and
-        the async-overlap paths."""
+    def _admit(self, batch: pa.Table) -> pa.Table:
+        """Seed admission: drop robots-disallowed rows, then the rows whose
+        URL the seen-set already holds (marking the rest seen)."""
         urls = batch["url"].to_pylist()
         if self.has_robots_rules:
             allowed = self.robots.allowed(urls)
             if not allowed.all():
                 batch = batch.filter(pa.array(allowed))
                 urls = [u for u, a in zip(urls, allowed) if a]
-        return batch, urls
-
-    def _filter_input_batch(self, batch: pa.Table, out: list[dict]) -> pa.Table:
-        batch, urls = self._robots_filter(batch)
         if not urls:
             return batch
         seen_mask = self.seen.check_and_insert(urls)
-        if seen_mask.any():
-            batch = batch.filter(pa.array(~seen_mask))
-        # one accounting row per batch: rows actually admitted for fetching
-        out.append(
-            _row(
-                {"url": "", "host": "", "kind": "fetch",
-                 "depth": 0, "priority": 0.0, "seed_id": ""},
-                row_type="fetch_stat",
-                status=int((~seen_mask).sum()),
-            )
-        )
-        return batch
+        return batch.filter(pa.array(~seen_mask)) if seen_mask.any() else batch
 
     def _process_images(self, fetched: pa.Table, out: list[dict]) -> None:
         """Vectorized image path: columnar in/out, per-row work is only the
@@ -478,33 +432,7 @@ class CrawlProcessStage:
         out: list[dict] = []
         succ_rows: list[dict] = []
         brand_rows: list[dict] = []
-        pending_admission = None
-        if self.filter_input:
-            # admission OVERLAP: robots-filter locally (cheap), issue the
-            # seen-set anti-join RPC asynchronously and let the fetch below
-            # hide its round-trip — the blocking variant measured as a large
-            # idle gap at high worker counts. Fetched rows for already-seen
-            # inputs are dropped after the gather (duplicate seeds are rare
-            # by construction, so the wasted fetch work is ~zero).
-            if hasattr(self.seen, "check_and_insert_async"):
-                batch, urls = self._robots_filter(batch)
-                if not urls:
-                    return pa.Table.from_pylist(out, schema=ROUND_SCHEMA)
-                pending_admission = self.seen.check_and_insert_async(urls)
-            else:
-                batch = self._filter_input_batch(batch, out)
-                if batch.num_rows == 0:
-                    return pa.Table.from_pylist(out, schema=ROUND_SCHEMA)
         fetched = self.fetch(batch)
-        if pending_admission is not None:
-            seen_mask = type(self.seen).gather(pending_admission)
-            if seen_mask.any():
-                fetched = fetched.filter(pa.array(~seen_mask))
-            out.append(
-                _row({"url": "", "host": "", "kind": "fetch",
-                      "depth": 0, "priority": 0.0, "seed_id": ""},
-                     row_type="fetch_stat", status=int((~seen_mask).sum()))
-            )
 
         # redirect chains become FRONTIER DATA (HttpResponse.cs:39-66
         # semantics, Ray-Data-shaped): a 3xx row contributes a successor at
@@ -589,8 +517,9 @@ class CrawlProcessStage:
                 else:
                     out.append(_row(p, row_type=p["row_type"], record=p["record"]))
 
-        # successors: robots filter THEN seen anti-join (blocked URLs stay
-        # unmarked — see stages/frontier.py rationale)
+        # successors: robots filter THEN seen anti-join — a blocked URL is
+        # never visited, so it stays unmarked (a later robots change could
+        # admit it)
         if succ_rows:
             allowed = self.robots.allowed([r["url"] for r in succ_rows])
             succ_rows = [r for r, a in zip(succ_rows, allowed) if a]

@@ -324,15 +324,26 @@ def test_frontier_never_driver_resident(crawl_once):
         assert rows == lin["successors"] + lin["backlog"], key
 
 
+def _spy_seed_staging(monkeypatch) -> list:
+    """Record every call of the round-0 seed-staging pass."""
+    from crawler_ray.pipelines import crawl as crawl_mod
+
+    staged = []
+    stage = crawl_mod._stage_seed_frontier
+    monkeypatch.setattr(crawl_mod, "_stage_seed_frontier",
+                        lambda *a: staged.append(a) or stage(*a))
+    return staged
+
+
 def test_big_seed_streaming_path_equivalence(ray_session, tmp_path_factory,
                                              monkeypatch):
-    """The big-seed streaming round (the ingest/scaling headline: seeds
-    stream straight into the fused stage, in-stage admission, no selection
-    shuffle) must produce the BIT-IDENTICAL images table as the
-    quota-selection path over the same seed list. The quota path first
-    stages the seeds as a host-bucketed frontier, which round 0 reads as
-    one group (400 seeds) or several (1,200) — with no exchange either
-    way."""
+    """Round 0 reads seeds.parquet directly when the quota is at least the
+    seed count (the ingest/scaling headline: balanced blocks, no staging
+    pass), and stages the seeds into host buckets otherwise. A quota equal
+    to the largest per-host seed count stages them yet still selects every
+    seed, so both sources must give the BIT-IDENTICAL images table — with
+    no exchange either way, at one read group (400 seeds) and several
+    (1,200)."""
     import os
 
     import pyarrow.parquet as pq
@@ -340,30 +351,28 @@ def test_big_seed_streaming_path_equivalence(ray_session, tmp_path_factory,
     from crawler_ray.pipelines import crawl as crawl_mod
     from crawler_ray.sources.synthetic import generate_image_frontier
 
-    staged = []
-    stage = crawl_mod._stage_seed_frontier
-    monkeypatch.setattr(crawl_mod, "_stage_seed_frontier",
-                        lambda *a: staged.append(a) or stage(*a))
+    staged = _spy_seed_staging(monkeypatch)
     synth = {"seed": 42, "img_sizes": [16], "robots_frac": 0.0}
     for n_seeds in (400, 1200):
         fix = tmp_path_factory.mktemp(f"bigseed_fix{n_seeds}")
         seeds = generate_image_frontier(n_seeds, n_hosts=8, img_sizes=(16,))
         pq.write_table(seeds, str(fix / "seeds.parquet"))
         (fix / "robots.json").write_text("{}")
+        hosts = crawl_mod._seed_batch_to_frontier(seeds)["host"]
+        top_host = max(c["counts"] for c in hosts.value_counts().to_pylist())
+        assert top_host < n_seeds
 
         out_a = tmp_path_factory.mktemp("bigseed_a")
-        _, res_a = _run(
-            str(fix), out_a, quota_per_host=10**9, synth_images=synth,
-            big_seed_threshold=100,  # forces the streaming path
-        )
         staged.clear()
+        with _no_exchanges(monkeypatch):
+            _, res_a = _run(str(fix), out_a, quota_per_host=10**9,
+                            synth_images=synth)
+        assert len(staged) == 0  # direct seed read
         out_b = tmp_path_factory.mktemp("bigseed_b")
         with _no_exchanges(monkeypatch):
-            _, res_b = _run(
-                str(fix), out_b, quota_per_host=10**9, synth_images=synth,
-                big_seed_threshold=10**9,  # forces the quota-selection path
-            )
-        assert len(staged) == 1
+            _, res_b = _run(str(fix), out_b, quota_per_host=top_host,
+                            synth_images=synth)
+        assert len(staged) == 1  # staged seed buckets
         assert not os.path.exists(out_b / "round_0000" / "seeds")  # cleaned
         n_distinct = len(set(seeds["url"].to_pylist()))  # planted dup URLs
         assert res_a.rounds == 1 and res_a.pages_fetched == n_distinct
@@ -374,12 +383,13 @@ def test_big_seed_streaming_path_equivalence(ray_session, tmp_path_factory,
         assert a.equals(b)
 
 
-@pytest.mark.parametrize("big_seed_threshold", [50_000, 0])
+@pytest.mark.parametrize("quota_per_host", [50_000, 0])
 def test_empty_seed_list_crawls_nothing(ray_session, small_site, tmp_path,
-                                        big_seed_threshold):
-    """A 0-row seeds.parquet is a crawl with nothing to do, on the quota
-    path and on the big-seed streaming path alike: no round runs, no page
-    is fetched and the images table is empty."""
+                                        monkeypatch, quota_per_host):
+    """A 0-row seeds.parquet is a crawl with nothing to do, under a quota
+    that would read the seed file directly and one that would stage it
+    into host buckets alike: no round runs, no page is fetched, nothing is
+    staged and the images table is empty."""
     import shutil
 
     import pyarrow.parquet as pq
@@ -389,8 +399,10 @@ def test_empty_seed_list_crawls_nothing(ray_session, small_site, tmp_path,
     shutil.copytree(site_dir, fix)
     seeds = pq.read_table(fix / "seeds.parquet")
     pq.write_table(seeds.slice(0, 0), fix / "seeds.parquet")
+    staged = _spy_seed_staging(monkeypatch)
     drv, res = _run(str(fix), tmp_path / "out",
-                    big_seed_threshold=big_seed_threshold)
+                    quota_per_host=quota_per_host)
+    assert staged == []
     assert res.pages_fetched == 0 and res.images_written == 0
     assert res.rounds == 0 and res.seen_size == 0
     assert read_images_table(str(tmp_path / "out")).num_rows == 0
@@ -596,15 +608,17 @@ def test_wide_rounds_bucket_count_invariant_and_exchange_free(
 
 
 def test_big_seed_streaming_round_buckets_its_successors(
-    ray_session, wide_site, tmp_path_factory
+    ray_session, wide_site, tmp_path_factory, monkeypatch
 ):
-    """The big-seed streaming round 0 writes its successors over B host
-    buckets like a quota round, so round 1 can read them as more than one
-    group; the crawl that follows gives the golden output."""
+    """Under an unbounded quota round 0 reads the seed file directly, and
+    still writes its successors over B host buckets like any round, so
+    round 1 can read them as more than one group; the crawl that follows
+    gives the golden output."""
     site, site_dir = wide_site
+    staged = _spy_seed_staging(monkeypatch)
     out = tmp_path_factory.mktemp("wide_stream")
-    drv, res = _run(site_dir, out, quota_per_host=10**9,
-                    big_seed_threshold=1)  # round 0 streams its seeds
+    drv, res = _run(site_dir, out, quota_per_host=10**9)
+    assert len(staged) == 0
     assert res.rounds > 1
     assert res.pages_fetched == len(site.expected_seen)
     assert read_images_table(drv.cfg.out_dir).equals(site.expected_images)
@@ -629,6 +643,43 @@ def test_group_reaches_round_fn_whole_under_small_block_size(
     out = tmp_path_factory.mktemp("wide_block8k")
     drv, res = _run(site_dir, out, quota_per_host=WIDE_QUOTA, batch_size=512)
     _check_wide(site, drv, res)
+
+
+def test_quota_guard_fails_a_round_whose_read_is_not_fused(
+    ray_session, wide_site, tmp_path_factory, monkeypatch
+):
+    """Without ``ray_remote_args`` the read does not fuse with round_fn, so
+    Ray slices each group above the 8 KiB target_max_block_size into
+    several blocks and each piece selects up to the quota. The driver's
+    per-host sum over the round's sel_stat rows catches the over-selection
+    and fails the crawl, naming the round, host, count and quota."""
+    from ray.data import DataContext
+
+    from crawler_ray.pipelines import crawl as crawl_mod
+
+    read_parts = crawl_mod.read_parts
+
+    def unfused_read(path, **kwargs):
+        kwargs.pop("ray_remote_args", None)
+        return read_parts(path, **kwargs)
+
+    monkeypatch.setattr(crawl_mod, "read_parts", unfused_read)
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
+                        8 * 1024)
+    _, site_dir = wide_site
+    drv = CrawlDriver(CrawlConfig(
+        fixture_dir=site_dir, out_dir=str(tmp_path_factory.mktemp("unfused")),
+        quota_per_host=WIDE_QUOTA, fetch_concurrency=2, num_seen_shards=2,
+        batch_size=512,
+    ))
+    try:
+        with pytest.raises(RuntimeError, match=(
+            rf"round \d+: host '[^']+' selected \d+ pages, "
+            rf"over its quota of {WIDE_QUOTA}"
+        )):
+            drv.run()
+    finally:
+        drv.shutdown()
 
 
 def test_resume_rejects_unbucketed_frontier(ray_session, small_site,

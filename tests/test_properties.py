@@ -112,13 +112,14 @@ def test_url_join_absolute(base, link):
     st.integers(1, 5),
 )
 @settings(max_examples=40, deadline=None)
-def test_fused_selection_matches_library_selection(rows, quota):
-    """The fused round fn's vectorized per-host top-quota mask must select
-    exactly the same URL set as the library select_per_host, for any
-    frontier and quota (determinism + O1 semantics)."""
+def test_select_per_host_matches_brute_force(rows, quota):
+    """The selection round_fn runs (``select_per_host``) picks, per host,
+    the ``quota`` rows a brute-force rank by (priority desc, url asc)
+    picks, whatever the frontier's row order; every other row is backlog,
+    and both come back in (host, priority desc, url) order."""
     import pandas as pd
 
-    from crawler_ray.stages.frontier import select_per_host
+    from crawler_ray.stages.process import select_per_host
 
     df = pd.DataFrame(
         {
@@ -127,16 +128,25 @@ def test_fused_selection_matches_library_selection(rows, quota):
             "priority": [pr for _, _, pr in rows],
         }
     ).drop_duplicates("url")
-    # fused-round mask (stages/process.py make_round_fn selection)
-    s = df.sort_values(["host", "priority", "url"],
-                       ascending=[True, False, True], kind="mergesort")
-    fused = set(s[ (s.groupby("host", sort=False).cumcount() < quota) ]["url"])
-    # library per-host selection
-    lib = set()
-    for _, g in df.groupby("host", sort=True):
-        marked = select_per_host(g, quota)
-        lib |= set(marked[marked["selected"]]["url"])
-    assert fused == lib
+    # brute force: rank each host's rows one comparison at a time
+    recs = list(df.itertuples(index=False))
+    want = set()
+    for r in recs:
+        rank = sum(
+            1 for o in recs
+            if o.host == r.host
+            and (o.priority > r.priority
+                 or (o.priority == r.priority and o.url < r.url))
+        )
+        if rank < quota:
+            want.add(r.url)
+    for frame in (df, df.iloc[::-1]):  # arrival order must not matter
+        selected, backlog = select_per_host(frame, quota)
+        assert set(selected["url"]) == want
+        assert set(backlog["url"]) == set(df["url"]) - want
+        for part in (selected, backlog):
+            keys = list(zip(part["host"], -part["priority"], part["url"]))
+            assert keys == sorted(keys)
 
 
 @given(

@@ -154,47 +154,3 @@ def test_checkpoint_roundtrip(tmp_path):
     cm.prune_rounds_after(0)
     assert cm.latest_complete_round() == 0
 
-
-def test_frontier_stage_library(ray_session):
-    """The unfused frontier stages (J6 seen anti-join, robots filter, O1
-    per-host priority selection) remain first-class library operators even
-    though the crawl driver uses the fused round fn."""
-    import pandas as pd
-    import pyarrow as pa
-
-    from crawler_ray.stages.frontier import (
-        RobotsFilterStage,
-        SeenFilterStage,
-        select_per_host,
-        split_selected,
-    )
-    from crawler_ray.state.seen import SeenSet
-
-    t = pa.table({
-        "url": [f"https://h{i%2}.example/p{i}" for i in range(8)],
-        "host": [f"h{i%2}.example" for i in range(8)],
-        "priority": [float(i) for i in range(8)],
-    })
-    # robots: disallow /p3 on h1
-    robots = {"h1.example": "User-agent: *\nDisallow: /p3"}
-    allowed = RobotsFilterStage(robots)(t)
-    assert allowed.num_rows == 7
-    assert "https://h1.example/p3" not in allowed["url"].to_pylist()
-
-    seen = SeenSet.create(2, 1 << 12, exact=True, seed=1)
-    first = SeenFilterStage(seen)(allowed)
-    assert first.num_rows == 7  # nothing seen yet; all marked now
-    again = SeenFilterStage(seen)(allowed)
-    assert again.num_rows == 0  # anti-join drops everything on re-offer
-    for a in seen.shards:
-        import ray
-
-        ray.kill(a)
-
-    # O1: per-host top-quota by (priority desc, url)
-    df = t.to_pandas()
-    g = select_per_host(df[df["host"] == "h0.example"], quota=2)
-    sel = g[g["selected"]]
-    assert list(sel["priority"]) == [6.0, 4.0]  # highest priority first
-    selected, backlog = split_selected(t, quota=2)
-    assert selected.num_rows == 4 and backlog.num_rows == 4

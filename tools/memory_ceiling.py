@@ -84,7 +84,8 @@ def _spill_stats() -> dict:
 
 def run_ingest(n_images: int) -> dict:
     """The 1M-URL image-frontier ingest (bench.py's scaling headline) —
-    fetch→decode→md5→phash→seen-dedup→write as one streaming round."""
+    fetch→decode→md5→phash→seen-dedup→write as one round that reads
+    seeds.parquet directly (its quota is above the seed count)."""
     os.environ["GRAFT_INGEST_N"] = str(n_images)
     import bench
 
