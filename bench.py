@@ -8,7 +8,10 @@ can always parse it — the round-3 artifact was lost to a 118-entry line)
      "crawl": {...}, "ingest": {...}}
 with the FULL per-query timing map written to ``bench_queries.json``.
 Index-serving queries appear as separate ``<name>_build`` (cold index
-construction) and ``<name>_probe`` (warm serving) rows.
+construction) and ``<name>_probe`` (warm serving) rows. Its ``"exchanges"``
+map lists each query's all-to-all operators (Sort, Repartition, Aggregate,
+RandomShuffle) in plan order, parsed from ``Dataset.stats()``; a query
+that returns a driver-side DataFrame has no plan to read and maps to null.
 
 Runs over ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1) with
 ``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS)`` (default 32).
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -178,6 +182,19 @@ def _consume(result) -> int:
     return len(result)
 
 
+ALL_TO_ALL_OPS = ("Sort", "Repartition", "Aggregate", "RandomShuffle")
+
+
+def _run_plan(result) -> list[str] | None:
+    """Force full execution; return the all-to-all operator names of the
+    executed plan, or None for a result computed on the driver."""
+    if not hasattr(result, "materialize"):
+        return None
+    names = re.findall(r"^Operator \d+ (\S+?):", result.materialize().stats(),
+                       re.M)
+    return [n for n in names if n in ALL_TO_ALL_OPS]
+
+
 def bench_crawl() -> dict:
     import ray
 
@@ -289,6 +306,11 @@ def bench_ingest(n_images: int | None = None, img_size: int | None = None) -> di
         "images_written": res.images_written,
         "pages_per_sec": round(res.pages_fetched / elapsed, 1),
         "frontier_ops_per_sec": round(frontier_ops / elapsed, 1),
+        # on tmpfs these bytes are host RAM, held beside the object store
+        "out_dir_bytes": sum(
+            os.path.getsize(os.path.join(d, f))
+            for d, _, files in os.walk(out_dir) for f in files
+        ),
     }
     shutil.rmtree(out_dir, ignore_errors=True)  # don't leave GBs on tmpfs
     return out
@@ -336,6 +358,15 @@ def bench_queries() -> dict[str, float]:
         _consume(qs[name](SF_DIR))
         out[name] = round(time.monotonic() - t0, 3)
     return out
+
+
+def bench_exchanges() -> dict[str, list[str] | None]:
+    """Each query's all-to-all operator names, from a second, untimed run
+    (``stats()`` is empty after the timed ``count()``)."""
+    import __ray_entry__ as entry_mod
+
+    qs = entry_mod.queries()
+    return {name: _run_plan(qs[name](SF_DIR)) for name in QUERY_NAMES}
 
 
 # representative heavy pipelines for the query-suite scaling bar (VERDICT
@@ -430,6 +461,7 @@ def main() -> dict:
     queryscale = bench_queryscale() if only == "queryscale" else None
     queries = bench_queries() if only == "" else {}
     total = time.monotonic() - t0
+    exchanges = bench_exchanges() if queries else {}  # untimed second pass
 
     # the driver's tail capture truncates long lines, which destroyed the
     # round-3 artifact ("parsed": null) — so the PRINTED line stays compact:
@@ -438,7 +470,8 @@ def main() -> dict:
     if queries:
         with open(os.path.join(REPO, "bench_queries.json"), "w") as f:
             json.dump(
-                {"sf": SF_DIR, "num_cpus": NUM_CPUS, "queries": queries},
+                {"sf": SF_DIR, "num_cpus": NUM_CPUS, "queries": queries,
+                 "exchanges": exchanges},
                 f, indent=1, sort_keys=True,
             )
     slowest = dict(

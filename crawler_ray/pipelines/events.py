@@ -3,8 +3,11 @@
 Ray Data is a batch engine; the reference is batch too (SURVEY.md §2.9), so
 windows are expressed over the event log as an ordered, partitioned table:
 tumbling windows = groupby a bucketed time key; session windows = per-user
-``map_groups`` over ts-sorted groups (the ordering assumption — events of one
-user fit one group — is the documented partitioning contract).
+folds over ts-sorted rows (the ordering assumption — events of one user meet
+in one fold call — is the documented partitioning contract). Every per-user
+or per-pair exchange here is a single-side ``joins.copartition``, sized by
+``joins.exchange_parts`` from the events footer: an event log within one
+read block folds in one call with no sort exchange.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Sum
+
+from crawler_ray.pipelines.joins import copartition, exchange_parts
+
 
 def _read_events(sf_dir: str, columns: list[str]) -> rd.Dataset:
     from crawler_ray.sources.io import read_parquet_sized
@@ -101,17 +107,14 @@ GROUP BY 1, 2
 def sessionize(sf_dir: str, gap_minutes: int = 30) -> rd.Dataset:
     """Session windows: per-user, a new session starts when the gap since the
     previous event exceeds ``gap_minutes``. Partitioning contract: one user's
-    events co-locate (hash-partition by user), but users are processed per
-    coarse PARTITION with a numpy segment walk — Ray's per-group map_groups
-    costs ~ms of pandas overhead per user (the dedup pipelines' lesson);
-    sums use exact integer cents (order-independent, DuckDB-canonical)."""
+    events co-locate (one user-keyed ``copartition``), but users are
+    processed per coarse PARTITION with a numpy segment walk — Ray's
+    per-group map_groups costs ~ms of pandas overhead per user (the dedup
+    pipelines' lesson); sums use exact integer cents (order-independent,
+    DuckDB-canonical). An event log within one read block is ONE partition:
+    the walk runs once over every event, with no sort exchange."""
     ds = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
     gap_ns = np.int64(gap_minutes * 60) * np.int64(10**9)
-    n_parts = 64
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = (t["user_id"].to_numpy() % n_parts).astype(np.int64)
-        return t.append_column("part", pa.array(part, pa.int64()))
 
     def sessions(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -155,10 +158,13 @@ def sessionize(sf_dir: str, gap_minutes: int = 30) -> rd.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sessions, batch_format="pyarrow")
+    return copartition(
+        [ds],
+        sessions,
+        pa.schema([("event_id", pa.int64()), ("ts", pa.timestamp("us")),
+                   ("value", pa.float64())]),
+        exchange_parts(sf_dir, "events"),
+        key="user_id",
     )
 
 
@@ -368,12 +374,13 @@ def user_event_counts_cms(
     """Approximate per-USER event counts via mergeable Count-Min sketches —
     the point-frequency member of the sketch family (HLL distinct, MG
     frequent items, MRL quantiles). One sketch per batch in map_batches;
-    merge = elementwise counter sum in a single-group final fold; only the
-    fixed-size grids cross the exchange, never user ids. The ``top``
-    highest-traffic users (found with the existing Misra-Gries pass) are
-    then point-queried against the merged sketch. Rows-only driver check
-    (approximate); the one-sided error bound (est >= true, est <= true +
-    eps*N) is asserted vs exact in tests."""
+    merge = elementwise counter sum in one call over a ``repartition(1)``
+    block (the fold is global at any size, so it needs no exchange
+    sizing); only the fixed-size grids reach the fold, never user ids. The
+    ``top`` highest-traffic users (found with the existing Misra-Gries
+    pass) are then point-queried against the merged sketch. Rows-only
+    driver check (approximate); the one-sided error bound (est >= true,
+    est <= true + eps*N) is asserted vs exact in tests."""
     import numpy as np
 
     from crawler_ray.functions.sketches import CountMin, MisraGries
@@ -390,8 +397,7 @@ def user_event_counts_cms(
         import pickle
 
         return pd.DataFrame(
-            {"part": [0], "cm": [cm.serialize()],
-             "mg": [pickle.dumps(mg.items())]}
+            {"cm": [cm.serialize()], "mg": [pickle.dumps(mg.items())]}
         )
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
@@ -416,10 +422,11 @@ def user_event_counts_cms(
              "approx_events": est[order].astype(np.int64)}
         )
 
+    # a global fold: every partial meets in ONE call, whatever the size
     return (
         ds.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+        .repartition(1)
+        .map_batches(combine, batch_format="pandas", batch_size=None)
     )
 
 
@@ -532,11 +539,11 @@ def _assert_day_uid_envelope(day: np.ndarray, uid: np.ndarray, who: str) -> None
     _assert_pack_envelope(day, uid, "day(ts)", "user_id", who)
 
 
-def daily_active_users(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
+def daily_active_users(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """Per-day EXACT distinct user count — the COUNT(DISTINCT) verb as a
     distributed presence fold: each batch emits its unique (day, user)
-    pairs, ONE pair-hash exchange co-locates every copy of a pair so the
-    in-task dedup is globally exact, and per-partition per-day counts
+    pairs, ONE pair-keyed ``copartition`` co-locates every copy of a pair
+    so the in-task dedup is globally exact, and per-partition per-day counts
     re-aggregate in a tiny second groupby (n_parts × days rows). The
     approximate twin is ``distinct_users_hll``; this is the exact path
     whose exchange moves distinct pairs, not events."""
@@ -550,28 +557,25 @@ def daily_active_users(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
         d = comb >> np.int64(32)
         u = comb & np.int64((1 << 32) - 1)
         return pa.table(
-            {"day": pa.array(d, pa.int64()),
-             "user_id": pa.array(u, pa.int64()),
-             "part": pa.array(
-                 ((d * np.int64(1000003) + u) % n_parts).astype(np.int64),
-                 pa.int64())}
+            {"key": pa.array(d * np.int64(1000003) + u, pa.int64()),
+             "day": pa.array(d, pa.int64()),
+             "user_id": pa.array(u, pa.int64())}
         )
 
     def count_fold(g: pa.Table) -> pa.Table:
-        df = g.to_pandas().drop_duplicates(["day", "user_id"])
+        df = g.select(["day", "user_id"]).to_pandas().drop_duplicates()
         c = df.groupby("day", sort=False).size()
         return pa.table(
             {"day": pa.array(c.index.to_numpy(np.int64), pa.int64()),
              "n": pa.array(c.to_numpy(np.int64), pa.int64())}
         )
 
-    agg = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_fold, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(Sum("n", alias_name="active_users"))
-    )
+    agg = copartition(
+        [ds.map_batches(pairs, batch_format="pyarrow")],
+        count_fold,
+        pa.schema([("day", pa.int64()), ("user_id", pa.int64())]),
+        n_parts or exchange_parts(sf_dir, "events"),
+    ).groupby("day").aggregate(Sum("n", alias_name="active_users"))
 
     def fmt(df: pd.DataFrame) -> pd.DataFrame:
         day = pd.to_datetime(df["day"].astype("int64"), unit="D").dt.strftime(
@@ -593,22 +597,15 @@ GROUP BY 1
 """
 
 
-def event_type_transitions(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def event_type_transitions(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """Per-user consecutive event-type transition counts (the Markov /
     funnel matrix): for each user's events in (ts, event_id) order, count
     (from_type → to_type) pairs corpus-wide. Sequence analytics needs
-    per-key ORDER, so the shape is one user-hash exchange + in-task
+    per-key ORDER, so the shape is one user-keyed ``copartition`` + in-task
     mergesort + shifted vectorized compare; the per-partition (from, to)
     combiner means the final groupby sees O(n_parts × types²) rows, not
     one per transition."""
     ds = _read_events(sf_dir, ["ts", "user_id", "event_id", "event_type"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part",
-            pa.array((t["user_id"].to_numpy() % n_parts).astype(np.int64),
-                     pa.int64()),
-        )
 
     def fold(g: pa.Table) -> pd.DataFrame:
         df = g.to_pandas().sort_values(
@@ -626,13 +623,14 @@ def event_type_transitions(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         )
         return out
 
-    agg = (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
-        .groupby(["from_type", "to_type"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    agg = copartition(
+        [ds],
+        fold,
+        pa.schema([("ts", pa.timestamp("us")), ("event_id", pa.int64()),
+                   ("event_type", pa.string())]),
+        n_parts or exchange_parts(sf_dir, "events"),
+        key="user_id",
+    ).groupby(["from_type", "to_type"]).aggregate(Sum("n", alias_name="n"))
     return agg.map_batches(
         lambda df: df.assign(n=df["n"].astype("int64")), batch_format="pandas"
     )
@@ -651,15 +649,15 @@ GROUP BY 1, 2
 """
 
 
-def user_retention(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
+def user_retention(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """Next-day retention cohorts: for each day D, how many of its active
     users were also active on D+1 (plus the cohort size) — the metric
     every engagement pipeline derives from the raw event stream. Built on
     the same exact presence-pair fold as ``daily_active_users``: each
     distinct (day, user) emits itself AND a (day−1, user) \"came back\"
-    marker; one pair-hash exchange co-locates a user's two adjacent days,
-    the in-task fold counts cohort and retained exactly, and the per-day
-    re-aggregate is tiny."""
+    marker; one pair-keyed ``copartition`` co-locates a user's two adjacent
+    days, the in-task fold counts cohort and retained exactly, and the
+    per-day re-aggregate is tiny."""
     ds = _read_events(sf_dir, ["ts", "user_id"])
 
     def pairs(t: pa.Table) -> pa.Table:
@@ -674,18 +672,16 @@ def user_retention(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
         uu = np.concatenate([u, u])
         side = np.r_[np.zeros(len(d), np.int64), np.ones(len(d), np.int64)]
         return pa.table(
-            {"day": pa.array(dd, pa.int64()),
+            {"key": pa.array(dd * np.int64(1000003) + uu, pa.int64()),
+             "day": pa.array(dd, pa.int64()),
              "user_id": pa.array(uu, pa.int64()),
-             "side": pa.array(side, pa.int64()),
-             "part": pa.array(
-                 ((dd * np.int64(1000003) + uu) % n_parts).astype(np.int64),
-                 pa.int64())}
+             "side": pa.array(side, pa.int64())}
         )
 
     def fold(g: pa.Table) -> pa.Table:
         df = g.to_pandas().drop_duplicates(["day", "user_id", "side"])
         p = df.pivot_table(
-            index=["day", "user_id"], columns="side", values="part",
+            index=["day", "user_id"], columns="side", values="key",
             aggfunc="size", fill_value=0,
         ).reindex(columns=[0, 1], fill_value=0)
         active = p[0] > 0
@@ -701,15 +697,16 @@ def user_retention(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
                  by_day["retained"].to_numpy(np.int64), pa.int64())}
         )
 
-    agg = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(
-            Sum("cohort_p", alias_name="cohort"),
-            Sum("retained_p", alias_name="retained"),
-        )
+    agg = copartition(
+        [ds.map_batches(pairs, batch_format="pyarrow")],
+        fold,
+        pa.schema([("day", pa.int64()), ("user_id", pa.int64()),
+                   ("side", pa.int64())]),
+        # pairs sends up to two rows per event: count the events twice
+        n_parts or exchange_parts(sf_dir, "events", "events"),
+    ).groupby("day").aggregate(
+        Sum("cohort_p", alias_name="cohort"),
+        Sum("retained_p", alias_name="retained"),
     )
 
     def fmt(df: pd.DataFrame) -> pd.DataFrame:
@@ -858,14 +855,15 @@ FROM m
 def funnel_conversions(
     sf_dir: str,
     steps: tuple[str, ...] = ("view", "click", "purchase"),
-    n_parts: int = 32,
+    n_parts: int | None = None,
 ) -> rd.Dataset:
     """How many users complete each prefix of an ordered event funnel:
     t₀ = first ``steps[0]``, t₁ = first ``steps[1]`` AFTER t₀ (strictly),
     and so on — the classic conversion-funnel verb. Partitioning contract
     (the ``sessionize`` one): a user's chain is computed where the user's
-    events co-reside, so ONE user_id exchange of the step-filtered events
-    resolves every chain; only |steps| × n_parts count partials leave."""
+    events co-reside, so ONE user-keyed ``copartition`` of the step-filtered
+    events resolves every chain; only |steps| × n_parts count partials
+    leave."""
     ds = _read_events(sf_dir, ["user_id", "ts", "event_type"])
     step_idx = {s: i for i, s in enumerate(steps)}
 
@@ -880,7 +878,6 @@ def funnel_conversions(
         )
         return pa.table(
             {
-                "part": pa.array((uid % n_parts).astype(np.int64), pa.int64()),
                 "user_id": pa.array(uid, pa.int64()),
                 "step": pa.array(sidx, pa.int64()),
                 "ts_us": pa.array(
@@ -916,13 +913,13 @@ def funnel_conversions(
             }
         )
 
-    agg = (
-        ds.map_batches(rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(chain, batch_format="pyarrow")
-        .groupby("step")
-        .aggregate(Sum("n_p", alias_name="n_users"))
-    )
+    agg = copartition(
+        [ds.map_batches(rows, batch_format="pyarrow")],
+        chain,
+        pa.schema([("step", pa.int64()), ("ts_us", pa.int64())]),
+        n_parts or exchange_parts(sf_dir, "events"),
+        key="user_id",
+    ).groupby("step").aggregate(Sum("n_p", alias_name="n_users"))
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("step", kind="mergesort")
@@ -1123,14 +1120,14 @@ FROM w WHERE rn > {window}
 """
 
 
-def user_activity_streaks(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
+def user_activity_streaks(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """Gaps-and-islands: each user's LONGEST run of consecutive active
     days (ties broken by earliest start) — the classic streak verb every
     engagement warehouse computes with the ``day - ROW_NUMBER()`` trick.
 
     Scale shape: per-batch exact partial distinct of (user, day) packed
     into one int64 (the ``daily_active_users`` combiner), then ONE
-    user-hash exchange so a user's full day set co-resides, then a pure
+    user-keyed ``copartition`` so a user's full day set co-resides, then a pure
     numpy segment walk per partition: sort the packed keys (user major,
     day minor for free), island boundaries where the user changes or the
     day step != 1, run lengths by boundary diff, and a lexicographic
@@ -1148,10 +1145,8 @@ def user_activity_streaks(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
         )
         comb = np.unique(uid * np.int64(1 << 32) + day)
         u = comb >> np.int64(32)
-        return pa.table(
-            {"comb": pa.array(comb, pa.int64()),
-             "part": pa.array((u % n_parts).astype(np.int64), pa.int64())}
-        )
+        return pa.table({"key": pa.array(u, pa.int64()),
+                         "comb": pa.array(comb, pa.int64())})
 
     def walk(g: pa.Table) -> pa.Table:
         comb = np.unique(g["comb"].to_numpy())  # sorted: user major, day minor
@@ -1180,10 +1175,11 @@ def user_activity_streaks(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
              "streak_start": pa.array(runs_d0[sel], pa.int64())}
         )
 
-    return (
-        ds.map_batches(pack, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(walk, batch_format="pyarrow")
+    return copartition(
+        [ds.map_batches(pack, batch_format="pyarrow")],
+        walk,
+        pa.schema([("comb", pa.int64())]),
+        n_parts or exchange_parts(sf_dir, "events"),
     )
 
 

@@ -12,6 +12,21 @@ Every join-shaped query here is built from two primitives:
   sorted arrays ship once with ``ray.put`` and a fact side's map probes
   them with ``searchsorted``, so the dimension never enters an exchange.
 
+Each query sizes its exchanges with ``exchange_parts``: the summed parquet
+footer rows of the tables feeding them. At or below one read block
+(``read_parquet_sized``'s ``MAX_ROWS_PER_BLOCK``) that is ONE partition,
+and ``copartition`` folds the whole sides in one call with no sort
+exchange; above it, ``EXCHANGE_PARTS`` hash partitions. A footer count is
+taken before any filter, so while each input row sends at most one row
+into the exchange it can only over-state the exchange's input: a wrong
+guess falls back to the sort exchange, never the other way. A map that
+sends more rows than it reads names its table once per row it may emit
+(``events.user_retention`` sums ``events`` twice). The bar is one read
+block because that is the most rows one read task is already sized to
+hold; where a multi-core fan-out starts to beat one fold is unmeasured,
+and no benchmark workload yet runs the exchange side. A query's explicit
+``n_parts`` argument, where it has one, overrides the sizing.
+
 ``partitioned_hash_join`` is the generic pandas-merge fold over
 ``copartition``. ``salted_partitioned_hash_join`` is the same merge with
 a skew-aware routing bucket as the exchange key: a hot left key spreads
@@ -33,6 +48,9 @@ from ray.data.aggregate import Sum
 from crawler_ray.functions.rounding import round_np
 from crawler_ray.pipelines.result import schema_safe
 
+# hash partitions of an exchange whose inputs exceed one read block
+EXCHANGE_PARTS = 32
+
 
 def copartition(
     sides: list[rd.Dataset],
@@ -50,7 +68,12 @@ def copartition(
     to ``fold`` holds one side's rows of the partition, in ``sides`` order,
     with columns ``key`` + ``schema``; fields the side does not carry are
     all-null there, so select a side's own columns before ``to_pandas``.
-    The tagging is one map per side, which fuses with the side's own map."""
+    The tagging is one map per side, which fuses with the side's own map.
+
+    ``n_parts=1`` (``exchange_parts`` for inputs within one read block)
+    skips the sort exchange: the union is coalesced into one block and
+    ``fold`` runs once over the whole sides. Either way ``fold`` is never
+    called on a partition with no rows."""
     fields = pa.schema([pa.field(key, pa.int64())] + list(schema))
 
     def tagger(side: int):
@@ -85,7 +108,35 @@ def copartition(
         return fold(*(g.filter(pc.equal(side, i)) for i in range(len(sides))))
 
     per_part.__name__ = fold.__name__  # keeps the fold's name in the plan
+    if n_parts == 1:
+        # Repartition(1) emits exactly one block whatever the target block
+        # size, and batch_size=None hands it to one call; Ray skips a
+        # zero-row block, as the groupby skips an empty partition
+        return union.repartition(1).map_batches(
+            per_part, batch_format="pyarrow", batch_size=None
+        )
     return union.groupby("part").map_groups(per_part, batch_format="pyarrow")
+
+
+def _footer_rows(parquet: str) -> int:
+    """Row count from the parquet footer — the size signal of every
+    auto-mode strategy choice (no data scan)."""
+    import pyarrow.parquet as pq_
+
+    return pq_.ParquetFile(parquet).metadata.num_rows
+
+
+def exchange_parts(sf_dir: str, *tables: str) -> int:
+    """Partition count of the exchanges fed by ``tables`` (parquet stems
+    under ``sf_dir``): 1 when their summed footer rows fit one read block,
+    else ``EXCHANGE_PARTS``. The footer count precedes every filter, so it
+    bounds the exchange's input from above as long as each row read sends
+    at most one row; a caller whose map fans out names a table once per
+    row it may emit."""
+    from crawler_ray.sources.io import MAX_ROWS_PER_BLOCK
+
+    rows = sum(_footer_rows(f"{sf_dir}/{t}.parquet") for t in tables)
+    return 1 if rows <= MAX_ROWS_PER_BLOCK else EXCHANGE_PARTS
 
 
 class SortedLookup:
@@ -152,7 +203,7 @@ def partitioned_hash_join(
     left: rd.Dataset,
     right: rd.Dataset,
     on: str,
-    n_buckets: int = 32,
+    n_buckets: int = EXCHANGE_PARTS,
     how: str = "inner",
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
@@ -258,7 +309,7 @@ def order_lineitem_join_totals(sf_dir: str) -> rd.Dataset:
         merge_part,
         pa.schema([("rev_p", pa.float64()), ("n_items_p", pa.int64()),
                    ("o_totalprice", pa.float64())]),
-        n_parts=32,
+        exchange_parts(sf_dir, "lineitem", "orders"),
     )
 
 
@@ -278,7 +329,7 @@ GROUP BY o_orderkey, o_totalprice
 # vectorized per-partition backward merge_asof
 
 
-def events_asof_order_join(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def events_asof_order_join(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """For each event, the most recent order of the same customer placed at
     or before the event time (backward as-of join), inner semantics.
 
@@ -292,6 +343,8 @@ def events_asof_order_join(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     matching the oracle's ``ORDER BY o_orderdate DESC, o_orderkey DESC``
     rank-1 row."""
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "events", "orders")
 
     events = read_parquet_sized(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"],
@@ -379,7 +432,7 @@ FROM (
 # the following hour, without materializing the joined pairs
 
 
-def user_events_next_hour(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def user_events_next_hour(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """For each event, how many LATER events the same user produced within
     the next hour (range join ``b.ts > a.ts AND b.ts <= a.ts + 1h``
     aggregated per left row).
@@ -392,6 +445,8 @@ def user_events_next_hour(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     from upper-bound minus lower-bound positions — no pair rows exist at
     any point."""
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "events")
 
     events = read_parquet_sized(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"],
@@ -442,7 +497,9 @@ GROUP BY a.event_id
 # partitioned anti join (NOT EXISTS)
 
 
-def customers_without_urgent_orders(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def customers_without_urgent_orders(
+    sf_dir: str, n_parts: int | None = None
+) -> rd.Dataset:
     """Customers with no '1-URGENT' order (anti join / NOT EXISTS).
 
     The probe side collapses to DISTINCT keys inside ``map_batches``
@@ -451,6 +508,8 @@ def customers_without_urgent_orders(sf_dir: str, n_parts: int = 32) -> rd.Datase
     then one co-partition brings each customer together with every
     evidence key and a vectorized ``is_in`` mask drops matches."""
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders")
 
     cust = read_parquet_sized(
         f"{sf_dir}/customer.parquet",
@@ -513,7 +572,7 @@ WHERE NOT EXISTS (
 # partitioned LEFT OUTER join aggregate
 
 
-def customer_order_counts(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def customer_order_counts(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """Every customer with order count and total spend, ZEROS preserved for
     customers with no orders — the LEFT OUTER member of the join-verb family
     (inner = ``partitioned_hash_join``, anti = NOT EXISTS, as-of, range).
@@ -525,6 +584,8 @@ def customer_order_counts(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     left-attaches with zero fill. No second exchange — the unmatched side
     is filled in-task."""
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders")
 
     cust = read_parquet_sized(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"],
@@ -661,14 +722,6 @@ class _BloomGate:
         return t.filter(pa.array(self._f.contains(_splitmix64(keys))))
 
 
-def _footer_rows(parquet: str) -> int:
-    """Row count from the parquet footer — the size signal of every
-    auto-mode strategy choice (no data scan)."""
-    import pyarrow.parquet as pq_
-
-    return pq_.ParquetFile(parquet).metadata.num_rows
-
-
 # bloom-prefilter crossover: the build's materialize gates the probe stream
 # (breaks read/shuffle pipelining), so on small facts it costs more than
 # the saved exchange; measured at sf0.1 (150k orders) bloom LOSES ~0.6 s
@@ -700,7 +753,7 @@ def _bloom_gated(
     return build, _BloomGate(ref, "o_custkey")
 
 
-def orders_from_event_users(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def orders_from_event_users(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """SEMI join (``WHERE EXISTS``): orders whose customer appears in the
     events stream (testdata convention: ``events.user_id`` keys the
     customer domain) — the bloom-join shape for a fact⋈fact exists-check
@@ -721,6 +774,8 @@ def orders_from_event_users(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     |semi matches| + FP — the entire point of a bloom join when the probe
     fact is 100× the match rate. Output is exact regardless of FP rate."""
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "events", "orders")
 
     events = read_parquet_sized(f"{sf_dir}/events.parquet", columns=["user_id"])
 
@@ -775,7 +830,7 @@ WHERE EXISTS (SELECT 1 FROM events e WHERE e.user_id = o_custkey)
 # FULL OUTER join aggregate — completes the outer-join family
 
 
-def customer_order_event_counts(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def customer_order_event_counts(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """FULL OUTER join of two per-key aggregates: order count per customer
     vs event count per user (testdata convention: ``events.user_id`` keys
     the customer domain), zero-filled on BOTH sides — keys present in
@@ -784,6 +839,8 @@ def customer_order_event_counts(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     the in-task fold sums each side with zero fill. No driver-side rows,
     no second pass over either fact."""
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "orders", "events")
 
     orders = read_parquet_sized(
         f"{sf_dir}/orders.parquet", columns=["o_custkey"],
@@ -841,7 +898,7 @@ FROM o FULL OUTER JOIN e ON o.k = e.k
 
 
 def late_ship_priority_counts(
-    sf_dir: str, grace_days: int = 30, n_parts: int = 32
+    sf_dir: str, grace_days: int = 30, n_parts: int | None = None
 ) -> rd.Dataset:
     """Per order priority, how many orders had at least one line item
     shipped more than ``grace_days`` after the order date — the TPC-H Q4
@@ -852,6 +909,8 @@ def late_ship_priority_counts(
     emits per-priority count partials and the final groupby folds
     |priorities| rows."""
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "orders", "lineitem")
 
     orders = read_parquet_sized(
         f"{sf_dir}/orders.parquet",
@@ -934,7 +993,7 @@ GROUP BY 1
 """
 
 
-def returned_item_report(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def returned_item_report(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """TPC-H Q10 shape — the 4-relation join report: revenue lost to
     RETURNED items per customer over a date window, with the customer's
     nation name, top 20. Exercises the full join toolkit in one plan:
@@ -952,6 +1011,8 @@ def returned_item_report(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
       integers, folded per-block then once globally (bounded driver set).
     """
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "lineitem", "orders")
 
     lo = np.datetime64("1996-01-01")
     hi = np.datetime64("1997-01-01")
@@ -1084,7 +1145,7 @@ LIMIT 20
 
 
 def local_supplier_volume(
-    sf_dir: str, region: str = "ASIA", n_parts: int = 32
+    sf_dir: str, region: str = "ASIA", n_parts: int | None = None
 ) -> rd.Dataset:
     """TPC-H Q5 shape — the 6-relation join: revenue per nation from
     orders whose customer AND line-supplier sit in the SAME nation of one
@@ -1112,6 +1173,8 @@ def local_supplier_volume(
     import pyarrow.parquet as pq_
 
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "orders", "customer", "lineitem")
 
     lo = np.datetime64("1996-01-01")
     hi = np.datetime64("1997-01-01")
@@ -1278,7 +1341,7 @@ def nation_trade_flows(
     sf_dir: str,
     nat_a: str = "NATION_12",
     nat_b: str = "NATION_11",
-    n_parts: int = 32,
+    n_parts: int | None = None,
     bloom_prefilter: bool | None = None,
 ) -> rd.Dataset:
     """Revenue shipped between two nations per direction per ship-year
@@ -1303,6 +1366,8 @@ def nation_trade_flows(
     import pyarrow.parquet as pq_
 
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders", "lineitem")
 
     lo = np.datetime64("1996-01-01")
     hi = np.datetime64("1998-01-01")
@@ -1502,7 +1567,7 @@ def nation_market_share(
     sf_dir: str,
     region: str = "AMERICA",
     target: str = "NATION_1",
-    n_parts: int = 32,
+    n_parts: int | None = None,
     bloom_prefilter: bool | None = None,
 ) -> rd.Dataset:
     """Per order-year, the fraction of in-region customers' purchase revenue
@@ -1523,6 +1588,8 @@ def nation_market_share(
     import pyarrow.parquet as pq_
 
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders", "lineitem")
 
     lo = np.datetime64("1996-01-01")
     hi = np.datetime64("1998-01-01")
@@ -1705,7 +1772,7 @@ GROUP BY 1
 
 
 def large_volume_customers(
-    sf_dir: str, min_qty: int = 200, k: int = 100, n_parts: int = 32
+    sf_dir: str, min_qty: int = 200, k: int = 100, n_parts: int | None = None
 ) -> rd.Dataset:
     """Top-``k`` orders by total line-item quantity above ``min_qty``, with
     the customer's name (TPC-H Q18 shape). Quantities are integer-valued
@@ -1723,6 +1790,8 @@ def large_volume_customers(
     import pyarrow.parquet as pq_
 
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "lineitem", "orders")
 
     li = read_parquet_sized(
         f"{sf_dir}/lineitem.parquet",
@@ -1831,7 +1900,7 @@ LIMIT {k}
 
 
 def waiting_supplier_counts(
-    sf_dir: str, grace_days: int = 60, n_parts: int = 32
+    sf_dir: str, grace_days: int = 60, n_parts: int | None = None
 ) -> rd.Dataset:
     """Per supplier, how many multi-supplier orders this supplier alone
     shipped late (last ship > order date + ``grace_days``) — the TPC-H Q21
@@ -1849,6 +1918,8 @@ def waiting_supplier_counts(
     import pyarrow.parquet as pq_
 
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "lineitem", "orders")
 
     li = read_parquet_sized(
         f"{sf_dir}/lineitem.parquet",
@@ -1972,7 +2043,7 @@ GROUP BY 1
 
 
 def dormant_customer_balance(
-    sf_dir: str, cutoff: str = "2000-01-01", n_parts: int = 32
+    sf_dir: str, cutoff: str = "2000-01-01", n_parts: int | None = None
 ) -> rd.Dataset:
     """Per nation, the count and total balance of customers whose account
     balance is above the average POSITIVE balance and who placed NO order
@@ -1992,6 +2063,8 @@ def dormant_customer_balance(
     import pyarrow.parquet as pq_
 
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders")
 
     cut = np.datetime64(cutoff)
 
@@ -2121,7 +2194,7 @@ _HOT_TOPK_PER_BLOCK = 16
 def detect_hot_keys(
     ds: rd.Dataset,
     key: str,
-    n_buckets: int = 32,
+    n_buckets: int = EXCHANGE_PARTS,
     hot_factor: float = 4.0,
 ) -> np.ndarray:
     """Find join keys hot enough to skew a ``% n_buckets`` exchange: keys
@@ -2160,7 +2233,7 @@ def salted_partitioned_hash_join(
     left: rd.Dataset,
     right: rd.Dataset,
     on: str,
-    n_buckets: int = 32,
+    n_buckets: int = EXCHANGE_PARTS,
     n_salts: int = 8,
     hot_keys: np.ndarray | None = None,
     how: str = "inner",
@@ -2246,7 +2319,7 @@ def shipping_priority_orders(
     segment: str = "BUILDING",
     date: str = "1997-01-01",
     k: int = 10,
-    n_parts: int = 32,
+    n_parts: int | None = None,
     bloom_prefilter: bool | None = None,
 ) -> rd.Dataset:
     """Top-``k`` orders by outstanding revenue: customer in ``segment``,
@@ -2258,6 +2331,8 @@ def shipping_priority_orders(
     deterministic top-k = (revenue DESC, orderkey ASC) over exact
     integers, per-partition prefilter then one bounded driver fold."""
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders", "lineitem")
 
     cut = np.datetime64(date)
 
@@ -2407,13 +2482,15 @@ LIMIT {k}
 # where the SECOND groupby key is the FIRST aggregate's value
 
 
-def order_count_distribution(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def order_count_distribution(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """How many customers placed exactly N orders, for every N including 0
     (TPC-H Q13). One custkey exchange: per-block per-custkey order-count
     combiners ∪ bare customer keys; each partition zero-fills its
     customers and emits a per-count distribution PARTIAL, so the second
     aggregate's exchange is |distinct counts| × n_parts rows."""
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders")
 
     cust = read_parquet_sized(
         f"{sf_dir}/customer.parquet", columns=["c_custkey"],

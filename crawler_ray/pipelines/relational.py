@@ -2005,7 +2005,7 @@ SELECT DISTINCT o_custkey FROM orders WHERE date_part('year', o_orderdate) = 199
 
 
 def small_qty_part_revenue(
-    sf_dir: str, brand: str = "Brand#3", n_parts: int = 32
+    sf_dir: str, brand: str = "Brand#3", n_parts: int | None = None
 ) -> rd.Dataset:
     """Average yearly revenue lost if small-quantity orders (below HALF the
     part's average order quantity) were not taken, for one brand — the
@@ -2021,8 +2021,12 @@ def small_qty_part_revenue(
     only ~1/|brands| of lineitem enters the exchange."""
     import pyarrow.parquet as pq_
 
-    from crawler_ray.pipelines.joins import SortedLookup, copartition
+    from crawler_ray.pipelines.joins import (
+        SortedLookup, copartition, exchange_parts,
+    )
     from crawler_ray.sources.io import read_parquet_sized
+
+    n_parts = n_parts or exchange_parts(sf_dir, "lineitem")
 
     brand_parts = SortedLookup(
         pq_.read_table(

@@ -150,11 +150,16 @@ def read_parts_table(root: str, columns: list[str] | None = None) -> pa.Table | 
     return pa.concat_tables(tables) if tables else None
 
 
+# most rows ``read_parquet_sized`` puts in one block by default: one read
+# block, also the bar below which a query's exchange folds in one call
+MAX_ROWS_PER_BLOCK = 65536
+
+
 def read_parquet_sized(
     path: str,
     columns: list[str] | None = None,
     target_rows_per_block: int = 512,
-    max_rows_per_block: int = 65536,
+    max_rows_per_block: int = MAX_ROWS_PER_BLOCK,
 ) -> rd.Dataset:
     """``read_parquet`` with ``override_num_blocks`` derived from the parquet
     FOOTER's row count. Ray's default splitting targets bytes and over-splits

@@ -19,7 +19,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+import __ray_entry__ as entry_mod
 from crawler_ray.pipelines import joins, relational
+from tests.test_conformance import _canon, oracle_con  # noqa: F401
 
 US = 1_000_000
 
@@ -498,10 +500,161 @@ def _all_to_all_ops(ds) -> list[str]:
     "shipping_priority_orders",
 ])
 def test_join_plan_shape_pinned(ray_session, name):
-    """Each multi-join plan runs exactly two co-partition exchanges and
-    one final repartition; a strategy change must show up here."""
+    """Each multi-join plan runs two co-partitions and one final
+    repartition; a strategy change must show up here. At sf0.001 every
+    input fits one read block, so each co-partition is a one-block fold
+    with no Sort; an explicit 32 parts restores the two sort exchanges."""
     ds = getattr(joins, name)(SF_DIR).materialize()
+    assert _all_to_all_ops(ds) == ["Repartition", "Repartition", "Repartition"]
+    ds = getattr(joins, name)(SF_DIR, n_parts=32).materialize()
     assert _all_to_all_ops(ds) == ["Sort", "Sort", "Repartition"]
+
+
+def _force_parts(monkeypatch, k: int) -> None:
+    """Make ``exchange_parts`` answer ``k`` for every input: a bar of no
+    rows sends each exchange past one read block, to ``EXCHANGE_PARTS``."""
+    from crawler_ray.sources import io
+
+    monkeypatch.setattr(io, "MAX_ROWS_PER_BLOCK", -1)
+    monkeypatch.setattr(joins, "EXCHANGE_PARTS", k)
+
+
+def test_sessionize_plan_has_no_sort_within_one_block(ray_session,
+                                                      monkeypatch):
+    from crawler_ray.pipelines import events
+
+    assert _all_to_all_ops(events.sessionize(SF_DIR).materialize()) == [
+        "Repartition"]
+    _force_parts(monkeypatch, 32)
+    assert _all_to_all_ops(events.sessionize(SF_DIR).materialize()) == [
+        "Sort"]
+
+
+def test_join_plan_keeps_sort_exchange_above_one_block(ray_session):
+    """sf0.01's lineitem alone is 60,000 rows; with orders and customer the
+    multi-join's inputs exceed one read block."""
+    sf01 = SF_DIR.replace("sf0.001", "sf0.01")
+    ds = joins.local_supplier_volume(sf01).materialize()
+    assert _all_to_all_ops(ds) == ["Sort", "Sort", "Repartition"]
+
+
+def test_exchange_parts_bar_is_one_read_block(tmp_path):
+    """Footer rows summed over the tables: 65,536 (one read block) folds in
+    one partition, one row more takes the 32-way exchange."""
+    from crawler_ray.sources.io import MAX_ROWS_PER_BLOCK
+
+    assert MAX_ROWS_PER_BLOCK == 65_536
+    for name, n in (("block", 65_536), ("over", 65_537), ("one", 1)):
+        pq.write_table(pa.table({"k": np.zeros(n, np.int8)}),
+                       f"{tmp_path}/{name}.parquet")
+    assert joins.exchange_parts(str(tmp_path), "block") == 1
+    assert joins.exchange_parts(str(tmp_path), "over") == 32
+    assert joins.exchange_parts(str(tmp_path), "block", "one") == 32
+    assert joins.exchange_parts(str(tmp_path), "one", "one") == 1
+
+
+def _part_groupby_sites(path) -> list[tuple[str, str | None]]:
+    """(file:line, enclosing top-level function) of every
+    ``groupby("part")`` call in one module."""
+    import ast
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sites, stack = [], [(tree, None)]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name if func is None else func
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "groupby"
+            and any(isinstance(a, ast.Constant) and a.value == "part"
+                    for a in node.args)
+        ):
+            rel = path.relative_to(path.parent.parent.parent)
+            sites.append((f"{rel}:{node.lineno}", func))
+        stack.extend((c, func) for c in ast.iter_child_nodes(node))
+    return sites
+
+
+def test_part_exchanges_go_through_copartition():
+    """The join and event families pick their exchange in one place: a
+    hand-written ``groupby("part")`` would bypass the sizing rule."""
+    import pathlib
+
+    pkg = pathlib.Path(joins.__file__).resolve().parent
+    sites = [site for mod in ("joins.py", "events.py")
+             for site in _part_groupby_sites(pkg / mod)]
+    bad = sorted(loc for loc, func in sites if func != "copartition")
+    assert not bad, f"groupby(\"part\") outside copartition: {bad}"
+    assert [func for _, func in sites] == ["copartition"]
+
+
+# every query whose exchange sizes itself with exchange_parts
+SIZED_QUERIES = [
+    "order_lineitem_join_totals", "events_asof_order_join",
+    "user_events_next_hour", "customers_without_urgent_orders",
+    "customer_order_counts", "orders_from_event_users",
+    "customer_order_event_counts", "late_ship_priority_counts",
+    "returned_item_report", "local_supplier_volume", "nation_trade_flows",
+    "nation_market_share", "large_volume_customers",
+    "waiting_supplier_counts", "dormant_customer_balance",
+    "shipping_priority_orders", "order_count_distribution",
+    "small_qty_part_revenue", "sessionize", "user_activity_streaks",
+    "daily_active_users", "event_type_transitions", "user_retention",
+    "funnel_conversions",
+]
+
+
+def _exact(df: pd.DataFrame) -> pd.DataFrame:
+    df = df[sorted(df.columns)]
+    return df.sort_values(list(df.columns), kind="mergesort").reset_index(
+        drop=True)
+
+
+@pytest.mark.parametrize("name", SIZED_QUERIES)
+def test_sized_query_matches_oracle_at_any_n_parts(ray_session, oracle_con,
+                                                   monkeypatch, name):
+    """The one-block fold (the sf0.001 default) and a 7-way exchange give
+    the same rows, and those rows are the oracle's."""
+    fn = entry_mod.queries()[name]
+    assert joins.exchange_parts(
+        SF_DIR, "customer", "orders", "lineitem", "events", "events") == 1
+    one = _exact(fn(SF_DIR).to_pandas())
+    _force_parts(monkeypatch, 7)
+    seven = _exact(fn(SF_DIR).to_pandas())
+    pd.testing.assert_frame_equal(one, seven)
+    exp = _canon(oracle_con.sql(entry_mod.oracle_sql()[name]).df())
+    assert len(exp) == len(one) > 0
+    pd.testing.assert_frame_equal(_canon(one), exp, check_dtype=False,
+                                  atol=1e-6, rtol=1e-9)
+
+
+def test_one_block_fold_gets_whole_sides_under_small_block_size(
+    ray_session, oracle_con, monkeypatch
+):
+    """An 8 KiB target_max_block_size splits every read into many small
+    blocks, yet the one-partition fold still sees each side whole: the
+    fold runs once and both join queries stay oracle-exact."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
+                        8 * 1024)
+    rows = pa.table({"key": np.arange(4000, dtype=np.int64) % 97,
+                     "v": np.arange(4000, dtype=np.int64)})
+    side = rd.from_arrow(rows).repartition(16)
+    seen = joins.copartition(
+        [side, side],
+        lambda a, b: pa.table({"n": [a.num_rows + b.num_rows]}),
+        pa.schema([("v", pa.int64())]), 1,
+    ).to_pandas()
+    assert seen["n"].tolist() == [8000]
+    for name in ("local_supplier_volume", "nation_market_share"):
+        got = _canon(entry_mod.queries()[name](SF_DIR).to_pandas())
+        exp = _canon(oracle_con.sql(entry_mod.oracle_sql()[name]).df())
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False,
+                                      atol=1e-6, rtol=1e-9)
 
 
 # ------------------------------------------------------------ 2-D skyline

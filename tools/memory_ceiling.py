@@ -16,6 +16,8 @@ Usage:
 Prints ONE JSON line:
     {"workload": ..., "store_gb": ..., "num_cpus": ..., "sec": ...,
      "spilled_mb": ..., "restored_mb": ..., "ok": true, ...}
+``ingest`` adds ``out_dir_gb``: the images output ``bench_ingest`` wrote to
+``/dev/shm`` (tmpfs, so host RAM held beside the store ceiling).
 
 Run from a fresh process (owns its ray.init / ray.shutdown).
 """
@@ -93,6 +95,7 @@ def run_ingest(n_images: int) -> dict:
     t0 = time.monotonic()
     res = bench.bench_ingest(n_images=n_images)
     out = {"sec": round(time.monotonic() - t0, 2), **res}
+    out["out_dir_gb"] = round(res["out_dir_bytes"] / (1 << 30), 3)
     # the generator plants duplicate URLs by design (seen-set dedup is part
     # of the measured pipeline): completion = every UNIQUE url fetched
     import duckdb
