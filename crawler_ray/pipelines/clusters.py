@@ -38,7 +38,12 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Max, Min
 
-from crawler_ray.pipelines.joins import partitioned_hash_join
+from crawler_ray.pipelines import joins
+from crawler_ray.pipelines.joins import (
+    copartition,
+    exchange_parts,
+    partitioned_hash_join,
+)
 
 _LABELS_SCHEMA = pa.schema([("node", pa.int64()), ("lab", pa.int64())])
 
@@ -260,7 +265,8 @@ def near_dup_clusters(
     )
 
     keyed = _keyed_sets(_read_docs(sf_dir, ["doc_id", "text"]), _canon_token_set)
-    set_pairs = _distinct_set_pairs(keyed, threshold, n_blocks)
+    set_pairs = _distinct_set_pairs(
+        keyed, threshold, n_blocks, exchange_parts(sf_dir, "documents"))
     # the key_a == key_b self pair makes every set a CC node (isolated sets
     # keep their own label) — no left-join null handling anywhere
     cc = connected_components(
@@ -276,29 +282,24 @@ def near_dup_clusters(
     )
     # docs rejoin once; then ONE label-hash exchange finishes everything
     per_doc = partitioned_hash_join(members, cc, on="node", n_buckets=n_buckets)
-    return _labels_to_clusters(per_doc, "doc_id", n_buckets)
+    return _labels_to_clusters(
+        per_doc, "doc_id", exchange_parts(sf_dir, "documents"))
 
 
-def _labels_to_clusters(
-    labeled: rd.Dataset, id_name: str, n_buckets: int
-) -> rd.Dataset:
+def _labels_to_clusters(labeled: rd.Dataset, id_name: str, parts: int) -> rd.Dataset:
     """(id, lab) rows → (id, cluster_id = min id of the component,
     cluster_size), singleton components dropped. A component lives entirely
     inside its lab partition, so a vectorized segment fold (lexsort +
     run-length walk) computes rep/size AND expands them back per id in the
     same task — one exchange total (vs the naive per-label
-    groupby-aggregate + a second hash join)."""
+    groupby-aggregate + a second hash join), over ``parts`` partitions."""
 
     def label_part(t: pa.Table) -> pa.Table:
-        lab = t["lab"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {"id": t[id_name].cast(pa.int64()),
-             "lab": pa.array(lab, pa.int64()),
-             "part": pa.array(lab % n_buckets, pa.int64())}
-        )
+        return pa.table({"key": t["lab"].cast(pa.int64()),
+                         "id": t[id_name].cast(pa.int64())})
 
     def finish_part(g: pa.Table) -> pa.Table:
-        lab = g["lab"].to_numpy(zero_copy_only=False).astype(np.int64)
+        lab = g["key"].to_numpy(zero_copy_only=False).astype(np.int64)
         ids = g["id"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((ids, lab))
         lab, ids = lab[order], ids[order]
@@ -312,10 +313,9 @@ def _labels_to_clusters(
              "cluster_size": pa.array(np.repeat(sizes, sizes)[keep], pa.int64())}
         )
 
-    return (
-        labeled.map_batches(label_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(finish_part, batch_format="pyarrow")
+    return copartition(
+        [labeled.map_batches(label_part, batch_format="pyarrow")],
+        finish_part, pa.schema([("id", pa.int64())]), parts,
     )
 
 
@@ -341,7 +341,8 @@ def embedding_dedup_clusters(
         ),
         batch_format="pyarrow",
     )
-    return _labels_to_clusters(labeled, "vec_id", n_buckets)
+    return _labels_to_clusters(
+        labeled, "vec_id", exchange_parts(sf_dir, "embeddings"))
 
 
 def dedup_survivors(
@@ -349,7 +350,6 @@ def dedup_survivors(
     threshold: float = 0.95,
     n_buckets: int = 8,
     n_blocks: int = 4,
-    n_parts: int = 16,
 ) -> rd.Dataset:
     """The keep-one-per-cluster dedup POLICY applied end-to-end: the
     deduplicated corpus manifest (doc_id, n_chars) after dropping every
@@ -367,49 +367,32 @@ def dedup_survivors(
 
     clusters = near_dup_clusters(sf_dir, threshold, n_buckets, n_blocks)
 
-    _ANTI_SCHEMA = pa.schema(
-        [("doc_id", pa.int64()), ("part", pa.int64()), ("n_chars", pa.int64())]
-    )
-
     def loser_rows(t: pa.Table) -> pa.Table:
         drop = t.filter(pc.not_equal(t["doc_id"], t["cluster_id"]))
-        keys = drop["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"doc_id": pa.array(keys, pa.int64()),
-             "part": pa.array(keys % n_parts, pa.int64()),
-             "n_chars": pa.nulls(len(keys), pa.int64())},
-        ).cast(_ANTI_SCHEMA)
+        return pa.table({"key": drop["doc_id"].cast(pa.int64())})
 
     def doc_rows(df: pd.DataFrame) -> pa.Table:
-        ids = df["doc_id"].to_numpy(dtype=np.int64)
         return pa.table(
-            {"doc_id": pa.array(ids, pa.int64()),
-             "part": pa.array(ids % n_parts, pa.int64()),
+            {"key": pa.array(df["doc_id"].to_numpy(dtype=np.int64), pa.int64()),
              "n_chars": pa.array(
                  df["text"].str.len().to_numpy(dtype=np.int64), pa.int64()
              )},
-        ).cast(_ANTI_SCHEMA)
-
-    def anti(g: pa.Table) -> pa.Table:
-        is_doc = pc.is_valid(g["n_chars"])
-        docs = g.filter(is_doc)
-        losers = g.filter(pc.invert(is_doc))["doc_id"].combine_chunks()
-        keep = pc.invert(pc.is_in(docs["doc_id"], value_set=losers))
-        out = docs.filter(keep)
-        # the shuffle may route through pandas, null-padding the loser
-        # rows' int64 to float64 — cast back (values are exact ints)
-        return pa.table(
-            {"doc_id": out["doc_id"].cast(pa.int64()),
-             "n_chars": out["n_chars"].cast(pa.int64())}
         )
+
+    def anti(docs: pa.Table, losers: pa.Table) -> pa.Table:
+        out = docs.filter(pc.invert(pc.is_in(
+            docs["key"], value_set=losers["key"].combine_chunks())))
+        return pa.table({"doc_id": out["key"], "n_chars": out["n_chars"]})
 
     docs = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
         doc_rows, batch_format="pandas"
     )
-    return (
-        docs.union(clusters.map_batches(loser_rows, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(anti, batch_format="pyarrow")
+    return copartition(
+        [docs, clusters.map_batches(loser_rows, batch_format="pyarrow")],
+        anti,
+        pa.schema([("n_chars", pa.int64())]),
+        # each doc sends one row to each side at most
+        exchange_parts(sf_dir, "documents", "documents"),
     )
 
 
@@ -555,9 +538,7 @@ def image_dup_clusters(
 # PageRank: the other BSP graph verb (crawl priority scoring)
 
 
-def doc_link_pagerank(
-    sf_dir: str, n_iters: int = 5, n_parts: int = 32
-) -> rd.Dataset:
+def doc_link_pagerank(sf_dir: str, n_iters: int = 5) -> rd.Dataset:
     """Fixed-point PageRank over a deterministic synthetic link graph —
     the crawl-priority verb (rank frontier hosts/pages by link authority;
     the reference's staleness priority O1 is the degenerate no-graph
@@ -576,9 +557,7 @@ def doc_link_pagerank(
     even materialized) + ONE coarse-partition fold (groupby-sum of
     contributions, zero self-rows keep rankless nodes alive). Only
     nothing-but-paths state sits on the driver; per superstep the
-    exchange moves O(E) slim int rows. A real link graph replaces
-    ``_succ`` with an edges Dataset and one partitioned hash join per
-    superstep — the fold/fixed-point machinery is unchanged.
+    exchange moves O(E) slim int rows.
 
     Assumes doc_ids are contiguous 0..N-1 (true of the driver tables) so
     every derived successor is a real node; arbitrary ids would need an
@@ -589,6 +568,8 @@ def doc_link_pagerank(
     SCALE = np.int64(1_000_000_000)
     pf = pq.ParquetFile(f"{sf_dir}/documents.parquet")
     n_docs = pf.metadata.num_rows  # footer read, not a scan
+    # each doc sends up to 3 contributions and one zero self-row
+    n_parts = exchange_parts(sf_dir, *["documents"] * 4)
 
     def _succ(ids: np.ndarray) -> np.ndarray:
         # (n, 3) successor matrix; self-loops marked -1
@@ -611,16 +592,12 @@ def doc_link_pagerank(
         dst = np.concatenate([dst[keep], ids])
         c = np.concatenate([np.repeat(share, 3)[keep], np.zeros(len(ids), np.int64)])
         return pa.table(
-            {
-                "part": pa.array((dst % n_parts).astype(np.int64), pa.int64()),
-                "node": pa.array(dst, pa.int64()),
-                "c": pa.array(c, pa.int64()),
-            }
+            {"key": pa.array(dst, pa.int64()), "c": pa.array(c, pa.int64())}
         )
 
     def fold(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
-        s = df.groupby("node", sort=False)["c"].sum()
+        s = df.groupby("key", sort=False)["c"].sum()
         nodes = s.index.to_numpy(np.int64)
         newr = 150_000_000 + (np.int64(85) * s.to_numpy(np.int64)) // 100
         return pa.table(
@@ -637,12 +614,10 @@ def doc_link_pagerank(
         batch_format="pyarrow",
     )
     for _ in range(n_iters):
-        ranks = (
-            ranks.map_batches(contribs, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(fold, batch_format="pyarrow")
-            .materialize()
-        )
+        ranks = copartition(
+            [ranks.map_batches(contribs, batch_format="pyarrow")],
+            fold, pa.schema([("c", pa.int64())]), n_parts,
+        ).materialize()
     return ranks.map_batches(
         lambda t: pa.table({"doc_id": t["node"], "rank_scaled": t["r"]}),
         batch_format="pyarrow",
@@ -694,7 +669,7 @@ def doc_link_pagerank_sql(n_iters: int = 5) -> str:
 
 
 def cross_snapshot_image_dups(
-    sf_dir: str, max_hamming: int = 4, seed: int = 42, n_parts: int = 16
+    sf_dir: str, max_hamming: int = 4, seed: int = 42
 ) -> rd.Dataset:
     """Incremental IMAGE near-dedup — the phash twin of
     ``dedup.cross_snapshot_near_dups``: which NEW images (odd doc_id
@@ -737,9 +712,7 @@ def cross_snapshot_image_dups(
         bucket = ((q << np.int64(48)) | band_val.astype(np.int64)).ravel()
         idx = np.repeat(np.arange(len(ids)), n_bands)
         return pa.table(
-            {"bucket": pa.array(bucket, pa.int64()),
-             "part": pa.array(
-                 (bucket % np.int64(n_parts)).astype(np.int64), pa.int64()),
+            {"key": pa.array(bucket, pa.int64()),
              "doc_id": pa.array(ids[idx], pa.int64()),
              "side": pa.array(side[idx], pa.int64()),
              "phash": pa.array(ph[idx].astype(np.int64), pa.int64())}
@@ -749,7 +722,7 @@ def cross_snapshot_image_dups(
         n = g.num_rows
         out_b, out_n, out_d = [], [], []
         if n >= 2:
-            bkt = g["bucket"].to_numpy()
+            bkt = g["key"].to_numpy()
             ids = g["doc_id"].to_numpy()
             side = g["side"].to_numpy()
             ph = g["phash"].to_numpy().astype(np.uint64)
@@ -810,14 +783,17 @@ def cross_snapshot_image_dups(
              "hamming": pa.array(dd, pa.int64())}
         )
 
-    return (
-        docs.map_batches(band_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(cross_walk, batch_format="pyarrow")
+    return copartition(
+        [docs.map_batches(band_rows, batch_format="pyarrow")],
+        cross_walk,
+        pa.schema([("doc_id", pa.int64()), ("side", pa.int64()),
+                   ("phash", pa.int64())]),
+        # each doc sends one row per band
+        exchange_parts(sf_dir, *["documents"] * n_bands),
     )
 
 
-def _derived_link_edges(sf_dir: str, n_parts: int) -> tuple[rd.Dataset, int]:
+def _derived_link_edges(sf_dir: str) -> tuple[rd.Dataset, int, int]:
     """Canonical UNDIRECTED edge set of the derived doc link graph, shared
     by the triangle and k-core verbs: doc ``d`` links to ``(d*7+1)%N``,
     ``(d*13+5)%N``, ``(d*31+11)%N`` plus ring chords ``(d+1)%N``,
@@ -825,11 +801,14 @@ def _derived_link_edges(sf_dir: str, n_parts: int) -> tuple[rd.Dataset, int]:
     as ``u*N+v`` int64 (needs ``N < ~3e9``; beyond that switch to a
     two-column struct key), exact-deduped in ONE hash-partition exchange
     with in-batch pre-dedup as the combiner. Returns the MATERIALIZED
-    single-column ``packed`` Dataset and N (from the parquet footer)."""
+    single-column ``packed`` Dataset, N (from the parquet footer) and the
+    partition count of the exchanges over the edges: each doc sends at
+    most 5 edges, so the documents footer is named 5 times."""
     import pyarrow.parquet as pq
 
     pf = pq.ParquetFile(f"{sf_dir}/documents.parquet")
     n = pf.metadata.num_rows  # footer read, not a scan
+    n_parts = exchange_parts(sf_dir, *["documents"] * 5)
 
     def edge_batch(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy()
@@ -844,25 +823,18 @@ def _derived_link_edges(sf_dir: str, n_parts: int) -> tuple[rd.Dataset, int]:
         u = np.minimum(src[keep], dst[keep])
         v = np.maximum(src[keep], dst[keep])
         packed = np.unique(u * n + v)  # in-batch pre-dedup (combiner)
-        return pa.table(
-            {
-                "part": pa.array(packed % n_parts, pa.int64()),
-                "packed": pa.array(packed, pa.int64()),
-            }
-        )
+        return pa.table({"key": pa.array(packed, pa.int64())})
 
     def dedup_edges(g: pa.Table) -> pa.Table:
-        packed = np.unique(g["packed"].to_numpy())
+        packed = np.unique(g["key"].to_numpy())
         return pa.table({"packed": pa.array(packed, pa.int64())})
 
-    edges = (
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-        .map_batches(edge_batch, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedup_edges, batch_format="pyarrow")
-        .materialize()
-    )
-    return edges, n
+    edges = copartition(
+        [rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+         .map_batches(edge_batch, batch_format="pyarrow")],
+        dedup_edges, pa.schema([]), n_parts,
+    ).materialize()
+    return edges, n, n_parts
 
 
 def _tri_batch(t: pa.Table, n: int) -> pa.Table:
@@ -897,9 +869,7 @@ def _tri_batch(t: pa.Table, n: int) -> pa.Table:
     )
 
 
-def doc_link_triangles(
-    sf_dir: str, n_parts: int = 32, small_edges: int = 1_000_000
-) -> rd.Dataset:
+def doc_link_triangles(sf_dir: str, small_edges: int = 1_000_000) -> rd.Dataset:
     """Per-node triangle counts over the derived doc link graph — the third
     graph verb beside ``connected_components`` and ``doc_link_pagerank``
     (triangle participation is the standard local-clustering / spam-farm
@@ -941,8 +911,11 @@ def doc_link_triangles(
     at 2.5M edges the BSP path already wins 3× (measured 5.0 s vs
     16.1 s single-task on the 500k-node smoke), hence the 1M default —
     much lower than k-core's 50M, whose per-round work is only O(E).
+    The exchanges take the edge set's partition count; wedges can
+    outnumber edges, but that path runs only above ``small_edges``, far
+    past one read block of documents.
     """
-    edges, n = _derived_link_edges(sf_dir, n_parts)
+    edges, n, n_parts = _derived_link_edges(sf_dir)
     # edges is materialized: count is free, and it's reused downstream
 
     if edges.count() <= small_edges:
@@ -951,13 +924,8 @@ def doc_link_triangles(
         )
 
     def key_by_u(t: pa.Table) -> pa.Table:
-        packed = t["packed"].to_numpy()
-        return pa.table(
-            {
-                "part": pa.array((packed // n) % n_parts, pa.int64()),
-                "packed": t["packed"],
-            }
-        )
+        return pa.table({"key": pa.array(t["packed"].to_numpy() // n),
+                         "packed": t["packed"]})
 
     def wedge_walk(g: pa.Table) -> pa.Table:
         # rows sorted by packed == sorted by (u, v); same-u runs are
@@ -974,49 +942,21 @@ def doc_link_triangles(
             if m.any():
                 centers.append(u[:-k][m])
                 pairs.append(v[:-k][m] * n + v[k:][m])
-        if not centers:
-            return pa.table(
-                {
-                    "part": pa.array([], pa.int64()),
-                    "packed": pa.array([], pa.int64()),
-                    "center": pa.array([], pa.int64()),
-                }
-            )
-        wc = np.concatenate(centers)
-        wp = np.concatenate(pairs)
+        wc = np.concatenate(centers) if centers else np.array([], np.int64)
+        wp = np.concatenate(pairs) if pairs else np.array([], np.int64)
         return pa.table(
-            {
-                "part": pa.array(wp % n_parts, pa.int64()),
-                "packed": pa.array(wp, pa.int64()),
-                "center": pa.array(wc, pa.int64()),
-            }
+            {"key": pa.array(wp, pa.int64()), "center": pa.array(wc, pa.int64())}
         )
 
-    wedges = (
-        edges.map_batches(key_by_u, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wedge_walk, batch_format="pyarrow")
+    wedges = copartition(
+        [edges.map_batches(key_by_u, batch_format="pyarrow")],
+        wedge_walk, pa.schema([("packed", pa.int64())]), n_parts,
     )
 
-    def tag_edges(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "part": pa.array(t["packed"].to_numpy() % n_parts, pa.int64()),
-                "packed": t["packed"],
-                "center": pa.array(
-                    np.full(t.num_rows, -1, dtype=np.int64), pa.int64()
-                ),
-            }
-        )
-
-    def tri_nodes(g: pa.Table) -> pa.Table:
-        center = g["center"].to_numpy()
-        packed = g["packed"].to_numpy()
-        is_edge = center < 0
-        epk = packed[is_edge]
-        wpk = packed[~is_edge]
-        wc = center[~is_edge]
-        hit = np.isin(wpk, epk)
+    def tri_nodes(w: pa.Table, e: pa.Table) -> pa.Table:
+        wpk = w["key"].to_numpy()
+        wc = w["center"].to_numpy()
+        hit = np.isin(wpk, e["key"].to_numpy())
         tp = wpk[hit]
         nodes = np.concatenate([wc[hit], tp // n, tp % n])
         uniq, cnt = (
@@ -1025,16 +965,13 @@ def doc_link_triangles(
             else (np.array([], np.int64), np.array([], np.int64))
         )
         return pa.table(
-            {
-                "part": pa.array(uniq % n_parts, pa.int64()),
-                "node": pa.array(uniq, pa.int64()),
-                "c": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
+            {"key": pa.array(uniq, pa.int64()),
+             "c": pa.array(cnt.astype(np.int64), pa.int64())}
         )
 
     def count_fold(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
-        s = df.groupby("node", sort=False)["c"].sum()
+        s = df.groupby("key", sort=False)["c"].sum()
         return pa.table(
             {
                 "doc_id": pa.array(s.index.to_numpy(np.int64), pa.int64()),
@@ -1042,13 +979,14 @@ def doc_link_triangles(
             }
         )
 
-    return (
-        wedges.union(edges.map_batches(tag_edges, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(tri_nodes, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_fold, batch_format="pyarrow")
+    nodes = copartition(
+        [wedges,
+         edges.map_batches(lambda t: pa.table({"key": t["packed"]}),
+                           batch_format="pyarrow")],
+        tri_nodes, pa.schema([("center", pa.int64())]), n_parts,
     )
+    return copartition(
+        [nodes], count_fold, pa.schema([("c", pa.int64())]), n_parts)
 
 
 def doc_link_triangles_sql() -> str:
@@ -1092,7 +1030,6 @@ def image_orbit_dups(
     sf_dir: str,
     max_hamming: int = 4,
     seed: int = 42,
-    n_parts: int = 16,
 ) -> rd.Dataset:
     """Rotation/mirror-INVARIANT image near-dup pairs — catches duplicates
     ``image_dup_clusters``'s plain phash cannot see (a 90° rotation moves
@@ -1109,7 +1046,8 @@ def image_orbit_dups(
     factor, size-independent), then ONE slim pair-dedup fold collapses
     pairs re-found via different orbit combinations (keeping the minimum
     Hamming). The walk's per-bucket ``(bucket, image_id)`` dedup already
-    prevents self-pairs from symmetric images.
+    prevents self-pairs from symmetric images. The pair count has no
+    footer bound, so the fold takes ``EXCHANGE_PARTS`` partitions.
 
     Planted truth (``planted_image_batch(orbit=True)``): doc ``10k+4`` is
     ``10k+3`` rotated 90° (exact under transform), doc ``10k+9`` is
@@ -1152,10 +1090,8 @@ def image_orbit_dups(
             np.char.add(
                 np.char.add(a[keep].astype(str), "|"), b[keep].astype(str)
             ).astype(object)
-        ).astype(np.int64)
-        return t.append_column(
-            "part", pa.array(key % np.int64(n_parts), pa.int64())
-        )
+        ).view(np.int64)
+        return t.append_column("key", pa.array(key, pa.int64()))
 
     def dedup_fold(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
@@ -1170,10 +1106,12 @@ def image_orbit_dups(
              "hamming": pa.array(out["hamming"].to_numpy(np.int64), pa.int64())}
         )
 
-    return (
-        pairs.map_batches(key_pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedup_fold, batch_format="pyarrow")
+    return copartition(
+        [pairs.map_batches(key_pairs, batch_format="pyarrow")],
+        dedup_fold,
+        pa.schema([("img_a", pa.string()), ("img_b", pa.string()),
+                   ("hamming", pa.int64())]),
+        joins.EXCHANGE_PARTS,
     )
 
 
@@ -1181,7 +1119,6 @@ def image_crop_dups(
     sf_dir: str,
     max_hamming: int = 4,
     seed: int = 42,
-    n_parts: int = 16,
 ) -> rd.Dataset:
     """CROP/derivative image detection — catches the third re-hosting
     transform plain phash misses (beside ``image_orbit_dups``'s
@@ -1196,7 +1133,8 @@ def image_crop_dups(
     single-exchange banded segment walk as plain phash (5x band-row
     volume, constant factor, size-independent); a vectorized post-filter
     keeps only full<->quadrant cross-image matches, then ONE slim
-    pair-dedup fold keeps the minimum-Hamming quadrant per (src, crop).
+    pair-dedup fold keeps the minimum-Hamming quadrant per (src, crop),
+    over ``EXCHANGE_PARTS`` partitions (the pair count has no footer bound).
     Finer grids (3x3 overlapped tiles) are the same plan at 10 rows/image.
 
     Planted truth (``planted_image_batch(crop=True)``): doc ``10k+2`` IS
@@ -1256,12 +1194,9 @@ def image_crop_dups(
              "quadrant": pd.Series(quad).str[1:].astype(np.int64),
              "hamming": df["hamming"].to_numpy(np.int64)}
         )
-        out["part"] = (
-            pd.util.hash_array(
-                (out["src_img"] + "|" + out["crop_img"]).to_numpy(dtype=object)
-            ).astype(np.int64)
-            % n_parts
-        )
+        out["key"] = pd.util.hash_array(
+            (out["src_img"] + "|" + out["crop_img"]).to_numpy(dtype=object)
+        ).view(np.int64)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def dedup_fold(g: pa.Table) -> pa.Table:
@@ -1277,11 +1212,12 @@ def image_crop_dups(
              "hamming": pa.array(df["hamming"].to_numpy(np.int64), pa.int64())}
         )
 
-    return (
-        pairs.map_batches(cross_kind, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedup_fold, batch_format="pyarrow")
-        .select_columns(["src_img", "crop_img", "quadrant", "hamming"])
+    return copartition(
+        [pairs.map_batches(cross_kind, batch_format="pyarrow")],
+        dedup_fold,
+        pa.schema([("src_img", pa.string()), ("crop_img", pa.string()),
+                   ("quadrant", pa.int64()), ("hamming", pa.int64())]),
+        joins.EXCHANGE_PARTS,
     )
 
 
@@ -1312,7 +1248,6 @@ def _kcore_batch(t: pa.Table, n: int, k: int) -> pa.Table:
 def doc_link_kcore(
     sf_dir: str,
     k: int = 8,
-    n_parts: int = 32,
     max_rounds: int = 30,
     small_edges: int = 50_000_000,
 ) -> rd.Dataset:
@@ -1343,11 +1278,12 @@ def doc_link_kcore(
     Two paths by materialized edge count (the ``connected_components``
     pattern): ``≤ small_edges`` peels the whole graph in ONE task — the
     BSP rounds cost ~3 exchanges each whose fixed cost dwarfs small
-    graphs. Above it, the BSP rounds coalesce blocks per round
-    (``repartition(n_parts)``) so union+groupby block counts don't
-    compound round over round.
+    graphs. Above it, the BSP rounds coalesce blocks per round (a
+    ``repartition`` to the exchange's count) so union+exchange block counts don't
+    compound round over round; that path runs only above ``small_edges``,
+    far past one read block of documents.
     """
-    edges, n = _derived_link_edges(sf_dir, n_parts)
+    edges, n, n_parts = _derived_link_edges(sf_dir)
 
     if edges.count() <= small_edges:
         return edges.repartition(1).map_batches(
@@ -1361,16 +1297,13 @@ def doc_link_kcore(
         nodes = np.concatenate([packed // n, packed % n])
         uniq, cnt = np.unique(nodes, return_counts=True)
         return pa.table(
-            {
-                "part": pa.array(uniq % n_parts, pa.int64()),
-                "node": pa.array(uniq, pa.int64()),
-                "c": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
+            {"key": pa.array(uniq, pa.int64()),
+             "c": pa.array(cnt.astype(np.int64), pa.int64())}
         )
 
     def deg_fold(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
-        s = df.groupby("node", sort=False)["c"].sum()
+        s = df.groupby("key", sort=False)["c"].sum()
         return pa.table(
             {
                 "node": pa.array(s.index.to_numpy(np.int64), pa.int64()),
@@ -1379,48 +1312,33 @@ def doc_link_kcore(
         )
 
     def live_rows(t: pa.Table) -> pa.Table:
-        keep = pc.greater_equal(t["deg"], k)
-        nodes = t.filter(keep)["node"].to_numpy()
-        return pa.table(
-            {
-                "part": pa.array(nodes % n_parts, pa.int64()),
-                "packed": pa.array(
-                    np.full(len(nodes), -1, dtype=np.int64), pa.int64()
-                ),
-                "node": pa.array(nodes, pa.int64()),
-            }
-        )
+        return pa.table({"key": t.filter(pc.greater_equal(t["deg"], k))["node"]})
 
     def key_edges_by(end_idx: int):
         def fn(t: pa.Table) -> pa.Table:
             packed = t["packed"].to_numpy()
             end = packed // n if end_idx == 0 else packed % n
-            return pa.table(
-                {
-                    "part": pa.array(end % n_parts, pa.int64()),
-                    "packed": pa.array(packed, pa.int64()),
-                    "node": pa.array(end, pa.int64()),
-                }
-            )
+            return pa.table({"key": pa.array(end, pa.int64()),
+                             "packed": pa.array(packed, pa.int64())})
 
         return fn
 
-    def semi_filter(g: pa.Table) -> pa.Table:
-        packed = g["packed"].to_numpy()
-        node = g["node"].to_numpy()
-        is_live = packed < 0
-        keep = np.isin(node[~is_live], node[is_live])
-        return pa.table(
-            {"packed": pa.array(packed[~is_live][keep], pa.int64())}
-        )
+    def semi_filter(e: pa.Table, live: pa.Table) -> pa.Table:
+        keep = np.isin(e["key"].to_numpy(), live["key"].to_numpy())
+        return pa.table({"packed": e["packed"].filter(pa.array(keep))})
+
+    def semi_pass(edges: rd.Dataset, live: rd.Dataset, end_idx: int):
+        return copartition(
+            [edges.map_batches(key_edges_by(end_idx), batch_format="pyarrow"),
+             live],
+            semi_filter, pa.schema([("packed", pa.int64())]), n_parts,
+        ).repartition(n_parts)
 
     for _ in range(max_rounds):
-        deg = (
-            edges.map_batches(deg_rows, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(deg_fold, batch_format="pyarrow")
-            .materialize()
-        )
+        deg = copartition(
+            [edges.map_batches(deg_rows, batch_format="pyarrow")],
+            deg_fold, pa.schema([("c", pa.int64())]), n_parts,
+        ).materialize()
         n_low = deg.map_batches(
             lambda t: pa.table(
                 {"n": pa.array(
@@ -1441,16 +1359,7 @@ def doc_link_kcore(
         live = deg.map_batches(
             live_rows, batch_format="pyarrow"
         ).repartition(n_parts).materialize()
-        edges = edges.map_batches(
-            key_edges_by(0), batch_format="pyarrow"
-        ).union(live).groupby("part").map_groups(
-            semi_filter, batch_format="pyarrow"
-        ).repartition(n_parts)
-        edges = edges.map_batches(
-            key_edges_by(1), batch_format="pyarrow"
-        ).union(live).groupby("part").map_groups(
-            semi_filter, batch_format="pyarrow"
-        ).repartition(n_parts).materialize()
+        edges = semi_pass(semi_pass(edges, live, 0), live, 1).materialize()
 
     return deg.map_batches(
         lambda t: pa.table(
@@ -1549,7 +1458,6 @@ def doc_link_distances(
     sf_dir: str,
     n_hops: int = 4,
     seeds_mod: int = 97,
-    n_parts: int = 32,
     small_edges: int = 50_000_000,
 ) -> rd.Dataset:
     """Min-hop distances from a seed set (doc_id % ``seeds_mod`` == 0) over
@@ -1576,9 +1484,10 @@ def doc_link_distances(
     EXCHANGE-bound — measured on the 500k-node / 2.5M-edge smoke: fast
     5.8 s vs BSP 14.1 s (~2.6 s/level of fixed exchange cost, identical
     outputs) — so the crossover follows k-core's 50M default, not
-    triangles' 1M.
+    triangles' 1M. The BSP path's exchanges take the edge set's partition
+    count; it runs only above ``small_edges``, far past one read block.
     """
-    edges, n = _derived_link_edges(sf_dir, n_parts)
+    edges, n, n_parts = _derived_link_edges(sf_dir)
 
     if edges.count() <= small_edges:
         return edges.repartition(1).map_batches(
@@ -1590,51 +1499,24 @@ def doc_link_distances(
     def key_edges_both(t: pa.Table) -> pa.Table:
         packed = t["packed"].to_numpy()
         u, v = packed // n, packed % n
-        key = np.concatenate([u, v])
-        other = np.concatenate([v, u])
         return pa.table(
-            {
-                "part": pa.array(key % n_parts, pa.int64()),
-                "node": pa.array(key, pa.int64()),
-                "other": pa.array(other, pa.int64()),
-            }
+            {"key": pa.array(np.concatenate([u, v]), pa.int64()),
+             "other": pa.array(np.concatenate([v, u]), pa.int64())}
         )
 
-    def tag(ds: rd.Dataset) -> rd.Dataset:
-        # frontier/visited rows carry other = -1 (edge rows have other >= 0)
-        def fn(t: pa.Table) -> pa.Table:
-            nodes = t["node"].to_numpy()
-            return pa.table(
-                {
-                    "part": pa.array(nodes % n_parts, pa.int64()),
-                    "node": pa.array(nodes, pa.int64()),
-                    "other": pa.array(
-                        np.full(len(nodes), -1, np.int64), pa.int64()
-                    ),
-                }
-            )
+    def keyed(ds: rd.Dataset) -> rd.Dataset:
+        return ds.map_batches(lambda t: pa.table({"key": t["node"]}),
+                              batch_format="pyarrow")
 
-        return ds.map_batches(fn, batch_format="pyarrow")
-
-    def expand(g: pa.Table) -> pa.Table:
-        node = g["node"].to_numpy()
-        other = g["other"].to_numpy()
-        is_f = other < 0
-        hit = np.isin(node[~is_f], node[is_f])
-        out = np.unique(other[~is_f][hit])
+    def expand(e: pa.Table, front: pa.Table) -> pa.Table:
+        hit = np.isin(e["key"].to_numpy(), front["key"].to_numpy())
         return pa.table(
-            {
-                "part": pa.array(out % n_parts, pa.int64()),
-                "node": pa.array(out, pa.int64()),
-            }
+            {"key": pa.array(np.unique(e["other"].to_numpy()[hit]), pa.int64())}
         )
 
-    def anti(g: pa.Table) -> pa.Table:
-        node = g["node"].to_numpy()
-        other = g["other"].to_numpy()
-        seen = node[other < 0]
-        new = np.unique(node[other >= 0])
-        new = new[~np.isin(new, seen)]
+    def anti(cand: pa.Table, seen: pa.Table) -> pa.Table:
+        new = np.unique(cand["key"].to_numpy())
+        new = new[~np.isin(new, seen["key"].to_numpy())]
         return pa.table({"node": pa.array(new, pa.int64())})
 
     seeds = (
@@ -1659,28 +1541,14 @@ def doc_link_distances(
     visited = seeds
     levels: list[tuple[rd.Dataset, int]] = [(seeds, 0)]
     for h in range(1, n_hops + 1):
-        cand = (
-            edges.map_batches(key_edges_both, batch_format="pyarrow")
-            .union(tag(frontier))
-            .groupby("part")
-            .map_groups(expand, batch_format="pyarrow")
+        cand = copartition(
+            [edges.map_batches(key_edges_both, batch_format="pyarrow"),
+             keyed(frontier)],
+            expand, pa.schema([("other", pa.int64())]), n_parts,
         )
-        # cand rows re-keyed by the candidate node; give them other=+1 so
-        # the anti fold can tell them from the visited (-1) rows
-        cand = cand.map_batches(
-            lambda t: t.append_column(
-                "other",
-                pa.array(np.ones(t.num_rows, np.int64), pa.int64()),
-            ),
-            batch_format="pyarrow",
-        )
-        new = (
-            cand.union(tag(visited))
-            .groupby("part")
-            .map_groups(anti, batch_format="pyarrow")
-            .repartition(n_parts)
-            .materialize()
-        )
+        new = copartition(
+            [cand, keyed(visited)], anti, pa.schema([]), n_parts,
+        ).repartition(n_parts).materialize()
         n_new = new.count()  # scalar only — driver holds no node rows
         if n_new == 0:
             break
@@ -1762,7 +1630,7 @@ def doc_link_distances_sql(n_hops: int = 4, seeds_mod: int = 97) -> str:
 # parsed); sixth verb over the same derived link graph
 
 
-def anchor_text_profiles(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def anchor_text_profiles(sf_dir: str) -> rd.Dataset:
     """Per link TARGET: in-link count and the most frequent anchor token
     (ties broken lexicographically). Uses the same deterministic derived
     link graph as ``doc_link_pagerank`` (doc d → (d·7+1)%N, (d·13+5)%N,
@@ -1807,18 +1675,16 @@ def anchor_text_profiles(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         out = (
             e.groupby(["dst", "anchor"], sort=False).size().rename("c").reset_index()
         )
-        dst = out["dst"].to_numpy(np.int64)
         return pa.table(
             {
-                "part": pa.array((dst % n_parts), pa.int64()),
-                "dst": pa.array(dst, pa.int64()),
+                "key": pa.array(out["dst"].to_numpy(np.int64), pa.int64()),
                 "anchor": pa.array(out["anchor"], pa.string()),
                 "c": pa.array(out["c"].to_numpy(np.int64), pa.int64()),
             }
         )
 
     def fold(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
+        df = g.to_pandas().rename(columns={"key": "dst"})
         cnt = (
             df.groupby(["dst", "anchor"], sort=False)["c"].sum().reset_index()
         )
@@ -1844,10 +1710,12 @@ def anchor_text_profiles(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
             }
         )
 
-    return (
-        docs.map_batches(edge_partials, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
+    return copartition(
+        [docs.map_batches(edge_partials, batch_format="pyarrow")],
+        fold,
+        pa.schema([("anchor", pa.string()), ("c", pa.int64())]),
+        # each doc sends at most 3 (dst, anchor) partials
+        exchange_parts(sf_dir, *["documents"] * 3),
     )
 
 
@@ -1884,154 +1752,7 @@ FROM ranked WHERE rn = 1
 """
 
 
-def pagerank_over_edges(
-    edges: rd.Dataset,
-    nodes: rd.Dataset,
-    n_iters: int = 5,
-    n_parts: int = 32,
-) -> rd.Dataset:
-    """Fixed-point PageRank over an ARBITRARY edge table — the general
-    form ``doc_link_pagerank``'s docstring promises ("a real link graph
-    replaces ``_succ`` with an edges Dataset and one partitioned hash join
-    per superstep — the fold/fixed-point machinery is unchanged"). Tests
-    assert the two are BIT-IDENTICAL on the same graph.
-
-    ``edges``: (src int64, dst int64) rows; ``nodes``: (node int64) — the
-    rank domain (keeps in-link-less and dangling nodes alive; dangling
-    rank evaporates, exactly like the closed-form version's ``deg = 0``).
-
-    Per superstep, TWO exchanges (the price of real edges over a derived
-    successor function): a src-hash tagged-union join attaching each
-    edge's source rank, then the dst-hash contribution fold. The edge
-    table is augmented ONCE with its out-degree (one src exchange) and
-    materialized; rank state lives in the object store between
-    supersteps. Same int64 fixed point as ``doc_link_pagerank``:
-    r' = 0.15·SCALE + 85·Σ(r//deg) // 100."""
-    SCALE = np.int64(1_000_000_000)
-
-    # out-degree attach, ONCE: per-block (src, deg) combiners → src fold →
-    # rejoin the edges in the same exchange (tagged union)
-    def e_rows(t: pa.Table) -> pa.Table:
-        src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "part": pa.array((src % n_parts), pa.int64()),
-                "src": pa.array(src, pa.int64()),
-                "dst": t["dst"].cast(pa.int64()),
-            }
-        )
-
-    def deg_fold(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        deg = df.groupby("src", sort=False)["dst"].size().rename("deg")
-        out = df.join(deg, on="src")
-        return pa.table(
-            {
-                "src": pa.array(out["src"].to_numpy(np.int64), pa.int64()),
-                "dst": pa.array(out["dst"].to_numpy(np.int64), pa.int64()),
-                "deg": pa.array(out["deg"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    edges_deg = (
-        edges.map_batches(e_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(deg_fold, batch_format="pyarrow")
-        .materialize()
-    )
-
-    ranks = nodes.map_batches(
-        lambda t: pa.table(
-            {
-                "node": t["node"].cast(pa.int64()),
-                "r": pa.array(
-                    np.full(t.num_rows, SCALE, np.int64), pa.int64()
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        src = t["src"].to_numpy()
-        return pa.table(
-            {
-                "part": pa.array((src % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(src, pa.int64()),
-                "dst": t["dst"],
-                "deg": t["deg"],
-                "r": pa.nulls(t.num_rows, pa.int64()),
-            }
-        )
-
-    def tag_ranks(t: pa.Table) -> pa.Table:
-        node = t["node"].to_numpy()
-        return pa.table(
-            {
-                "part": pa.array((node % n_parts).astype(np.int64), pa.int64()),
-                "key": pa.array(node, pa.int64()),
-                "dst": pa.nulls(t.num_rows, pa.int64()),
-                "deg": pa.nulls(t.num_rows, pa.int64()),
-                "r": t["r"],
-            }
-        )
-
-    def contribs(g: pa.Table) -> pa.Table:
-        is_r = pc.is_valid(g["r"])
-        rg = g.filter(is_r).select(["key", "r"]).to_pandas()
-        eg = g.filter(pc.invert(is_r)).select(["key", "dst", "deg"]).to_pandas()
-        m = eg.merge(rg, on="key", how="inner")
-        dst = np.concatenate(
-            [m["dst"].to_numpy(np.int64), rg["key"].to_numpy(np.int64)]
-        )
-        # per-edge share r // deg, plus zero self-rows keeping every node
-        # (dangling included) in the fold — identical to the closed form
-        c = np.concatenate(
-            [
-                m["r"].to_numpy(np.int64) // m["deg"].to_numpy(np.int64),
-                np.zeros(len(rg), np.int64),
-            ]
-        )
-        return pa.table(
-            {
-                "part": pa.array((dst % n_parts).astype(np.int64), pa.int64()),
-                "node": pa.array(dst, pa.int64()),
-                "c": pa.array(c, pa.int64()),
-            }
-        )
-
-    def fold(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        s = df.groupby("node", sort=False)["c"].sum()
-        newr = 150_000_000 + (np.int64(85) * s.to_numpy(np.int64)) // 100
-        return pa.table(
-            {
-                "node": pa.array(s.index.to_numpy(np.int64), pa.int64()),
-                "r": pa.array(newr, pa.int64()),
-            }
-        )
-
-    tagged_edges = edges_deg.map_batches(tag_edges, batch_format="pyarrow")
-    for _ in range(n_iters):
-        ranks = (
-            tagged_edges.union(
-                ranks.map_batches(tag_ranks, batch_format="pyarrow")
-            )
-            .groupby("part")
-            .map_groups(contribs, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(fold, batch_format="pyarrow")
-            .materialize()
-        )
-    return ranks.map_batches(
-        lambda t: pa.table({"doc_id": t["node"], "rank_scaled": t["r"]}),
-        batch_format="pyarrow",
-    )
-
-
-def fuzzy_name_clusters(
-    sf_dir: str, n_parts: int = 32, n_buckets: int = 8
-) -> rd.Dataset:
+def fuzzy_name_clusters(sf_dir: str, n_buckets: int = 8) -> rd.Dataset:
     """Entity-resolution MERGE GROUPS: connected components over the
     edit-distance-1 customer-name graph — the record-linkage verb that
     turns fuzzy match PAIRS into transitive merge clusters (A~B, B~C ⟹
@@ -2048,7 +1769,7 @@ def fuzzy_name_clusters(
     cluster_size)."""
     from crawler_ray.pipelines.textops import fuzzy_name_pairs
 
-    pairs = fuzzy_name_pairs(sf_dir, n_parts=n_parts)
+    pairs = fuzzy_name_pairs(sf_dir)
     cc = connected_components(
         pairs, src="custkey_a", dst="custkey_b", n_buckets=n_buckets
     )
@@ -2059,7 +1780,8 @@ def fuzzy_name_clusters(
         ),
         batch_format="pyarrow",
     )
-    return _labels_to_clusters(labeled, "custkey", n_buckets)
+    return _labels_to_clusters(
+        labeled, "custkey", exchange_parts(sf_dir, "customer"))
 
 
 def fuzzy_name_clusters_sql(n_rounds: int = 24) -> str:

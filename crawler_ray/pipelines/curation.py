@@ -8,8 +8,8 @@ how much data each filter removed, attributable).
 Everything stays distributed: the three per-doc signals are computed in
 ONE fused map_batches pass (the stages are the same callables the
 standalone queries use, so the oracle equivalence carries over), and the
-dedup loser set folds in by doc-id hash partition — one exchange beyond
-the cluster pipeline itself, no driver-side joins.
+dedup loser set folds in through one doc-keyed ``copartition`` — one
+exchange beyond the cluster pipeline itself, no driver-side joins.
 
 Dedup is computed over the WHOLE corpus (not post-filter): reasons are
 then independent of filter order except for the stated precedence, and
@@ -25,9 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-_OUT_SCHEMA = pa.schema(
-    [("doc_id", pa.int64()), ("part", pa.int64()), ("reason", pa.string())]
-)
+from crawler_ray.pipelines.joins import copartition, exchange_parts
 
 
 class CurationSignals:
@@ -35,7 +33,7 @@ class CurationSignals:
     folded into the first failing reason (null = passed all three).
     Sub-kernels are the SAME objects the standalone oracled queries use."""
 
-    def __init__(self, lang_keep: str, min_quality: float, n_parts: int):
+    def __init__(self, lang_keep: str, min_quality: float):
         from crawler_ray.functions.text import detect_lang, quality_score
         from crawler_ray.pipelines.textops import RepetitionMetrics
 
@@ -44,7 +42,6 @@ class CurationSignals:
         self.rep = RepetitionMetrics()
         self.lang_keep = lang_keep
         self.min_quality = min_quality
-        self.n_parts = n_parts
 
     def __call__(self, df: pd.DataFrame) -> pa.Table:
         pred = np.asarray(df["text"].map(self.detect), dtype=object)
@@ -54,12 +51,10 @@ class CurationSignals:
         reason[rep_keep == False] = "repetition"  # noqa: E712 (numpy mask)
         reason[quality < self.min_quality] = "quality"
         reason[pred != self.lang_keep] = "lang"  # highest precedence last
-        ids = df["doc_id"].to_numpy(dtype=np.int64)
         return pa.table(
-            {"doc_id": pa.array(ids, pa.int64()),
-             "part": pa.array(ids % self.n_parts, pa.int64()),
+            {"doc_id": pa.array(df["doc_id"].to_numpy(dtype=np.int64)),
              "reason": pa.array(reason, pa.string())},
-        ).cast(_OUT_SCHEMA)
+        )
 
 
 def corpus_curation(
@@ -67,7 +62,6 @@ def corpus_curation(
     lang_keep: str = "en",
     min_quality: float = 0.55,
     dup_threshold: float = 0.95,
-    n_parts: int = 16,
 ) -> rd.Dataset:
     """Per-doc curation verdict (doc_id, kept, reason) over the full
     filter chain. ``reason`` is the first gate the doc fails
@@ -76,41 +70,29 @@ def corpus_curation(
     from crawler_ray.pipelines.dedup import _read_docs
 
     signals = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        CurationSignals(lang_keep, min_quality, n_parts),
+        CurationSignals(lang_keep, min_quality),
         batch_format="pandas",
     )
-
-    def loser_rows(t: pa.Table) -> pa.Table:
-        drop = t.filter(pc.not_equal(t["doc_id"], t["cluster_id"]))
-        ids = drop["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {"doc_id": pa.array(ids, pa.int64()),
-             "part": pa.array(ids % n_parts, pa.int64()),
-             "reason": pa.array(["__dup__"] * len(ids), pa.string())},
-        ).cast(_OUT_SCHEMA)
-
     losers = near_dup_clusters(sf_dir, dup_threshold).map_batches(
-        loser_rows, batch_format="pyarrow"
+        lambda t: t.filter(pc.not_equal(t["doc_id"], t["cluster_id"])),
+        batch_format="pyarrow",
     )
 
-    def resolve(g: pa.Table) -> pa.Table:
-        df = g.select(["doc_id", "reason"]).to_pandas()
-        is_dup = df["reason"] == "__dup__"
-        dup_ids = set(df.loc[is_dup, "doc_id"])
-        sig = df.loc[~is_dup].copy()
-        unresolved = sig["reason"].isna()
-        sig.loc[unresolved, "reason"] = [
-            "duplicate" if d in dup_ids else "kept"
-            for d in sig.loc[unresolved, "doc_id"]
-        ]
+    def resolve(sig: pa.Table, losers: pa.Table) -> pa.Table:
+        dup = np.isin(sig["doc_id"].to_numpy(), losers["doc_id"].to_numpy())
+        reason = sig["reason"].to_numpy(zero_copy_only=False).astype(object)
+        unresolved = pc.is_null(sig["reason"]).to_numpy(zero_copy_only=False)
+        reason[unresolved] = np.where(dup[unresolved], "duplicate", "kept")
         return pa.table(
-            {"doc_id": pa.array(sig["doc_id"].to_numpy(np.int64), pa.int64()),
-             "kept": pa.array((sig["reason"] == "kept").to_numpy(), pa.bool_()),
-             "reason": pa.array(sig["reason"].to_numpy(object), pa.string())}
+            {"doc_id": sig["doc_id"],
+             "kept": pa.array(reason == "kept", pa.bool_()),
+             "reason": pa.array(reason, pa.string())}
         )
 
-    return signals.union(losers).groupby("part").map_groups(
-        resolve, batch_format="pyarrow"
+    return copartition(
+        [signals, losers], resolve, pa.schema([("reason", pa.string())]),
+        # each doc sends at most one row to each side
+        exchange_parts(sf_dir, "documents", "documents"), key="doc_id",
     )
 
 
@@ -167,7 +149,6 @@ def training_data_build(
     sf_dir: str,
     ctx: int = 256,
     split_seed: int = 3,
-    n_parts: int = 32,
     **curation_kwargs,
 ) -> rd.Dataset:
     """The end-to-end TRAINING-DATA BUILD a pretraining run consumes: the
@@ -179,73 +160,52 @@ def training_data_build(
 
     Composition shape (no stage re-reads another's input): the curation
     verdicts and the per-doc token counts are computed in their own
-    passes, co-located by ONE doc-hash exchange (in-task semi join keeps
-    survivor counts), then the pack-spans prefix-sum machinery runs over
-    the surviving slim rows — per-range totals to the driver (O(n_parts)),
-    exclusive offsets back, in-range cumsum. The md5 split assignment is
+    passes, co-located by ONE doc-keyed ``copartition`` (in-task semi join
+    keeps survivor counts), then the pack-spans prefix-sum machinery runs
+    over the surviving slim rows — per-range totals to the driver (one per
+    partition), exclusive offsets back, in-range cumsum. The md5 split assignment is
     a pure map on the final fold. The oracle composes the curation
     statement and the window-cumsum twin verbatim, so any divergence
     localizes to a sub-oracle."""
     import hashlib
 
     from crawler_ray.pipelines.dedup import _read_docs
-    from crawler_ray.pipelines.textops import _docid_bounds
+    from crawler_ray.pipelines.textops import _docid_bounds, _range_offsets
 
-    verdicts = corpus_curation(sf_dir, n_parts=16, **curation_kwargs)
-
+    verdicts = corpus_curation(sf_dir, **curation_kwargs)
+    # each doc sends at most one row to each side of the semi join
+    n_parts = exchange_parts(sf_dir, "documents", "documents")
     lo, hi = _docid_bounds(f"{sf_dir}/documents.parquet")
     rng = max(1, -(-(hi - lo + 1) // n_parts))
 
     def count_rows(df: pd.DataFrame) -> pa.Table:
-        ids = df["doc_id"].to_numpy(dtype=np.int64)
-        toks = df["text"].str.count(r"\S+").astype("int64").to_numpy()
         return pa.table(
-            {"doc_id": pa.array(ids, pa.int64()),
-             "jpart": pa.array(ids % n_parts, pa.int64()),
-             "n_tokens": pa.array(toks, pa.int64()),
-             "kept": pa.nulls(len(ids), pa.bool_())}
+            {"doc_id": pa.array(df["doc_id"].to_numpy(dtype=np.int64)),
+             "n_tokens": pa.array(
+                 df["text"].str.count(r"\S+").astype("int64").to_numpy())}
         )
 
-    def kept_rows(t: pa.Table) -> pa.Table:
-        k = t.filter(t["kept"])
-        ids = k["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {"doc_id": pa.array(ids, pa.int64()),
-             "jpart": pa.array(ids % n_parts, pa.int64()),
-             "n_tokens": pa.nulls(len(ids), pa.int64()),
-             "kept": pa.array(np.ones(len(ids), bool), pa.bool_())}
-        )
-
-    def semi(g: pa.Table) -> pa.Table:
-        keep_ids = g.filter(pa.compute.is_valid(g["kept"]))["doc_id"].to_numpy(
-            zero_copy_only=False
-        )
-        cnt = g.filter(pa.compute.invert(pa.compute.is_valid(g["kept"])))
-        ids = cnt["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sel = np.isin(ids, keep_ids)
+    def semi(cnt: pa.Table, kept: pa.Table) -> pa.Table:
+        ids = cnt["doc_id"].to_numpy()
+        sel = np.isin(ids, kept["doc_id"].to_numpy())
         ids = ids[sel]
-        toks = cnt["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)[sel]
         return pa.table(
-            {"doc_id": pa.array(ids, pa.int64()),
-             "n_tokens": pa.array(toks, pa.int64()),
-             "part": pa.array((ids - lo) // rng, pa.int64())}
+            {"key": pa.array((ids - lo) // rng, pa.int64()),
+             "doc_id": pa.array(ids, pa.int64()),
+             "n_tokens": pa.array(cnt["n_tokens"].to_numpy()[sel], pa.int64())}
         )
 
-    counts = (
-        _read_docs(sf_dir, ["doc_id", "text"])
-        .map_batches(count_rows, batch_format="pandas")
-        .union(verdicts.map_batches(kept_rows, batch_format="pyarrow"))
-        .groupby("jpart")
-        .map_groups(semi, batch_format="pyarrow")
-        .materialize()
-    )
-
-    from ray.data.aggregate import Sum
-
-    totals = counts.groupby("part").aggregate(
-        Sum("n_tokens", alias_name="t")
-    ).take_all()
-    if not totals:  # zero survivors (all docs gated out): a TYPED empty.
+    schema = pa.schema([("n_tokens", pa.int64())])
+    counts = copartition(
+        [_read_docs(sf_dir, ["doc_id", "text"])
+         .map_batches(count_rows, batch_format="pandas"),
+         verdicts.map_batches(lambda t: t.filter(t["kept"]),
+                              batch_format="pyarrow")],
+        semi, schema, n_parts, key="doc_id",
+    ).materialize()
+    schema = schema.insert(0, pa.field("doc_id", pa.int64()))
+    offsets = _range_offsets(counts, "n_tokens", schema, n_parts)
+    if not offsets:  # zero survivors (all docs gated out): a TYPED empty.
         # pandas, not rd.from_arrow — Ray's to_pandas drops the columns of
         # a zero-row dataset, which would fail the driver's schema compare
         return pd.DataFrame(
@@ -256,17 +216,13 @@ def training_data_build(
              "bin_start": pd.Series([], dtype=np.int64),
              "bin_end": pd.Series([], dtype=np.int64)}
         )
-    base, offsets = 0, {}
-    for row in sorted(totals, key=lambda r: r["part"]):
-        offsets[int(row["part"])] = base
-        base += int(row["t"])
 
     def pack(g: pa.Table) -> pa.Table:
         ids = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         toks = g["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(ids)
         ids, toks = ids[order], toks[order]
-        start = np.cumsum(toks) - toks + offsets[int((ids[0] - lo) // rng)]
+        start = np.cumsum(toks) - toks + offsets[g["key"][0].as_py()]
         end_tok = start + np.maximum(toks, 1) - 1
         h = np.array(
             [int(hashlib.md5(f"{split_seed}:{i}".encode()).hexdigest()[:8], 16)
@@ -283,7 +239,7 @@ def training_data_build(
              "bin_end": pa.array(end_tok // ctx, pa.int64())}
         )
 
-    return counts.groupby("part").map_groups(pack, batch_format="pyarrow")
+    return copartition([counts], pack, schema, n_parts)
 
 
 def training_data_build_sql(ctx: int = 256, split_seed: int = 3) -> str:

@@ -20,6 +20,11 @@ content-dedup operators a training-data pipeline needs. The scalable shapes:
 - token-Jaccard      = quadratic work over DISTINCT token sets only
                        (vocab-bounded metadata), doc-pair emission via
                        hash-partition joins — exact vs the SQL oracle
+
+Every exchange here is a ``joins.copartition``, sized by the shared rule:
+from the documents footer where each doc sends a fixed number of rows,
+from the materialized candidate count for the MinHash verify, and
+``EXCHANGE_PARTS`` where a doc's window fan-out has no footer bound.
 """
 
 from __future__ import annotations
@@ -34,6 +39,14 @@ import ray
 import ray.data as rd
 
 from crawler_ray.context import worker_cached
+from crawler_ray.pipelines import joins
+from crawler_ray.pipelines.joins import (
+    _footer_rows,
+    copartition,
+    exchange_parts,
+    footer_schema,
+    parts_for_rows,
+)
 
 
 def _read_docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
@@ -67,10 +80,10 @@ def _read_docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
 # exact dedup (md5 of text)
 
 
-def exact_dedup_docs(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
+def exact_dedup_docs(sf_dir: str) -> rd.Dataset:
     """One representative (min doc_id) per distinct text + copy count.
 
-    Shape: md5 per batch → coarse hash-partition groupby → per-partition
+    Shape: md5 per batch → one md5-keyed ``copartition`` → per-partition
     pandas aggregate. (Ray's ``Aggregate`` operator on the raw string key
     measured 1.4 s for 5 k rows at sf0.1 — the coarse-partition +
     in-partition aggregate is the same one exchange with none of the
@@ -80,19 +93,18 @@ def exact_dedup_docs(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
 
     def hash_batch(df: pd.DataFrame) -> pa.Table:
         md5s = [hashlib.md5(t.encode("utf-8")).hexdigest() for t in df["text"]]
-        # partition from the first 8 hex chars — md5 is already uniform
-        part = np.array([int(m[:8], 16) % n_parts for m in md5s], dtype=np.int64)
         return pa.table(
             {
+                # key from the first 8 hex chars — md5 is already uniform
+                "key": pa.array([int(m[:8], 16) for m in md5s], pa.int64()),
                 "text_md5": pa.array(md5s, pa.string()),
                 "doc_id": pa.array(df["doc_id"].to_numpy(), pa.int64()),
-                "part": pa.array(part, pa.int64()),
             }
         )
 
-    def agg_part(g: pd.DataFrame) -> pd.DataFrame:
+    def agg_part(g: pa.Table) -> pd.DataFrame:
         out = (
-            g.groupby("text_md5", sort=False)["doc_id"]
+            g.to_pandas().groupby("text_md5", sort=False)["doc_id"]
             .agg(rep_doc_id="min", n_copies="size")
             .reset_index()
         )
@@ -100,14 +112,10 @@ def exact_dedup_docs(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
         out["n_copies"] = out["n_copies"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(hash_batch, batch_format="pandas")
-        .groupby("part")
-        .map_groups(agg_part, batch_format="pandas")
-        .map_batches(
-            lambda t: t.select(["text_md5", "rep_doc_id", "n_copies"]),
-            batch_format="pyarrow",
-        )
+    return copartition(
+        [ds.map_batches(hash_batch, batch_format="pandas")], agg_part,
+        pa.schema([("text_md5", pa.string()), ("doc_id", pa.int64())]),
+        exchange_parts(sf_dir, "documents"),
     )
 
 
@@ -346,6 +354,9 @@ def sig_to_bands(t: pa.Table) -> pa.Table:
     )
 
 
+# a band row's payload beside its bucket key
+_BAND_SCHEMA = pa.schema([("doc_id", pa.int64()), ("minisig", pa.binary(_N_PERM))])
+
 _EST_MARGIN = 0.12  # ~3 * sqrt(j(1-j)/128) at j≈0.8
 
 
@@ -544,12 +555,12 @@ class PairVerifier:
 _PAIR_BROADCAST_MAX = 2_000_000
 
 
-def _broadcast_pair_halves(docs, cand_pairs: "pd.DataFrame", nb: int):
+def _broadcast_pair_halves(docs, cand_pairs: "pd.DataFrame"):
     """Guarded-broadcast text attach: candidate (doc_a, doc_b) pairs —
     ALREADY bounded by _PAIR_BROADCAST_MAX — are sorted per side on the
     driver and ``ray.put`` ONCE; the doc scan then emits text-bearing half
-    rows (vpart, doc_a, doc_b, side, text) for exactly the docs that occur
-    in some pair, straight into the pair-partitioned verify exchange.
+    rows (pair key, doc_a, doc_b, side, text) for exactly the docs that
+    occur in some pair, straight into the pair-keyed verify exchange.
 
     vs the partitioned path this removes one all-to-all (the doc_id-keyed
     union exchange) AND stops shipping the texts of docs that occur in no
@@ -563,12 +574,12 @@ def _broadcast_pair_halves(docs, cand_pairs: "pd.DataFrame", nb: int):
 
     da = cand_pairs["doc_a"].to_numpy(np.int64)
     db = cand_pairs["doc_b"].to_numpy(np.int64)
-    vpart = ((da * np.int64(1000003) + db) % nb).astype(np.int64)
+    pkey = _pair_key(da, db)
     side_arrays = []
     for key in (da, db):
         order = np.argsort(key, kind="stable")
         side_arrays.append(
-            (key[order], da[order], db[order], vpart[order])
+            (key[order], da[order], db[order], pkey[order])
         )
     pairs_ref = ray.put(side_arrays)
 
@@ -591,7 +602,7 @@ def _broadcast_pair_halves(docs, cand_pairs: "pd.DataFrame", nb: int):
             base = np.concatenate([np.arange(l, h) for l, h in
                                    zip(lo[nz].tolist(), hi[nz].tolist())])
             out.append(pa.table(
-                {"vpart": pa.array(svp[base], pa.int64()),
+                {"key": pa.array(svp[base], pa.int64()),
                  "doc_a": pa.array(sda[base], pa.int64()),
                  "doc_b": pa.array(sdb[base], pa.int64()),
                  "side": pa.array(
@@ -599,16 +610,94 @@ def _broadcast_pair_halves(docs, cand_pairs: "pd.DataFrame", nb: int):
                  "text": texts.take(pa.array(rep))}
             ))
         if not out:
-            return pa.table(
-                {"vpart": pa.array([], pa.int64()),
-                 "doc_a": pa.array([], pa.int64()),
-                 "doc_b": pa.array([], pa.int64()),
-                 "side": pa.array([], pa.int64()),
-                 "text": pa.array([], pa.string())}
-            )
+            return _HALF_SCHEMA.insert(0, pa.field("key", pa.int64())).empty_table()
         return pa.concat_tables(out)
 
     return docs.map_batches(emit_halves, batch_format="pyarrow")
+
+
+# a candidate pair's text-bearing half row (side 0: doc_a's text)
+_HALF_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                          ("side", pa.int64()), ("text", pa.string())])
+
+
+def _pair_key(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """The verify exchange's key: a pure function of the pair, so every
+    emission of a pair meets in one partition."""
+    return (da * np.int64(1000003) + db).astype(np.int64)
+
+
+def _verified_pairs(
+    sf_dir: str, candidates: rd.Dataset, ngram: int, threshold: float
+) -> rd.Dataset:
+    """Exact-Jaccard verification of materialized candidate (doc_a, doc_b)
+    pairs. Each pair needs both texts: at most ``_PAIR_BROADCAST_MAX``
+    pairs broadcast to the doc scan (``_broadcast_pair_halves``); above
+    it, pair half-rows and doc rows meet in ONE doc-keyed ``copartition``
+    (the fused text attach — corpus text crosses the network once). Then
+    one pair-keyed ``copartition`` co-locates a pair's two halves, so the
+    dedup there is global (exactly-once). Both exchanges are sized from
+    two half-rows per candidate plus one row per doc."""
+    docs = _read_docs(sf_dir, ["doc_id", "text"])
+    n_cand = candidates.count()
+    nb = parts_for_rows(2 * n_cand + _footer_rows(f"{sf_dir}/documents.parquet"))
+
+    def halves(t: pa.Table) -> pa.Table:
+        # each candidate pair → two half-rows keyed by the doc whose text
+        # it needs
+        da = t["doc_a"].to_numpy()
+        db = t["doc_b"].to_numpy()
+        n = len(da)
+        return pa.table(
+            {"key": pa.array(np.concatenate([da, db]), pa.int64()),
+             "doc_a": pa.array(np.concatenate([da, da]), pa.int64()),
+             "doc_b": pa.array(np.concatenate([db, db]), pa.int64()),
+             "side": pa.array(
+                 np.r_[np.zeros(n, np.int64), np.ones(n, np.int64)], pa.int64()
+             )}
+        )
+
+    def attach(h: pa.Table, d: pa.Table) -> pa.Table:
+        lookup = dict(zip(d["key"].to_numpy(), d["text"].to_pylist()))
+        da = h["doc_a"].to_numpy()
+        db = h["doc_b"].to_numpy()
+        return pa.table(
+            {"key": pa.array(_pair_key(da, db), pa.int64()),
+             "doc_a": h["doc_a"], "doc_b": h["doc_b"], "side": h["side"],
+             "text": pa.array([lookup[k] for k in h["key"].to_numpy()],
+                              pa.string())}
+        )
+
+    verifier = PairVerifier(ngram, threshold)
+
+    def pair_up(g: pa.Table) -> pd.DataFrame:
+        df = g.to_pandas()
+        # exactly-once: the key is a pure function of (doc_a, doc_b), so
+        # ALL duplicate emissions of a pair (different buckets, different
+        # estimate partitions) land in this one call — dedup here is global
+        a = df[df["side"] == 0][["doc_a", "doc_b", "text"]].rename(
+            columns={"text": "text_a"}
+        ).drop_duplicates(["doc_a", "doc_b"])
+        b = df[df["side"] == 1][["doc_a", "doc_b", "text"]].rename(
+            columns={"text": "text_b"}
+        ).drop_duplicates(["doc_a", "doc_b"])
+        return verifier(a.merge(b, on=["doc_a", "doc_b"]))
+
+    if 0 < n_cand <= _PAIR_BROADCAST_MAX:
+        # (n_cand == 0 stays on the partitioned path: Ray drops the schema
+        # of an all-empty Dataset, so to_pandas() would yield a 0-column
+        # frame — the partitioned path is already empty-safe end to end)
+        cand = candidates.to_pandas().drop_duplicates(["doc_a", "doc_b"])
+        attached = _broadcast_pair_halves(docs, cand)
+    else:
+        attached = copartition(
+            [candidates.map_batches(halves, batch_format="pyarrow"),
+             docs.map_batches(
+                 lambda t: pa.table({"key": t["doc_id"], "text": t["text"]}),
+                 batch_format="pyarrow")],
+            attach, _HALF_SCHEMA, nb,
+        )
+    return copartition([attached], pair_up, _HALF_SCHEMA, nb)
 
 
 def minhash_near_dup_pairs(
@@ -632,120 +721,16 @@ def minhash_near_dup_pairs(
       the network exactly one time, and the second exchange moves only the
       estimate-surviving pairs' texts) → exact-Jaccard verify (task-mode)."""
     docs = _read_docs(sf_dir, ["doc_id", "text"])
-    n_parts = 16  # coarse hash partitions for the bucket exchange
-    nb = 16  # text-attach / pair-regroup partitions
     sigs = docs.map_batches(make_minhash_fn(ngram), batch_format="pandas")
-    banded = sigs.map_batches(sig_to_bands, batch_format="pyarrow").map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array((t["bucket"].to_numpy() % n_parts).astype(np.int64),
-                     pa.int64()),
-        ),
-        batch_format="pyarrow",
-    )
-    candidates = (
-        banded.groupby("part")
-        .map_groups(_estimate_pairs_multi(threshold), batch_format="pyarrow")
-        .materialize()  # O(pairs) blocks; executed once, reused either path
-    )
-    n_cand = candidates.count()
-
-    def halves(t: pa.Table) -> pa.Table:
-        # each candidate pair → two half-rows keyed by the doc whose text
-        # it needs; docs-side columns padded null
-        da = t["doc_a"].to_numpy()
-        db = t["doc_b"].to_numpy()
-        n = len(da)
-        jkey = np.concatenate([da, db])
-        return pa.table(
-            {
-                "jkey": pa.array(jkey, pa.int64()),
-                "jpart": pa.array((jkey % nb).astype(np.int64), pa.int64()),
-                "doc_a": pa.array(np.concatenate([da, da]), pa.int64()),
-                "doc_b": pa.array(np.concatenate([db, db]), pa.int64()),
-                "side": pa.array(
-                    np.r_[np.zeros(n, np.int64), np.ones(n, np.int64)], pa.int64()
-                ),
-                "text": pa.nulls(2 * n, pa.string()),
-            }
-        )
-
-    def doc_rows(t: pa.Table) -> pa.Table:
-        key = t["doc_id"].to_numpy()
-        return pa.table(
-            {
-                "jkey": t["doc_id"],
-                "jpart": pa.array((key % nb).astype(np.int64), pa.int64()),
-                "doc_a": pa.nulls(t.num_rows, pa.int64()),
-                "doc_b": pa.nulls(t.num_rows, pa.int64()),
-                "side": pa.nulls(t.num_rows, pa.int64()),
-                "text": t["text"],
-            }
-        )
-
-    def attach(g: pa.Table) -> pa.Table:
-        is_doc = pa.compute.is_valid(g["text"])
-        dt = g.filter(is_doc)
-        ht = g.filter(pa.compute.invert(is_doc))
-        if ht.num_rows == 0:
-            return pa.table(
-                {"vpart": pa.array([], pa.int64()),
-                 "doc_a": pa.array([], pa.int64()),
-                 "doc_b": pa.array([], pa.int64()),
-                 "side": pa.array([], pa.int64()),
-                 "text": pa.array([], pa.string())}
-            )
-        lookup = dict(zip(dt["jkey"].to_numpy(), dt["text"].to_pylist()))
-        jk = ht["jkey"].to_numpy()
-        da = ht["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        db = ht["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        # pair-regroup partition from the pair identity
-        vpart = ((da * np.int64(1000003) + db) % nb).astype(np.int64)
-        return pa.table(
-            {
-                "vpart": pa.array(vpart, pa.int64()),
-                "doc_a": pa.array(da, pa.int64()),
-                "doc_b": pa.array(db, pa.int64()),
-                "side": ht["side"],
-                "text": pa.array([lookup[k] for k in jk], pa.string()),
-            }
-        )
-
-    verifier = PairVerifier(ngram, threshold)
-
-    def pair_up(g: pa.Table) -> pd.DataFrame:
-        df = g.to_pandas()
-        # exactly-once: vpart is a pure function of (doc_a, doc_b), so ALL
-        # duplicate emissions of a pair (different buckets, different
-        # estimate partitions) land in this one group — dedup here is global
-        a = df[df["side"] == 0][["doc_a", "doc_b", "text"]].rename(
-            columns={"text": "text_a"}
-        ).drop_duplicates(["doc_a", "doc_b"])
-        b = df[df["side"] == 1][["doc_a", "doc_b", "text"]].rename(
-            columns={"text": "text_b"}
-        ).drop_duplicates(["doc_a", "doc_b"])
-        return verifier(a.merge(b, on=["doc_a", "doc_b"]))
-
-    if 0 < n_cand <= _PAIR_BROADCAST_MAX:
-        # (n_cand == 0 stays on the partitioned path: Ray drops the schema
-        # of an all-empty Dataset, so to_pandas() would yield a 0-column
-        # frame — the partitioned path is already empty-safe end to end)
-        # broadcast fast path: driver-side global pair dedup (bounded by the
-        # guard), then ONE pair-partitioned exchange — see
-        # _broadcast_pair_halves for the byte/latency accounting
-        cand = candidates.to_pandas()
-        cand = cand.drop_duplicates(["doc_a", "doc_b"])
-        return _broadcast_pair_halves(docs, cand, nb).groupby(
-            "vpart"
-        ).map_groups(pair_up, batch_format="pyarrow")
-
-    attached = (
-        candidates.map_batches(halves, batch_format="pyarrow")
-        .union(docs.map_batches(doc_rows, batch_format="pyarrow"))
-        .groupby("jpart")
-        .map_groups(attach, batch_format="pyarrow")
-    )
-    return attached.groupby("vpart").map_groups(pair_up, batch_format="pyarrow")
+    candidates = copartition(
+        [sigs.map_batches(sig_to_bands, batch_format="pyarrow")],
+        _estimate_pairs_multi(threshold),
+        _BAND_SCHEMA,
+        # each doc sends one row per band
+        exchange_parts(sf_dir, *["documents"] * _N_BANDS),
+        key="bucket",
+    ).materialize()  # O(pairs) blocks; executed once, reused either path
+    return _verified_pairs(sf_dir, candidates, ngram, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -874,11 +859,10 @@ def simhash_near_dup_pairs(sf_dir: str, max_hamming: int = 3) -> rd.Dataset:
     ``max_hamming + 1`` near-equal-width bands over the 64-bit signature —
     two signatures within Hamming distance ≤ max_hamming share at least
     one exact band (pigeonhole; the default 3 gives the classic 4×16-bit
-    quarters) → coarse hash-partition groupby on the band buckets → fused
-    in-segment Hamming verify + canonical-band dedup. Two map stages and
-    ONE exchange total. Rows-only driver check."""
+    quarters) → one bucket-keyed ``copartition`` → fused in-segment
+    Hamming verify + canonical-band dedup. Two map stages and ONE exchange
+    total. Rows-only driver check."""
     docs = _read_docs(sf_dir, ["doc_id", "text"])
-    n_parts = 64
     sigs = docs.map_batches(simhash_batch, batch_format="pandas")
     layout = _simhash_band_layout(max_hamming)
     if max_hamming >= 16:
@@ -903,15 +887,17 @@ def simhash_near_dup_pairs(sf_dir: str, max_hamming: int = 3) -> rd.Dataset:
         bucket = bucket.ravel()
         return pa.table({
             "bucket": pa.array(bucket, pa.int64()),
-            "part": pa.array((bucket % n_parts).astype(np.int64), pa.int64()),
             "doc_id": t["doc_id"].take(pa.array(idx)),
             "simhash": t["simhash"].take(pa.array(idx)),
         })
 
-    exploded = sigs.map_batches(explode, batch_format="pyarrow")
-    return (
-        exploded.groupby("part")
-        .map_groups(_hamming_pairs_multi(max_hamming), batch_format="pyarrow")
+    return copartition(
+        [sigs.map_batches(explode, batch_format="pyarrow")],
+        _hamming_pairs_multi(max_hamming),
+        pa.schema([("doc_id", pa.int64()), ("simhash", pa.int64())]),
+        # each doc sends one row per band
+        exchange_parts(sf_dir, *["documents"] * nb),
+        key="bucket",
     )
 
 
@@ -959,7 +945,7 @@ def token_jaccard_pairs(
     grows with the corpus, use the MinHash-LSH path above instead."""
     docs = _read_docs(sf_dir, ["doc_id", "text"])
     return _set_jaccard_pairs(_keyed_sets(docs, _canon_token_set),
-                              threshold, n_blocks)
+                              threshold, n_blocks, exchange_parts(sf_dir, "documents"))
 
 
 def bigram_jaccard_pairs(
@@ -975,7 +961,7 @@ def bigram_jaccard_pairs(
     where they vanish from the exploded shingle relation)."""
     docs = _read_docs(sf_dir, ["doc_id", "text"])
     return _set_jaccard_pairs(_keyed_sets(docs, _canon_bigram_set),
-                              threshold, n_blocks)
+                              threshold, n_blocks, exchange_parts(sf_dir, "documents"))
 
 
 def _keyed_sets(docs: rd.Dataset, canon_fn) -> rd.Dataset:
@@ -997,7 +983,7 @@ def _keyed_sets(docs: rd.Dataset, canon_fn) -> rd.Dataset:
 
 
 def _distinct_set_pairs(
-    keyed: rd.Dataset, threshold: float, n_blocks: int
+    keyed: rd.Dataset, threshold: float, n_blocks: int, parts: int
 ) -> rd.Dataset:
     """SET-level thresholded Jaccard pairs (key_a, key_b, jaccard) over the
     distinct canonical sets of ``keyed`` (set_id, doc_id, toks) — the
@@ -1007,35 +993,27 @@ def _distinct_set_pairs(
     B = n_blocks
 
     # distinct sets: one representative row per set. Batch-local first-
-    # occurrence fold (combiner: cuts the exchange volume) → ONE coarse
-    # part exchange → the same vectorized fold per partition — the
-    # segment-walk template, not a per-set map_groups (which paid the
-    # ~0.35 ms/group dispatch x |sets| this pipeline's own band-dedup
-    # design eliminates).
-    n_parts = max(2 * B, 8)
+    # occurrence fold (combiner: cuts the exchange volume) → ONE set-keyed
+    # ``copartition`` over ``parts`` partitions → the same vectorized fold
+    # per partition — the segment-walk template, not a per-set map_groups
+    # (which paid the ~0.35 ms/group dispatch x |sets| this pipeline's own
+    # band-dedup design eliminates).
 
     def first_per_set(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.table(
                 {"set_id": pa.array([], pa.int64()),
-                 "toks": pa.array([], pa.string()),
-                 "part": pa.array([], pa.int64())}
+                 "toks": pa.array([], pa.string())}
             )
         ids = t["set_id"].to_numpy(zero_copy_only=False)
         order = np.argsort(ids, kind="stable")
         keep = np.r_[True, ids[order][1:] != ids[order][:-1]]
-        take = pa.array(order[keep])
-        out = t.select(["set_id", "toks"]).take(take)
-        part = (out["set_id"].to_numpy() % n_parts).astype(np.int64)
-        return out.append_column("part", pa.array(part, pa.int64()))
+        return t.select(["set_id", "toks"]).take(pa.array(order[keep]))
 
-    distinct = (
-        keyed.map_batches(first_per_set, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(first_per_set, batch_format="pyarrow")
-        .drop_columns(["part"])
-        .materialize()  # S rows; counted to size the block grid
-    )
+    distinct = copartition(
+        [keyed.map_batches(first_per_set, batch_format="pyarrow")],
+        first_per_set, pa.schema([("toks", pa.string())]), parts, key="set_id",
+    ).materialize()  # S rows; counted to size the block grid
     # Adaptive block count: per-pair-block tasks hold ~2x4000 sets, so the
     # int64 intersection matrix stays ≤ 4000² x 8 B ≈ 128 MiB no matter how
     # many distinct sets the corpus has (B=4 with S≈50k meant 12.5k² ≈
@@ -1188,14 +1166,14 @@ def _distinct_set_pairs(
 
 
 def _set_jaccard_pairs(
-    keyed: rd.Dataset, threshold: float, n_blocks: int
+    keyed: rd.Dataset, threshold: float, n_blocks: int, parts: int
 ) -> rd.Dataset:
     """Exact thresholded Jaccard over canonical element-set rows
     (set_id, doc_id, toks): distinct sets → block-nested-loop set-pair
     matmul → doc-pair emission via two hash-partition joins."""
     from crawler_ray.pipelines.joins import partitioned_hash_join
 
-    set_pairs = _distinct_set_pairs(keyed, threshold, n_blocks)
+    set_pairs = _distinct_set_pairs(keyed, threshold, n_blocks, parts)
     members = keyed.select_columns(["set_id", "doc_id"])
 
     def rename(cols):
@@ -1305,9 +1283,7 @@ WHERE c / (ca.n + cb.n - c)::DOUBLE >= {threshold}
 # exact substring-span dedup (duplicate k-token windows removed corpus-wide)
 
 
-def substring_span_dedup(
-    sf_dir: str, k: int = 10, n_parts: int = 32
-) -> rd.Dataset:
+def substring_span_dedup(sf_dir: str, k: int = 10) -> rd.Dataset:
     """Exact substring-span deduplication: every k-token window whose exact
     token sequence occurs at >= 2 positions corpus-wide (any doc, including
     self-repetition) is marked, and all covered token positions are removed
@@ -1322,12 +1298,15 @@ def substring_span_dedup(
 
     Scale shape — two exchanges, both segment-fold template:
       1. one (window, doc_id, pos) row per token position, vectorized via the
-         shifted str.cat n-gram build; coarse window-hash partition groupby;
+         shifted str.cat n-gram build; one window-hash ``copartition``;
          within each partition an np.unique count over the window STRINGS
          marks duplicated windows exactly (no 64-bit-hash collision risk).
-      2. marked (doc_id, pos) rows union the texts on a doc-hash partition;
-         per doc a diff-array interval union (np.add.at + cumsum) computes
-         covered positions and rebuilds the clean text.
+      2. marked (doc_id, pos) rows and the texts are the two sides of one
+         doc-keyed ``copartition``; per doc a diff-array interval union
+         (np.add.at + cumsum) computes covered positions and rebuilds the
+         clean text.
+    A doc's window count has no footer bound, so both exchanges take
+    ``EXCHANGE_PARTS`` partitions.
     Documented tradeoff: exchange 1 carries ~k x corpus bytes (every token
     appears in k window strings). The petabyte-scale variant prefilters on
     slim 64-bit window hashes first and ships strings only for candidate
@@ -1337,8 +1316,8 @@ def substring_span_dedup(
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
     _WIN_SCHEMA = pa.schema(
-        [("win", pa.string()), ("doc_id", pa.int64()),
-         ("pos", pa.int64()), ("part", pa.int64())]
+        [("key", pa.int64()), ("win", pa.string()), ("doc_id", pa.int64()),
+         ("pos", pa.int64())]
     )
 
     def windows(df: pd.DataFrame) -> pa.Table:
@@ -1347,9 +1326,7 @@ def substring_span_dedup(
         total = int(lens.sum())
         m = total - (k - 1)
         if m <= 0:
-            return pa.table(
-                {"win": [], "doc_id": [], "pos": [], "part": []}
-            ).cast(_WIN_SCHEMA)
+            return _WIN_SCHEMA.empty_table()
         flat = pd.Series(np.concatenate(toks_per.to_numpy()), dtype=object)
         doc_idx = np.repeat(np.arange(len(df)), lens)
         win = flat.str.cat([flat.shift(-i) for i in range(1, k)], sep=" ")
@@ -1358,18 +1335,12 @@ def substring_span_dedup(
         pos = (np.arange(total) - starts)[:m][valid]
         sel_win = win.to_numpy()[:m][valid]
         sel_doc = df["doc_id"].to_numpy()[doc_idx[:m][valid]]
-        part = (pd.util.hash_array(sel_win) % n_parts).astype(np.int64)
         return pa.table(
-            {"win": pa.array(sel_win, pa.string()),
+            {"key": pa.array(pd.util.hash_array(sel_win).view(np.int64)),
+             "win": pa.array(sel_win, pa.string()),
              "doc_id": pa.array(sel_doc, pa.int64()),
-             "pos": pa.array(pos, pa.int64()),
-             "part": pa.array(part, pa.int64())}
+             "pos": pa.array(pos, pa.int64())}
         ).cast(_WIN_SCHEMA)
-
-    _MARK_SCHEMA = pa.schema(
-        [("doc_id", pa.int64()), ("pos", pa.int64()),
-         ("text", pa.string()), ("part", pa.int64())]
-    )
 
     def mark(g: pa.Table) -> pa.Table:
         w = g["win"].to_numpy(zero_copy_only=False)
@@ -1378,20 +1349,8 @@ def substring_span_dedup(
         doc = g["doc_id"].to_numpy(zero_copy_only=False)[dup]
         pos = g["pos"].to_numpy(zero_copy_only=False)[dup]
         return pa.table(
-            {"doc_id": pa.array(doc, pa.int64()),
-             "pos": pa.array(pos, pa.int64()),
-             "text": pa.nulls(len(doc), pa.string()),
-             "part": pa.array(doc % n_parts, pa.int64())}
-        ).cast(_MARK_SCHEMA)
-
-    def text_rows(t: pa.Table) -> pa.Table:
-        doc = t["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"doc_id": t["doc_id"].cast(pa.int64()),
-             "pos": pa.array(np.full(len(doc), -1), pa.int64()),
-             "text": t["text"],
-             "part": pa.array(doc % n_parts, pa.int64())}
-        ).cast(_MARK_SCHEMA)
+            {"key": pa.array(doc, pa.int64()), "pos": pa.array(pos, pa.int64())}
+        )
 
     _OUT_SCHEMA = pa.schema(
         [("doc_id", pa.int64()), ("n_tokens", pa.int64()),
@@ -1399,17 +1358,15 @@ def substring_span_dedup(
          ("clean_text", pa.string())]
     )
 
-    def rebuild(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        is_text = df["text"].notna() | (df["pos"].to_numpy() == -1)
-        texts = df[is_text]
-        marks = df[~is_text]
+    def rebuild(texts: pa.Table, marks: pa.Table) -> pa.Table:
         by_doc = {
             int(d): grp["pos"].to_numpy()
-            for d, grp in marks.groupby("doc_id", sort=False)
+            for d, grp in marks.select(["key", "pos"]).to_pandas()
+            .groupby("key", sort=False)
         }
         out_doc, out_nt, out_ndw, out_nrm, out_clean = [], [], [], [], []
-        for doc_id, text in zip(texts["doc_id"], texts["text"]):
+        for doc_id, text in zip(texts["key"].to_pylist(),
+                                texts["text"].to_pylist()):
             toks = (text or "").split()
             n = len(toks)
             P = by_doc.get(int(doc_id))
@@ -1435,20 +1392,19 @@ def substring_span_dedup(
              "clean_text": out_clean}
         ).cast(_OUT_SCHEMA)
 
-    marked = (
-        docs.map_batches(windows, batch_format="pandas")
-        .groupby("part")
-        .map_groups(mark, batch_format="pyarrow")
+    marked = copartition(
+        [docs.map_batches(windows, batch_format="pandas")], mark,
+        _WIN_SCHEMA.remove(0), joins.EXCHANGE_PARTS,
     )
-    texts = docs.map_batches(text_rows, batch_format="pyarrow")
-    return (
-        texts.union(marked)
-        .groupby("part")
-        .map_groups(rebuild, batch_format="pyarrow")
-        .select_columns(
-            ["doc_id", "n_tokens", "n_dup_windows", "n_removed_tokens",
-             "clean_text"]
-        )
+    texts = docs.map_batches(
+        lambda t: pa.table({"key": t["doc_id"].cast(pa.int64()),
+                            "text": t["text"]}),
+        batch_format="pyarrow",
+    )
+    return copartition(
+        [texts, marked], rebuild,
+        pa.schema([("text", pa.string()), ("pos", pa.int64())]),
+        joins.EXCHANGE_PARTS,
     )
 
 
@@ -1506,7 +1462,7 @@ LEFT JOIN winstats ws USING (doc_id)
 # incremental-refresh snapshot delta (corpus versioning)
 
 
-def corpus_diff(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
+def corpus_diff(sf_dir: str) -> rd.Dataset:
     """Delta between two corpus snapshots: which docs were ADDED, REMOVED,
     CHANGED or UNCHANGED since the previous crawl. Models the reference's
     delete-before-insert refresh semantics (ShiweijiaProduct.cs:57,68 —
@@ -1521,9 +1477,10 @@ def corpus_diff(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
     doc_id % 5 == 2 (changed since), and the new snapshot dropped
     doc_id % 11 == 4 (removed since).
 
-    Shape: each side emits slim (doc_id, side, content-md5) rows with a
-    per-batch md5 over the text column; ONE coarse doc-hash partition
-    exchange; a per-partition vectorized pandas pivot assigns the status.
+    Shape: each snapshot emits slim (doc_id, content-md5) rows with a
+    per-batch md5 over the text column; the two are the sides of ONE
+    doc-keyed ``copartition``; a per-partition vectorized pandas align
+    assigns the status.
     No broadcast, no driver state — both snapshots stream."""
 
     def side_rows(side: int, stale_mod: bool):
@@ -1542,14 +1499,7 @@ def corpus_diff(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
             h = [
                 hashlib.md5(t.encode("utf-8")).hexdigest() for t in texts
             ]
-            return pd.DataFrame(
-                {
-                    "doc_id": ids,
-                    "side": np.full(len(ids), side, np.int64),
-                    "h": h,
-                    "part": (ids % n_parts).astype(np.int64),
-                }
-            )
+            return pd.DataFrame({"doc_id": ids.astype(np.int64), "h": h})
 
         return fn
 
@@ -1560,10 +1510,12 @@ def corpus_diff(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
         side_rows(1, stale_mod=False), batch_format="pandas"
     )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        p = g.pivot_table(
-            index="doc_id", columns="side", values="h", aggfunc="first"
-        ).reindex(columns=[0, 1])
+    def fold(a: pa.Table, b: pa.Table) -> pd.DataFrame:
+        p = pd.concat(
+            [t.to_pandas().set_index("doc_id")["h"].rename(i)
+             for i, t in enumerate((a, b))],
+            axis=1,
+        )
         status = np.where(
             p[0].isna(), "added",
             np.where(
@@ -1575,11 +1527,9 @@ def corpus_diff(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
             {"doc_id": p.index.to_numpy(np.int64), "status": status}
         )
 
-    return (
-        docs_a.union(docs_b)
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-        .select_columns(["doc_id", "status"])
+    return copartition(
+        [docs_a, docs_b], fold, pa.schema([("h", pa.string())]),
+        exchange_parts(sf_dir, "documents", "documents"), key="doc_id",
     )
 
 
@@ -1605,7 +1555,7 @@ FROM a FULL OUTER JOIN b ON a.doc_id = b.doc_id
 # MERGE (CDC upsert-apply): base snapshot + delta ops -> new snapshot
 
 
-def snapshot_merge(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
+def snapshot_merge(sf_dir: str) -> rd.Dataset:
     """MERGE verb — apply a CDC delta (inserts / updates / deletes) to a
     base snapshot and emit the merged table: the APPLY side of
     ``corpus_diff`` (which only audits the delta), i.e. the reference's
@@ -1620,7 +1570,7 @@ def snapshot_merge(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
     which is the oracle: the identity is what proves the merge correct.
 
     Shape: ONE scan emits base rows (rank 0), upsert rows (rank 1) and
-    key-only tombstones (rank 2) per batch; ONE doc_id-hash exchange;
+    tombstones (rank 2) per batch; ONE doc-keyed ``copartition``;
     per-partition vectorized latest-wins fold (sort by (doc_id, rank),
     keep the last, drop tombstones). No broadcast, no driver state; at
     100 TB the exchange carries base+delta once — the minimum any merge
@@ -1640,21 +1590,21 @@ def snapshot_merge(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
         ups["rank"] = np.int64(1)
         tomb = df[ids % 11 == 4].copy()
         tomb["rank"] = np.int64(2)
-        out = pd.concat([base, ups, tomb], ignore_index=True)
-        out["part"] = (out["doc_id"].to_numpy() % n_parts).astype(np.int64)
-        return out
+        return pd.concat([base, ups, tomb], ignore_index=True)
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["doc_id", "rank"], kind="mergesort")
+    def fold(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(["doc_id", "rank"], kind="mergesort")
         last = g.groupby("doc_id", sort=False).tail(1)
         return last.loc[last["rank"] != 2, cols]
 
-    return (
-        _read_docs(sf_dir, cols)
-        .map_batches(emit, batch_format="pandas")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-        .select_columns(cols)
+    return copartition(
+        [_read_docs(sf_dir, cols).map_batches(emit, batch_format="pandas")],
+        fold,
+        footer_schema(sf_dir, "documents", cols[1:]).append(
+            pa.field("rank", pa.int64())),
+        # each doc sends at most a base, an upsert and a tombstone row
+        exchange_parts(sf_dir, *["documents"] * 3),
+        key="doc_id",
     )
 
 
@@ -1670,20 +1620,20 @@ FROM documents WHERE doc_id % 11 <> 4
 
 
 def build_minhash_band_index(
-    sf_dir: str, index_dir: str, ngram: int = 3, seed: int = 13,
-    n_parts: int = 16,
+    sf_dir: str, index_dir: str, ngram: int = 3, seed: int = 13
 ) -> int:
-    """Persist the BASE corpus' MinHash band rows (bucket, doc_id, bands,
-    minisig, part) — the index an incremental recrawl probes so the base
+    """Persist the BASE corpus' MinHash band rows (bucket, doc_id,
+    minisig) — the index an incremental recrawl probes so the base
     corpus is signed ONCE, not per probe run. Base = docs with even
     doc_id (deterministic stand-in for "the existing corpus"; a real
     deployment points this at the previous snapshot's table).
 
-    Layout: plain parquet with the coarse partition id as a column —
-    band hashes are uniform, so hive-partitioning by ``part`` would prune
-    nothing for a snapshot-sized probe (every part is hit); the index's
-    value is the amortized signature/banding compute and the slim 272 B/row
-    band layout. Single-document probes can still push
+    Layout: plain parquet with no partition column — the probe's
+    ``copartition`` derives each row's partition from its bucket when it
+    tags the row, so one index serves any partition count; band hashes
+    are uniform, so hive-partitioning would prune nothing for a
+    snapshot-sized probe anyway. The index's value is the amortized
+    signature/banding compute and the slim band layout. Single-document probes can still push
     ``filters=[("bucket", "in", ...)]`` into the read (row-group stats).
     Returns the number of indexed docs."""
     import os
@@ -1697,14 +1647,6 @@ def build_minhash_band_index(
     bands = (
         docs.map_batches(make_minhash_fn(ngram, seed), batch_format="pandas")
         .map_batches(sig_to_bands, batch_format="pyarrow")
-        .map_batches(
-            lambda t: t.append_column(
-                "part",
-                pa.array((t["bucket"].to_numpy() % n_parts).astype(np.int64),
-                         pa.int64()),
-            ),
-            batch_format="pyarrow",
-        )
     )
     os.makedirs(index_dir, exist_ok=True)
     bands.write_parquet(index_dir)
@@ -1744,13 +1686,15 @@ def _cross_pairs_multi(threshold: float):
         if buf_n:
             yield np.concatenate(buf_a), np.concatenate(buf_b)
 
-    def est_pairs(g: pa.Table) -> pa.Table:
+    def est_pairs(base: pa.Table, probe: pa.Table) -> pa.Table:
+        g = pa.concat_tables([base, probe])
         n = g.num_rows
         out_base, out_new = [], []
         if n >= 2:
             bkt = g["bucket"].to_numpy()
             ids = g["doc_id"].to_numpy()
-            side = g["side"].to_numpy()
+            side = np.r_[np.zeros(base.num_rows, np.int64),
+                         np.ones(probe.num_rows, np.int64)]
             mini = _binary_col_to_mat(g["minisig"], _N_PERM, n, dtype=np.uint8)
             order = np.lexsort((ids, side, bkt))
             bkt, ids, side = bkt[order], ids[order], side[order]
@@ -1780,29 +1724,25 @@ def _cross_pairs_multi(threshold: float):
     return est_pairs
 
 
-def minhash_band_index_dir(
-    sf_dir: str, ngram: int = 3, n_parts: int = 16
-) -> str:
+def minhash_band_index_dir(sf_dir: str, ngram: int = 3) -> str:
     """Canonical cache location of the persisted band index for a corpus —
-    content-addressed by absolute path + shingle width + PARTITION COUNT:
-    the persisted ``part`` column is ``bucket % n_parts``, so an index
-    built with one modulus probed with another would co-locate only ~half
-    the buckets and silently drop pairs."""
+    content-addressed by absolute path + shingle width. The index holds no
+    partition column, so the probe's partition count is not part of the
+    key."""
     import os
 
     from crawler_ray.state.artifact_cache import cache_dir, source_fingerprint
 
-    # "bands2": layout v2 (round 5) — the per-band hash column was dropped
-    # from the index rows; a v1 index on disk must not be read by v2 code
+    # "bands3": layout v3 — the persisted ``part = bucket % n_parts``
+    # column was dropped (v2 had dropped the per-band hash column); an
+    # older index on disk must not be read by v3 code
     return cache_dir(
-        "bands2", os.path.abspath(sf_dir), ngram, n_parts,
+        "bands3", os.path.abspath(sf_dir), ngram,
         source_fingerprint(f"{sf_dir}/documents.parquet"),
     )
 
 
-def ensure_minhash_band_index(
-    sf_dir: str, ngram: int = 3, n_parts: int = 16
-) -> str:
+def ensure_minhash_band_index(sf_dir: str, ngram: int = 3) -> str:
     """Build-once/publish-atomically protocol for the band index (shared
     ``artifact_cache.ensure_dir``: the rename IS the done marker; concurrent
     builders lose the rename and keep serving from the winner). Exposed
@@ -1811,15 +1751,13 @@ def ensure_minhash_band_index(
     from crawler_ray.state.artifact_cache import ensure_dir
 
     return ensure_dir(
-        minhash_band_index_dir(sf_dir, ngram, n_parts),
-        lambda stage: build_minhash_band_index(
-            sf_dir, stage, ngram=ngram, n_parts=n_parts
-        ),
+        minhash_band_index_dir(sf_dir, ngram),
+        lambda stage: build_minhash_band_index(sf_dir, stage, ngram=ngram),
     )
 
 
 def cross_snapshot_near_dups(
-    sf_dir: str, ngram: int = 3, threshold: float = 0.8, n_parts: int = 16
+    sf_dir: str, ngram: int = 3, threshold: float = 0.8
 ) -> rd.Dataset:
     """Incremental near-dedup: which NEW docs (odd doc_id — the "fresh
     crawl" stand-in) near-duplicate an EXISTING base-corpus doc (even
@@ -1828,133 +1766,33 @@ def cross_snapshot_near_dups(
     ``build_minhash_band_index``, cached/atomically published like the ANN
     indexes), so each refresh signs only the new snapshot and the
     candidate walk never pairs base×base — probe cost scales with the
-    delta, not the corpus.
+    delta, not the corpus. Base and probe band rows are the two sides of
+    one bucket-keyed ``copartition``.
 
     Emits (base_doc, new_doc, jaccard) pairs with EXACT char n-gram
     Jaccard ≥ threshold, verified via the same fused single-exchange text
     attach as ``minhash_near_dup_pairs``."""
-    idx = ensure_minhash_band_index(sf_dir, ngram=ngram, n_parts=n_parts)
-
-    base_bands = rd.read_parquet(idx).map_batches(
-        lambda t: t.append_column(
-            "side", pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
-        ),
-        batch_format="pyarrow",
-    )
+    idx = ensure_minhash_band_index(sf_dir, ngram=ngram)
     probe_docs = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
         lambda t: t.filter(
             pa.compute.equal(pa.compute.bit_wise_and(t["doc_id"], 1), 1)
         ),
         batch_format="pyarrow",
     )
-    probe_bands = (
-        probe_docs.map_batches(make_minhash_fn(ngram), batch_format="pandas")
-        .map_batches(sig_to_bands, batch_format="pyarrow")
-        .map_batches(
-            lambda t: t.append_column(
-                "part",
-                pa.array((t["bucket"].to_numpy() % n_parts).astype(np.int64),
-                         pa.int64()),
-            ).append_column(
-                "side", pa.array(np.ones(t.num_rows, np.int64), pa.int64())
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    candidates = (
-        base_bands.union(probe_bands)
-        .groupby("part")
-        .map_groups(_cross_pairs_multi(threshold), batch_format="pyarrow")
-        .materialize()  # O(pairs); executed once, reused either attach path
-    )
-    n_cand = candidates.count()
-
-    # fused single-exchange text attach (the minhash_near_dup_pairs shape):
-    # pair half-rows + doc rows share ONE doc_id-partition exchange
-    docs = _read_docs(sf_dir, ["doc_id", "text"])
-    nb = n_parts
-
-    def halves(t: pa.Table) -> pa.Table:
-        da = t["doc_a"].to_numpy()
-        db = t["doc_b"].to_numpy()
-        n = len(da)
-        jkey = np.concatenate([da, db])
-        return pa.table(
-            {"jkey": pa.array(jkey, pa.int64()),
-             "jpart": pa.array((jkey % nb).astype(np.int64), pa.int64()),
-             "doc_a": pa.array(np.concatenate([da, da]), pa.int64()),
-             "doc_b": pa.array(np.concatenate([db, db]), pa.int64()),
-             "side": pa.array(
-                 np.r_[np.zeros(n, np.int64), np.ones(n, np.int64)], pa.int64()
-             ),
-             "text": pa.nulls(2 * n, pa.string())}
-        )
-
-    def doc_rows(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy()
-        return pa.table(
-            {"jkey": t["doc_id"],
-             "jpart": pa.array((ids % nb).astype(np.int64), pa.int64()),
-             "doc_a": pa.nulls(t.num_rows, pa.int64()),
-             "doc_b": pa.nulls(t.num_rows, pa.int64()),
-             "side": pa.nulls(t.num_rows, pa.int64()),
-             "text": t["text"]}
-        )
-
-    def attach(g: pa.Table) -> pa.Table:
-        is_doc = pa.compute.is_valid(g["text"])
-        dt = g.filter(is_doc)
-        ht = g.filter(pa.compute.invert(is_doc))
-        if ht.num_rows == 0:
-            return pa.table(
-                {"vpart": pa.array([], pa.int64()),
-                 "doc_a": pa.array([], pa.int64()),
-                 "doc_b": pa.array([], pa.int64()),
-                 "side": pa.array([], pa.int64()),
-                 "text": pa.array([], pa.string())}
-            )
-        lookup = dict(zip(dt["jkey"].to_numpy(), dt["text"].to_pylist()))
-        jk = ht["jkey"].to_numpy()
-        da = ht["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        db = ht["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        vpart = ((da * np.int64(1000003) + db) % nb).astype(np.int64)
-        return pa.table(
-            {"vpart": pa.array(vpart, pa.int64()),
-             "doc_a": pa.array(da, pa.int64()),
-             "doc_b": pa.array(db, pa.int64()),
-             "side": ht["side"],
-             "text": pa.array([lookup[k] for k in jk], pa.string())}
-        )
-
-    verifier = PairVerifier(ngram, threshold)
-
-    def pair_up(g: pa.Table) -> pd.DataFrame:
-        df = g.to_pandas()
-        # exactly-once via pair-partitioned dedup (see minhash pair_up)
-        a = df[df["side"] == 0][["doc_a", "doc_b", "text"]].rename(
-            columns={"text": "text_a"}
-        ).drop_duplicates(["doc_a", "doc_b"])
-        b = df[df["side"] == 1][["doc_a", "doc_b", "text"]].rename(
-            columns={"text": "text_b"}
-        ).drop_duplicates(["doc_a", "doc_b"])
-        v = verifier(a.merge(b, on=["doc_a", "doc_b"]))
-        return v.rename(columns={"doc_a": "base_doc", "doc_b": "new_doc"})
-
-    if 0 < n_cand <= _PAIR_BROADCAST_MAX:
-        # guarded-broadcast fast path (see _broadcast_pair_halves): one
-        # exchange, and only pair-member docs' texts cross the network.
-        # n_cand == 0 stays on the partitioned path (empty-Dataset
-        # to_pandas drops the schema).
-        cand = candidates.to_pandas().drop_duplicates(["doc_a", "doc_b"])
-        return _broadcast_pair_halves(docs, cand, nb).groupby(
-            "vpart"
-        ).map_groups(pair_up, batch_format="pyarrow")
-
-    return (
-        candidates.map_batches(halves, batch_format="pyarrow")
-        .union(docs.map_batches(doc_rows, batch_format="pyarrow"))
-        .groupby("jpart")
-        .map_groups(attach, batch_format="pyarrow")
-        .groupby("vpart")
-        .map_groups(pair_up, batch_format="pyarrow")
+    probe_bands = probe_docs.map_batches(
+        make_minhash_fn(ngram), batch_format="pandas"
+    ).map_batches(sig_to_bands, batch_format="pyarrow")
+    candidates = copartition(
+        [rd.read_parquet(idx), probe_bands],
+        _cross_pairs_multi(threshold),
+        _BAND_SCHEMA,
+        # base and probe docs each send one row per band
+        exchange_parts(sf_dir, *["documents"] * _N_BANDS),
+        key="bucket",
+    ).materialize()  # O(pairs); executed once, reused either attach path
+    return _verified_pairs(sf_dir, candidates, ngram, threshold).map_batches(
+        lambda t: t.rename_columns(
+            ["base_doc" if c == "doc_a" else "new_doc" if c == "doc_b" else c
+             for c in t.column_names]),
+        batch_format="pyarrow",
     )

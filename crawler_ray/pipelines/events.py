@@ -7,7 +7,9 @@ folds over ts-sorted rows (the ordering assumption — events of one user meet
 in one fold call — is the documented partitioning contract). Every per-user
 or per-pair exchange here is a single-side ``joins.copartition``, sized by
 ``joins.exchange_parts`` from the events footer: an event log within one
-read block folds in one call with no sort exchange.
+read block folds in one call with no sort exchange. A count's
+per-partition partials then sum in one ``repartition(1)`` call
+(``_finish_once``), not in a second aggregate exchange.
 """
 
 from __future__ import annotations
@@ -21,6 +23,15 @@ import ray.data as rd
 from ray.data.aggregate import Sum
 
 from crawler_ray.pipelines.joins import copartition, exchange_parts
+
+
+def _finish_once(partials: rd.Dataset, finish) -> rd.Dataset:
+    """Every per-partition partial meets in ONE ``finish`` call: a
+    ``repartition(1)`` block, not a second sort-based aggregate exchange.
+    The partials are tiny (partitions × groups rows) at any input size."""
+    return partials.repartition(1).map_batches(
+        finish, batch_format="pandas", batch_size=None
+    )
 
 
 def _read_events(sf_dir: str, columns: list[str]) -> rd.Dataset:
@@ -423,11 +434,7 @@ def user_event_counts_cms(
         )
 
     # a global fold: every partial meets in ONE call, whatever the size
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .repartition(1)
-        .map_batches(combine, batch_format="pandas", batch_size=None)
-    )
+    return _finish_once(ds.map_batches(partial, batch_format="pandas"), combine)
 
 
 def sliding_event_counts(
@@ -539,12 +546,12 @@ def _assert_day_uid_envelope(day: np.ndarray, uid: np.ndarray, who: str) -> None
     _assert_pack_envelope(day, uid, "day(ts)", "user_id", who)
 
 
-def daily_active_users(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
+def daily_active_users(sf_dir: str) -> rd.Dataset:
     """Per-day EXACT distinct user count — the COUNT(DISTINCT) verb as a
     distributed presence fold: each batch emits its unique (day, user)
     pairs, ONE pair-keyed ``copartition`` co-locates every copy of a pair
-    so the in-task dedup is globally exact, and per-partition per-day counts
-    re-aggregate in a tiny second groupby (n_parts × days rows). The
+    so the in-task dedup is globally exact, and the per-partition per-day
+    counts (partitions × days rows) sum in one ``repartition(1)`` call. The
     approximate twin is ``distinct_users_hll``; this is the exact path
     whose exchange moves distinct pairs, not events."""
     ds = _read_events(sf_dir, ["ts", "user_id"])
@@ -574,19 +581,19 @@ def daily_active_users(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
         [ds.map_batches(pairs, batch_format="pyarrow")],
         count_fold,
         pa.schema([("day", pa.int64()), ("user_id", pa.int64())]),
-        n_parts or exchange_parts(sf_dir, "events"),
-    ).groupby("day").aggregate(Sum("n", alias_name="active_users"))
+        exchange_parts(sf_dir, "events"),
+    )
 
-    def fmt(df: pd.DataFrame) -> pd.DataFrame:
-        day = pd.to_datetime(df["day"].astype("int64"), unit="D").dt.strftime(
+    def finish(df: pd.DataFrame) -> pd.DataFrame:
+        n = df.groupby("day")["n"].sum()
+        day = pd.to_datetime(n.index.to_numpy(np.int64), unit="D").strftime(
             "%Y-%m-%d"
         )
         return pd.DataFrame(
-            {"day": day,
-             "active_users": df["active_users"].astype("int64")}
+            {"day": day, "active_users": n.to_numpy(np.int64)}
         )
 
-    return agg.map_batches(fmt, batch_format="pandas")
+    return _finish_once(agg, finish)
 
 
 DAILY_ACTIVE_USERS_SQL = """
@@ -597,13 +604,13 @@ GROUP BY 1
 """
 
 
-def event_type_transitions(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
+def event_type_transitions(sf_dir: str) -> rd.Dataset:
     """Per-user consecutive event-type transition counts (the Markov /
     funnel matrix): for each user's events in (ts, event_id) order, count
     (from_type → to_type) pairs corpus-wide. Sequence analytics needs
     per-key ORDER, so the shape is one user-keyed ``copartition`` + in-task
     mergesort + shifted vectorized compare; the per-partition (from, to)
-    combiner means the final groupby sees O(n_parts × types²) rows, not
+    combiner means the final sum sees O(partitions × types²) rows, not
     one per transition."""
     ds = _read_events(sf_dir, ["ts", "user_id", "event_id", "event_type"])
 
@@ -628,12 +635,15 @@ def event_type_transitions(sf_dir: str, n_parts: int | None = None) -> rd.Datase
         fold,
         pa.schema([("ts", pa.timestamp("us")), ("event_id", pa.int64()),
                    ("event_type", pa.string())]),
-        n_parts or exchange_parts(sf_dir, "events"),
+        exchange_parts(sf_dir, "events"),
         key="user_id",
-    ).groupby(["from_type", "to_type"]).aggregate(Sum("n", alias_name="n"))
-    return agg.map_batches(
-        lambda df: df.assign(n=df["n"].astype("int64")), batch_format="pandas"
     )
+
+    def finish(df: pd.DataFrame) -> pd.DataFrame:
+        out = df.groupby(["from_type", "to_type"], as_index=False)["n"].sum()
+        return out.astype({"n": "int64"})
+
+    return _finish_once(agg, finish)
 
 
 EVENT_TYPE_TRANSITIONS_SQL = """
@@ -649,7 +659,7 @@ GROUP BY 1, 2
 """
 
 
-def user_retention(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
+def user_retention(sf_dir: str) -> rd.Dataset:
     """Next-day retention cohorts: for each day D, how many of its active
     users were also active on D+1 (plus the cohort size) — the metric
     every engagement pipeline derives from the raw event stream. Built on
@@ -703,24 +713,22 @@ def user_retention(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
         pa.schema([("day", pa.int64()), ("user_id", pa.int64()),
                    ("side", pa.int64())]),
         # pairs sends up to two rows per event: count the events twice
-        n_parts or exchange_parts(sf_dir, "events", "events"),
-    ).groupby("day").aggregate(
-        Sum("cohort_p", alias_name="cohort"),
-        Sum("retained_p", alias_name="retained"),
+        exchange_parts(sf_dir, "events", "events"),
     )
 
-    def fmt(df: pd.DataFrame) -> pd.DataFrame:
-        day = pd.to_datetime(df["day"].astype("int64"), unit="D").dt.strftime(
+    def finish(df: pd.DataFrame) -> pd.DataFrame:
+        s = df.groupby("day")[["cohort_p", "retained_p"]].sum()
+        s = s[s["cohort_p"] > 0]
+        day = pd.to_datetime(s.index.to_numpy(np.int64), unit="D").strftime(
             "%Y-%m-%d"
         )
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"day": day,
-             "cohort": df["cohort"].astype("int64"),
-             "retained_next_day": df["retained"].astype("int64")}
+             "cohort": s["cohort_p"].to_numpy(np.int64),
+             "retained_next_day": s["retained_p"].to_numpy(np.int64)}
         )
-        return out[out["cohort"] > 0]
 
-    return agg.map_batches(fmt, batch_format="pandas")
+    return _finish_once(agg, finish)
 
 
 USER_RETENTION_SQL = """
@@ -855,14 +863,13 @@ FROM m
 def funnel_conversions(
     sf_dir: str,
     steps: tuple[str, ...] = ("view", "click", "purchase"),
-    n_parts: int | None = None,
 ) -> rd.Dataset:
     """How many users complete each prefix of an ordered event funnel:
     t₀ = first ``steps[0]``, t₁ = first ``steps[1]`` AFTER t₀ (strictly),
     and so on — the classic conversion-funnel verb. Partitioning contract
     (the ``sessionize`` one): a user's chain is computed where the user's
     events co-reside, so ONE user-keyed ``copartition`` of the step-filtered
-    events resolves every chain; only |steps| × n_parts count partials
+    events resolves every chain; only |steps| × partitions count partials
     leave."""
     ds = _read_events(sf_dir, ["user_id", "ts", "event_type"])
     step_idx = {s: i for i, s in enumerate(steps)}
@@ -917,23 +924,21 @@ def funnel_conversions(
         [ds.map_batches(rows, batch_format="pyarrow")],
         chain,
         pa.schema([("step", pa.int64()), ("ts_us", pa.int64())]),
-        n_parts or exchange_parts(sf_dir, "events"),
+        exchange_parts(sf_dir, "events"),
         key="user_id",
-    ).groupby("step").aggregate(Sum("n_p", alias_name="n_users"))
+    )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("step", kind="mergesort")
+        n = df.groupby("step")["n_p"].sum()
         return pd.DataFrame(
             {
-                "step_idx": df["step"].astype("int64"),
-                "step": [steps[i] for i in df["step"]],
-                "n_users": df["n_users"].astype("int64"),
+                "step_idx": n.index.to_numpy(np.int64),
+                "step": [steps[i] for i in n.index],
+                "n_users": n.to_numpy(np.int64),
             }
         )
 
-    return agg.repartition(1).map_batches(
-        finish, batch_format="pandas", batch_size=None
-    )
+    return _finish_once(agg, finish)
 
 
 def funnel_conversions_sql(
@@ -1120,7 +1125,7 @@ FROM w WHERE rn > {window}
 """
 
 
-def user_activity_streaks(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
+def user_activity_streaks(sf_dir: str) -> rd.Dataset:
     """Gaps-and-islands: each user's LONGEST run of consecutive active
     days (ties broken by earliest start) — the classic streak verb every
     engagement warehouse computes with the ``day - ROW_NUMBER()`` trick.
@@ -1179,7 +1184,7 @@ def user_activity_streaks(sf_dir: str, n_parts: int | None = None) -> rd.Dataset
         [ds.map_batches(pack, batch_format="pyarrow")],
         walk,
         pa.schema([("comb", pa.int64())]),
-        n_parts or exchange_parts(sf_dir, "events"),
+        exchange_parts(sf_dir, "events"),
     )
 
 

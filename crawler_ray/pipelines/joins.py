@@ -24,8 +24,11 @@ sends more rows than it reads names its table once per row it may emit
 (``events.user_retention`` sums ``events`` twice). The bar is one read
 block because that is the most rows one read task is already sized to
 hold; where a multi-core fan-out starts to beat one fold is unmeasured,
-and no benchmark workload yet runs the exchange side. A query's explicit
-``n_parts`` argument, where it has one, overrides the sizing.
+and no benchmark workload yet runs the exchange side. No query takes a
+partition-count option; tests force the exchange side by patching
+``MAX_ROWS_PER_BLOCK`` and ``EXCHANGE_PARTS``. An input with a row count
+but no footer (a minilance manifest) goes through ``parts_for_rows``; one
+with no row count at all (a caller's Dataset) uses ``EXCHANGE_PARTS``.
 
 ``partitioned_hash_join`` is the generic pandas-merge fold over
 ``copartition``. ``salted_partitioned_hash_join`` is the same merge with
@@ -63,11 +66,12 @@ def copartition(
     ``key % n_parts`` meet in one ``fold(*tables)`` call.
 
     Each side's blocks carry an int64 ``key`` plus any subset of the
-    ``schema`` fields; absent fields are padded with typed nulls (so the
-    union has one schema) and other columns are dropped. Each table handed
-    to ``fold`` holds one side's rows of the partition, in ``sides`` order,
-    with columns ``key`` + ``schema``; fields the side does not carry are
-    all-null there, so select a side's own columns before ``to_pandas``.
+    ``schema`` fields; present fields are cast to the schema's types and
+    absent ones padded with typed nulls (so the union has one schema), and
+    other columns are dropped. Each table handed to ``fold`` holds one
+    side's rows of the partition, in ``sides`` order, with columns ``key``
+    + ``schema``; fields the side does not carry are all-null there, so
+    select a side's own columns before ``to_pandas``.
     The tagging is one map per side, which fuses with the side's own map.
 
     ``n_parts=1`` (``exchange_parts`` for inputs within one read block)
@@ -80,7 +84,8 @@ def copartition(
         def tag(t: pa.Table) -> pa.Table:
             n = t.num_rows
             cols = [
-                t[f.name] if f.name in t.column_names else pa.nulls(n, f.type)
+                t[f.name].cast(f.type) if f.name in t.column_names
+                else pa.nulls(n, f.type)
                 for f in fields
             ]
             part = t[key].to_numpy() % n_parts
@@ -133,10 +138,25 @@ def exchange_parts(sf_dir: str, *tables: str) -> int:
     bounds the exchange's input from above as long as each row read sends
     at most one row; a caller whose map fans out names a table once per
     row it may emit."""
+    return parts_for_rows(
+        sum(_footer_rows(f"{sf_dir}/{t}.parquet") for t in tables))
+
+
+def parts_for_rows(rows: int) -> int:
+    """The sizing rule itself: 1 partition for at most one read block of
+    rows, else ``EXCHANGE_PARTS``."""
     from crawler_ray.sources.io import MAX_ROWS_PER_BLOCK
 
-    rows = sum(_footer_rows(f"{sf_dir}/{t}.parquet") for t in tables)
     return 1 if rows <= MAX_ROWS_PER_BLOCK else EXCHANGE_PARTS
+
+
+def footer_schema(sf_dir: str, table: str, columns: list[str]) -> pa.Schema:
+    """The parquet footer's types of ``columns``: a ``copartition`` schema
+    for a side that carries them as read."""
+    import pyarrow.parquet as pq_
+
+    schema = pq_.read_schema(f"{sf_dir}/{table}.parquet")
+    return pa.schema([schema.field(c) for c in columns])
 
 
 class SortedLookup:
@@ -329,7 +349,7 @@ GROUP BY o_orderkey, o_totalprice
 # vectorized per-partition backward merge_asof
 
 
-def events_asof_order_join(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
+def events_asof_order_join(sf_dir: str) -> rd.Dataset:
     """For each event, the most recent order of the same customer placed at
     or before the event time (backward as-of join), inner semantics.
 
@@ -344,7 +364,7 @@ def events_asof_order_join(sf_dir: str, n_parts: int | None = None) -> rd.Datase
     rank-1 row."""
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "events", "orders")
+    n_parts = exchange_parts(sf_dir, "events", "orders")
 
     events = read_parquet_sized(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"],
@@ -432,7 +452,7 @@ FROM (
 # the following hour, without materializing the joined pairs
 
 
-def user_events_next_hour(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
+def user_events_next_hour(sf_dir: str) -> rd.Dataset:
     """For each event, how many LATER events the same user produced within
     the next hour (range join ``b.ts > a.ts AND b.ts <= a.ts + 1h``
     aggregated per left row).
@@ -446,7 +466,7 @@ def user_events_next_hour(sf_dir: str, n_parts: int | None = None) -> rd.Dataset
     any point."""
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "events")
+    n_parts = exchange_parts(sf_dir, "events")
 
     events = read_parquet_sized(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"],
@@ -497,9 +517,7 @@ GROUP BY a.event_id
 # partitioned anti join (NOT EXISTS)
 
 
-def customers_without_urgent_orders(
-    sf_dir: str, n_parts: int | None = None
-) -> rd.Dataset:
+def customers_without_urgent_orders(sf_dir: str) -> rd.Dataset:
     """Customers with no '1-URGENT' order (anti join / NOT EXISTS).
 
     The probe side collapses to DISTINCT keys inside ``map_batches``
@@ -509,7 +527,7 @@ def customers_without_urgent_orders(
     evidence key and a vectorized ``is_in`` mask drops matches."""
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders")
+    n_parts = exchange_parts(sf_dir, "customer", "orders")
 
     cust = read_parquet_sized(
         f"{sf_dir}/customer.parquet",
@@ -572,7 +590,7 @@ WHERE NOT EXISTS (
 # partitioned LEFT OUTER join aggregate
 
 
-def customer_order_counts(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
+def customer_order_counts(sf_dir: str) -> rd.Dataset:
     """Every customer with order count and total spend, ZEROS preserved for
     customers with no orders — the LEFT OUTER member of the join-verb family
     (inner = ``partitioned_hash_join``, anti = NOT EXISTS, as-of, range).
@@ -585,7 +603,7 @@ def customer_order_counts(sf_dir: str, n_parts: int | None = None) -> rd.Dataset
     is filled in-task."""
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders")
+    n_parts = exchange_parts(sf_dir, "customer", "orders")
 
     cust = read_parquet_sized(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"],
@@ -753,7 +771,7 @@ def _bloom_gated(
     return build, _BloomGate(ref, "o_custkey")
 
 
-def orders_from_event_users(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
+def orders_from_event_users(sf_dir: str) -> rd.Dataset:
     """SEMI join (``WHERE EXISTS``): orders whose customer appears in the
     events stream (testdata convention: ``events.user_id`` keys the
     customer domain) — the bloom-join shape for a fact⋈fact exists-check
@@ -775,7 +793,7 @@ def orders_from_event_users(sf_dir: str, n_parts: int | None = None) -> rd.Datas
     fact is 100× the match rate. Output is exact regardless of FP rate."""
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "events", "orders")
+    n_parts = exchange_parts(sf_dir, "events", "orders")
 
     events = read_parquet_sized(f"{sf_dir}/events.parquet", columns=["user_id"])
 
@@ -830,7 +848,7 @@ WHERE EXISTS (SELECT 1 FROM events e WHERE e.user_id = o_custkey)
 # FULL OUTER join aggregate — completes the outer-join family
 
 
-def customer_order_event_counts(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
+def customer_order_event_counts(sf_dir: str) -> rd.Dataset:
     """FULL OUTER join of two per-key aggregates: order count per customer
     vs event count per user (testdata convention: ``events.user_id`` keys
     the customer domain), zero-filled on BOTH sides — keys present in
@@ -840,7 +858,7 @@ def customer_order_event_counts(sf_dir: str, n_parts: int | None = None) -> rd.D
     no second pass over either fact."""
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "orders", "events")
+    n_parts = exchange_parts(sf_dir, "orders", "events")
 
     orders = read_parquet_sized(
         f"{sf_dir}/orders.parquet", columns=["o_custkey"],
@@ -897,9 +915,7 @@ FROM o FULL OUTER JOIN e ON o.k = e.k
 # EXISTS-aggregate (TPC-H Q4 shape): late-shipped order counts by priority
 
 
-def late_ship_priority_counts(
-    sf_dir: str, grace_days: int = 30, n_parts: int | None = None
-) -> rd.Dataset:
+def late_ship_priority_counts(sf_dir: str, grace_days: int = 30) -> rd.Dataset:
     """Per order priority, how many orders had at least one line item
     shipped more than ``grace_days`` after the order date — the TPC-H Q4
     shape (aggregate over an EXISTS correlated to another fact). ONE
@@ -910,7 +926,7 @@ def late_ship_priority_counts(
     |priorities| rows."""
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "orders", "lineitem")
+    n_parts = exchange_parts(sf_dir, "orders", "lineitem")
 
     orders = read_parquet_sized(
         f"{sf_dir}/orders.parquet",
@@ -993,7 +1009,7 @@ GROUP BY 1
 """
 
 
-def returned_item_report(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
+def returned_item_report(sf_dir: str) -> rd.Dataset:
     """TPC-H Q10 shape — the 4-relation join report: revenue lost to
     RETURNED items per customer over a date window, with the customer's
     nation name, top 20. Exercises the full join toolkit in one plan:
@@ -1012,7 +1028,7 @@ def returned_item_report(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
     """
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "lineitem", "orders")
+    n_parts = exchange_parts(sf_dir, "lineitem", "orders")
 
     lo = np.datetime64("1996-01-01")
     hi = np.datetime64("1997-01-01")
@@ -1144,9 +1160,7 @@ LIMIT 20
 """
 
 
-def local_supplier_volume(
-    sf_dir: str, region: str = "ASIA", n_parts: int | None = None
-) -> rd.Dataset:
+def local_supplier_volume(sf_dir: str, region: str = "ASIA") -> rd.Dataset:
     """TPC-H Q5 shape — the 6-relation join: revenue per nation from
     orders whose customer AND line-supplier sit in the SAME nation of one
     region, over a date window. The widest join plan in the suite, and a
@@ -1174,7 +1188,7 @@ def local_supplier_volume(
 
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "orders", "customer", "lineitem")
+    n_parts = exchange_parts(sf_dir, "orders", "customer", "lineitem")
 
     lo = np.datetime64("1996-01-01")
     hi = np.datetime64("1997-01-01")
@@ -1341,7 +1355,6 @@ def nation_trade_flows(
     sf_dir: str,
     nat_a: str = "NATION_12",
     nat_b: str = "NATION_11",
-    n_parts: int | None = None,
     bloom_prefilter: bool | None = None,
 ) -> rd.Dataset:
     """Revenue shipped between two nations per direction per ship-year
@@ -1367,7 +1380,7 @@ def nation_trade_flows(
 
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders", "lineitem")
+    n_parts = exchange_parts(sf_dir, "customer", "orders", "lineitem")
 
     lo = np.datetime64("1996-01-01")
     hi = np.datetime64("1998-01-01")
@@ -1567,7 +1580,6 @@ def nation_market_share(
     sf_dir: str,
     region: str = "AMERICA",
     target: str = "NATION_1",
-    n_parts: int | None = None,
     bloom_prefilter: bool | None = None,
 ) -> rd.Dataset:
     """Per order-year, the fraction of in-region customers' purchase revenue
@@ -1589,7 +1601,7 @@ def nation_market_share(
 
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders", "lineitem")
+    n_parts = exchange_parts(sf_dir, "customer", "orders", "lineitem")
 
     lo = np.datetime64("1996-01-01")
     hi = np.datetime64("1998-01-01")
@@ -1771,9 +1783,7 @@ GROUP BY 1
 # then re-joins the other fact and a broadcast dimension
 
 
-def large_volume_customers(
-    sf_dir: str, min_qty: int = 200, k: int = 100, n_parts: int | None = None
-) -> rd.Dataset:
+def large_volume_customers(sf_dir: str, min_qty: int = 200, k: int = 100) -> rd.Dataset:
     """Top-``k`` orders by total line-item quantity above ``min_qty``, with
     the customer's name (TPC-H Q18 shape). Quantities are integer-valued
     doubles (1..50), so per-block partial sums are exact.
@@ -1791,7 +1801,7 @@ def large_volume_customers(
 
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "lineitem", "orders")
+    n_parts = exchange_parts(sf_dir, "lineitem", "orders")
 
     li = read_parquet_sized(
         f"{sf_dir}/lineitem.parquet",
@@ -1899,9 +1909,7 @@ LIMIT {k}
 # inside one orderkey partition
 
 
-def waiting_supplier_counts(
-    sf_dir: str, grace_days: int = 60, n_parts: int | None = None
-) -> rd.Dataset:
+def waiting_supplier_counts(sf_dir: str, grace_days: int = 60) -> rd.Dataset:
     """Per supplier, how many multi-supplier orders this supplier alone
     shipped late (last ship > order date + ``grace_days``) — the TPC-H Q21
     shape with the reference schema's dates (no commit/receipt columns;
@@ -1919,7 +1927,7 @@ def waiting_supplier_counts(
 
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "lineitem", "orders")
+    n_parts = exchange_parts(sf_dir, "lineitem", "orders")
 
     li = read_parquet_sized(
         f"{sf_dir}/lineitem.parquet",
@@ -2042,9 +2050,7 @@ GROUP BY 1
 # aggregate feeding an anti-join, folded per nation
 
 
-def dormant_customer_balance(
-    sf_dir: str, cutoff: str = "2000-01-01", n_parts: int | None = None
-) -> rd.Dataset:
+def dormant_customer_balance(sf_dir: str, cutoff: str = "2000-01-01") -> rd.Dataset:
     """Per nation, the count and total balance of customers whose account
     balance is above the average POSITIVE balance and who placed NO order
     since ``cutoff`` (TPC-H Q22 shape; the phone-prefix country code is the
@@ -2064,7 +2070,7 @@ def dormant_customer_balance(
 
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders")
+    n_parts = exchange_parts(sf_dir, "customer", "orders")
 
     cut = np.datetime64(cutoff)
 
@@ -2319,7 +2325,6 @@ def shipping_priority_orders(
     segment: str = "BUILDING",
     date: str = "1997-01-01",
     k: int = 10,
-    n_parts: int | None = None,
     bloom_prefilter: bool | None = None,
 ) -> rd.Dataset:
     """Top-``k`` orders by outstanding revenue: customer in ``segment``,
@@ -2332,7 +2337,7 @@ def shipping_priority_orders(
     integers, per-partition prefilter then one bounded driver fold."""
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders", "lineitem")
+    n_parts = exchange_parts(sf_dir, "customer", "orders", "lineitem")
 
     cut = np.datetime64(date)
 
@@ -2482,7 +2487,7 @@ LIMIT {k}
 # where the SECOND groupby key is the FIRST aggregate's value
 
 
-def order_count_distribution(sf_dir: str, n_parts: int | None = None) -> rd.Dataset:
+def order_count_distribution(sf_dir: str) -> rd.Dataset:
     """How many customers placed exactly N orders, for every N including 0
     (TPC-H Q13). One custkey exchange: per-block per-custkey order-count
     combiners ∪ bare customer keys; each partition zero-fills its
@@ -2490,7 +2495,7 @@ def order_count_distribution(sf_dir: str, n_parts: int | None = None) -> rd.Data
     aggregate's exchange is |distinct counts| × n_parts rows."""
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "customer", "orders")
+    n_parts = exchange_parts(sf_dir, "customer", "orders")
 
     cust = read_parquet_sized(
         f"{sf_dir}/customer.parquet", columns=["c_custkey"],

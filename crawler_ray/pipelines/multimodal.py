@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 from crawler_ray.functions.codecs import decode_image, encode_image, sniff_fmt
+from crawler_ray.pipelines.joins import copartition, exchange_parts
 
 # deterministic fake containers for tests (no media libs in this sandbox)
 FAKE_AUDIO_MAGIC = b"FAUD"  # FAKE header: FAUD + u32 n_samples + u16 rate/100
@@ -532,7 +533,6 @@ def image_corpus_curation(
     min_entropy: float = 2.0,
     max_hamming: int = 4,
     seed: int = 42,
-    n_parts: int = 16,
 ) -> "object":
     """Flagship IMAGE-corpus curation — the image-axis twin of
     ``curation.corpus_curation``: alignment gate → decoded-pixel quality
@@ -608,64 +608,38 @@ def image_corpus_curation(
         src="img_a", dst="img_b",
     )
 
-    _V_SCHEMA = pa.schema(
-        [("image_id", pa.int64()), ("clip_score", pa.float64()),
-         ("lum_std", pa.float64()), ("entropy", pa.float64()),
-         ("loser", pa.bool_()), ("part", pa.int64())]
-    )
-
     def sig_rows(t: pa.Table) -> pa.Table:
         ids = np.array([int(s) for s in t["image_id"].to_pylist()], np.int64)
-        return pa.table(
-            {"image_id": pa.array(ids, pa.int64()),
-             "clip_score": t["clip_score"],
-             "lum_std": t["lum_std"],
-             "entropy": t["entropy"],
-             "loser": pa.nulls(t.num_rows, pa.bool_()),
-             "part": pa.array(ids % n_parts, pa.int64())}
-        ).cast(_V_SCHEMA)
+        return t.select(["clip_score", "lum_std", "entropy"]).append_column(
+            "key", pa.array(ids, pa.int64()))
 
-    def loser_rows(t: pa.Table) -> pa.Table:
-        node = t["node"].to_numpy(zero_copy_only=False)
-        lab = t["lab"].to_numpy(zero_copy_only=False)
-        node = node[node != lab]
-        return pa.table(
-            {"image_id": pa.array(node, pa.int64()),
-             "clip_score": pa.nulls(len(node), pa.float64()),
-             "lum_std": pa.nulls(len(node), pa.float64()),
-             "entropy": pa.nulls(len(node), pa.float64()),
-             "loser": pa.array(np.ones(len(node), bool)),
-             "part": pa.array(node % n_parts, pa.int64())}
-        ).cast(_V_SCHEMA)
-
-    def verdict(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        is_sig = df["loser"].isna()
-        sig = df[is_sig]
-        losers = set(df.loc[~is_sig, "image_id"].astype(int))
+    def verdict(sig: pa.Table, losers: pa.Table) -> pa.Table:
         mis = sig["clip_score"].to_numpy() < tau
         lowq = (sig["lum_std"].to_numpy() < min_std) | (
             sig["entropy"].to_numpy() < min_entropy
         )
-        dup = sig["image_id"].astype(int).isin(losers).to_numpy()
+        dup = np.isin(sig["key"].to_numpy(), losers["key"].to_numpy())
         first_fail = np.where(
             mis, "misaligned",
             np.where(lowq, "low_quality", np.where(dup, "duplicate", "")),
         )
         return pa.table(
-            {"image_id": pa.array(
-                sig["image_id"].to_numpy(np.int64), pa.int64()
-             ),
+            {"image_id": sig["key"],
              "keep": pa.array(first_fail == "", pa.bool_()),
              "first_fail": pa.array(first_fail, pa.string())}
         )
 
-    return (
-        signals.map_batches(sig_rows, batch_format="pyarrow")
-        .union(cc.map_batches(loser_rows, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(verdict, batch_format="pyarrow")
-        .select_columns(["image_id", "keep", "first_fail"])
+    return copartition(
+        [signals.map_batches(sig_rows, batch_format="pyarrow"),
+         cc.map_batches(
+             lambda t: pa.table({"key": t.filter(
+                 pa.compute.not_equal(t["node"], t["lab"]))["node"]}),
+             batch_format="pyarrow")],
+        verdict,
+        pa.schema([("clip_score", pa.float64()), ("lum_std", pa.float64()),
+                   ("entropy", pa.float64())]),
+        # one image per doc; each sends at most one row to each side
+        exchange_parts(sf_dir, "documents", "documents"),
     )
 
 
@@ -913,7 +887,6 @@ def image_training_data_build(
     shard_bytes: int = 1 << 16,
     split_seed: int = 3,
     seed: int = 42,
-    n_parts: int = 32,
     **curation_kwargs,
 ) -> "rd.Dataset":
     """The end-to-end IMAGE training-data build a contrastive/diffusion
@@ -934,23 +907,21 @@ def image_training_data_build(
 
     Shape: curation verdicts and per-image encoded sizes are computed in
     their own passes (ONE decode each — the size pass never decodes),
-    co-located by one id-hash exchange (in-task semi join keeps survivor
-    sizes), per-range byte totals to the driver (O(n_parts)), exclusive
-    offsets back, in-range vectorized cumsum + md5 split map. Rows-only
+    co-located by one id-keyed ``copartition`` (in-task semi join keeps
+    survivor sizes), per-range byte totals to the driver (one per
+    partition), exclusive offsets back, in-range vectorized cumsum + md5 split map. Rows-only
     driver check (pixel synthesis is not SQL-expressible); planted-truth
     survivor set, exact prefix-sum bytes and cross-parallelism
     bit-identity are asserted in tests."""
     import hashlib
 
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from crawler_ray.pipelines.textops import _docid_bounds
+    from crawler_ray.pipelines.textops import _docid_bounds, _range_offsets
     from crawler_ray.sources.io import read_parquet_sized
     from crawler_ray.sources.synthetic import planted_image_batch
 
     verdicts = image_corpus_curation(sf_dir, seed=seed, **curation_kwargs)
-
+    # one image per doc; each sends at most one row to each side
+    n_parts = exchange_parts(sf_dir, "documents", "documents")
     lo, hi = _docid_bounds(f"{sf_dir}/documents.parquet")
     rng = max(1, -(-(hi - lo + 1) // n_parts))
     docs = read_parquet_sized(f"{sf_dir}/documents.parquet", columns=["doc_id"])
@@ -960,61 +931,37 @@ def image_training_data_build(
         payloads, _caps = planted_image_batch(
             ids, seed, dup=True, mismatch=True, lowq=True, watermark=True
         )
-        sizes = np.array([len(b) for b in payloads], np.int64)
         return pa.table(
-            {"image_id": pa.array(ids, pa.int64()),
-             "jpart": pa.array(ids % n_parts, pa.int64()),
-             "n_bytes": pa.array(sizes, pa.int64()),
-             "kept": pa.nulls(len(ids), pa.bool_())}
+            {"key": pa.array(ids, pa.int64()),
+             "n_bytes": pa.array([len(b) for b in payloads], pa.int64())}
         )
 
-    def kept_rows(t: pa.Table) -> pa.Table:
-        k = t.filter(t["keep"])
-        ids = k["image_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {"image_id": pa.array(ids, pa.int64()),
-             "jpart": pa.array(ids % n_parts, pa.int64()),
-             "n_bytes": pa.nulls(len(ids), pa.int64()),
-             "kept": pa.array(np.ones(len(ids), bool), pa.bool_())}
-        )
-
-    def semi(g: pa.Table) -> pa.Table:
-        keep_ids = g.filter(pa.compute.is_valid(g["kept"]))["image_id"].to_numpy(
-            zero_copy_only=False
-        )
-        sz = g.filter(pa.compute.invert(pa.compute.is_valid(g["kept"])))
-        ids = sz["image_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sel = np.isin(ids, keep_ids)
+    def semi(sz: pa.Table, kept: pa.Table) -> pa.Table:
+        ids = sz["key"].to_numpy()
+        sel = np.isin(ids, kept["key"].to_numpy())
         ids = ids[sel]
-        nb = sz["n_bytes"].to_numpy(zero_copy_only=False).astype(np.int64)[sel]
         return pa.table(
-            {"image_id": pa.array(ids, pa.int64()),
-             "n_bytes": pa.array(nb, pa.int64()),
-             "part": pa.array((ids - lo) // rng, pa.int64())}
+            {"key": pa.array((ids - lo) // rng, pa.int64()),
+             "image_id": pa.array(ids, pa.int64()),
+             "n_bytes": pa.array(sz["n_bytes"].to_numpy()[sel], pa.int64())}
         )
 
-    sizes = (
-        docs.map_batches(size_rows, batch_format="pyarrow", batch_size=256)
-        .union(verdicts.map_batches(kept_rows, batch_format="pyarrow"))
-        .groupby("jpart")
-        .map_groups(semi, batch_format="pyarrow")
-        .materialize()  # slim survivor rows; feeds totals + final fold
-    )
-
-    totals = sizes.groupby("part").aggregate(
-        Sum("n_bytes", alias_name="b")
-    ).take_all()
-    base, offsets = 0, {}
-    for row in sorted(totals, key=lambda r: r["part"]):
-        offsets[int(row["part"])] = base
-        base += int(row["b"])
+    sizes = copartition(
+        [docs.map_batches(size_rows, batch_format="pyarrow", batch_size=256),
+         verdicts.map_batches(
+             lambda t: pa.table({"key": t.filter(t["keep"])["image_id"]}),
+             batch_format="pyarrow")],
+        semi, pa.schema([("n_bytes", pa.int64())]), n_parts,
+    ).materialize()  # slim survivor rows; feeds totals + final fold
+    schema = pa.schema([("image_id", pa.int64()), ("n_bytes", pa.int64())])
+    offsets = _range_offsets(sizes, "n_bytes", schema, n_parts)
 
     def layout(g: pa.Table) -> pa.Table:
         ids = g["image_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         nb = g["n_bytes"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(ids)
         ids, nb = ids[order], nb[order]
-        start = np.cumsum(nb) - nb + offsets[int((ids[0] - lo) // rng)]
+        start = np.cumsum(nb) - nb + offsets[g["key"][0].as_py()]
         h = np.array(
             [int(hashlib.md5(f"{split_seed}:{i}".encode()).hexdigest()[:8], 16)
              % 100 for i in ids],
@@ -1029,7 +976,7 @@ def image_training_data_build(
              "shard_id": pa.array(start // shard_bytes, pa.int64())}
         )
 
-    return sizes.groupby("part").map_groups(layout, batch_format="pyarrow")
+    return copartition([sizes], layout, schema, n_parts)
 
 
 # ---------------------------------------------------------------------------

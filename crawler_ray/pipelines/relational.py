@@ -26,6 +26,7 @@ import ray.data as rd
 
 from crawler_ray.context import worker_cached
 from crawler_ray.functions.rounding import round_np, round_pa
+from crawler_ray.pipelines.joins import copartition, exchange_parts, footer_schema
 from crawler_ray.pipelines.result import scalar_safe, schema_safe
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
@@ -37,6 +38,34 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Datas
     # per-block scheduling dominates trivial per-row work long before CPU does
     return read_parquet_sized(
         f"{sf_dir}/{table}.parquet", columns=columns, target_rows_per_block=4096
+    )
+
+
+def _by_customer(sf_dir: str, orders: rd.Dataset, fold, columns: list[str],
+                 cents: bool = False) -> rd.Dataset:
+    """One custkey-keyed ``copartition`` of the orders table: every order
+    of a customer meets in one ``fold`` call, with its ``o_custkey`` and
+    ``columns`` (typed as in the footer) and, with ``cents``, the int64
+    ``cents`` column the caller's map adds."""
+    schema = footer_schema(sf_dir, "orders", columns)
+    if cents:
+        schema = schema.append(pa.field("cents", pa.int64()))
+    return copartition([orders], fold, schema,
+                       exchange_parts(sf_dir, "orders"), key="o_custkey")
+
+
+def _by_part_type(sf_dir: str, fold) -> rd.Dataset:
+    """One p_type-keyed ``copartition`` of the part table: every part of a
+    type meets in one ``fold`` call (key: the hashed p_type)."""
+    cols = ["p_partkey", "p_type", "p_size"]
+
+    def keyed(df: pd.DataFrame) -> pd.DataFrame:
+        key = pd.util.hash_array(df["p_type"].to_numpy(object)).view(np.int64)
+        return df.assign(key=key)
+
+    return copartition(
+        [_read(sf_dir, "part", cols).map_batches(keyed, batch_format="pandas")],
+        fold, footer_schema(sf_dir, "part", cols), exchange_parts(sf_dir, "part"),
     )
 
 
@@ -394,11 +423,6 @@ def top3_orders_per_customer(sf_dir: str) -> rd.Dataset:
     numpy segment walk, rank computed positionally — no per-customer pandas
     group calls and no global sort."""
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-    n_parts = 64
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = (t["o_custkey"].to_numpy() % n_parts).astype(np.int64)
-        return t.append_column("part", pa.array(part, pa.int64()))
 
     def topk(t: pa.Table) -> pa.Table:
         cust = t["o_custkey"].to_numpy()
@@ -418,11 +442,7 @@ def top3_orders_per_customer(sf_dir: str) -> rd.Dataset:
              "rn": pa.array(rn[keep], pa.int64())}
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(topk, batch_format="pyarrow")
-    )
+    return _by_customer(sf_dir, ds, topk, ["o_orderkey", "o_totalprice"])
 
 
 TOP3_PER_CUSTOMER_SQL = """
@@ -479,11 +499,6 @@ def first_order_per_customer(sf_dir: str) -> rd.Dataset:
     per-key map_groups pays ~ms of pandas overhead per customer (the dedup
     pipelines' lesson), a partition walk pays it once per partition."""
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate"])
-    n_parts = 64
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = (t["o_custkey"].to_numpy() % n_parts).astype(np.int64)
-        return t.append_column("part", pa.array(part, pa.int64()))
 
     def first(t: pa.Table) -> pa.Table:
         cust = t["o_custkey"].to_numpy()
@@ -498,11 +513,7 @@ def first_order_per_customer(sf_dir: str) -> rd.Dataset:
              "first_order_epoch": pa.array(date[starts] // 10**9, pa.int64())}
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(first, batch_format="pyarrow")
-    )
+    return _by_customer(sf_dir, ds, first, ["o_orderkey", "o_orderdate"])
 
 
 FIRST_ORDER_SQL = """
@@ -594,7 +605,6 @@ DISTINCT_EVENT_TYPES_SQL = "SELECT DISTINCT event_type FROM events"
 def lineitem_price_quantiles(
     sf_dir: str,
     qs: tuple[float, ...] = (0.25, 0.5, 0.75, 0.9, 0.99),
-    n_parts: int = 32,
     merge_threshold: int = 20_000_000,
     interpolated: bool = False,
 ) -> rd.Dataset:
@@ -620,8 +630,7 @@ def lineitem_price_quantiles(
     n_total = pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
     _HIST_SCHEMA = pa.schema(
-        [("l_returnflag", pa.string()), ("v", pa.float64()),
-         ("c", pa.int64()), ("part", pa.int64())]
+        [("l_returnflag", pa.string()), ("v", pa.float64()), ("c", pa.int64())]
     )
 
     def partial(t: pa.Table) -> pa.Table:
@@ -630,16 +639,16 @@ def lineitem_price_quantiles(
              "v": t["l_extendedprice"].to_numpy()}
         )
         g = df.groupby(["l_returnflag", "v"], sort=False).size().reset_index(name="c")
-        part = g["v"].to_numpy().view(np.uint64) % np.uint64(n_parts)
-        g["part"] = part.astype(np.int64)
-        return pa.Table.from_pandas(g, schema=_HIST_SCHEMA, preserve_index=False)
+        # the value's bits are its hash key
+        return pa.Table.from_pandas(
+            g, schema=_HIST_SCHEMA, preserve_index=False
+        ).append_column("key", pa.array(g["v"].to_numpy().view(np.int64)))
 
     def merge_hist(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
         out = (
-            df.groupby(["l_returnflag", "v"], sort=False)["c"].sum().reset_index()
+            g.to_pandas().groupby(["l_returnflag", "v"], sort=False)["c"]
+            .sum().reset_index()
         )
-        out["part"] = df["part"].iloc[0] if len(df) else 0
         return pa.Table.from_pandas(out, schema=_HIST_SCHEMA, preserve_index=False)
 
     def finish(g: pa.Table) -> pa.Table:
@@ -682,9 +691,10 @@ def lineitem_price_quantiles(
         return partials.groupby("l_returnflag").map_groups(
             finish, batch_format="pyarrow"
         )
-    hist = partials.groupby("part").map_groups(merge_hist, batch_format="pyarrow")
+    hist = copartition(
+        [partials], merge_hist, _HIST_SCHEMA, exchange_parts(sf_dir, "lineitem"))
     # the merged histogram is tiny (distinct values, not rows) but spread
-    # over n_parts blocks; coalesce to ~one block per flag group so the
+    # over the exchange's blocks; coalesce to ~one block per flag group so the
     # final groupby doesn't fan out empty-range tasks
     return (
         hist.repartition(3)
@@ -706,7 +716,7 @@ GROUP BY l_returnflag
 """
 
 
-def customer_rolling_spend(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def customer_rolling_spend(sf_dir: str) -> rd.Dataset:
     """ROWS-window rolling aggregate (the brief's 'windowed aggregate'
     custom operator): per customer, the sum of the current + 2 preceding
     orders' totalprice in (o_orderdate, o_orderkey) order.
@@ -723,7 +733,6 @@ def customer_rolling_spend(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     )
 
     def prep(t: pa.Table) -> pa.Table:
-        cust = t["o_custkey"].to_numpy()
         return pa.table(
             {"o_orderkey": t["o_orderkey"],
              "o_custkey": t["o_custkey"],
@@ -731,8 +740,7 @@ def customer_rolling_spend(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
              "cents": pa.array(
                  np.round(t["o_totalprice"].to_numpy() * 100.0).astype(np.int64),
                  pa.int64(),
-             ),
-             "part": pa.array((cust % n_parts).astype(np.int64), pa.int64())}
+             )}
         )
 
     def window(g: pa.Table) -> pa.Table:
@@ -755,11 +763,8 @@ def customer_rolling_spend(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
              "rolling3_spend": pa.array(roll / 100.0, pa.float64())}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(window, batch_format="pyarrow")
-    )
+    return _by_customer(sf_dir, ds.map_batches(prep, batch_format="pyarrow"),
+                        window, ["o_orderkey", "o_orderdate"], cents=True)
 
 
 CUSTOMER_ROLLING_SPEND_SQL = """
@@ -772,7 +777,7 @@ FROM orders
 """
 
 
-def customer_spend_7d(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def customer_spend_7d(sf_dir: str) -> rd.Dataset:
     """RANGE-interval window twin of :func:`customer_rolling_spend`: per
     order, the customer's total spend over the TRAILING 7 DAYS
     (``RANGE BETWEEN INTERVAL 7 DAY PRECEDING AND CURRENT ROW`` — a
@@ -792,7 +797,6 @@ def customer_spend_7d(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     )
 
     def prep(t: pa.Table) -> pa.Table:
-        cust = t["o_custkey"].to_numpy()
         return pa.table(
             {"o_orderkey": t["o_orderkey"],
              "o_custkey": t["o_custkey"],
@@ -800,8 +804,7 @@ def customer_spend_7d(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
              "cents": pa.array(
                  np.round(t["o_totalprice"].to_numpy() * 100.0).astype(np.int64),
                  pa.int64(),
-             ),
-             "part": pa.array((cust % n_parts).astype(np.int64), pa.int64())}
+             )}
         )
 
     def window(g: pa.Table) -> pa.Table:
@@ -827,11 +830,8 @@ def customer_spend_7d(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
              "spend_7d": pa.array(out / 100.0, pa.float64())}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(window, batch_format="pyarrow")
-    )
+    return _by_customer(sf_dir, ds.map_batches(prep, batch_format="pyarrow"),
+                        window, ["o_orderkey", "o_orderdate"], cents=True)
 
 
 CUSTOMER_SPEND_7D_SQL = """
@@ -951,7 +951,7 @@ GROUP BY ROLLUP (r_name, n_name)
 """
 
 
-def customer_order_gaps(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def customer_order_gaps(sf_dir: str) -> rd.Dataset:
     """LAG window: per customer, days since the PREVIOUS order in
     (o_orderdate, o_orderkey) order — NULL (NaN) for each customer's first
     order. Completes the window-verb family beside the ROWS-frame rolling
@@ -963,12 +963,6 @@ def customer_order_gaps(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     (exactly representable — both sides divide the same int by 86400e6, so
     the driver's exact hash compare holds)."""
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        cust = t["o_custkey"].to_numpy()
-        return t.append_column(
-            "part", pa.array((cust % n_parts).astype(np.int64), pa.int64())
-        )
 
     def window(g: pa.Table) -> pa.Table:
         cust = g["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -989,12 +983,7 @@ def customer_order_gaps(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
              "gap_days": pa.array(gap, pa.float64(), from_pandas=True)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(window, batch_format="pyarrow")
-        .select_columns(["o_orderkey", "o_custkey", "gap_days"])
-    )
+    return _by_customer(sf_dir, ds, window, ["o_orderkey", "o_orderdate"])
 
 
 CUSTOMER_ORDER_GAPS_SQL = """
@@ -1031,7 +1020,7 @@ FROM lineitem GROUP BY l_returnflag
 # Correlated-subquery shape: rows above their group's average
 
 
-def orders_above_customer_avg(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def orders_above_customer_avg(sf_dir: str) -> rd.Dataset:
     """Orders strictly above their customer's average order value — the
     correlated-subquery verb (``WHERE price > (SELECT AVG(...) ... same
     customer)``). Decorrelated the classic way: per-customer aggregate +
@@ -1045,19 +1034,10 @@ def orders_above_customer_avg(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     boundary, so the row set is independent of block structure. The
     reported ``cust_avg`` reproduces the oracle's arithmetic on the same
     doubles ((sum/100.0)/cnt)."""
-    orders = _read(
-        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]
-    ).map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array(
-                (t["o_custkey"].to_numpy() % n_parts).astype(np.int64), pa.int64()
-            ),
-        ),
-        batch_format="pyarrow",
-    )
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
-    def above_avg(g: pd.DataFrame) -> pd.DataFrame:
+    def above_avg(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         cents = np.round(g["o_totalprice"].to_numpy() * 100.0).astype(np.int64)
         grp = g.groupby("o_custkey")["o_totalprice"]
         # exact per-customer integer partials, aligned back to rows
@@ -1073,7 +1053,7 @@ def orders_above_customer_avg(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         out["cust_avg"] = (s[keep].astype(np.float64) / 100.0) / cnt[keep]
         return out
 
-    return orders.groupby("part").map_groups(above_avg, batch_format="pandas")
+    return _by_customer(sf_dir, orders, above_avg, ["o_orderkey", "o_totalprice"])
 
 
 ORDERS_ABOVE_CUST_AVG_SQL = """
@@ -1418,7 +1398,7 @@ FROM s
 # Ordered string aggregation (STRING_AGG ... ORDER BY)
 
 
-def customer_priority_history(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def customer_priority_history(sf_dir: str) -> rd.Dataset:
     """Per customer, the comma-joined sequence of order priorities in
     (o_orderdate, o_orderkey) order — the ordered STRING_AGG / LIST
     aggregation verb (think: per-user session history strings, per-doc
@@ -1426,20 +1406,11 @@ def customer_priority_history(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     commutatively, so the shape is ONE custkey-hash exchange with the
     in-task mergesort + segment join — same exchange budget as the LAG
     window, and the driver never sees a row."""
-    orders = _read(
-        sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate",
-                           "o_orderpriority"]
-    ).map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array((t["o_custkey"].to_numpy() % n_parts).astype(np.int64),
-                     pa.int64()),
-        ),
-        batch_format="pyarrow",
-    )
+    cols = ["o_orderkey", "o_orderdate", "o_orderpriority"]
+    orders = _read(sf_dir, "orders", ["o_custkey", *cols])
 
-    def agg(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
+    def agg(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(
             ["o_custkey", "o_orderdate", "o_orderkey"], kind="mergesort"
         )
         out = g.groupby("o_custkey", sort=False)["o_orderpriority"].agg(
@@ -1452,7 +1423,7 @@ def customer_priority_history(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
              "n_orders": n.to_numpy(np.int64)}
         )
 
-    return orders.groupby("part").map_groups(agg, batch_format="pandas")
+    return _by_customer(sf_dir, orders, agg, cols)
 
 
 CUSTOMER_PRIORITY_HISTORY_SQL = """
@@ -1760,7 +1731,6 @@ def _customer_year_presence(sf_dir: str, y_a: int, y_b: int) -> rd.Dataset:
     presence flags for order-years ``y_a`` / ``y_b`` — one custkey
     exchange over (custkey, year-bit) pairs pre-deduped per block."""
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-    n_parts = 32
 
     def pairs(t: pa.Table) -> pa.Table:
         years = t["o_orderdate"].to_numpy().astype("datetime64[Y]").astype(
@@ -1774,12 +1744,8 @@ def _customer_year_presence(sf_dir: str, y_a: int, y_b: int) -> rd.Dataset:
              np.full(int(m_b.sum()), 2, np.int64)]
         )
         packed = np.unique(ck * 4 + bit)  # in-block dedup (combiner)
-        return pa.table(
-            {
-                "part": pa.array((packed // 4) % n_parts, pa.int64()),
-                "packed": pa.array(packed, pa.int64()),
-            }
-        )
+        return pa.table({"key": pa.array(packed // 4, pa.int64()),
+                         "packed": pa.array(packed, pa.int64())})
 
     def fold(g: pa.Table) -> pa.Table:
         packed = np.unique(g["packed"].to_numpy())
@@ -1795,10 +1761,10 @@ def _customer_year_presence(sf_dir: str, y_a: int, y_b: int) -> rd.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
+    return copartition(
+        [ds.map_batches(pairs, batch_format="pyarrow")],
+        fold, pa.schema([("packed", pa.int64())]),
+        exchange_parts(sf_dir, "orders"),
     )
 
 
@@ -1928,7 +1894,7 @@ GROUP BY measure
 # actually exercised)
 
 
-def part_size_ranks(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def part_size_ranks(sf_dir: str) -> rd.Dataset:
     """``RANK()`` and ``DENSE_RANK() OVER (PARTITION BY p_type ORDER BY
     p_size)`` — the tie-aware window verbs. ONE p_type-hash exchange; per
     partition the ranks are pure vectorized order statistics
@@ -1936,20 +1902,9 @@ def part_size_ranks(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     ``searchsorted(side='left')+1`` IS rank), no row loops. Ties make both
     ranks deterministic with no tie-break key needed — the value set per
     (type, size) is what's ranked, not row order."""
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (
-            pd.util.hash_array(df["p_type"].to_numpy(object)) % n_parts
-        ).astype(np.int64)
-        return df
-
-    part = _read(
-        sf_dir, "part", ["p_partkey", "p_type", "p_size"]
-    ).map_batches(add_part, batch_format="pandas")
-
-    def ranks(g: pd.DataFrame) -> pd.DataFrame:
+    def ranks(t: pa.Table) -> pd.DataFrame:
         out = []
-        for _, grp in g.groupby("p_type", sort=False):
+        for _, grp in t.to_pandas().groupby("p_type", sort=False):
             v = grp["p_size"].to_numpy(np.int64)
             sv = np.sort(v)
             uniq, inv = np.unique(v, return_inverse=True)
@@ -1966,7 +1921,7 @@ def part_size_ranks(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
             )
         return pd.concat(out, ignore_index=True)
 
-    return part.groupby("part").map_groups(ranks, batch_format="pandas")
+    return _by_part_type(sf_dir, ranks)
 
 
 PART_SIZE_RANKS_SQL = """
@@ -2004,9 +1959,7 @@ SELECT DISTINCT o_custkey FROM orders WHERE date_part('year', o_orderdate) = 199
 # TPC-H Q17 shape: the per-group correlated average as a co-location fold
 
 
-def small_qty_part_revenue(
-    sf_dir: str, brand: str = "Brand#3", n_parts: int | None = None
-) -> rd.Dataset:
+def small_qty_part_revenue(sf_dir: str, brand: str = "Brand#3") -> rd.Dataset:
     """Average yearly revenue lost if small-quantity orders (below HALF the
     part's average order quantity) were not taken, for one brand — the
     TPC-H Q17 shape. The correlated per-part AVG decorrelates into ONE
@@ -2021,12 +1974,10 @@ def small_qty_part_revenue(
     only ~1/|brands| of lineitem enters the exchange."""
     import pyarrow.parquet as pq_
 
-    from crawler_ray.pipelines.joins import (
-        SortedLookup, copartition, exchange_parts,
-    )
+    from crawler_ray.pipelines.joins import SortedLookup
     from crawler_ray.sources.io import read_parquet_sized
 
-    n_parts = n_parts or exchange_parts(sf_dir, "lineitem")
+    n_parts = exchange_parts(sf_dir, "lineitem")
 
     brand_parts = SortedLookup(
         pq_.read_table(
@@ -2197,7 +2148,7 @@ WHERE (p_brand = 'Brand#1' AND p_size BETWEEN 1 AND 10 AND l_quantity BETWEEN 1 
 """
 
 
-def part_size_percentiles(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def part_size_percentiles(sf_dir: str) -> rd.Dataset:
     """``PERCENT_RANK()`` and ``CUME_DIST() OVER (PARTITION BY p_type
     ORDER BY p_size)`` — the normalized window verbs completing the rank
     family (``part_size_ranks``). Same ONE p_type-hash exchange + order
@@ -2205,20 +2156,9 @@ def part_size_percentiles(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     evaluated with the identical float64 expression the oracle uses
     ((rank−1)/(n−1), count≤/n), so values are bit-stable. Single-row
     groups take PERCENT_RANK = 0 (the SQL definition for n = 1)."""
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (
-            pd.util.hash_array(df["p_type"].to_numpy(object)) % n_parts
-        ).astype(np.int64)
-        return df
-
-    part = _read(
-        sf_dir, "part", ["p_partkey", "p_type", "p_size"]
-    ).map_batches(add_part, batch_format="pandas")
-
-    def pct(g: pd.DataFrame) -> pd.DataFrame:
+    def pct(t: pa.Table) -> pd.DataFrame:
         out = []
-        for _, grp in g.groupby("p_type", sort=False):
+        for _, grp in t.to_pandas().groupby("p_type", sort=False):
             v = grp["p_size"].to_numpy(np.int64)
             n = len(v)
             sv = np.sort(v)
@@ -2242,7 +2182,7 @@ def part_size_percentiles(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
             )
         return pd.concat(out, ignore_index=True)
 
-    return part.groupby("part").map_groups(pct, batch_format="pandas")
+    return _by_part_type(sf_dir, pct)
 
 
 PART_SIZE_PERCENTILES_SQL = """

@@ -29,6 +29,9 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Count
 
+from crawler_ray.pipelines import joins
+from crawler_ray.pipelines.joins import copartition, exchange_parts
+
 
 def _read_round_tables(out_dir: str, table: str) -> pa.Table | None:
     from crawler_ray.sources.io import read_parts_table
@@ -168,9 +171,17 @@ def _segment_pair_chunks(starts: np.ndarray, sizes: np.ndarray, pair_chunk: int)
         yield np.concatenate(buf_a), np.concatenate(buf_b)
 
 
-def images_phash_near_dups(
-    images: rd.Dataset, max_hamming: int = 6, n_parts: int = 16
-) -> rd.Dataset:
+def _bucket_walk(bands: rd.Dataset, walk) -> rd.Dataset:
+    """(bucket, image_id, phash) band rows → one bucket-keyed
+    ``copartition`` feeding ``walk`` per partition."""
+    return copartition(
+        [bands], walk,
+        pa.schema([("image_id", pa.string()), ("phash", pa.int64())]),
+        joins.EXCHANGE_PARTS, key="bucket",
+    )
+
+
+def images_phash_near_dups(images: rd.Dataset, max_hamming: int = 6) -> rd.Dataset:
     """Near-dup image pairs by phash Hamming distance ≤ ``max_hamming``.
 
     ADAPTIVE banding: the 64-bit phash splits into ``max_hamming + 1`` bands
@@ -182,8 +193,9 @@ def images_phash_near_dups(
     — inherent to Hamming LSH, not a bug.
 
     Round-3 shape (the dedup.py segment-walk template, one exchange total):
-    band rows → coarse hash-partition groupby → per-partition numpy segment
-    walk generating pairs, verifying Hamming, and emitting each pair only
+    band rows → one bucket-keyed ``copartition`` (``EXCHANGE_PARTS``
+    partitions: a caller's Dataset has no footer row count) → per-partition
+    numpy segment walk generating pairs, verifying Hamming, and emitting each pair only
     from its FIRST matching band (canonical-band dedup: the bucket IS the
     exact band value, so every bucket holding the pair computes the same
     first-match from the two phashes — globally unique output with no
@@ -208,9 +220,6 @@ def images_phash_near_dups(
         return pa.table(
             {
                 "bucket": pa.array(bucket, pa.int64()),
-                "part": pa.array(
-                    (bucket % np.int64(n_parts)).astype(np.int64), pa.int64()
-                ),
                 "image_id": t["image_id"].take(pa.array(idx)),
                 "phash": t["phash"].take(pa.array(idx)),
             }
@@ -267,17 +276,11 @@ def images_phash_near_dups(
              "hamming": pa.array(np.concatenate(out_d), pa.int64())}
         )
 
-    return (
-        images.select_columns(["image_id", "phash"])
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(walk_pairs, batch_format="pyarrow")
-    )
+    return _bucket_walk(images.map_batches(explode, batch_format="pyarrow"),
+                        walk_pairs)
 
 
-def images_phash_near_dups_multiprobe(
-    images: rd.Dataset, max_hamming: int = 6, n_parts: int = 16
-) -> rd.Dataset:
+def images_phash_near_dups_multiprobe(images: rd.Dataset, max_hamming: int = 6) -> rd.Dataset:
     """Multi-probe variant of :func:`images_phash_near_dups` for LARGER
     Hamming radii — the scale path the classic walk's docstring names:
     ``max_hamming + 1`` disjoint bands shrink to ~9 bits at radius 6,
@@ -347,9 +350,6 @@ def images_phash_near_dups_multiprobe(
         return pa.table(
             {
                 "bucket": pa.array(bucket, pa.int64()),
-                "part": pa.array(
-                    (bucket % np.int64(n_parts)).astype(np.int64), pa.int64()
-                ),
                 "image_id": t["image_id"].take(pa.array(idx)),
                 "phash": t["phash"].take(pa.array(idx)),
             }
@@ -420,12 +420,8 @@ def images_phash_near_dups_multiprobe(
              "hamming": pa.array(np.concatenate(out_d), pa.int64())}
         )
 
-    return (
-        images.select_columns(["image_id", "phash"])
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(walk_pairs, batch_format="pyarrow")
-    )
+    return _bucket_walk(images.map_batches(explode, batch_format="pyarrow"),
+                        walk_pairs)
 
 
 def recrawl_priority(
@@ -474,7 +470,7 @@ def _trap_urls(t: pa.Table) -> pa.Table:
     )
 
 
-def url_trap_families(sf_dir: str, min_urls: int = 1200, n_parts: int = 32) -> rd.Dataset:
+def url_trap_families(sf_dir: str, min_urls: int = 1200) -> rd.Dataset:
     """Crawler-trap detection over a URL corpus: collapse every digit run
     to ``N`` (the standard URL-template normalization), then count DISTINCT
     urls and hosts per family — families whose variant count explodes past
@@ -483,8 +479,8 @@ def url_trap_families(sf_dir: str, min_urls: int = 1200, n_parts: int = 32) -> r
     or drop them).
 
     Scale shape: per-batch the family map is ONE compiled vectorized regex
-    pass, then an in-batch distinct(family, url) combiner; ONE family-hash
-    exchange moves deduplicated triples only; per-partition pandas
+    pass, then an in-batch distinct(family, url) combiner; ONE family-keyed
+    ``copartition`` (one url per order row) moves deduplicated triples only; per-partition pandas
     nunique/min folds finish. No driver-side URL state — the output is
     O(|families|).
     """
@@ -502,8 +498,8 @@ def url_trap_families(sf_dir: str, min_urls: int = 1200, n_parts: int = 32) -> r
         df = pd.DataFrame(
             {"family": fam, "url": url, "host": u["host"].to_pandas()}
         ).drop_duplicates(["family", "url"])
-        part = pd.util.hash_array(df["family"].to_numpy(dtype=object)) % n_parts
-        df["part"] = part.astype(np.int64)
+        df["key"] = pd.util.hash_array(df["family"].to_numpy(dtype=object)).view(
+            np.int64)
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def fold(g: pa.Table) -> pa.Table:
@@ -518,11 +514,11 @@ def url_trap_families(sf_dir: str, min_urls: int = 1200, n_parts: int = 32) -> r
         out["is_trap"] = out["n_urls"] >= min_urls
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        orders.map_batches(fam_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
-        .select_columns(["family", "n_urls", "n_hosts", "example_url", "is_trap"])
+    return copartition(
+        [orders.map_batches(fam_rows, batch_format="pyarrow")], fold,
+        pa.schema([("family", pa.string()), ("url", pa.string()),
+                   ("host", pa.string())]),
+        exchange_parts(sf_dir, "orders"),
     )
 
 
@@ -576,7 +572,7 @@ def _noisy_urls(t: pa.Table) -> pd.Series:
     return "https://" + host + port + "/item" + query + utm + frag
 
 
-def url_canonical_dups(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def url_canonical_dups(sf_dir: str) -> rd.Dataset:
     """URL canonicalization dedup: collapse raw URL variants (host case,
     default port, tracking params, param order, fragments) onto their
     canonical frontier key and count distinct raw variants per canonical
@@ -591,8 +587,8 @@ def url_canonical_dups(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
     Scale shape: per batch, raw URLs dedup in-batch, the canonicalizer runs
     once per distinct raw (stdlib urlsplit per URL — inherently a string
     parse; ~10 µs/URL, and a real frontier pays this exactly once per
-    discovered URL anyway); ONE canonical-hash exchange moves deduplicated
-    (canon, raw) pairs; per-partition pandas folds finish. Output is
+    discovered URL anyway); ONE canonical-keyed ``copartition`` (one url
+    per order row) moves deduplicated (canon, raw) pairs; per-partition pandas folds finish. Output is
     O(|canonical urls|); no driver-side URL state."""
     from crawler_ray.functions.urls import normalize_url, strip_tracking_params
     from crawler_ray.sources.io import read_parquet_sized
@@ -612,8 +608,8 @@ def url_canonical_dups(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         df = pd.DataFrame(
             {"canon": canon, "raw": uniq, "n_rows_p": n_rows.to_numpy(np.int64)}
         )
-        part = pd.util.hash_array(df["canon"].to_numpy(dtype=object)) % n_parts
-        df["part"] = part.astype(np.int64)
+        df["key"] = pd.util.hash_array(df["canon"].to_numpy(dtype=object)).view(
+            np.int64)
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def fold(g: pa.Table) -> pa.Table:
@@ -632,11 +628,11 @@ def url_canonical_dups(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         out["n_rows"] = out["n_rows"].astype(np.int64)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        orders.map_batches(canon_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
-        .select_columns(["canonical_url", "n_variants", "n_rows", "example_raw"])
+    return copartition(
+        [orders.map_batches(canon_rows, batch_format="pyarrow")], fold,
+        pa.schema([("canon", pa.string()), ("raw", pa.string()),
+                   ("n_rows_p", pa.int64())]),
+        exchange_parts(sf_dir, "orders"),
     )
 
 

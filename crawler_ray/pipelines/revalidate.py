@@ -135,7 +135,7 @@ def freshness_summary(verdicts: rd.Dataset) -> pa.Table:
     return pa.Table.from_pandas(df, preserve_index=False)
 
 
-def manifest_from_crawl(out_dir: str, n_parts: int = 16) -> rd.Dataset:
+def manifest_from_crawl(out_dir: str) -> rd.Dataset:
     """Build the revalidation manifest from a completed crawl's ``pages``
     sink (``tables/pages/round_NNNN/part-*``): one ``(url, etag,
     last_modified)`` row per crawled page, LATEST round wins (a page
@@ -145,13 +145,15 @@ def manifest_from_crawl(out_dir: str, n_parts: int = 16) -> rd.Dataset:
     captured per fetched page by ``HttpFetchStage``) → this manifest →
     :func:`revalidate_manifest` → verdicts → re-crawl only the
     ``changed`` rows. Distributed shape: per-round part trees read as
-    Datasets with a constant round column, one url-hash exchange picks
-    the max-round row per url.
+    Datasets with a constant round column, one url-keyed ``copartition``
+    picks the max-round row per url. The sink has no parquet footer, so
+    the part manifests' row counts size the exchange.
     """
     import os
     import re
 
-    from crawler_ray.sources.io import read_parts
+    from crawler_ray.pipelines.joins import copartition, parts_for_rows
+    from crawler_ray.sources.io import part_rows, read_parts
 
     root = os.path.join(out_dir, "tables", "pages")
     round_re = re.compile(r"^round_(\d+)$")
@@ -175,12 +177,10 @@ def manifest_from_crawl(out_dir: str, n_parts: int = 16) -> rd.Dataset:
 
             urls = t["url"].to_pylist()
             # process-salted hash() would scatter one url across partitions
-            part = np.asarray(
-                [stable_hash_u64(u) % n_parts for u in urls], dtype=np.int64
-            )
+            key = np.asarray([stable_hash_u64(u) for u in urls], np.uint64)
             return pa.table(
                 {
-                    "part": pa.array(part, pa.int64()),
+                    "key": pa.array(key.view(np.int64)),
                     "rnd": pa.array(
                         np.full(t.num_rows, rnd, dtype=np.int64), pa.int64()
                     ),
@@ -210,4 +210,9 @@ def manifest_from_crawl(out_dir: str, n_parts: int = 16) -> rd.Dataset:
             df[["url", "etag", "last_modified"]], preserve_index=False
         )
 
-    return ds.groupby("part").map_groups(latest, batch_format="pyarrow")
+    return copartition(
+        [ds], latest,
+        pa.schema([("rnd", pa.int64()), ("url", pa.string()),
+                   ("etag", pa.string()), ("last_modified", pa.string())]),
+        parts_for_rows(sum(part_rows(path) for _, path in rounds)),
+    )

@@ -18,6 +18,8 @@ import ray
 import ray.data as rd
 
 from crawler_ray.functions.rounding import round_np
+from crawler_ray.pipelines import joins
+from crawler_ray.pipelines.joins import copartition, exchange_parts
 
 
 def _read_emb(sf_dir: str) -> rd.Dataset:
@@ -561,7 +563,7 @@ def ann_lsh_topk(
     )
 
 
-def embedding_label_centroids(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
+def embedding_label_centroids(sf_dir: str) -> rd.Dataset:
     """Per-label embedding CENTROIDS — the vector-column aggregation
     archetype (k-means update step / class prototypes / SemDeDup cluster
     centers). Output is long-format (label, dim, centroid).
@@ -574,8 +576,10 @@ def embedding_label_centroids(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
     driver's exact hash compare holds at any block split.
 
     Shape: per-batch combiner sums the scaled matrix per label (one
-    (labels x dims)-row partial per batch — corpus-independent); ONE coarse
-    (label, dim) exchange folds partials. No broadcasts, no driver math."""
+    (labels x dims)-row partial per batch — corpus-independent); ONE
+    (label, dim)-keyed ``copartition`` folds partials (``EXCHANGE_PARTS``
+    partitions: the list column's width has no footer bound). No
+    broadcasts, no driver math."""
     from crawler_ray.sources.io import read_parquet_sized
 
     ds = read_parquet_sized(
@@ -596,13 +600,12 @@ def embedding_label_centroids(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
         counts = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
         lab_col = np.repeat(uniq, dims)
         dim_col = np.tile(np.arange(dims, dtype=np.int64), len(uniq))
-        key = lab_col * dims + dim_col
         return pa.table(
-            {"label": pa.array(lab_col, pa.int64()),
+            {"key": pa.array(lab_col * dims + dim_col, pa.int64()),
+             "label": pa.array(lab_col, pa.int64()),
              "dim": pa.array(dim_col, pa.int64()),
              "fx": pa.array(sums.ravel(), pa.int64()),
-             "n": pa.array(np.repeat(counts, dims), pa.int64()),
-             "part": pa.array(key % n_parts, pa.int64())}
+             "n": pa.array(np.repeat(counts, dims), pa.int64())}
         )
 
     def fold(g: pa.Table) -> pa.Table:
@@ -619,10 +622,10 @@ def embedding_label_centroids(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
              )}
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
+    return copartition(
+        [ds.map_batches(partial, batch_format="pyarrow")], fold,
+        pa.schema([(c, pa.int64()) for c in ("label", "dim", "fx", "n")]),
+        joins.EXCHANGE_PARTS,
     )
 
 
@@ -1294,22 +1297,12 @@ def hard_negative_pairs(sf_dir: str, n_blocks: int = 8) -> rd.Dataset:
         out = df.groupby("vec_id", sort=False).head(1)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    # bounded second exchange: ≤ n_blocks partial rows per vector
-    return (
-        partials.map_batches(
-            lambda t: t.append_column(
-                "fpart",
-                pa.array(
-                    (t["vec_id"].to_numpy() % 16).astype(np.int64), pa.int64()
-                ),
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("fpart")
-        .map_groups(
-            lambda g: final_fold(g.drop_columns(["fpart"])),
-            batch_format="pyarrow",
-        )
+    return copartition(
+        [partials], final_fold,
+        pa.schema([("neg_id", pa.int64()), ("cos_sim", pa.float64())]),
+        # bounded second exchange: ≤ n_blocks partial rows per vector
+        exchange_parts(sf_dir, *["embeddings"] * n_blocks),
+        key="vec_id",
     )
 
 
@@ -1338,7 +1331,7 @@ WHERE rn = 1
 # Distributed PCA projection (SemDeDup / embedding-whitening preprocessing)
 
 
-def _pca_moments(sf_dir: str, n_parts: int = 16):
+def _pca_moments(sf_dir: str):
     """EXACT distributed second moments of the embedding matrix: fixed-point
     fx = floor(e * 2^23) int64, per-batch Gram
     partials fxᵀ·fx (int64-exact for <=4096-row batches x dim<=2^21 values),
@@ -1346,7 +1339,9 @@ def _pca_moments(sf_dir: str, n_parts: int = 16):
     ``lineitem_qty_price_corr`` overflow recipe — a 100 TB corpus pushes
     Σfx² past 2^63, the split fold never does). Returns Python-int exact
     (n, Σfx per dim, Σfxᵀfx upper triangle) — O(dim²) driver state, zero
-    dependence on block boundaries or accumulation order."""
+    dependence on block boundaries or accumulation order. The moment-keyed
+    fold takes ``EXCHANGE_PARTS`` partitions (a batch's O(dim²) partial
+    rows have no footer bound)."""
     ds = _read_emb(sf_dir)
     SCALE_I = 1 << 23
 
@@ -1371,24 +1366,22 @@ def _pca_moments(sf_dir: str, n_parts: int = 16):
         rows_hi = np.concatenate([hi, s_hi, [0]])
         rows_lo = np.concatenate([lo, s_lo, [len(fx)]])
         return pa.table(
-            {"idx": pa.array(rows_idx, pa.int64()),
+            {"key": pa.array(rows_idx, pa.int64()),
              "hi": pa.array(rows_hi, pa.int64()),
-             "lo": pa.array(rows_lo, pa.int64()),
-             "part": pa.array(np.abs(rows_idx) % n_parts, pa.int64())}
+             "lo": pa.array(rows_lo, pa.int64())}
         )
 
     def fold(g: pa.Table) -> pa.Table:
-        df = g.to_pandas().groupby("idx", sort=False)[["hi", "lo"]].sum()
+        df = g.to_pandas().groupby("key", sort=False)[["hi", "lo"]].sum()
         return pa.Table.from_pandas(df.reset_index(), preserve_index=False)
 
-    moments = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
-        .to_pandas()  # <= dim(dim+1)/2 + dim + 1 rows by construction
-    )
+    moments = copartition(
+        [ds.map_batches(partial, batch_format="pyarrow")], fold,
+        pa.schema([("hi", pa.int64()), ("lo", pa.int64())]),
+        joins.EXCHANGE_PARTS,
+    ).to_pandas()  # <= dim(dim+1)/2 + dim + 1 rows by construction
     vals = {
-        int(r.idx): (int(r.hi) << 32) + int(r.lo) for r in moments.itertuples()
+        int(r.key): (int(r.hi) << 32) + int(r.lo) for r in moments.itertuples()
     }
     n = vals.pop(min(vals))  # most-negative idx = -(d+1), the count row
     d = -min(vals)  # remaining most-negative = -d (mean rows)
@@ -1402,7 +1395,7 @@ def _pca_moments(sf_dir: str, n_parts: int = 16):
     return n, np.array(s1, dtype=object), s2, SCALE_I
 
 
-def embedding_pca_project(sf_dir: str, k: int = 4, n_parts: int = 16) -> rd.Dataset:
+def embedding_pca_project(sf_dir: str, k: int = 4) -> rd.Dataset:
     """Distributed PCA: project every embedding onto the top-k principal
     components — the whitening / dimensionality-reduction step in front of
     SemDeDup-style clustering and ANN index builds. Two passes:
@@ -1432,7 +1425,7 @@ def embedding_pca_project(sf_dir: str, k: int = 4, n_parts: int = 16) -> rd.Data
                       **{f"pc{c}": pa.array([], pa.float64())
                          for c in range(k)}})
         )
-    n, s1, s2, SCALE_I = _pca_moments(sf_dir, n_parts)
+    n, s1, s2, SCALE_I = _pca_moments(sf_dir)
     d = len(s1)
     # exact integers -> one float64 rounding per entry, identical everywhere
     denom = float(n) * float(n) * float(SCALE_I) * float(SCALE_I)

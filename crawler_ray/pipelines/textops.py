@@ -19,7 +19,9 @@ from ray.data.aggregate import Count, Mean
 
 from crawler_ray.context import worker_cached
 from crawler_ray.functions.rounding import round_np
+from crawler_ray.pipelines import joins
 from crawler_ray.pipelines.dedup import _read_docs
+from crawler_ray.pipelines.joins import copartition, exchange_parts
 
 
 class TokenStats:
@@ -486,15 +488,14 @@ FROM m
 class _ShingleRows:
     """Doc → distinct word-n-gram shingle rows, tagged by side: benchmark
     docs (doc_id ≡ 0 mod ``mod`` — the stand-in for an external eval set)
-    carry a null doc_id; corpus docs carry their id. Partition key is a
+    carry a null doc_id; corpus docs carry their id. The exchange key is a
     deterministic hash of the shingle string so matching shingles
     co-locate."""
 
-    def __init__(self, ngram: int, mod: int, n_parts: int):
-        self.ngram, self.mod, self.n_parts = ngram, mod, n_parts
+    def __init__(self, ngram: int, mod: int):
+        self.ngram, self.mod = ngram, mod
         self.schema = pa.schema(
-            [("shingle", pa.string()), ("doc_id", pa.int64()),
-             ("part", pa.int64())]
+            [("shingle", pa.string()), ("doc_id", pa.int64()), ("key", pa.int64())]
         )
 
     def __call__(self, df: pd.DataFrame) -> pa.Table:
@@ -512,17 +513,14 @@ class _ShingleRows:
             sh_list.extend(shingles)
             ids.extend([None if is_bench else int(doc_id)] * len(shingles))
         sh_arr = np.array(sh_list, object)
-        part = (pd.util.hash_array(sh_arr) % self.n_parts).astype(np.int64)
         return pa.table(
             {"shingle": pa.array(sh_arr, pa.string()),
              "doc_id": pa.array(ids, pa.int64()),
-             "part": pa.array(part, pa.int64())},
+             "key": pa.array(pd.util.hash_array(sh_arr).view(np.int64))},
         ).cast(self.schema)
 
 
-def doc_benchmark_overlap(
-    sf_dir: str, ngram: int = 5, mod: int = 97, n_parts: int = 16
-) -> rd.Dataset:
+def doc_benchmark_overlap(sf_dir: str, ngram: int = 5, mod: int = 97) -> rd.Dataset:
     """Benchmark DECONTAMINATION flag: a corpus doc is contaminated iff it
     shares at least one word ``ngram``-gram with the held-out benchmark
     slice (docs with doc_id ≡ 0 mod ``mod`` stand in for the eval set; the
@@ -535,11 +533,12 @@ def doc_benchmark_overlap(
     corpus manifest by doc-id partition with an ``Aggregate`` (stage 2):
     two exchanges total, both over distinct-per-doc shingle/flag rows, so
     a billion-doc corpus with a million-doc benchmark never concentrates
-    state anywhere."""
+    state anywhere. A doc's shingle count has no footer bound, so stage 1
+    takes ``EXCHANGE_PARTS`` partitions."""
     from ray.data.aggregate import Max
 
     shingles = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        _ShingleRows(ngram, mod, n_parts), batch_format="pandas"
+        _ShingleRows(ngram, mod), batch_format="pandas"
     )
 
     _HIT_SCHEMA = pa.schema([("doc_id", pa.int64()), ("hit", pa.int64())])
@@ -566,7 +565,11 @@ def doc_benchmark_overlap(
     corpus = _read_docs(sf_dir, ["doc_id"]).map_batches(
         manifest, batch_format="pyarrow"
     )
-    hits = shingles.groupby("part").map_groups(match, batch_format="pyarrow")
+    hits = copartition(
+        [shingles], match,
+        pa.schema([("shingle", pa.string()), ("doc_id", pa.int64())]),
+        joins.EXCHANGE_PARTS,
+    )
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -651,7 +654,7 @@ def _docid_bounds(path: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def doc_pack_spans(sf_dir: str, ctx: int = 256, n_parts: int = 32) -> rd.Dataset:
+def doc_pack_spans(sf_dir: str, ctx: int = 256) -> rd.Dataset:
     """LLM-training sequence packing: concatenate all docs in doc_id order
     into one token stream and cut it every ``ctx`` tokens; report, per doc,
     its absolute token offset and the [bin_start, bin_end] range of context
@@ -659,17 +662,17 @@ def doc_pack_spans(sf_dir: str, ctx: int = 256, n_parts: int = 32) -> rd.Dataset
 
     Scale shape — a distributed SCAN (global prefix sum), a primitive Ray
     Data has no verb for:
-      1. one pass tokenizes to a slim (doc_id, n_tokens, part) dataset
-         (part = doc_id // R range-partitions by id; R from the footer's
-         doc_id min/max, O(row-groups) metadata), materialized once —
-         16 B/doc, spillable — so the text column is scanned exactly once;
-      2. per-part token totals via a tiny groupby (O(n_parts) rows to the
-         driver), exclusive prefix offsets computed driver-side;
-      3. one part exchange + per-partition vectorized cumsum + offset adds
+      1. one pass tokenizes to a slim (key, doc_id, n_tokens) dataset
+         (key = doc_id // R range-partitions by id, one range per
+         ``copartition`` partition; R from the footer's doc_id min/max,
+         O(row-groups) metadata), materialized once — 24 B/doc,
+         spillable — so the text column is scanned exactly once;
+      2. per-range token totals (one row per partition to the driver),
+         exclusive prefix offsets computed driver-side;
+      3. the same exchange + per-partition vectorized cumsum + offset adds
          the global base — no driver pass over rows, no global sort.
     """
-    from ray.data.aggregate import Sum
-
+    n_parts = exchange_parts(sf_dir, "documents")
     lo, hi = _docid_bounds(f"{sf_dir}/documents.parquet")
     rng = max(1, -(-(hi - lo + 1) // n_parts))
 
@@ -677,9 +680,9 @@ def doc_pack_spans(sf_dir: str, ctx: int = 256, n_parts: int = 32) -> rd.Dataset
         ids = df["doc_id"].to_numpy(dtype=np.int64)
         toks = df["text"].str.count(r"\S+").astype("int64").to_numpy()
         return pa.table(
-            {"doc_id": pa.array(ids, pa.int64()),
-             "n_tokens": pa.array(toks, pa.int64()),
-             "part": pa.array((ids - lo) // rng, pa.int64())}
+            {"key": pa.array((ids - lo) // rng, pa.int64()),
+             "doc_id": pa.array(ids, pa.int64()),
+             "n_tokens": pa.array(toks, pa.int64())}
         )
 
     counts = (
@@ -687,18 +690,15 @@ def doc_pack_spans(sf_dir: str, ctx: int = 256, n_parts: int = 32) -> rd.Dataset
         .map_batches(count, batch_format="pandas")
         .materialize()
     )
-    totals = counts.groupby("part").aggregate(Sum("n_tokens", alias_name="t")).take_all()
-    base, offsets = 0, {}
-    for row in sorted(totals, key=lambda r: r["part"]):
-        offsets[int(row["part"])] = base
-        base += int(row["t"])
+    schema = pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64())])
+    offsets = _range_offsets(counts, "n_tokens", schema, n_parts)
 
     def pack(g: pa.Table) -> pa.Table:
         ids = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         toks = g["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(ids)
         ids, toks = ids[order], toks[order]
-        start = np.cumsum(toks) - toks + offsets[int((ids[0] - lo) // rng)]
+        start = np.cumsum(toks) - toks + offsets[g["key"][0].as_py()]
         # empty docs occupy no tokens: their span degenerates to bin_start
         end_tok = start + np.maximum(toks, 1) - 1
         return pa.table(
@@ -709,7 +709,25 @@ def doc_pack_spans(sf_dir: str, ctx: int = 256, n_parts: int = 32) -> rd.Dataset
              "bin_end": pa.array(end_tok // ctx, pa.int64())}
         )
 
-    return counts.groupby("part").map_groups(pack, batch_format="pyarrow")
+    return copartition([counts], pack, schema, n_parts)
+
+
+def _range_offsets(
+    counts: rd.Dataset, col: str, schema: pa.Schema, parts: int
+) -> dict[int, int]:
+    """Exclusive prefix offsets of ``col`` per id range: ``counts`` is keyed
+    by range index (< ``parts``), so each ``copartition`` partition holds
+    one range and sends one total to the driver."""
+
+    def range_total(g: pa.Table) -> pa.Table:
+        return pa.table({"r": [g["key"][0].as_py()], "t": [pc.sum(g[col]).as_py()]})
+
+    totals = copartition([counts], range_total, schema, parts).take_all()
+    base, offsets = 0, {}
+    for row in sorted(totals, key=lambda row: row["r"]):
+        offsets[row["r"]] = base
+        base += row["t"]
+    return offsets
 
 
 def doc_pack_spans_sql(ctx: int = 256) -> str:
@@ -869,9 +887,10 @@ def boilerplate_ngrams(sf_dir: str, n: int = 5, min_docs: int = 3) -> rd.Dataset
 
     Scale shape: per-batch combiner emits (ngram, distinct-docs-in-batch,
     occurrences-in-batch) — docs are whole rows, so within-batch distinct is
-    exact — then ONE coarse ngram-hash partition exchange (groupby on
-    n_parts int keys + an in-task pandas fold, the engine's segment-fold
-    template) sums both and prunes with >= min_docs before anything leaves
+    exact — then ONE coarse ngram-hash ``copartition`` (int64 hash keys +
+    an in-task pandas fold, the engine's segment-fold template; the
+    n-gram count has no footer bound, so ``EXCHANGE_PARTS`` partitions)
+    sums both and prunes with >= min_docs before anything leaves
     the fold. A direct ``groupby("ngram").aggregate(Sum)`` was measured at
     113 s at sf0.1: Ray's sort-based shuffle over ~250k mostly-unique long
     string keys streamed from an unmaterialized map stage plans
@@ -879,17 +898,16 @@ def boilerplate_ngrams(sf_dir: str, n: int = 5, min_docs: int = 3) -> rd.Dataset
     ~3 s. No driver pass, no second scan; the n-gram build is vectorized
     (shifted pandas str.cat over the flat token stream, doc boundaries
     masked)."""
-    n_parts = 32
 
     def partial(df: pd.DataFrame) -> pa.Table:
         toks_per = df["text"].str.strip().str.split()
         lens = toks_per.str.len().to_numpy(dtype=np.int64)
         total = int(lens.sum())
         if not total:
-            return pa.table({"ngram": pa.array([], pa.string()),
+            return pa.table({"key": pa.array([], pa.int64()),
+                             "ngram": pa.array([], pa.string()),
                              "nd_p": pa.array([], pa.int64()),
-                             "cnt_p": pa.array([], pa.int64()),
-                             "part": pa.array([], pa.int64())})
+                             "cnt_p": pa.array([], pa.int64())})
         flat = pd.Series(np.concatenate(toks_per.to_numpy()), dtype=object)
         doc_idx = np.repeat(np.arange(len(df)), lens)
         ng = flat.str.cat([flat.shift(-i) for i in range(1, n)], sep=" ")
@@ -901,14 +919,12 @@ def boilerplate_ngrams(sf_dir: str, n: int = 5, min_docs: int = 3) -> rd.Dataset
         cnt = sub.groupby("ngram", sort=False).agg(
             nd_p=("doc", "nunique"), cnt_p=("doc", "size")
         )
-        part = (
-            pd.util.hash_array(cnt.index.to_numpy(object)) % n_parts
-        ).astype(np.int64)
         return pa.table(
-            {"ngram": pa.array(cnt.index, pa.string()),
+            {"key": pa.array(
+                pd.util.hash_array(cnt.index.to_numpy(object)).view(np.int64)),
+             "ngram": pa.array(cnt.index, pa.string()),
              "nd_p": pa.array(cnt["nd_p"].to_numpy(dtype=np.int64)),
-             "cnt_p": pa.array(cnt["cnt_p"].to_numpy(dtype=np.int64)),
-             "part": pa.array(part, pa.int64())}
+             "cnt_p": pa.array(cnt["cnt_p"].to_numpy(dtype=np.int64))}
         )
 
     def fold(t: pa.Table) -> pa.Table:
@@ -921,11 +937,13 @@ def boilerplate_ngrams(sf_dir: str, n: int = 5, min_docs: int = 3) -> rd.Dataset
              "occurrences": pa.array(g["cnt_p"].to_numpy(dtype=np.int64))}
         )
 
-    return (
-        _read_docs(sf_dir, ["doc_id", "text"])
-        .map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
+    return copartition(
+        [_read_docs(sf_dir, ["doc_id", "text"])
+         .map_batches(partial, batch_format="pandas")],
+        fold,
+        pa.schema([("ngram", pa.string()), ("nd_p", pa.int64()),
+                   ("cnt_p", pa.int64())]),
+        joins.EXCHANGE_PARTS,
     )
 
 
@@ -1690,16 +1708,16 @@ FROM documents
 # --------------------------------------------------------------------------
 
 
-def corpus_source_report(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
+def corpus_source_report(sf_dir: str) -> rd.Dataset:
     """Per-source corpus composition — the dataset-card numbers a curation
     run publishes: docs, whitespace tokens, total chars, DISTINCT texts
     (exact-dup rate per source) and languages.
 
-    Shape: one pass emits per-batch partials of two kinds into ONE
-    text-hash partition exchange — (source, md5) presence rows for the
-    distinct count (globally co-located by md5, so the in-partition distinct
-    is exact) and additive (docs/tokens/chars/lang-set) partials. The
-    partition fold reduces both; the |sources|-row result re-aggregates on
+    Shape: one pass emits per-batch partials of two kinds as the two sides
+    of ONE ``copartition`` — (source, md5) presence rows for the distinct
+    count (globally co-located by md5, so the in-partition distinct is
+    exact) and additive (docs/tokens/chars/lang-set) partials, all keyed
+    to partition 0. The partition fold reduces both; the |sources|-row result re-aggregates on
     the driver-side finish like ``revenue_rollup`` (O(sources) rows only)."""
     ds = _read_docs(sf_dir, ["doc_id", "text", "lang", "source"])
     import hashlib
@@ -1707,17 +1725,13 @@ def corpus_source_report(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
     _SCHEMA = pa.schema(
         [("source", pa.string()), ("md5", pa.string()),
          ("n_docs", pa.int64()), ("n_tokens", pa.int64()),
-         ("n_chars", pa.int64()), ("langs", pa.string()),
-         ("part", pa.int64())]
+         ("n_chars", pa.int64()), ("langs", pa.string())]
     )
+    _STATS = ["source", "n_docs", "n_tokens", "n_chars", "langs"]
 
-    def partial(df: pd.DataFrame) -> pa.Table:
+    def stats_rows(df: pd.DataFrame) -> pa.Table:
         toks = df["text"].str.strip().str.split().str.len().astype("int64")
         chars = df["text"].str.len().astype("int64")
-        md5s = np.array(
-            [hashlib.md5(t.encode("utf-8")).hexdigest() for t in df["text"]],
-            dtype=object,
-        )
         # additive stats rows: one per (source) per batch
         g = pd.DataFrame(
             {"source": df["source"], "lang": df["lang"],
@@ -1728,31 +1742,25 @@ def corpus_source_report(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
             n_chars=("chars", "sum"),
             langs=("lang", lambda s: ",".join(sorted(set(s)))),
         ).reset_index()
-        a = pa.table(
-            {"source": pa.array(stats["source"], pa.string()),
-             "md5": pa.nulls(len(stats), pa.string()),
+        return pa.table(
+            {"key": pa.array(np.zeros(len(stats), np.int64)),
+             "source": pa.array(stats["source"], pa.string()),
              "n_docs": pa.array(stats["n_docs"].to_numpy(np.int64)),
              "n_tokens": pa.array(stats["n_tokens"].to_numpy(np.int64)),
              "n_chars": pa.array(stats["n_chars"].to_numpy(np.int64)),
-             "langs": pa.array(stats["langs"], pa.string()),
-             "part": pa.array(np.full(len(stats), n_parts, np.int64))}
-        ).cast(_SCHEMA)
-        # distinct-text presence rows, md5-partitioned (batch-local dedup)
+             "langs": pa.array(stats["langs"], pa.string())}
+        )
+
+    def presence_rows(df: pd.DataFrame) -> pa.Table:
+        # distinct-text presence rows, md5-keyed (batch-local dedup)
+        md5s = [hashlib.md5(t.encode("utf-8")).hexdigest() for t in df["text"]]
         pres = pd.DataFrame({"source": df["source"], "md5": md5s})
         pres = pres.drop_duplicates()
-        ppart = np.array(
-            [int(m[:8], 16) % n_parts for m in pres["md5"]], np.int64
+        return pa.table(
+            {"key": pa.array([int(m[:8], 16) for m in pres["md5"]], pa.int64()),
+             "source": pa.array(pres["source"], pa.string()),
+             "md5": pa.array(pres["md5"], pa.string())}
         )
-        b = pa.table(
-            {"source": pa.array(pres["source"], pa.string()),
-             "md5": pa.array(pres["md5"], pa.string()),
-             "n_docs": pa.nulls(len(pres), pa.int64()),
-             "n_tokens": pa.nulls(len(pres), pa.int64()),
-             "n_chars": pa.nulls(len(pres), pa.int64()),
-             "langs": pa.nulls(len(pres), pa.string()),
-             "part": pa.array(ppart, pa.int64())}
-        ).cast(_SCHEMA)
-        return pa.concat_tables([a, b])
 
     _MID_SCHEMA = pa.schema(
         [("source", pa.string()), ("n_docs", pa.int64()),
@@ -1760,32 +1768,29 @@ def corpus_source_report(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
          ("distinct_texts", pa.int64()), ("langs", pa.string())]
     )
 
-    def fold(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        if int(df["part"].iloc[0]) == n_parts:  # additive stats partition
-            s = df.groupby("source", sort=False).agg(
-                n_docs=("n_docs", "sum"), n_tokens=("n_tokens", "sum"),
-                n_chars=("n_chars", "sum"),
-                langs=("langs", lambda x: ",".join(
-                    sorted(set(",".join(x).split(",")))
-                )),
-            ).reset_index()
-            s["distinct_texts"] = 0
-        else:  # md5-partition: exact distinct (source, md5) pairs
-            d = df[["source", "md5"]].drop_duplicates()
-            s = d.groupby("source", sort=False).size().rename(
-                "distinct_texts"
-            ).reset_index()
-            s["n_docs"] = 0
-            s["n_tokens"] = 0
-            s["n_chars"] = 0
-            # None (not "") marks the no-langs placeholder: a GENUINE
-            # empty-string lang value must survive to match the SQL twin's
-            # string_agg(DISTINCT lang)
-            s["langs"] = None
+    def fold(stats: pa.Table, pres: pa.Table) -> pa.Table:
+        s = stats.select(_STATS).to_pandas().groupby("source", sort=False).agg(
+            n_docs=("n_docs", "sum"), n_tokens=("n_tokens", "sum"),
+            n_chars=("n_chars", "sum"),
+            langs=("langs", lambda x: ",".join(
+                sorted(set(",".join(x).split(",")))
+            )),
+        ).reset_index()
+        s["distinct_texts"] = 0
+        # exact distinct (source, md5) pairs
+        d = pres.select(["source", "md5"]).to_pandas().drop_duplicates()
+        p = d.groupby("source", sort=False).size().rename(
+            "distinct_texts"
+        ).reset_index()
+        p["n_docs"] = 0
+        p["n_tokens"] = 0
+        p["n_chars"] = 0
+        # None (not "") marks the no-langs placeholder: a GENUINE
+        # empty-string lang value must survive to match the SQL twin's
+        # string_agg(DISTINCT lang)
+        p["langs"] = None
         return pa.Table.from_pandas(
-            s[["source", "n_docs", "n_tokens", "n_chars",
-               "distinct_texts", "langs"]],
+            pd.concat([s, p])[_MID_SCHEMA.names],
             schema=_MID_SCHEMA, preserve_index=False,
         )
 
@@ -1810,12 +1815,13 @@ def corpus_source_report(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
         ).reset_index()
         return g
 
-    mid = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(fold, batch_format="pyarrow")
-        .to_pandas()  # |sources| x (n_parts + 1) rows — O(sources) driver work
-    )
+    mid = copartition(
+        [ds.map_batches(stats_rows, batch_format="pandas"),
+         ds.map_batches(presence_rows, batch_format="pandas")],
+        fold, _SCHEMA,
+        # each doc sends at most one row to each side
+        exchange_parts(sf_dir, "documents", "documents"),
+    ).to_pandas()  # |sources| x partitions rows — O(sources) driver work
     import ray.data as _rd
 
     return _rd.from_pandas(finish(mid))
@@ -1840,7 +1846,7 @@ GROUP BY source ORDER BY source
 # --------------------------------------------------------------------------
 
 
-def doc_lm_scores(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
+def doc_lm_scores(sf_dir: str) -> rd.Dataset:
     """Unigram language-model fluency score per doc — the CCNet/KenLM
     perplexity-gate archetype (docs of common, well-distributed tokens
     score high; gibberish scores low). The "model" is the corpus's own
@@ -1850,83 +1856,43 @@ def doc_lm_scores(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
     result is independent of accumulation order and hash-exact vs SQL.
 
     Scale shape — the OPEN-VOCABULARY path (contrast with doc_top_tfidf's
-    guarded vocab broadcast): ONE tokenize pass dual-emits occurrence rows
-    and per-batch (token, count) partials into the same coarse token-hash
-    exchange, co-locating each token's rows with its count — the
-    per-partition attach emits (doc_id, sum_ilog2, n) PARTIALS, and one
-    final doc-hash exchange folds them per doc (zero-token docs join via
-    a manifest row). Nothing is broadcast; no state exceeds a partition;
-    the corpus is read and tokenized exactly once."""
+    guarded vocab broadcast): ONE tokenize pass emits occurrence rows into
+    a token-hash ``copartition``, so a token's corpus count is its row
+    count in the partition; the per-partition attach emits (doc_id,
+    sum_ilog2, n) PARTIALS, and one doc-keyed ``copartition`` with a
+    manifest side folds them per doc (zero-token docs come from the
+    manifest). Nothing is broadcast; no state exceeds a partition; the
+    corpus is read and tokenized exactly once. A doc's token count has no
+    footer bound, so both exchanges take ``EXCHANGE_PARTS`` partitions."""
     docs = _read_docs(sf_dir, ["doc_id", "text"])
+    n_parts = joins.EXCHANGE_PARTS
 
-    _TOK_SCHEMA = pa.schema(
-        [("tok", pa.string()), ("doc_id", pa.int64()),
-         ("cnt", pa.int64()), ("part", pa.int64())]
-    )
-
-    def tok_and_count_rows(df: pd.DataFrame) -> pa.Table:
-        # ONE tokenize pass emits BOTH row kinds (occurrence rows with a
-        # doc_id, per-batch count partials with a null doc_id) — the
-        # dual-emit combiner pattern of corpus_source_report; tokenizing
-        # is the dominant CPU cost, so it is paid once, not twice
+    def tok_rows(df: pd.DataFrame) -> pa.Table:
         toks_per = df["text"].str.strip().str.split()
         lens = toks_per.str.len().to_numpy(dtype=np.int64)
-        if not int(lens.sum()):
-            return pa.table(
-                {"tok": [], "doc_id": [], "cnt": [], "part": []}
-            ).cast(_TOK_SCHEMA)
-        flat = np.concatenate(toks_per.to_numpy())
-        doc = np.repeat(df["doc_id"].to_numpy(np.int64), lens)
-        uniq, cnt = np.unique(flat, return_counts=True)
-        tok = np.concatenate([flat, uniq])
-        part = (pd.util.hash_array(tok) % n_parts).astype(np.int64)
+        flat = (np.concatenate(toks_per.to_numpy()) if int(lens.sum())
+                else np.array([], object))
         return pa.table(
-            {"tok": pa.array(tok, pa.string()),
-             "doc_id": pa.concat_arrays(
-                 [pa.array(doc, pa.int64()),
-                  pa.nulls(len(uniq), pa.int64())]
-             ),
-             "cnt": pa.concat_arrays(
-                 [pa.nulls(len(flat), pa.int64()),
-                  pa.array(cnt.astype(np.int64), pa.int64())]
-             ),
-             "part": pa.array(part, pa.int64())}
-        ).cast(_TOK_SCHEMA)
-
-    _PART_SCHEMA = pa.schema(
-        [("doc_id", pa.int64()), ("s", pa.int64()),
-         ("n", pa.int64()), ("part", pa.int64())]
-    )
+            {"key": pa.array(pd.util.hash_array(flat).view(np.int64)),
+             "tok": pa.array(flat, pa.string()),
+             "doc_id": pa.array(
+                 np.repeat(df["doc_id"].to_numpy(np.int64), lens), pa.int64())}
+        )
 
     def attach(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
-        is_cnt = df["cnt"].notna()
-        counts = df[is_cnt].groupby("tok", sort=False)["cnt"].sum()
-        rows = df[~is_cnt]
-        c = counts.reindex(rows["tok"]).to_numpy(np.int64)
-        ilog2 = (np.frexp(c.astype(np.float64))[1] - 1).astype(np.int64)
+        c = df.groupby("tok", sort=False)["doc_id"].transform("size")
+        ilog2 = (np.frexp(c.to_numpy(np.float64))[1] - 1).astype(np.int64)
         agg = pd.DataFrame(
-            {"doc_id": rows["doc_id"].to_numpy(np.int64), "il": ilog2}
+            {"doc_id": df["doc_id"].to_numpy(np.int64), "il": ilog2}
         ).groupby("doc_id", sort=False)["il"].agg(["sum", "size"])
-        doc = agg.index.to_numpy(np.int64)
         return pa.table(
-            {"doc_id": pa.array(doc, pa.int64()),
+            {"key": pa.array(agg.index.to_numpy(np.int64), pa.int64()),
              "s": pa.array(agg["sum"].to_numpy(np.int64)),
-             "n": pa.array(agg["size"].to_numpy(np.int64)),
-             "part": pa.array(doc % n_parts, pa.int64())}
-        ).cast(_PART_SCHEMA)
+             "n": pa.array(agg["size"].to_numpy(np.int64))}
+        )
 
-    def manifest(t: pa.Table) -> pa.Table:
-        doc = t["doc_id"].to_numpy(zero_copy_only=False)
-        z = np.zeros(len(doc), np.int64)
-        return pa.table(
-            {"doc_id": pa.array(doc, pa.int64()),
-             "s": pa.array(z), "n": pa.array(z),
-             "part": pa.array(doc % n_parts, pa.int64())}
-        ).cast(_PART_SCHEMA)
-
-    def finish(g: pa.Table) -> pa.Table:
-        df = g.to_pandas().groupby("doc_id", sort=False)[["s", "n"]].sum()
+    def finish(df: pd.DataFrame) -> pa.Table:
         s = df["s"].to_numpy(np.int64)
         n = df["n"].to_numpy(np.int64)
         score = np.where(n == 0, 0.0, s / np.maximum(n, 1).astype(np.float64))
@@ -1936,18 +1902,35 @@ def doc_lm_scores(sf_dir: str, n_parts: int = 16) -> rd.Dataset:
              "lm_score": pa.array(score, pa.float64())}
         )
 
-    partials = (
-        docs.map_batches(tok_and_count_rows, batch_format="pandas")
-        .groupby("part")
-        .map_groups(attach, batch_format="pyarrow")
+    partials = copartition(
+        [docs.map_batches(tok_rows, batch_format="pandas")], attach,
+        pa.schema([("tok", pa.string()), ("doc_id", pa.int64())]), n_parts,
     )
-    return (
-        partials.union(
-            docs.map_batches(manifest, batch_format="pyarrow")
+    return _doc_sums(partials, docs, ["s", "n"], finish, n_parts)
+
+
+def _doc_sums(partials: rd.Dataset, docs: rd.Dataset, cols: list[str],
+              finish, parts: int) -> rd.Dataset:
+    """Per-doc sums of doc-keyed int64 ``cols`` partials: one doc-keyed
+    ``copartition`` whose second side is the ``docs`` manifest, so a doc
+    with no partial sums to 0. ``finish`` gets a DataFrame of the sums
+    indexed by doc_id."""
+
+    def fold(p: pa.Table, m: pa.Table) -> pa.Table:
+        return finish(
+            p.select(["key", *cols]).to_pandas()
+            .groupby("key", sort=False)[cols].sum()
+            .reindex(np.unique(m["key"].to_numpy()), fill_value=0)
         )
-        .groupby("part")
-        .map_groups(finish, batch_format="pyarrow")
-        .select_columns(["doc_id", "sum_ilog2", "lm_score"])
+
+    fold.__name__ = finish.__name__
+    manifest = docs.map_batches(
+        lambda t: pa.table({"key": t["doc_id"].cast(pa.int64())}),
+        batch_format="pyarrow",
+    )
+    return copartition(
+        [partials, manifest], fold,
+        pa.schema([(c, pa.int64()) for c in cols]), parts,
     )
 
 
@@ -2368,7 +2351,7 @@ WHERE rn <= quota.k
 # --------------------------------------------------------------------------
 
 
-def doc_dsir_weights(sf_dir: str, target_lang: str = "en", n_parts: int = 16) -> rd.Dataset:
+def doc_dsir_weights(sf_dir: str, target_lang: str = "en") -> rd.Dataset:
     """Data Selection via Importance Resampling (DSIR, Xie et al. 2023)
     weights: per-doc log importance ratio between a TARGET unigram LM
     (docs with lang == ``target_lang`` — the "high-quality domain"
@@ -2384,109 +2367,56 @@ def doc_dsir_weights(sf_dir: str, target_lang: str = "en", n_parts: int = 16) ->
     smoothing keeps absent-from-target tokens defined in both engines.
 
     Scale shape: identical to ``doc_lm_scores`` (the open-vocabulary
-    path) with a THIRD row kind in the same dual-emit pass — per-batch
-    target-restricted count partials — so the corpus is still tokenized
-    exactly once, one token-hash exchange co-locates occurrences with
-    both LMs' counts, and one doc-hash exchange folds the partials.
+    path): each occurrence row carries a target-doc flag, so the corpus is
+    tokenized exactly once, one token-hash exchange co-locates a token's
+    occurrences (its row count is the source count, its flag sum the
+    target count), and one doc-keyed exchange folds the partials.
     Nothing is broadcast; no driver state."""
     docs = _read_docs(sf_dir, ["doc_id", "text", "lang"])
-
-    _SCHEMA = pa.schema(
-        [("tok", pa.string()), ("doc_id", pa.int64()),
-         ("cnt_s", pa.int64()), ("cnt_t", pa.int64()), ("part", pa.int64())]
-    )
+    n_parts = joins.EXCHANGE_PARTS
 
     def emit(df: pd.DataFrame) -> pa.Table:
         toks_per = df["text"].str.strip().str.split()
         lens = toks_per.str.len().to_numpy(dtype=np.int64)
-        if not int(lens.sum()):
-            return pa.table(
-                {"tok": [], "doc_id": [], "cnt_s": [], "cnt_t": [],
-                 "part": []}
-            ).cast(_SCHEMA)
-        flat = np.concatenate(toks_per.to_numpy())
-        doc = np.repeat(df["doc_id"].to_numpy(np.int64), lens)
-        is_t = np.repeat((df["lang"] == target_lang).to_numpy(), lens)
-        uniq_s, cnt_s = np.unique(flat, return_counts=True)
-        t_flat = flat[is_t]
-        if len(t_flat):
-            uniq_t, cnt_t = np.unique(t_flat, return_counts=True)
-        else:
-            uniq_t = np.array([], dtype=flat.dtype)
-            cnt_t = np.array([], dtype=np.int64)
-        tok = np.concatenate([flat, uniq_s, uniq_t])
-        part = (pd.util.hash_array(tok) % n_parts).astype(np.int64)
-        n_f, n_s, n_t = len(flat), len(uniq_s), len(uniq_t)
+        flat = (np.concatenate(toks_per.to_numpy()) if int(lens.sum())
+                else np.array([], object))
         return pa.table(
-            {"tok": pa.array(tok, pa.string()),
-             "doc_id": pa.concat_arrays(
-                 [pa.array(doc, pa.int64()), pa.nulls(n_s + n_t, pa.int64())]
-             ),
-             "cnt_s": pa.concat_arrays(
-                 [pa.nulls(n_f, pa.int64()),
-                  pa.array(cnt_s.astype(np.int64), pa.int64()),
-                  pa.nulls(n_t, pa.int64())]
-             ),
-             "cnt_t": pa.concat_arrays(
-                 [pa.nulls(n_f + n_s, pa.int64()),
-                  pa.array(cnt_t.astype(np.int64), pa.int64())]
-             ),
-             "part": pa.array(part, pa.int64())}
-        ).cast(_SCHEMA)
-
-    _PART_SCHEMA = pa.schema(
-        [("doc_id", pa.int64()), ("w", pa.int64()), ("part", pa.int64())]
-    )
+            {"key": pa.array(pd.util.hash_array(flat).view(np.int64)),
+             "tok": pa.array(flat, pa.string()),
+             "doc_id": pa.array(
+                 np.repeat(df["doc_id"].to_numpy(np.int64), lens), pa.int64()),
+             "is_t": pa.array(np.repeat(
+                 (df["lang"] == target_lang).to_numpy(np.int64), lens))}
+        )
 
     def attach(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
-        is_s = df["cnt_s"].notna()
-        is_t = df["cnt_t"].notna()
-        cs = df[is_s].groupby("tok", sort=False)["cnt_s"].sum()
-        ct = df[is_t].groupby("tok", sort=False)["cnt_t"].sum()
-        rows = df[~is_s & ~is_t]
-        c_s = cs.reindex(rows["tok"]).to_numpy(np.int64)
-        c_t = ct.reindex(rows["tok"]).fillna(0).to_numpy(np.int64)
+        by_tok = df.groupby("tok", sort=False)["is_t"]
+        c_s = by_tok.transform("size").to_numpy(np.int64)
+        c_t = by_tok.transform("sum").to_numpy(np.int64)
         il_s = (np.frexp(c_s.astype(np.float64))[1] - 1).astype(np.int64)
         il_t = (np.frexp((c_t + 1).astype(np.float64))[1] - 1).astype(np.int64)
         agg = pd.DataFrame(
-            {"doc_id": rows["doc_id"].to_numpy(np.int64), "w": il_t - il_s}
+            {"doc_id": df["doc_id"].to_numpy(np.int64), "w": il_t - il_s}
         ).groupby("doc_id", sort=False)["w"].sum()
-        doc = agg.index.to_numpy(np.int64)
         return pa.table(
-            {"doc_id": pa.array(doc, pa.int64()),
-             "w": pa.array(agg.to_numpy(np.int64), pa.int64()),
-             "part": pa.array(doc % n_parts, pa.int64())}
-        ).cast(_PART_SCHEMA)
+            {"key": pa.array(agg.index.to_numpy(np.int64), pa.int64()),
+             "w": pa.array(agg.to_numpy(np.int64), pa.int64())}
+        )
 
-    def manifest(t: pa.Table) -> pa.Table:
-        doc = t["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"doc_id": pa.array(doc, pa.int64()),
-             "w": pa.array(np.zeros(len(doc), np.int64), pa.int64()),
-             "part": pa.array(doc % n_parts, pa.int64())}
-        ).cast(_PART_SCHEMA)
-
-    def finish(g: pa.Table) -> pa.Table:
-        df = g.to_pandas().groupby("doc_id", sort=False)["w"].sum()
+    def finish(df: pd.DataFrame) -> pa.Table:
         return pa.table(
             {"doc_id": pa.array(df.index.to_numpy(np.int64), pa.int64()),
-             "dsir_logweight": pa.array(df.to_numpy(np.int64), pa.int64())}
+             "dsir_logweight": pa.array(df["w"].to_numpy(np.int64), pa.int64())}
         )
 
-    partials = (
-        docs.map_batches(emit, batch_format="pandas")
-        .groupby("part")
-        .map_groups(attach, batch_format="pyarrow")
+    partials = copartition(
+        [docs.map_batches(emit, batch_format="pandas")], attach,
+        pa.schema([("tok", pa.string()), ("doc_id", pa.int64()),
+                   ("is_t", pa.int64())]),
+        n_parts,
     )
-    return (
-        partials.union(
-            docs.map_batches(manifest, batch_format="pyarrow")
-        )
-        .groupby("part")
-        .map_groups(finish, batch_format="pyarrow")
-        .select_columns(["doc_id", "dsir_logweight"])
-    )
+    return _doc_sums(partials, docs, ["w"], finish, n_parts)
 
 
 DOC_DSIR_WEIGHTS_SQL = r"""
@@ -2739,16 +2669,15 @@ def _bpe_reference(word_counts: dict, n_merges: int) -> list[tuple]:
     return merges
 
 
-def bpe_learn_merges(
-    sf_dir: str, n_merges: int = 12, n_parts: int = 16
-) -> pd.DataFrame:
+def bpe_learn_merges(sf_dir: str, n_merges: int = 12) -> pd.DataFrame:
     """Learn ``n_merges`` BPE merge rules over the corpus (character-level
     with an explicit ``</w>`` end-of-word symbol — Sennrich et al. 2016)
     — tokenizer training as an engine pipeline.
 
     Scale shape: BPE statistics live on the DISTINCT-WORD table, not the
     corpus — pass 1 folds (word, count) with per-block combiners through
-    one word exchange (corpus-size-independent afterwards; for web text
+    one word exchange (``EXCHANGE_PARTS`` partitions: the word count has
+    no footer bound; corpus-size-independent afterwards; for web text
     the word vocab is orders of magnitude smaller than the corpus). Each
     merge round is one map_batches over the symbolized vocab emitting
     per-block (pair, weighted-count) partials — only O(pairs × blocks)
@@ -2764,33 +2693,31 @@ def bpe_learn_merges(
 
     docs = _read_docs(sf_dir, ["text"])
 
-    def word_partial(df: pd.DataFrame) -> pd.DataFrame:
+    def word_partial(df: pd.DataFrame) -> pa.Table:
         from collections import Counter
 
         c: Counter = Counter()
         for txt in df["text"]:
             c.update(txt.split())
-        if not c:
-            return pd.DataFrame({"word": [], "n_p": [], "part": []})
         w = np.array(list(c.keys()), object)
-        part = (pd.util.hash_array(w) % n_parts).astype(np.int64)
-        return pd.DataFrame(
-            {"word": w, "n_p": np.fromiter(c.values(), np.int64), "part": part}
+        return pa.table(
+            {"key": pa.array(pd.util.hash_array(w).view(np.int64)),
+             "word": pa.array(w, pa.string()),
+             "n_p": pa.array(np.fromiter(c.values(), np.int64, len(c)))}
         )
 
-    def word_fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("word", sort=False)["n_p"].sum().reset_index()
+    def word_fold(g: pa.Table) -> pd.DataFrame:
+        out = g.to_pandas().groupby("word", sort=False)["n_p"].sum().reset_index()
         syms = [list(w) + ["</w>"] for w in out["word"]]
         return pd.DataFrame(
             {"count": out["n_p"].to_numpy(np.int64), "syms": syms}
         )
 
-    vocab = (
-        docs.map_batches(word_partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(word_fold, batch_format="pandas")
-        .materialize()
-    )
+    vocab = copartition(
+        [docs.map_batches(word_partial, batch_format="pandas")], word_fold,
+        pa.schema([("word", pa.string()), ("n_p", pa.int64())]),
+        joins.EXCHANGE_PARTS,
+    ).materialize()
 
     def pair_partial(df: pd.DataFrame) -> pd.DataFrame:
         pairs: dict = {}
@@ -3112,7 +3039,7 @@ def _lev_le1(a: str, b: str) -> bool:
     return b[i + 1:] == a[i:]
 
 
-def _edit1_pairs(words: rd.Dataset, n_parts: int = 32) -> rd.Dataset:
+def _edit1_pairs(words: rd.Dataset) -> rd.Dataset:
     """All edit-distance-1 pairs over a (word:string, n:int64) dataset via
     POSITION-AWARE FastSS deletion-neighborhood LSH. Bucket key is
     (variant, deletion_position); each word emits its single-deletion
@@ -3127,7 +3054,9 @@ def _edit1_pairs(words: rd.Dataset, n_parts: int = 32) -> rd.Dataset:
     (shorter word, deleted position)).
 
     Everything here is WORD-TABLE-sized: ~2·(len+1) variant rows per word
-    and ONE coarse bucket-hash exchange feeding vectorized segment walks.
+    and ONE coarse bucket-hash exchange (``EXCHANGE_PARTS`` partitions:
+    the word table has no footer row count) feeding vectorized segment
+    walks.
     An insertion pair meets at every deletion position of the inserted
     char's equal-char run; the canonical-position rule inside the walk
     (keep only the run's FIRST position) makes every emitted pair GLOBALLY
@@ -3153,19 +3082,17 @@ def _edit1_pairs(words: rd.Dataset, n_parts: int = 32) -> rd.Dataset:
                 ws.append(w)
                 vn.append(n)
         out = pd.DataFrame(
-            {"variant": vs, "pos": np.asarray(ps, np.int64), "word": ws, "n": vn}
+            {"variant": vs, "pos": np.asarray(ps, np.int64), "word": ws,
+             "n": np.asarray(vn, np.int64)}
         )
-        out["part"] = (
-            (
-                pd.util.hash_array(out["variant"].to_numpy(dtype=object))
-                ^ pd.util.hash_array(out["pos"].to_numpy())
-            )
-            % n_parts
-        ).astype(np.int64)
+        out["key"] = (
+            pd.util.hash_array(out["variant"].to_numpy(dtype=object))
+            ^ pd.util.hash_array(out["pos"].to_numpy())
+        ).view(np.int64)
         return out
 
-    def walk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["variant", "pos", "word"], kind="mergesort")
+    def walk(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(["variant", "pos", "word"], kind="mergesort")
         v = g["variant"].to_numpy(dtype=object)
         p = g["pos"].to_numpy(dtype=np.int64)
         w = g["word"].to_numpy(dtype=object)
@@ -3223,14 +3150,15 @@ def _edit1_pairs(words: rd.Dataset, n_parts: int = 32) -> rd.Dataset:
         out = pd.concat(outs)
         return out.astype({"n_a": np.int64, "n_b": np.int64})
 
-    return (
-        words.map_batches(variants, batch_format="pandas")
-        .groupby("part")
-        .map_groups(walk, batch_format="pandas")
+    return copartition(
+        [words.map_batches(variants, batch_format="pandas")], walk,
+        pa.schema([("variant", pa.string()), ("pos", pa.int64()),
+                   ("word", pa.string()), ("n", pa.int64())]),
+        joins.EXCHANGE_PARTS,
     )
 
 
-def typo_word_pairs(sf_dir: str, n_parts: int = 32) -> pd.DataFrame:
+def typo_word_pairs(sf_dir: str) -> pd.DataFrame:
     """Edit-distance-1 word pairs over the corpus vocabulary — the fuzzy/
     typo join of text cleaning (OCR noise, misspelling normalization),
     built on the FastSS deletion-neighborhood engine (``_edit1_pairs``)
@@ -3266,7 +3194,7 @@ def typo_word_pairs(sf_dir: str, n_parts: int = 32) -> pd.DataFrame:
         .groupby("word")
         .aggregate(Sum("n_p", alias_name="n"))
     )
-    df = _edit1_pairs(vocab, n_parts=n_parts).to_pandas()
+    df = _edit1_pairs(vocab).to_pandas()
     if not len(df.columns):  # Ray drops the schema of an all-empty Dataset
         df = pd.DataFrame(
             {
@@ -3279,7 +3207,7 @@ def typo_word_pairs(sf_dir: str, n_parts: int = 32) -> pd.DataFrame:
     return df.reset_index(drop=True)
 
 
-def fuzzy_name_pairs(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
+def fuzzy_name_pairs(sf_dir: str) -> rd.Dataset:
     """Entity-resolution fuzzy join: customer-name pairs within edit
     distance 1 — the record-linkage verb (near-identical entity names are
     merge candidates), on the same FastSS deletion-neighborhood engine.
@@ -3303,7 +3231,7 @@ def fuzzy_name_pairs(sf_dir: str, n_parts: int = 32) -> rd.Dataset:
         ),
         batch_format="pyarrow",
     )
-    pairs = _edit1_pairs(cust, n_parts=n_parts)
+    pairs = _edit1_pairs(cust)
     return pairs.map_batches(
         lambda df: pd.DataFrame(
             {

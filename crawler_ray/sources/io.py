@@ -140,6 +140,12 @@ def read_parts(
     )
 
 
+def part_rows(root: str) -> int:
+    """Rows in a ``write_part`` sink tree, from each part's manifest (no
+    data read)."""
+    return sum(minilance.dataset(p).count_rows() for p in _part_entries(root))
+
+
 def read_parts_table(root: str, columns: list[str] | None = None) -> pa.Table | None:
     """Driver-side read of a small ``write_part`` sink tree (entity tables,
     test-scale image checks) → one concatenated Arrow table. Returns None

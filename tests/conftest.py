@@ -41,4 +41,22 @@ def small_site(tmp_path_factory):
     return site, str(d)
 
 
+@pytest.fixture
+def force_parts(monkeypatch):
+    """``force_parts(k)`` makes every exchange run ``k`` partitions: a
+    read-block bar of no rows sends each footer- or manifest-sized
+    exchange past one read block, and ``EXCHANGE_PARTS`` becomes ``k``
+    (so ``k = 1`` runs the one-partition fold everywhere). Tests force an
+    exchange branch this way; no query takes a partition-count option."""
+
+    def force(k: int) -> None:
+        from crawler_ray.pipelines import joins
+        from crawler_ray.sources import io
+
+        monkeypatch.setattr(io, "MAX_ROWS_PER_BLOCK", -1)
+        monkeypatch.setattr(joins, "EXCHANGE_PARTS", k)
+
+    return force
+
+
 SF_DIR = "/root/testdata/sf0.001"

@@ -247,50 +247,6 @@ def test_image_orbit_dups_planted(ray_session):
     assert not (plain_pairs & rot_pairs)
 
 
-def test_pagerank_over_edges_bit_equal_to_closed_form(ray_session):
-    """The docstring claim made real: PageRank over an explicit edge
-    TABLE (per-superstep partitioned join) is bit-identical to
-    doc_link_pagerank's derived-successor closed form on the same graph."""
-    import pyarrow.parquet as pq_
-    import ray.data as rd
-
-    from crawler_ray.pipelines import clusters
-    from tests.conftest import SF_DIR
-
-    n = pq_.ParquetFile(f"{SF_DIR}/documents.parquet").metadata.num_rows
-    ids = np.arange(n, dtype=np.int64)
-    src, dst = [], []
-    for mul, add in [(7, 1), (13, 5), (31, 11)]:
-        d = (ids * mul + add) % n
-        m = d != ids
-        src.append(ids[m])
-        dst.append(d[m])
-    edges = rd.from_arrow(
-        pa.table(
-            {"src": pa.array(np.concatenate(src), pa.int64()),
-             "dst": pa.array(np.concatenate(dst), pa.int64())}
-        )
-    ).repartition(6)
-    nodes = rd.from_arrow(
-        pa.table({"node": pa.array(ids, pa.int64())})
-    ).repartition(4)
-
-    got = (
-        clusters.pagerank_over_edges(edges, nodes)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    exp = (
-        clusters.doc_link_pagerank(SF_DIR)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert (got["doc_id"].to_numpy() == exp["doc_id"].to_numpy()).all()
-    assert (got["rank_scaled"].to_numpy() == exp["rank_scaled"].to_numpy()).all()
-
-
 def test_image_crop_dups_planted(ray_session):
     """Quadrant-phash crop detection: the planted exact top-left crops
     (10k+2 = quadrant 0 of 10k+1, Hamming 0) and perturbed bottom-right

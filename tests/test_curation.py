@@ -94,7 +94,7 @@ def test_image_corpus_curation_planted_truth(ray_session):
     assert 0 < kept < len(out)
 
 
-def test_image_training_data_build(ray_session):
+def test_image_training_data_build(ray_session, force_parts):
     """Image-axis flagship build: the manifest holds EXACTLY the curation
     survivors, byte_start is the exact prefix sum of survivor sizes in
     image_id order, shard assignment follows the crossing-allowed formula,
@@ -128,8 +128,9 @@ def test_image_training_data_build(ray_session):
     exp_split = np.where(h < 90, "train", np.where(h < 95, "val", "test"))
     assert (m["split"].to_numpy() == exp_split).all()
 
+    force_parts(7)
     m2 = (
-        image_training_data_build(sf, n_parts=7)
+        image_training_data_build(sf)
         .to_pandas().sort_values("image_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(m, m2)

@@ -266,19 +266,22 @@ def test_substring_span_dedup_planted(ray_session, tmp_path):
     assert int(out.loc[3, "n_removed_tokens"]) == 20
 
 
-def test_substring_span_dedup_parallelism_invariant(ray_session, planted_corpus):
-    """Identical output at two partition counts (exchange-shape invariance)."""
+def test_substring_span_dedup_parallelism_invariant(ray_session, planted_corpus, force_parts):
+    """Identical output on the one-partition fold and a 17-way exchange
+    (exchange-shape invariance)."""
     from crawler_ray.pipelines.dedup import substring_span_dedup
 
     sf_dir, _, _ = planted_corpus
+    force_parts(1)
     a = (
-        substring_span_dedup(sf_dir, k=10, n_parts=2)
+        substring_span_dedup(sf_dir, k=10)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    force_parts(17)
     b = (
-        substring_span_dedup(sf_dir, k=10, n_parts=17)
+        substring_span_dedup(sf_dir, k=10)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -394,9 +397,39 @@ def test_cross_snapshot_near_dups_brute_force_oracle(ray_session):
     assert (res.base_doc % 2 == 0).all() and (res.new_doc % 2 == 1).all()
 
 
-def test_snapshot_merge_semantics(ray_session):
+def test_band_index_serves_any_partition_count(ray_session, force_parts,
+                                              tmp_path, monkeypatch):
+    """The persisted band index holds no partition column and its cache key
+    no partition count: ONE built index serves probes forced to 1 and to 7
+    partitions, and both find the same pairs."""
+    import os
+    import tempfile
+
+    import pyarrow.dataset as pads
+
+    from crawler_ray.pipelines import dedup
+    from tests.conftest import SF_DIR
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # fresh cache
+    idx = dedup.ensure_minhash_band_index(SF_DIR)
+    assert os.path.basename(idx).startswith("crawler_ray_bands3_")
+    assert pads.dataset(idx).schema.names == ["bucket", "doc_id", "minisig"]
+
+    def pairs(k):
+        force_parts(k)
+        df = dedup.cross_snapshot_near_dups(SF_DIR, threshold=0.8).to_pandas()
+        return sorted(zip(df["base_doc"], df["new_doc"], df["jaccard"]))
+
+    one, seven = pairs(1), pairs(7)
+    assert one == seven and len(one) > 0
+    # both probes read the one index: nothing else was built or staged
+    assert sorted(os.listdir(tmp_path)) == [os.path.basename(idx)]
+
+
+def test_snapshot_merge_semantics(ray_session, force_parts):
     """MERGE reconstructs the new snapshot: deletes win over inserts,
-    updates replace stale base text, result invariant to n_parts."""
+    updates replace stale base text, result invariant to the partition
+    count."""
     from tests.conftest import SF_DIR
 
     from crawler_ray.pipelines.dedup import snapshot_merge
@@ -419,9 +452,10 @@ def test_snapshot_merge_semantics(ray_session):
     # updated docs carry FRESH text (no ' OLD' stale marker survives)
     upd = got[got.doc_id % 5 == 2]
     assert len(upd) > 0 and not upd.text.str.endswith(" OLD").any()
-    # partition-count invariance
+    # partition-count invariance: the default is one partition at sf0.001
+    force_parts(13)
     got3 = (
-        snapshot_merge(SF_DIR, n_parts=3)
+        snapshot_merge(SF_DIR)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

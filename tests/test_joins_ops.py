@@ -4,7 +4,7 @@ post-date every order, so the as-of search is degenerate there):
 
 - as-of join: interleaved event/order times, date TIES (tie-break must be
   the highest o_orderkey), events before any order (dropped, inner), and
-  parallelism invariance (n_parts must not change the answer).
+  parallelism invariance (the partition count must not change the answer).
 - interval self-join: window boundary semantics (b.ts == a.ts excluded,
   b.ts == a.ts + 1h included), cross-user isolation.
 - grouped quantiles: duplicate-heavy values (the histogram path's rank
@@ -79,9 +79,10 @@ def _run_sorted(ds, keys):
     return ds.to_pandas().sort_values(keys).reset_index(drop=True)
 
 
-def test_asof_join_interleaved_and_ties(ray_session, asof_fixture):
+def test_asof_join_interleaved_and_ties(ray_session, asof_fixture, force_parts):
     d, con = asof_fixture
-    got = _run_sorted(joins.events_asof_order_join(d, n_parts=4), ["event_id"])
+    force_parts(7)
+    got = _run_sorted(joins.events_asof_order_join(d), ["event_id"])
     exp = con.sql(joins.EVENTS_ASOF_SQL).df().sort_values("event_id").reset_index(drop=True)
     exp = exp[got.columns]
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
@@ -97,10 +98,11 @@ def test_asof_join_interleaved_and_ties(ray_session, asof_fixture):
     assert by_event.loc[1, "asof_orderkey"] == 11
 
 
-def test_asof_join_parallelism_invariant(ray_session, asof_fixture):
+def test_asof_join_parallelism_invariant(ray_session, asof_fixture, force_parts):
     d, _ = asof_fixture
-    a = _run_sorted(joins.events_asof_order_join(d, n_parts=1), ["event_id"])
-    b = _run_sorted(joins.events_asof_order_join(d, n_parts=7), ["event_id"])
+    a = _run_sorted(joins.events_asof_order_join(d), ["event_id"])
+    force_parts(7)
+    b = _run_sorted(joins.events_asof_order_join(d), ["event_id"])
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -126,9 +128,10 @@ def window_fixture(tmp_path_factory):
     return str(d), con
 
 
-def test_interval_join_boundaries(ray_session, window_fixture):
+def test_interval_join_boundaries(ray_session, window_fixture, force_parts):
     d, con = window_fixture
-    got = _run_sorted(joins.user_events_next_hour(d, n_parts=3), ["event_id"])
+    force_parts(7)
+    got = _run_sorted(joins.user_events_next_hour(d), ["event_id"])
     exp = con.sql(joins.USER_EVENTS_NEXT_HOUR_SQL).df().sort_values(
         "event_id").reset_index(drop=True)[got.columns]
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
@@ -468,7 +471,8 @@ def test_sorted_lookup_probe(ray_session):
     assert not hit.any() and len(val) == 3
 
 
-def test_anti_join_keeps_customer_with_null_payload(ray_session, tmp_path):
+def test_anti_join_keeps_customer_with_null_payload(ray_session, tmp_path,
+                                                    force_parts):
     """Sides split on the exchange's side tag, not on a payload column's
     validity: a customer whose name is NULL is still a customer row, not
     anti-join evidence that removes its own key."""
@@ -481,7 +485,8 @@ def test_anti_join_keeps_customer_with_null_payload(ray_session, tmp_path):
         "o_custkey": np.array([3], np.int64),
         "o_orderpriority": ["1-URGENT"],
     }))
-    got = joins.customers_without_urgent_orders(str(tmp_path), n_parts=2)
+    force_parts(7)
+    got = joins.customers_without_urgent_orders(str(tmp_path))
     got = got.to_pandas().sort_values("c_custkey")
     assert got["c_custkey"].tolist() == [1, 2]
     assert got["c_name"].tolist() == ["a", None]
@@ -499,35 +504,41 @@ def _all_to_all_ops(ds) -> list[str]:
     "local_supplier_volume", "nation_market_share", "nation_trade_flows",
     "shipping_priority_orders",
 ])
-def test_join_plan_shape_pinned(ray_session, name):
+def test_join_plan_shape_pinned(ray_session, name, force_parts):
     """Each multi-join plan runs two co-partitions and one final
     repartition; a strategy change must show up here. At sf0.001 every
     input fits one read block, so each co-partition is a one-block fold
-    with no Sort; an explicit 32 parts restores the two sort exchanges."""
+    with no Sort; forcing 32 parts restores the two sort exchanges."""
     ds = getattr(joins, name)(SF_DIR).materialize()
     assert _all_to_all_ops(ds) == ["Repartition", "Repartition", "Repartition"]
-    ds = getattr(joins, name)(SF_DIR, n_parts=32).materialize()
+    force_parts(32)
+    ds = getattr(joins, name)(SF_DIR).materialize()
     assert _all_to_all_ops(ds) == ["Sort", "Sort", "Repartition"]
 
 
-def _force_parts(monkeypatch, k: int) -> None:
-    """Make ``exchange_parts`` answer ``k`` for every input: a bar of no
-    rows sends each exchange past one read block, to ``EXCHANGE_PARTS``."""
-    from crawler_ray.sources import io
-
-    monkeypatch.setattr(io, "MAX_ROWS_PER_BLOCK", -1)
-    monkeypatch.setattr(joins, "EXCHANGE_PARTS", k)
-
-
 def test_sessionize_plan_has_no_sort_within_one_block(ray_session,
-                                                      monkeypatch):
+                                                      force_parts):
     from crawler_ray.pipelines import events
 
     assert _all_to_all_ops(events.sessionize(SF_DIR).materialize()) == [
         "Repartition"]
-    _force_parts(monkeypatch, 32)
+    force_parts(32)
     assert _all_to_all_ops(events.sessionize(SF_DIR).materialize()) == [
         "Sort"]
+
+
+@pytest.mark.parametrize("name", [
+    "daily_active_users", "user_retention", "event_type_transitions",
+    "funnel_conversions",
+])
+def test_events_count_plan_has_no_sort_or_aggregate(ray_session, name):
+    """Within one read block the per-pair fold is a one-block repartition
+    and its per-partition partials sum in one more ``repartition(1)``
+    call: no Sort, and no second Aggregate exchange."""
+    from crawler_ray.pipelines import events
+
+    ds = getattr(events, name)(SF_DIR).materialize()
+    assert _all_to_all_ops(ds) == ["Repartition", "Repartition"]
 
 
 def test_join_plan_keeps_sort_exchange_above_one_block(ray_session):
@@ -577,20 +588,54 @@ def _part_groupby_sites(path) -> list[tuple[str, str | None]]:
     return sites
 
 
-def test_part_exchanges_go_through_copartition():
-    """The join and event families pick their exchange in one place: a
-    hand-written ``groupby("part")`` would bypass the sizing rule."""
+def _pipeline_modules():
     import pathlib
 
-    pkg = pathlib.Path(joins.__file__).resolve().parent
-    sites = [site for mod in ("joins.py", "events.py")
-             for site in _part_groupby_sites(pkg / mod)]
+    return sorted(pathlib.Path(joins.__file__).resolve().parent.glob("*.py"))
+
+
+def test_part_exchanges_go_through_copartition():
+    """Every pipeline picks its exchange in one place: a hand-written
+    ``groupby("part")`` would bypass the sizing rule."""
+    sites = [site for path in _pipeline_modules()
+             for site in _part_groupby_sites(path)]
     bad = sorted(loc for loc, func in sites if func != "copartition")
     assert not bad, f"groupby(\"part\") outside copartition: {bad}"
     assert [func for _, func in sites] == ["copartition"]
 
 
-# every query whose exchange sizes itself with exchange_parts
+def _n_parts_params(path) -> list[tuple[str, str]]:
+    """(file:line, function) of every function in one module that takes
+    an ``n_parts`` parameter."""
+    import ast
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    rel = path.relative_to(path.parent.parent.parent)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            names = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+            if "n_parts" in names:
+                out.append((f"{rel}:{node.lineno}",
+                            getattr(node, "name", "<lambda>")))
+    return out
+
+
+def test_only_copartition_takes_n_parts():
+    """The partition count is chosen by the sizing rule, never by a
+    caller: no pipeline function but ``copartition`` takes ``n_parts``."""
+    found = [site for path in _pipeline_modules()
+             for site in _n_parts_params(path)]
+    bad = sorted(loc for loc, func in found if func != "copartition")
+    assert not bad, f"n_parts parameter outside copartition: {bad}"
+    assert [func for _, func in found] == ["copartition"]
+
+
+# every oracled query whose exchange goes through copartition and sizes
+# itself from its inputs (typo_word_pairs is left out: it has no pairs at
+# sf0.001; fuzzy_name_pairs runs the same exchange)
 SIZED_QUERIES = [
     "order_lineitem_join_totals", "events_asof_order_join",
     "user_events_next_hour", "customers_without_urgent_orders",
@@ -603,7 +648,31 @@ SIZED_QUERIES = [
     "small_qty_part_revenue", "sessionize", "user_activity_streaks",
     "daily_active_users", "event_type_transitions", "user_retention",
     "funnel_conversions",
+    # clusters
+    "doc_link_distances", "anchor_text_profiles", "fuzzy_name_clusters",
+    "near_dup_clusters", "dedup_survivors", "embedding_dedup_clusters",
+    "doc_link_pagerank", "doc_link_triangles", "doc_link_kcore",
+    # relational
+    "top3_orders_per_customer", "first_order_per_customer",
+    "customer_rolling_spend", "customer_spend_7d", "customer_order_gaps",
+    "orders_above_customer_avg", "customer_priority_history",
+    "repeat_customers", "churned_customers", "either_year_customers",
+    "part_size_ranks", "part_size_percentiles", "lineitem_price_quantiles",
+    # textops
+    "doc_benchmark_overlap", "doc_pack_spans", "boilerplate_ngrams",
+    "corpus_source_report", "doc_lm_scores", "doc_dsir_weights",
+    "fuzzy_name_pairs",
+    # dedup
+    "exact_dedup_docs", "token_jaccard_pairs", "bigram_jaccard_pairs",
+    "substring_span_dedup", "corpus_diff", "snapshot_merge",
+    # reports, curation, similarity
+    "url_trap_families", "url_canonical_dups", "corpus_curation",
+    "training_data_build", "embedding_label_centroids", "hard_negative_pairs",
 ]
+
+
+def _to_pandas(result) -> pd.DataFrame:
+    return result if isinstance(result, pd.DataFrame) else result.to_pandas()
 
 
 def _exact(df: pd.DataFrame) -> pd.DataFrame:
@@ -614,15 +683,20 @@ def _exact(df: pd.DataFrame) -> pd.DataFrame:
 
 @pytest.mark.parametrize("name", SIZED_QUERIES)
 def test_sized_query_matches_oracle_at_any_n_parts(ray_session, oracle_con,
-                                                   monkeypatch, name):
-    """The one-block fold (the sf0.001 default) and a 7-way exchange give
-    the same rows, and those rows are the oracle's."""
+                                                   force_parts, name):
+    """The default plan, the one-partition fold and a 7-way exchange give
+    the same rows, and those rows are the oracle's. At sf0.001 every
+    footer-sized exchange defaults to one partition; one whose input has
+    no footer bound defaults to ``EXCHANGE_PARTS``."""
     fn = entry_mod.queries()[name]
     assert joins.exchange_parts(
         SF_DIR, "customer", "orders", "lineitem", "events", "events") == 1
-    one = _exact(fn(SF_DIR).to_pandas())
-    _force_parts(monkeypatch, 7)
-    seven = _exact(fn(SF_DIR).to_pandas())
+    default = _exact(_to_pandas(fn(SF_DIR)))
+    force_parts(1)
+    one = _exact(_to_pandas(fn(SF_DIR)))
+    force_parts(7)
+    seven = _exact(_to_pandas(fn(SF_DIR)))
+    pd.testing.assert_frame_equal(default, one)
     pd.testing.assert_frame_equal(one, seven)
     exp = _canon(oracle_con.sql(entry_mod.oracle_sql()[name]).df())
     assert len(exp) == len(one) > 0

@@ -21,15 +21,16 @@ def test_ntile_sizes_follow_sql_standard(ray_session):
     assert sorted(sizes.index) == list(range(1, 8))
 
 
-def test_pagerank_partition_invariance(ray_session):
+def test_pagerank_partition_invariance(ray_session, force_parts):
     a = (
-        clusters.doc_link_pagerank(SF_DIR, n_parts=4)
+        clusters.doc_link_pagerank(SF_DIR)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    force_parts(17)
     b = (
-        clusters.doc_link_pagerank(SF_DIR, n_parts=17)
+        clusters.doc_link_pagerank(SF_DIR)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -151,20 +152,21 @@ def test_pagerank_matches_numpy_reference(ray_session, tmp_path):
     assert np.array_equal(got, r)
 
 
-def test_triangle_counts_match_brute_force_and_partitioning(ray_session):
+def test_triangle_counts_match_brute_force_and_partitioning(ray_session, force_parts):
     """Per-node triangle counts equal a single-node brute force over the
     same derived graph, and are invariant to the partition count (the
     wedge walk + existence join must not depend on block structure)."""
     import pyarrow.parquet as pq
 
     got = (
-        clusters.doc_link_triangles(SF_DIR, n_parts=4)
+        clusters.doc_link_triangles(SF_DIR)
         .to_pandas()
         .set_index("doc_id")["n_triangles"]
         .sort_index()
     )
+    force_parts(17)
     got17 = (
-        clusters.doc_link_triangles(SF_DIR, n_parts=17)
+        clusters.doc_link_triangles(SF_DIR)
         .to_pandas()
         .set_index("doc_id")["n_triangles"]
         .sort_index()

@@ -446,7 +446,7 @@ def test_ivf_append_serves_new_vectors(ray_session, tmp_path):
     assert n_files == n_files_before + 1
 
 
-def test_embedding_pca_project(ray_session):
+def test_embedding_pca_project(ray_session, force_parts):
     """Distributed PCA: bit-identical across exchange partitionings (the
     moment fold is exact integers), allclose to single-node float PCA with
     the same canonical sign rule, and the projected components are
@@ -458,12 +458,14 @@ def test_embedding_pca_project(ray_session):
     from crawler_ray.pipelines.similarity import embedding_pca_project
 
     sf = "/root/testdata/sf0.001"
+    force_parts(1)
     a = (
-        embedding_pca_project(sf, k=4, n_parts=4)
+        embedding_pca_project(sf, k=4)
         .to_pandas().sort_values("vec_id").reset_index(drop=True)
     )
+    force_parts(17)
     b = (
-        embedding_pca_project(sf, k=4, n_parts=16)
+        embedding_pca_project(sf, k=4)
         .to_pandas().sort_values("vec_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a, b)  # exact: no tolerance

@@ -86,7 +86,7 @@ def test_misra_gries_small_domain_exact():
 # ------------------------------------------------------------ doc_pack_spans
 
 
-def test_pack_spans_edges(ray_session, tmp_path):
+def test_pack_spans_edges(ray_session, tmp_path, force_parts):
     texts = {
         7: "one two three",
         1: "",                        # zero tokens: degenerate span
@@ -95,7 +95,8 @@ def test_pack_spans_edges(ray_session, tmp_path):
         5: "a b c d e f g h",         # exactly one full bin
     }
     con = _write_docs(tmp_path, texts)
-    got = doc_pack_spans(str(tmp_path), ctx=8, n_parts=3).to_pandas()
+    force_parts(7)  # several doc_id ranges
+    got = doc_pack_spans(str(tmp_path), ctx=8).to_pandas()
     exp = con.sql(doc_pack_spans_sql(ctx=8)).df()
     _assert_same(got, exp)
     g = got.set_index("doc_id")
@@ -105,13 +106,14 @@ def test_pack_spans_edges(ray_session, tmp_path):
     assert g.loc[12, "bin_end"] > g.loc[12, "bin_start"]  # straddle
 
 
-def test_pack_spans_partition_invariance(ray_session, tmp_path):
+def test_pack_spans_partition_invariance(ray_session, tmp_path, force_parts):
     texts = {i: " ".join(["t"] * (i % 7 + 1)) for i in range(40)}
     con = _write_docs(tmp_path, texts)
     exp = con.sql(doc_pack_spans_sql(ctx=16)).df()
-    for n_parts in (1, 4, 13):
-        got = doc_pack_spans(str(tmp_path), ctx=16, n_parts=n_parts).to_pandas()
-        _assert_same(got, exp)
+    # the default (one partition at this size), then a 13-way exchange
+    _assert_same(doc_pack_spans(str(tmp_path), ctx=16).to_pandas(), exp)
+    force_parts(13)
+    _assert_same(doc_pack_spans(str(tmp_path), ctx=16).to_pandas(), exp)
 
 
 # ------------------------------------------------------------- doc_top_tfidf
@@ -727,19 +729,21 @@ def test_typo_pairs_empty_schema_stable(ray_session, tmp_path):
     _assert_same(got, exp)
 
 
-def test_fuzzy_name_pairs_parallelism_invariant(ray_session):
+def test_fuzzy_name_pairs_parallelism_invariant(ray_session, force_parts):
     """Same pair set at two read parallelisms (canonical-position dedup is
     global by construction, not an artifact of block boundaries)."""
     from crawler_ray.pipelines.textops import fuzzy_name_pairs
 
-    a = fuzzy_name_pairs("/root/testdata/sf0.001", n_parts=4).to_pandas()
-    b = fuzzy_name_pairs("/root/testdata/sf0.001", n_parts=61).to_pandas()
+    force_parts(1)
+    a = fuzzy_name_pairs("/root/testdata/sf0.001").to_pandas()
+    force_parts(61)
+    b = fuzzy_name_pairs("/root/testdata/sf0.001").to_pandas()
     ka = sorted(zip(a["custkey_a"], a["custkey_b"]))
     kb = sorted(zip(b["custkey_a"], b["custkey_b"]))
     assert ka == kb and len(ka) == len(set(ka)) and len(ka) > 0
 
 
-def test_edit1_pairs_vs_lev_le1_property(ray_session):
+def test_edit1_pairs_vs_lev_le1_property(ray_session, force_parts):
     """Property cross-check: _edit1_pairs (deletion-neighborhood proof, no
     string verify) vs the brute-force _lev_le1 scalar over a deterministic
     adversarial vocabulary — equal-char runs, repeats, short words, empty
@@ -760,7 +764,8 @@ def test_edit1_pairs_vs_lev_le1_property(ray_session):
         pa.table({"word": pa.array(words),
                   "n": pa.array(range(1, len(words) + 1), pa.int64())})
     )
-    got = _edit1_pairs(ds, n_parts=7).to_pandas()
+    force_parts(7)
+    got = _edit1_pairs(ds).to_pandas()
     got_pairs = set(zip(got["word_a"], got["word_b"]))
     exp_pairs = {
         (a, b) for a, b in itertools.combinations(words, 2) if _lev_le1(a, b)
