@@ -84,14 +84,20 @@ _UNION_SCHEMA = pa.schema(
     [("node", pa.int64()), ("lab", pa.int64()), ("old", pa.int64())]
 )
 
+# edge count up to which a graph verb (components, k-core, BFS distances)
+# runs in ONE task instead of BSP rounds; the bound is memory: 50M edges ≈
+# 1.6 GiB of int64 arrays per task (2.7 s measured at 20M for components)
+GRAPH_ONE_TASK_EDGES = 50_000_000
+# the triangle verb's lower crossover: its O(E·d) wedge work parallelizes,
+# so the BSP path wins from ~2.5M edges (see ``doc_link_triangles``)
+TRIANGLE_ONE_TASK_EDGES = 1_000_000
+
 
 def connected_components(
     edges: rd.Dataset,
     src: str = "doc_a",
     dst: str = "doc_b",
-    n_buckets: int = 8,
     max_rounds: int = 30,
-    small_edges: int = 50_000_000,
 ) -> rd.Dataset:
     """Undirected edge list → (node, lab) with ``lab`` = min node id of the
     connected component. Nodes with no edges don't appear (mirror of the
@@ -100,18 +106,20 @@ def connected_components(
     Two paths, picked by the materialized edge count (known for free from
     block metadata):
 
-    - ``≤ small_edges``: ONE remote task runs the vectorized min-label
-      propagation over the whole edge list — the iterative rounds below
-      cost ~3 exchanges each, so for graphs that fit one task (after the
-      caller's quotient contraction, most do) a single pass wins by ~10×.
-      The bound is memory, not time: 50M edges ≈ 1.6 GiB of int64 arrays
-      per task (2.7 s measured at 20M); beyond it the BSP rounds take over.
+    - ``≤ GRAPH_ONE_TASK_EDGES``: ONE remote task runs the vectorized
+      min-label propagation over the whole edge list — the iterative rounds
+      below cost ~3 exchanges each, so for graphs that fit one task (after
+      the caller's quotient contraction, most do) a single pass wins by
+      ~10×. The bound is memory, not time; beyond it the BSP rounds take
+      over.
     - above it: BSP rounds. Each round propagates over the data edges PLUS
       the current label pointers as edges (hash-to-min): a chain a←b←c
       collapses because c's label node receives and re-broadcasts the min
       directly, giving the O(log diameter) convergence of pointer jumping
       without a second labels ⋈ labels exchange per round — one join + one
-      groupby-MIN total."""
+      groupby-MIN total. Every round's exchange and coalesce take
+      ``joins.parts_for_rows`` of the edge count; this path runs only far
+      past one read block, so that is ``EXCHANGE_PARTS``."""
 
     def sym(t: pa.Table) -> pa.Table:
         a = t["src"].to_numpy(zero_copy_only=False)
@@ -132,18 +140,20 @@ def connected_components(
     # consumers (join + labels exchange) don't re-run the whole-graph fold
     raw = edges.map_batches(plain, batch_format="pyarrow").materialize()
 
-    if raw.count() == 0:  # empty graph: typed empty labels (a zero-block
+    n_edges = raw.count()
+    if n_edges == 0:  # empty graph: typed empty labels (a zero-block
         # dataset is schema-less and would crash downstream joins)
         return rd.from_arrow(
             pa.table({"node": pa.array([], pa.int64()),
                       "lab": pa.array([], pa.int64())})
         )
-    if raw.count() <= small_edges:
+    if n_edges <= GRAPH_ONE_TASK_EDGES:
         return raw.repartition(1).map_batches(
             _unionfind_batch, batch_format="pyarrow", batch_size=None
         ).materialize()
 
     e = raw.map_batches(sym, batch_format="pyarrow").materialize()
+    parts = joins.parts_for_rows(n_edges)
 
     # init folds the first propagation round for free:
     # lab(v) = min(v, min neighbor id)
@@ -154,7 +164,7 @@ def connected_components(
             {"node": pa.array(node, pa.int64()), "lab": pa.array(lab, pa.int64())}
         )
 
-    # every per-round materialization is coalesced back to n_buckets blocks:
+    # every per-round materialization is coalesced back to ``parts`` blocks:
     # unions and bucket-joins otherwise COMPOUND block counts round over
     # round (measured: 2.6 s → 27 s by round 3 from per-block scheduling
     # alone on a 176-node graph) — the label table is small per round, so
@@ -163,7 +173,7 @@ def connected_components(
         e.groupby("src")
         .aggregate(Min("dst", alias_name="lab"))
         .map_batches(fold_self, batch_format="pyarrow")
-        .repartition(n_buckets)
+        .repartition(parts)
         .materialize()
     )
 
@@ -210,13 +220,13 @@ def connected_components(
                 batch_format="pyarrow",
             ),
             on="src",
-            n_buckets=n_buckets,
+            parts=parts,
         ).map_batches(contrib, batch_format="pyarrow")
         merged = (
             contribs.union(labels.map_batches(self_rows, batch_format="pyarrow"))
             .groupby("node")
             .aggregate(Min("lab", alias_name="lab"), Max("old", alias_name="old"))
-            .repartition(n_buckets)
+            .repartition(parts)
             .materialize()
         )
         changed = merged.map_batches(
@@ -236,9 +246,7 @@ def connected_components(
     return labels.map_batches(strip, batch_format="pyarrow")
 
 
-def near_dup_clusters(
-    sf_dir: str, threshold: float = 0.95, n_buckets: int = 8, n_blocks: int = 4
-) -> rd.Dataset:
+def near_dup_clusters(sf_dir: str, threshold: float = 0.95) -> rd.Dataset:
     """Duplicate CLUSTERS over the exact token-Jaccard near-dup graph:
     every doc that has at least one near-duplicate, labeled
     (doc_id, cluster_id = min doc_id of its component, cluster_size).
@@ -266,12 +274,10 @@ def near_dup_clusters(
 
     keyed = _keyed_sets(_read_docs(sf_dir, ["doc_id", "text"]), _canon_token_set)
     set_pairs = _distinct_set_pairs(
-        keyed, threshold, n_blocks, exchange_parts(sf_dir, "documents"))
+        keyed, threshold, exchange_parts(sf_dir, "documents"))
     # the key_a == key_b self pair makes every set a CC node (isolated sets
     # keep their own label) — no left-join null handling anywhere
-    cc = connected_components(
-        set_pairs, src="key_a", dst="key_b", n_buckets=n_buckets
-    )
+    cc = connected_components(set_pairs, src="key_a", dst="key_b")
 
     members = keyed.map_batches(
         lambda t: pa.table(
@@ -280,8 +286,11 @@ def near_dup_clusters(
         ),
         batch_format="pyarrow",
     )
-    # docs rejoin once; then ONE label-hash exchange finishes everything
-    per_doc = partitioned_hash_join(members, cc, on="node", n_buckets=n_buckets)
+    # docs rejoin once (one member row per doc, at most one label per doc's
+    # set); then ONE label-hash exchange finishes everything
+    per_doc = partitioned_hash_join(
+        members, cc, on="node",
+        parts=exchange_parts(sf_dir, "documents", "documents"))
     return _labels_to_clusters(
         per_doc, "doc_id", exchange_parts(sf_dir, "documents"))
 
@@ -319,9 +328,7 @@ def _labels_to_clusters(labeled: rd.Dataset, id_name: str, parts: int) -> rd.Dat
     )
 
 
-def embedding_dedup_clusters(
-    sf_dir: str, threshold: float = 0.3, n_buckets: int = 8, n_blocks: int = 8
-) -> rd.Dataset:
+def embedding_dedup_clusters(sf_dir: str, threshold: float = 0.3) -> rd.Dataset:
     """SemDeDup-style SEMANTIC duplicate clusters: connected components over
     the embedding-cosine near-dup graph (Abbas et al. 2023's observation
     that semantic dups form transitive groups an embedding threshold graph
@@ -333,8 +340,8 @@ def embedding_dedup_clusters(
     they never enter the pair relation)."""
     from crawler_ray.pipelines.similarity import embedding_near_dup_pairs
 
-    pairs = embedding_near_dup_pairs(sf_dir, threshold, n_blocks)
-    cc = connected_components(pairs, src="vec_a", dst="vec_b", n_buckets=n_buckets)
+    pairs = embedding_near_dup_pairs(sf_dir, threshold)
+    cc = connected_components(pairs, src="vec_a", dst="vec_b")
     labeled = cc.map_batches(
         lambda t: pa.table(
             {"vec_id": t["node"].cast(pa.int64()), "lab": t["lab"].cast(pa.int64())}
@@ -345,12 +352,7 @@ def embedding_dedup_clusters(
         labeled, "vec_id", exchange_parts(sf_dir, "embeddings"))
 
 
-def dedup_survivors(
-    sf_dir: str,
-    threshold: float = 0.95,
-    n_buckets: int = 8,
-    n_blocks: int = 4,
-) -> rd.Dataset:
+def dedup_survivors(sf_dir: str, threshold: float = 0.95) -> rd.Dataset:
     """The keep-one-per-cluster dedup POLICY applied end-to-end: the
     deduplicated corpus manifest (doc_id, n_chars) after dropping every
     near-dup cluster member except its canonical representative (min
@@ -365,7 +367,7 @@ def dedup_survivors(
     even when half the corpus is duplicates."""
     from crawler_ray.pipelines.dedup import _read_docs
 
-    clusters = near_dup_clusters(sf_dir, threshold, n_buckets, n_blocks)
+    clusters = near_dup_clusters(sf_dir, threshold)
 
     def loser_rows(t: pa.Table) -> pa.Table:
         drop = t.filter(pc.not_equal(t["doc_id"], t["cluster_id"]))
@@ -457,12 +459,15 @@ WHERE d.doc_id NOT IN (SELECT doc_id FROM memb WHERE doc_id <> cluster_id)
 """
 
 
+# smallest phash radius whose banded walk saturates its ~9-bit bands, so
+# ``image_dup_clusters`` takes the multi-probe walk from here up
+MULTIPROBE_MIN_HAMMING = 6
+
+
 def image_dup_clusters(
     sf_dir: str,
     max_hamming: int = 4,
     seed: int = 42,
-    n_buckets: int = 8,
-    walk: str = "auto",
 ) -> rd.Dataset:
     """IMAGE duplicate clusters: connected components over the phash
     near-dup pair graph — the image-side twin of :func:`near_dup_clusters`
@@ -485,11 +490,11 @@ def image_dup_clusters(
     images and the in-bucket pair walk goes quadratic (measured 33x time
     for 10x images at the 50k smoke). Radius 4 (5 bands x ~13 bits) keeps
     expected bucket occupancy bounded far longer while still catching the
-    perturbed copies (Hamming <= 2). ``walk='auto'`` (default) therefore
-    routes radii >= 6 through the MULTI-PROBE walk
+    perturbed copies (Hamming <= 2). Radii of ``MULTIPROBE_MIN_HAMMING``
+    and up therefore take the MULTI-PROBE walk
     (``reports.images_phash_near_dups_multiprobe``: r//2+1 wide bands,
     per-band radius 1 via downward bit probes — identical pair output,
-    bucket width stays ~16 bits); 'banded'/'multiprobe' force a walk."""
+    bucket width stays ~16 bits); smaller radii take the banded walk."""
     from crawler_ray.functions.codecs import decode_image, sniff_fmt
     from crawler_ray.functions.hashing import phash64
     from crawler_ray.pipelines.reports import (
@@ -512,8 +517,9 @@ def image_dup_clusters(
         )
 
     images = docs.map_batches(synth_phash, batch_format="pyarrow")
-    use_mp = walk == "multiprobe" or (walk == "auto" and max_hamming >= 6)
-    pair_fn = images_phash_near_dups_multiprobe if use_mp else images_phash_near_dups
+    pair_fn = (images_phash_near_dups_multiprobe
+               if max_hamming >= MULTIPROBE_MIN_HAMMING
+               else images_phash_near_dups)
     pairs = pair_fn(images, max_hamming=max_hamming)
 
     def to_int_edges(t: pa.Table) -> pa.Table:
@@ -523,7 +529,7 @@ def image_dup_clusters(
         )
 
     edges = pairs.map_batches(to_int_edges, batch_format="pyarrow")
-    cc = connected_components(edges, src="img_a", dst="img_b", n_buckets=n_buckets)
+    cc = connected_components(edges, src="img_a", dst="img_b")
     labeled = cc.map_batches(
         lambda t: pa.table(
             {"image_id": t["node"].cast(pa.int64()),
@@ -531,7 +537,9 @@ def image_dup_clusters(
         ),
         batch_format="pyarrow",
     )
-    return _labels_to_clusters(labeled, "image_id", n_buckets)
+    # one image per doc
+    return _labels_to_clusters(
+        labeled, "image_id", exchange_parts(sf_dir, "documents"))
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +877,7 @@ def _tri_batch(t: pa.Table, n: int) -> pa.Table:
     )
 
 
-def doc_link_triangles(sf_dir: str, small_edges: int = 1_000_000) -> rd.Dataset:
+def doc_link_triangles(sf_dir: str) -> rd.Dataset:
     """Per-node triangle counts over the derived doc link graph — the third
     graph verb beside ``connected_components`` and ``doc_link_pagerank``
     (triangle participation is the standard local-clustering / spam-farm
@@ -904,21 +912,22 @@ def doc_link_triangles(sf_dir: str, small_edges: int = 1_000_000) -> rd.Dataset:
     Output: ``(doc_id, n_triangles)`` for every doc in ≥1 triangle.
 
     Two paths by materialized edge count (the ``connected_components``
-    pattern): ``≤ small_edges`` runs the SAME wedge walk + membership
-    check in ONE task — the 4 all-to-all exchanges' fixed cost dominates
-    small graphs (measured 9.9 s at 25k edges vs ~2 s single-task). The
-    crossover is LOW because wedge work is O(E·d) and parallelizes well:
-    at 2.5M edges the BSP path already wins 3× (measured 5.0 s vs
-    16.1 s single-task on the 500k-node smoke), hence the 1M default —
-    much lower than k-core's 50M, whose per-round work is only O(E).
-    The exchanges take the edge set's partition count; wedges can
-    outnumber edges, but that path runs only above ``small_edges``, far
-    past one read block of documents.
+    pattern): ``≤ TRIANGLE_ONE_TASK_EDGES`` runs the SAME wedge walk +
+    membership check in ONE task — the 4 all-to-all exchanges' fixed cost
+    dominates small graphs (measured 9.9 s at 25k edges vs ~2 s
+    single-task). The crossover is LOW because wedge work is O(E·d) and
+    parallelizes well: at 2.5M edges the BSP path already wins 3×
+    (measured 5.0 s vs 16.1 s single-task on the 500k-node smoke), hence
+    1M — much lower than k-core's ``GRAPH_ONE_TASK_EDGES``, whose
+    per-round work is only O(E). The exchanges take the edge set's
+    partition count; wedges can outnumber edges, but that path runs only
+    above ``TRIANGLE_ONE_TASK_EDGES``, far past one read block of
+    documents.
     """
     edges, n, n_parts = _derived_link_edges(sf_dir)
     # edges is materialized: count is free, and it's reused downstream
 
-    if edges.count() <= small_edges:
+    if edges.count() <= TRIANGLE_ONE_TASK_EDGES:
         return edges.repartition(1).map_batches(
             lambda t: _tri_batch(t, n), batch_format="pyarrow", batch_size=None
         )
@@ -1249,7 +1258,6 @@ def doc_link_kcore(
     sf_dir: str,
     k: int = 8,
     max_rounds: int = 30,
-    small_edges: int = 50_000_000,
 ) -> rd.Dataset:
     """k-core of the derived doc link graph — the fourth graph verb
     (components, PageRank, triangles, coreness): the maximal subgraph in
@@ -1276,16 +1284,16 @@ def doc_link_kcore(
     margin to 8).
 
     Two paths by materialized edge count (the ``connected_components``
-    pattern): ``≤ small_edges`` peels the whole graph in ONE task — the
-    BSP rounds cost ~3 exchanges each whose fixed cost dwarfs small
+    pattern): ``≤ GRAPH_ONE_TASK_EDGES`` peels the whole graph in ONE task
+    — the BSP rounds cost ~3 exchanges each whose fixed cost dwarfs small
     graphs. Above it, the BSP rounds coalesce blocks per round (a
-    ``repartition`` to the exchange's count) so union+exchange block counts don't
-    compound round over round; that path runs only above ``small_edges``,
-    far past one read block of documents.
+    ``repartition`` to the exchange's count) so union+exchange block
+    counts don't compound round over round; that path runs only above
+    ``GRAPH_ONE_TASK_EDGES``, far past one read block of documents.
     """
     edges, n, n_parts = _derived_link_edges(sf_dir)
 
-    if edges.count() <= small_edges:
+    if edges.count() <= GRAPH_ONE_TASK_EDGES:
         return edges.repartition(1).map_batches(
             lambda t: _kcore_batch(t, n, k),
             batch_format="pyarrow",
@@ -1458,7 +1466,6 @@ def doc_link_distances(
     sf_dir: str,
     n_hops: int = 4,
     seeds_mod: int = 97,
-    small_edges: int = 50_000_000,
 ) -> rd.Dataset:
     """Min-hop distances from a seed set (doc_id % ``seeds_mod`` == 0) over
     the derived doc link graph, bounded at ``n_hops`` — BFS / unweighted
@@ -1479,17 +1486,17 @@ def doc_link_distances(
     empty (identity levels keep the oracle exact).
 
     Small-graph fast path (the ``connected_components`` two-path pattern):
-    ≤ ``small_edges`` runs the same BFS in ONE task. Unlike triangles
-    (whose O(E·d) wedge work parallelizes past 2.5M edges), BFS levels are
-    EXCHANGE-bound — measured on the 500k-node / 2.5M-edge smoke: fast
-    5.8 s vs BSP 14.1 s (~2.6 s/level of fixed exchange cost, identical
-    outputs) — so the crossover follows k-core's 50M default, not
-    triangles' 1M. The BSP path's exchanges take the edge set's partition
-    count; it runs only above ``small_edges``, far past one read block.
+    ≤ ``GRAPH_ONE_TASK_EDGES`` runs the same BFS in ONE task. Unlike
+    triangles (whose O(E·d) wedge work parallelizes past 2.5M edges), BFS
+    levels are EXCHANGE-bound — measured on the 500k-node / 2.5M-edge
+    smoke: fast 5.8 s vs BSP 14.1 s (~2.6 s/level of fixed exchange cost,
+    identical outputs) — so the crossover is k-core's, not triangles'. The
+    BSP path's exchanges take the edge set's partition count; it runs only
+    above ``GRAPH_ONE_TASK_EDGES``, far past one read block.
     """
     edges, n, n_parts = _derived_link_edges(sf_dir)
 
-    if edges.count() <= small_edges:
+    if edges.count() <= GRAPH_ONE_TASK_EDGES:
         return edges.repartition(1).map_batches(
             lambda t: _bfs_batch(t, n, seeds_mod, n_hops),
             batch_format="pyarrow",
@@ -1752,7 +1759,7 @@ FROM ranked WHERE rn = 1
 """
 
 
-def fuzzy_name_clusters(sf_dir: str, n_buckets: int = 8) -> rd.Dataset:
+def fuzzy_name_clusters(sf_dir: str) -> rd.Dataset:
     """Entity-resolution MERGE GROUPS: connected components over the
     edit-distance-1 customer-name graph — the record-linkage verb that
     turns fuzzy match PAIRS into transitive merge clusters (A~B, B~C ⟹
@@ -1770,9 +1777,7 @@ def fuzzy_name_clusters(sf_dir: str, n_buckets: int = 8) -> rd.Dataset:
     from crawler_ray.pipelines.textops import fuzzy_name_pairs
 
     pairs = fuzzy_name_pairs(sf_dir)
-    cc = connected_components(
-        pairs, src="custkey_a", dst="custkey_b", n_buckets=n_buckets
-    )
+    cc = connected_components(pairs, src="custkey_a", dst="custkey_b")
     labeled = cc.map_batches(
         lambda t: pa.table(
             {"custkey": t["node"].cast(pa.int64()),

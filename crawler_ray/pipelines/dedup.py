@@ -42,10 +42,12 @@ from crawler_ray.context import worker_cached
 from crawler_ray.pipelines import joins
 from crawler_ray.pipelines.joins import (
     _footer_rows,
+    block_pairs,
     copartition,
     exchange_parts,
     footer_schema,
     parts_for_rows,
+    partitioned_hash_join,
 )
 
 
@@ -918,9 +920,7 @@ def _canon_bigram_set(text: str) -> str:
                                for i in range(len(toks) - 1)}))
 
 
-def token_jaccard_pairs(
-    sf_dir: str, threshold: float = 0.95, n_blocks: int = 4
-) -> rd.Dataset:
+def token_jaccard_pairs(sf_dir: str, threshold: float = 0.95) -> rd.Dataset:
     """All doc pairs with word-level Jaccard ≥ threshold (EXACT, matching
     the SQL oracle bit-for-bit).
 
@@ -931,13 +931,14 @@ def token_jaccard_pairs(
       bounded vocabulary) → qualifying SET pairs via a BLOCK-NESTED-LOOP
       self-join (round-2 VERDICT #6: the S×V matmul previously ran on the
       driver over a ``to_pandas()`` of the distinct-set table — now each
-      set ships to ``n_blocks`` pair groups, the exact same integer
-      intersection/union matmul runs per group where the rows already are,
-      and per-task memory is 2·S/B sets; the ``embedding_near_dup_pairs``
-      shape) → doc-pair emission back in the data plane: two
-      hash-partition joins of the set-pair rows against the keyed rows
-      (each output doc pair materializes exactly once; no driver-side
-      corpus read, no corpus-sized broadcast).
+      set ships to the B pair groups of a ``joins.block_pairs`` walk, the
+      exact same integer intersection/union matmul runs per group where
+      the rows already are, and per-task memory is 2·S/B sets, with B
+      derived from S over a floor of ``SET_PAIR_BLOCKS``; the
+      ``embedding_near_dup_pairs`` shape) → doc-pair emission back in the
+      data plane: two hash-partition joins of the set-pair rows against
+      the keyed rows (each output doc pair materializes exactly once; no
+      driver-side corpus read, no corpus-sized broadcast).
 
     Applicability: the quadratic runs over DISTINCT sets (S), banded by the
     size filter; per-doc-unique tokens are pruned from the matrix (DF>=2
@@ -945,12 +946,10 @@ def token_jaccard_pairs(
     grows with the corpus, use the MinHash-LSH path above instead."""
     docs = _read_docs(sf_dir, ["doc_id", "text"])
     return _set_jaccard_pairs(_keyed_sets(docs, _canon_token_set),
-                              threshold, n_blocks, exchange_parts(sf_dir, "documents"))
+                              threshold, exchange_parts(sf_dir, "documents"))
 
 
-def bigram_jaccard_pairs(
-    sf_dir: str, threshold: float = 0.9, n_blocks: int = 4
-) -> rd.Dataset:
+def bigram_jaccard_pairs(sf_dir: str, threshold: float = 0.9) -> rd.Dataset:
     """All doc pairs with word-BIGRAM shingle Jaccard ≥ threshold (EXACT,
     SQL-oracled). The n-gram member of the dedup family: shingles carry
     local word ORDER, so a shuffled bag of the same words (which token-set
@@ -961,7 +960,15 @@ def bigram_jaccard_pairs(
     where they vanish from the exploded shingle relation)."""
     docs = _read_docs(sf_dir, ["doc_id", "text"])
     return _set_jaccard_pairs(_keyed_sets(docs, _canon_bigram_set),
-                              threshold, n_blocks, exchange_parts(sf_dir, "documents"))
+                              threshold, exchange_parts(sf_dir, "documents"))
+
+
+# block-grid floor of the distinct-set pair walk (``joins.pair_blocks``)
+SET_PAIR_BLOCKS = 4
+_SET_SCHEMA = pa.schema([("set_id", pa.int64()), ("toks", pa.string())])
+_SET_PAIR_SCHEMA = pa.schema(
+    [("key_a", pa.int64()), ("key_b", pa.int64()), ("jaccard", pa.float64())]
+)
 
 
 def _keyed_sets(docs: rd.Dataset, canon_fn) -> rd.Dataset:
@@ -983,15 +990,13 @@ def _keyed_sets(docs: rd.Dataset, canon_fn) -> rd.Dataset:
 
 
 def _distinct_set_pairs(
-    keyed: rd.Dataset, threshold: float, n_blocks: int, parts: int
+    keyed: rd.Dataset, threshold: float, parts: int
 ) -> rd.Dataset:
     """SET-level thresholded Jaccard pairs (key_a, key_b, jaccard) over the
     distinct canonical sets of ``keyed`` (set_id, doc_id, toks) — the
     quotient of the doc relation by exact-set equality. Includes the
     key_a == key_b self pair (jaccard 1), which the doc-pair emission uses
     to pair same-set docs and the cluster pipeline uses as a node row."""
-    B = n_blocks
-
     # distinct sets: one representative row per set. Batch-local first-
     # occurrence fold (combiner: cuts the exchange volume) → ONE set-keyed
     # ``copartition`` over ``parts`` partitions → the same vectorized fold
@@ -1014,38 +1019,8 @@ def _distinct_set_pairs(
         [keyed.map_batches(first_per_set, batch_format="pyarrow")],
         first_per_set, pa.schema([("toks", pa.string())]), parts, key="set_id",
     ).materialize()  # S rows; counted to size the block grid
-    # Adaptive block count: per-pair-block tasks hold ~2x4000 sets, so the
-    # int64 intersection matrix stays ≤ 4000² x 8 B ≈ 128 MiB no matter how
-    # many distinct sets the corpus has (B=4 with S≈50k meant 12.5k² ≈
-    # 1.2 GiB per task — measured 178 s with spills; adaptive B cuts the
-    # same corpus to seconds). Replication is B copies/set — the inherent
-    # quadratic-work/memory trade of the exact path; MinHash remains the
-    # declared open-vocab/large-S route.
-    B = max(B, -(-distinct.count() // 4000))
 
-    def explode(t: pa.Table) -> pa.Table:
-        # each set joins every block pair containing its block (p ≤ q);
-        # same replication pattern as embedding_near_dup_pairs
-        ids = t["set_id"].to_numpy()
-        blk = (ids % B).astype(np.int64)
-        pair_ids, idx = [], []
-        for i, b in enumerate(blk.tolist()):
-            for q in range(b, B):
-                pair_ids.append(b * B + q)
-                idx.append(i)
-            for p in range(0, b):
-                pair_ids.append(p * B + b)
-                idx.append(i)
-        take = pa.array(np.asarray(idx, dtype=np.int64))
-        return pa.table(
-            {"pair": pa.array(np.asarray(pair_ids, dtype=np.int64), pa.int64()),
-             "set_id": t["set_id"].take(take),
-             "toks": t["toks"].take(take)}
-        )
-
-    def score(g: pa.Table) -> pa.Table:
-        pair = int(g["pair"][0].as_py())
-        p, q = divmod(pair, B)
+    def score(g: pa.Table, left) -> pa.Table:
         ids = g["set_id"].to_numpy()
         # vectorized set decode: ONE C-level split over the whole group's
         # canonical strings (members are already distinct per set), then a
@@ -1077,11 +1052,6 @@ def _distinct_set_pairs(
         # product back to int64 reproduces the integer matmul bit-for-bit.
         mat = np.zeros((len(ids), max(n_vocab, 1)), dtype=np.float32)
         mat[rows[tok_mask], col_of[codes[tok_mask]]] = 1.0
-        empty = pa.table(
-            {"key_a": pa.array([], pa.int64()),
-             "key_b": pa.array([], pa.int64()),
-             "jaccard": pa.array([], pa.float64())}
-        )
         # Row-chunked pairing: the full n×n union/jac/mask temporaries were
         # the dominant cost at large S (5× ~100 MiB allocations per group,
         # measured 3× the matmul time); chunking keeps peak extra memory at
@@ -1130,7 +1100,7 @@ def _distinct_set_pairs(
             cat = np.concatenate
             return cat(out_a), cat(out_b), cat(out_j)
 
-        if p == q:
+        if left is None:
             order = np.lexsort((ids, sizes))  # size-major total order
             ids, mat, sizes = ids[order], mat[order], sizes[order]
             ka, kb, jv = chunked_pairs(ids, mat, sizes, ids, mat, sizes, True)
@@ -1142,10 +1112,7 @@ def _distinct_set_pairs(
             kb = np.concatenate([kb, diag])
             jv = np.concatenate([jv, np.ones(len(diag), np.float64)])
         else:
-            blk = ids % B
-            li, ri = blk == p, blk == q
-            if not li.any() or not ri.any():
-                return empty
+            li, ri = left, ~left
             lo_, ro_ = (np.lexsort((ids[li], sizes[li])),
                         np.lexsort((ids[ri], sizes[ri])))
             ka, kb, jv = chunked_pairs(
@@ -1158,22 +1125,27 @@ def _distinct_set_pairs(
              "jaccard": pa.array(jv, pa.float64())}
         )
 
-    return (
-        distinct.map_batches(explode, batch_format="pyarrow")
-        .groupby("pair")
-        .map_groups(score, batch_format="pyarrow")
-    )
+    # block grid from the distinct-set count (``joins.pair_blocks``): a
+    # pair fold holds ~2x4000 sets, so its int64 intersection matrix stays
+    # ≤ 4000² x 8 B ≈ 128 MiB however many distinct sets the corpus has
+    # (a fixed B=4 with S≈50k meant 12.5k² ≈ 1.2 GiB per task — measured
+    # 178 s with spills). Replication is B copies/set — the inherent
+    # quadratic-work/memory trade of the exact path; MinHash remains the
+    # declared open-vocab/large-S route.
+    return block_pairs(
+        distinct, "set_id", _SET_SCHEMA, score, _SET_PAIR_SCHEMA,
+        joins.pair_blocks(distinct.count(), SET_PAIR_BLOCKS))
 
 
 def _set_jaccard_pairs(
-    keyed: rd.Dataset, threshold: float, n_blocks: int, parts: int
+    keyed: rd.Dataset, threshold: float, parts: int
 ) -> rd.Dataset:
     """Exact thresholded Jaccard over canonical element-set rows
     (set_id, doc_id, toks): distinct sets → block-nested-loop set-pair
-    matmul → doc-pair emission via two hash-partition joins."""
-    from crawler_ray.pipelines.joins import partitioned_hash_join
-
-    set_pairs = _distinct_set_pairs(keyed, threshold, n_blocks, parts)
+    matmul → doc-pair emission via two hash-partition joins. The pair rows
+    have no bound short of quadratic, so both joins take
+    ``EXCHANGE_PARTS``."""
+    set_pairs = _distinct_set_pairs(keyed, threshold, parts)
     members = keyed.select_columns(["set_id", "doc_id"])
 
     def rename(cols):
@@ -1184,22 +1156,19 @@ def _set_jaccard_pairs(
 
     side_a = members.map_batches(rename(["key_a", "doc_a"]), batch_format="pyarrow")
     side_b = members.map_batches(rename(["key_b", "doc_b"]), batch_format="pyarrow")
-    pair_schema = pa.schema(
-        [("key_a", pa.int64()), ("key_b", pa.int64()), ("jaccard", pa.float64())]
-    )
     j1 = partitioned_hash_join(
         set_pairs,
         side_a,
         on="key_a",
-        n_buckets=8,
-        left_schema=pair_schema,
+        parts=joins.EXCHANGE_PARTS,
+        left_schema=_SET_PAIR_SCHEMA,
         right_schema=pa.schema([("key_a", pa.int64()), ("doc_a", pa.int64())]),
     )
     j2 = partitioned_hash_join(
         j1,
         side_b,
         on="key_b",
-        n_buckets=8,
+        parts=joins.EXCHANGE_PARTS,
         left_schema=pa.schema(
             [("key_a", pa.int64()), ("key_b", pa.int64()),
              ("jaccard", pa.float64()), ("doc_a", pa.int64())]

@@ -1,13 +1,21 @@
-"""The join family over large sides: one co-partition exchange and one
+"""The join family over large sides: two exchange primitives and one
 broadcast probe.
 
-Every join-shaped query here is built from two primitives:
+Every join-shaped query here is built from:
 
 - ``copartition(sides, fold, schema, n_parts)`` is one hash exchange over N
   streams. Rows of every side whose ``key % n_parts`` agree meet in one
   ``fold`` call, which receives each side's rows as its own Arrow table.
   Inner, outer, semi, anti, as-of and range joins differ only in the fold;
   a side pre-aggregates in its own map (the combiner) before the exchange.
+- ``block_pairs(ds, key, schema, fold, out_schema, blocks)`` is the
+  exact all-pairs walk (the block-partitioned nested loop of HERO, SIGMOD
+  2024): rows hash into B blocks on ``key``, each row is replicated to
+  the B unordered block pairs that contain its block, and one
+  ``copartition`` over the pair ids hands every block pair to one
+  ``fold`` call. The caller works B out once with ``pair_blocks(rows,
+  floor)``: its ``floor``, or more once ``rows`` passes
+  ``PAIR_BLOCK_ROWS`` per block.
 - ``SortedLookup(keys, *vals)`` is a broadcast probe of a small dimension:
   sorted arrays ship once with ``ray.put`` and a fact side's map probes
   them with ``searchsorted``, so the dimension never enters an exchange.
@@ -25,17 +33,17 @@ sends more rows than it reads names its table once per row it may emit
 block because that is the most rows one read task is already sized to
 hold; where a multi-core fan-out starts to beat one fold is unmeasured,
 and no benchmark workload yet runs the exchange side. No query takes a
-partition-count option; tests force the exchange side by patching
-``MAX_ROWS_PER_BLOCK`` and ``EXCHANGE_PARTS``. An input with a row count
-but no footer (a minilance manifest) goes through ``parts_for_rows``; one
-with no row count at all (a caller's Dataset) uses ``EXCHANGE_PARTS``.
+partition-count, block-count or strategy option; tests force a branch by
+patching the module constant behind it (``MAX_ROWS_PER_BLOCK`` and
+``EXCHANGE_PARTS`` for the exchange side, ``PAIR_BLOCK_ROWS`` or a
+caller's block floor for the pair grid, ``BLOOM_PROBE_CROSSOVER_ROWS``
+for the bloom gate). An input with a row count but no footer (a
+minilance manifest, a materialized count) goes through ``parts_for_rows``;
+one with no row count at all (a caller's Dataset) uses ``EXCHANGE_PARTS``.
 
 ``partitioned_hash_join`` is the generic pandas-merge fold over
-``copartition``. ``salted_partitioned_hash_join`` is the same merge with
-a skew-aware routing bucket as the exchange key: a hot left key spreads
-over salted sub-buckets and its right rows replicate into each.
-``_bloom_gated`` prefilters an orders probe side above a measured size
-crossover.
+``copartition``. ``_bloom_gated`` prefilters an orders probe side above a
+measured size crossover.
 """
 
 from __future__ import annotations
@@ -125,7 +133,7 @@ def copartition(
 
 def _footer_rows(parquet: str) -> int:
     """Row count from the parquet footer — the size signal of every
-    auto-mode strategy choice (no data scan)."""
+    strategy choice (no data scan)."""
     import pyarrow.parquet as pq_
 
     return pq_.ParquetFile(parquet).metadata.num_rows
@@ -148,6 +156,64 @@ def parts_for_rows(rows: int) -> int:
     from crawler_ray.sources.io import MAX_ROWS_PER_BLOCK
 
     return 1 if rows <= MAX_ROWS_PER_BLOCK else EXCHANGE_PARTS
+
+
+# rows per block of a ``block_pairs`` grid: a fold holds two blocks, so
+# its pair matrices stay near 4000² entries (an int64 one ≈ 128 MiB) however
+# many rows the walk covers
+PAIR_BLOCK_ROWS = 4000
+
+
+def pair_blocks(rows: int, floor: int) -> int:
+    """Block count of a ``block_pairs`` walk over ``rows`` rows: ``floor``,
+    or more once the rows pass ``floor × PAIR_BLOCK_ROWS``."""
+    return max(floor, -(-rows // PAIR_BLOCK_ROWS))
+
+
+def block_pairs(
+    ds: rd.Dataset,
+    key: str,
+    schema: pa.Schema,
+    fold,
+    out_schema: pa.Schema,
+    blocks: int,
+) -> rd.Dataset:
+    """The exact all-pairs walk over ``ds`` on a grid of ``B = blocks``
+    blocks (the caller's ``pair_blocks`` figure): each row goes to block
+    ``key % B`` and is replicated, with one vectorized map, to the B
+    unordered block pairs ``(p, q)``, ``p <= q``, holding its block. One
+    ``copartition`` over the ``B²`` pair ids hands each pair's rows (columns ``pair`` + ``schema``,
+    which must hold ``key``) to one call: ``fold(t, None)`` on a diagonal
+    pair, where every row is in block ``p``, else ``fold(t, left)`` with
+    ``left`` the boolean mask of the block-``p`` rows (the rest are block
+    ``q``). An off-diagonal pair with an empty side yields no
+    ``out_schema`` rows. Every unordered row pair meets in exactly one
+    call, so the output needs no dedup exchange; per-call memory is two
+    blocks."""
+    B = blocks
+
+    def replicate(t: pa.Table) -> pa.Table:
+        blk = t[key].to_numpy() % B
+        other = np.arange(B, dtype=np.int64)
+        pair = (np.minimum(blk[:, None], other) * B
+                + np.maximum(blk[:, None], other)).ravel()
+        rep = t.take(pa.array(np.repeat(np.arange(t.num_rows), B)))
+        return rep.append_column("pair", pa.array(pair, pa.int64()))
+
+    def walk(g: pa.Table) -> pa.Table:
+        p, q = divmod(g["pair"][0].as_py(), B)
+        if p == q:
+            return fold(g, None)
+        left = g[key].to_numpy() % B == p
+        if left.all() or not left.any():
+            return out_schema.empty_table()
+        return fold(g, left)
+
+    walk.__name__ = fold.__name__
+    return copartition(
+        [ds.map_batches(replicate, batch_format="pyarrow")],
+        walk, schema, B * B, key="pair",
+    )
 
 
 def footer_schema(sf_dir: str, table: str, columns: list[str]) -> pa.Schema:
@@ -223,14 +289,16 @@ def partitioned_hash_join(
     left: rd.Dataset,
     right: rd.Dataset,
     on: str,
-    n_buckets: int = EXCHANGE_PARTS,
+    parts: int,
     how: str = "inner",
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
 ) -> rd.Dataset:
     """Hash-partitioned join of two Datasets on an integer key column: one
-    ``copartition`` exchange over ``n_buckets`` parts and a pandas merge per
-    part. Column sets of the two sides must be disjoint apart from ``on``.
+    ``copartition`` exchange over ``parts`` partitions (the caller's
+    ``exchange_parts`` / ``parts_for_rows`` figure) and a pandas merge per
+    partition. Column sets of the two sides must be disjoint apart from
+    ``on``.
 
     Pass ``left_schema`` / ``right_schema`` when a side's block schema is
     pandas-typed with object columns (bytes vs str is not inferrable)."""
@@ -251,7 +319,7 @@ def partitioned_hash_join(
         )
     payload = pa.schema([(n, t) for n, t in lf + rf if n != on])
     return copartition(
-        [left, right], _merge_fold(lf, rf, on, how), payload, n_buckets, key=on
+        [left, right], _merge_fold(lf, rf, on, how), payload, parts, key=on
     )
 
 
@@ -743,26 +811,23 @@ class _BloomGate:
 # bloom-prefilter crossover: the build's materialize gates the probe stream
 # (breaks read/shuffle pipelining), so on small facts it costs more than
 # the saved exchange; measured at sf0.1 (150k orders) bloom LOSES ~0.6 s
-# per query, and wins once the probe fact is ~10x that. Auto mode turns it
-# on when the probe side's footer row count clears this bar.
+# per query, and wins once the probe fact is ~10x that. The gate turns on
+# when the probe side's footer row count clears this bar (tests patch it
+# to force either branch).
 BLOOM_PROBE_CROSSOVER_ROWS = 1_500_000
 
 
-def _bloom_gated(
-    build: rd.Dataset, flag: bool | None, sf_dir: str
-) -> tuple[rd.Dataset, _BloomGate]:
+def _bloom_gated(build: rd.Dataset, sf_dir: str) -> tuple[rd.Dataset, _BloomGate]:
     """The guarded bloom prefilter of an ``orders`` probe on ``o_custkey``
     against a filtered ``customer`` build stream keyed by ``key``. Returns
     the build stream and the probe side's gate. Only ~matching customers'
     orders then enter the custkey exchange.
 
-    ``flag=None`` decides from the orders footer row count. When off, the
-    gate passes every row and ``build`` streams as given. When on, ``build``
-    materializes ONCE (it is the exchange's build side too) and the filter
-    is capacity-sized from the customer footer."""
-    if flag is None:
-        flag = _footer_rows(f"{sf_dir}/orders.parquet") >= BLOOM_PROBE_CROSSOVER_ROWS
-    if not flag:
+    The orders footer row count decides. Below the crossover the gate
+    passes every row and ``build`` streams as given. At or above it,
+    ``build`` materializes ONCE (it is the exchange's build side too) and
+    the filter is capacity-sized from the customer footer."""
+    if _footer_rows(f"{sf_dir}/orders.parquet") < BLOOM_PROBE_CROSSOVER_ROWS:
         return build, _BloomGate(None, "o_custkey")
     build = build.materialize()
     ref = _bloom_ref_from_keys(
@@ -1355,7 +1420,6 @@ def nation_trade_flows(
     sf_dir: str,
     nat_a: str = "NATION_12",
     nat_b: str = "NATION_11",
-    bloom_prefilter: bool | None = None,
 ) -> rd.Dataset:
     """Revenue shipped between two nations per direction per ship-year
     (TPC-H Q7 shape). Reference parity: the reference's report joins are
@@ -1424,7 +1488,7 @@ def nation_trade_flows(
     # qualify, so shipping every order through the custkey exchange wastes
     # the dominant shuffle at scale
     cust_f, gate = _bloom_gated(
-        cust.map_batches(c_rows, batch_format="pyarrow"), bloom_prefilter, sf_dir
+        cust.map_batches(c_rows, batch_format="pyarrow"), sf_dir
     )
 
     orders = read_parquet_sized(
@@ -1580,7 +1644,6 @@ def nation_market_share(
     sf_dir: str,
     region: str = "AMERICA",
     target: str = "NATION_1",
-    bloom_prefilter: bool | None = None,
 ) -> rd.Dataset:
     """Per order-year, the fraction of in-region customers' purchase revenue
     supplied by ``target`` (TPC-H Q8 shape). The share is a ratio of two
@@ -1648,7 +1711,7 @@ def nation_market_share(
     # bloom-prefilter the orders probe to in-region customers (the
     # nation_trade_flows rationale + the same measured crossover gate)
     cust_f, gate = _bloom_gated(
-        cust.map_batches(c_rows, batch_format="pyarrow"), bloom_prefilter, sf_dir
+        cust.map_batches(c_rows, batch_format="pyarrow"), sf_dir
     )
 
     orders = read_parquet_sized(
@@ -2191,131 +2254,6 @@ GROUP BY 1
 
 
 # ---------------------------------------------------------------------------
-# skew handling: hot-key detection + salted partitioned hash join
-
-# candidate hot keys each block reports to the driver-side fold
-_HOT_TOPK_PER_BLOCK = 16
-
-
-def detect_hot_keys(
-    ds: rd.Dataset,
-    key: str,
-    n_buckets: int = EXCHANGE_PARTS,
-    hot_factor: float = 4.0,
-) -> np.ndarray:
-    """Find join keys hot enough to skew a ``% n_buckets`` exchange: keys
-    whose global row count exceeds ``hot_factor ×`` the average bucket
-    load. ONE pass: each block emits its top-``_HOT_TOPK_PER_BLOCK`` key
-    counts plus its row count (bounded combiner rows), the driver folds
-    that small table. Per-block top-k makes the fold an UNDER-estimate of a
-    key's true count — a key spread thinly across blocks can evade
-    detection — but a key big enough to hurt one bucket is by construction
-    concentrated enough to surface in block top-ks."""
-    def partial(t: pa.Table) -> pa.Table:
-        k = t[key].to_numpy()
-        vals, counts = np.unique(k, return_counts=True)
-        top = np.argsort(counts)[::-1][:_HOT_TOPK_PER_BLOCK]
-        return pa.table(
-            {
-                "k": pa.array(vals[top], pa.int64()),
-                "c": pa.array(counts[top].astype(np.int64), pa.int64()),
-                "n_rows": pa.array(
-                    [len(k)] + [0] * (len(top) - 1) if len(top) else [],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    df = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    if df.empty:
-        return np.empty(0, np.int64)
-    total = int(df["n_rows"].sum())
-    cnt = df.groupby("k", sort=False)["c"].sum()
-    threshold = hot_factor * total / n_buckets
-    return np.sort(cnt.index.to_numpy(np.int64)[cnt.to_numpy() > threshold])
-
-
-def salted_partitioned_hash_join(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    on: str,
-    n_buckets: int = EXCHANGE_PARTS,
-    n_salts: int = 8,
-    hot_keys: np.ndarray | None = None,
-    how: str = "inner",
-    left_schema: pa.Schema | None = None,
-    right_schema: pa.Schema | None = None,
-) -> rd.Dataset:
-    """``partitioned_hash_join`` with hot-key salting: rows of a HOT key
-    on the (large) left side spread round-robin across ``n_salts``
-    dedicated buckets, and the right side's rows for that key REPLICATE
-    into all of them — so one hot key's merge work parallelizes ``n_salts``
-    ways instead of serializing in a single bucket. Cold keys take the
-    normal ``key % n_buckets`` route; output row SET is identical to the
-    unsalted join (each left row still meets each matching right row
-    exactly once).
-
-    ``hot_keys=None`` auto-detects on the left with ``detect_hot_keys``.
-    ``how`` is limited to ``inner``/``left``: replication would duplicate
-    unmatched RIGHT rows under right/full-outer semantics."""
-    if how not in ("inner", "left"):
-        raise ValueError("salted join supports how='inner'|'left' only")
-    if hot_keys is None:
-        hot_keys = detect_hot_keys(left, on, n_buckets=n_buckets)
-    hot_keys = np.sort(np.asarray(hot_keys, np.int64))
-    if len(hot_keys) == 0:
-        return partitioned_hash_join(
-            left, right, on,
-            n_buckets=n_buckets, how=how,
-            left_schema=left_schema, right_schema=right_schema,
-        )
-
-    lf, rf = _fields(left, left_schema), _fields(right, right_schema)
-    hot = SortedLookup(hot_keys, np.arange(len(hot_keys), dtype=np.int64))
-
-    # the routing bucket is the exchange key: cold keys land in
-    # key % n_buckets, hot keys in the dedicated range above it
-    def tag_left(t: pa.Table) -> pa.Table:
-        keys = t[on].to_numpy()
-        is_hot, idx = hot.probe(keys)
-        # hot rows spread round-robin by in-block position (placement only
-        # — never affects the output row set)
-        salt = np.arange(len(keys), dtype=np.int64) % n_salts
-        bucket = np.where(
-            is_hot,
-            n_buckets + idx * n_salts + salt,
-            keys % n_buckets,
-        )
-        return t.append_column("_bucket", pa.array(bucket, pa.int64()))
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        keys = t[on].to_numpy()
-        is_hot, idx = hot.probe(keys)
-        hot_i = idx[is_hot]
-        # replicate each hot right row into all n_salts sub-buckets
-        rep_idx = np.repeat(np.flatnonzero(is_hot), n_salts)
-        rep_bucket = (
-            n_buckets
-            + np.repeat(hot_i, n_salts) * n_salts
-            + np.tile(np.arange(n_salts, dtype=np.int64), len(hot_i))
-        )
-        both = pa.concat_tables(
-            [t.filter(pa.array(~is_hot)), t.take(pa.array(rep_idx, pa.int64()))]
-        )
-        bucket = np.concatenate([keys[~is_hot] % n_buckets, rep_bucket])
-        return both.append_column("_bucket", pa.array(bucket, pa.int64()))
-
-    return copartition(
-        [left.map_batches(tag_left, batch_format="pyarrow"),
-         right.map_batches(tag_right, batch_format="pyarrow")],
-        _merge_fold(lf, rf, on, how),
-        pa.schema(lf + [(n, t) for n, t in rf if n != on]),
-        n_buckets + len(hot_keys) * n_salts,
-        key="_bucket",
-    )
-
-
-# ---------------------------------------------------------------------------
 # TPC-H Q3 shape: shipping-priority top-k — segment-filtered customer gate,
 # unshipped-revenue fold per order
 
@@ -2325,7 +2263,6 @@ def shipping_priority_orders(
     segment: str = "BUILDING",
     date: str = "1997-01-01",
     k: int = 10,
-    bloom_prefilter: bool | None = None,
 ) -> rd.Dataset:
     """Top-``k`` orders by outstanding revenue: customer in ``segment``,
     order placed BEFORE ``date``, line items shipping AFTER it (TPC-H Q3;
@@ -2355,7 +2292,7 @@ def shipping_priority_orders(
     # bloom-prefilter the orders probe to the segment's customers
     # (same measured crossover gate as nation_trade_flows)
     cust_f, gate = _bloom_gated(
-        cust.map_batches(c_rows, batch_format="pyarrow"), bloom_prefilter, sf_dir
+        cust.map_batches(c_rows, batch_format="pyarrow"), sf_dir
     )
 
     orders = read_parquet_sized(

@@ -1,11 +1,11 @@
 """Distributed global order statistics — shared sample-sort rank engine.
 
-The TeraSort recipe factored out of ``textops.curriculum_export`` so every
-ranking verb (curriculum order, NTILE, dense export ranks) reuses one
-implementation: sample cut points from sorted per-block key samples, count
-per range to exclusive offsets (only O(n_ranges) rows reach the driver),
-then rank within ranges and add the offset. Correctness never depends on
-the sample — skewed cuts only unbalance range sizes.
+The TeraSort recipe behind every ranking verb (``textops.curriculum_export``,
+``relational``'s NTILE): sample cut points from sorted per-block key
+samples, count per range to exclusive offsets (only O(``N_RANGES``) rows
+reach the driver), then rank within ranges and add the offset.
+Correctness never depends on the sample — skewed cuts only unbalance range
+sizes.
 
 No function here calls ``ray.init`` (driver contract).
 """
@@ -17,14 +17,17 @@ import pandas as pd
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+# key ranges of the sort, and sorted keys each block contributes to the
+# driver-side sample the range cut points come from
+N_RANGES = 32
+PER_BLOCK_SAMPLE = 8
+
 
 def global_sort_rank(
     keys: rd.Dataset,
     id_col: str = "id",
     key_col: str = "key",
     rank_col: str = "rank",
-    n_ranges: int = 32,
-    per_block_sample: int = 8,
 ) -> tuple[rd.Dataset, int]:
     """Dense 1-based global rank of ``keys`` by ascending ``key_col``
     (ties impossible by contract: callers pack a unique id into the low
@@ -33,7 +36,7 @@ def global_sort_rank(
     the sum of the per-range counts the offset pass already folds).
 
     Two passes over the slim materialized key table, none over the source
-    data: (1) O(blocks * per_block_sample) driver sample -> cut points;
+    data: (1) O(blocks * PER_BLOCK_SAMPLE) driver sample -> cut points;
     (2) per-range counts -> exclusive prefix offsets; (3) in-range sort +
     offset add. All exchanges move only (id, key, range) rows.
     """
@@ -43,7 +46,7 @@ def global_sort_rank(
         k = np.sort(df[key_col].to_numpy(np.int64))
         if not len(k):
             return pd.DataFrame({key_col: np.array([], np.int64)})
-        idx = np.linspace(0, len(k) - 1, num=per_block_sample).astype(int)
+        idx = np.linspace(0, len(k) - 1, num=PER_BLOCK_SAMPLE).astype(int)
         return pd.DataFrame({key_col: k[idx]})
 
     sdf = keys.map_batches(block_sample, batch_format="pandas").to_pandas()
@@ -53,7 +56,7 @@ def global_sort_rank(
         if not sdf.empty
         else np.array([], np.int64)
     )
-    qs = np.linspace(0, len(sample) - 1, num=n_ranges + 1).astype(int)[1:-1]
+    qs = np.linspace(0, len(sample) - 1, num=N_RANGES + 1).astype(int)[1:-1]
     cuts = np.unique(sample[qs]) if len(sample) else np.array([], np.int64)
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:

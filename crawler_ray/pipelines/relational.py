@@ -132,15 +132,12 @@ def _bjoin(ds: rd.Dataset, small: pd.DataFrame, on, how="inner"):
 # ``.to_pandas()`` broadcast is only safe below a size bar. Above it the dim
 # side streams through ``joins.partitioned_hash_join`` with the same
 # downstream combiner. A parquet FOOTER row count (``joins._footer_rows``,
-# the bloom prefilter's size signal too; no data scan) decides;
-# ``broadcast=True/False`` forces either path (tests pin both and assert
-# identical results).
+# the bloom prefilter's size signal too; no data scan) decides; tests patch
+# the bar to run either path and assert identical results.
 BROADCAST_DIM_CROSSOVER_ROWS = 2_000_000
 
 
-def _want_broadcast(flag: bool | None, dim_parquet: str) -> bool:
-    if flag is not None:
-        return flag
+def _want_broadcast(dim_parquet: str) -> bool:
     from crawler_ray.pipelines.joins import _footer_rows
 
     return _footer_rows(dim_parquet) < BROADCAST_DIM_CROSSOVER_ROWS
@@ -240,7 +237,7 @@ GROUP BY l_returnflag, l_linestatus
 # broadcast joins (dimension lookups)
 
 
-def market_segment_revenue(sf_dir: str, broadcast: bool | None = None) -> rd.Dataset:
+def market_segment_revenue(sf_dir: str) -> rd.Dataset:
     """orders ⋈ customer → revenue per market segment (A1-style grouped
     report joined to names). Customer scales with SF, so the join strategy
     is auto-guarded (``_want_broadcast``): below the crossover the dim is
@@ -265,7 +262,7 @@ def market_segment_revenue(sf_dir: str, broadcast: bool | None = None) -> rd.Dat
         ),
         batch_format="pyarrow",
     )
-    if _want_broadcast(broadcast, f"{sf_dir}/customer.parquet"):
+    if _want_broadcast(f"{sf_dir}/customer.parquet"):
         cust = (
             _read_pandas(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
         )  # below the crossover — materializing the dim is the point
@@ -282,6 +279,7 @@ def market_segment_revenue(sf_dir: str, broadcast: bool | None = None) -> rd.Dat
         )
         joined = partitioned_hash_join(
             orders, dim, "o_custkey",
+            exchange_parts(sf_dir, "orders", "customer"),
             left_schema=pa.schema(
                 [("o_custkey", pa.int64()), ("cents", pa.int64()),
                  ("n_ord", pa.int64())]),
@@ -602,10 +600,14 @@ def distinct_event_types(sf_dir: str) -> rd.Dataset:
 DISTINCT_EVENT_TYPES_SQL = "SELECT DISTINCT event_type FROM events"
 
 
+# lineitem footer rows up to which the quantile finish reads the unmerged
+# histogram partials; above it a value-hash exchange merges them first
+QUANTILE_MERGE_ROWS = 20_000_000
+
+
 def lineitem_price_quantiles(
     sf_dir: str,
     qs: tuple[float, ...] = (0.25, 0.5, 0.75, 0.9, 0.99),
-    merge_threshold: int = 20_000_000,
     interpolated: bool = False,
 ) -> rd.Dataset:
     """EXACT per-group quantiles (``quantile_disc`` semantics: the data
@@ -614,8 +616,8 @@ def lineitem_price_quantiles(
 
     Scale shape: order statistics need global order, but never the rows —
     only the VALUE HISTOGRAM. Per-batch (group, value)→count partials
-    (combiner) collapse duplicates before any exchange. Below
-    ``merge_threshold`` input rows the unmerged partials go straight to the
+    (combiner) collapse duplicates before any exchange. Up to
+    ``QUANTILE_MERGE_ROWS`` input rows the unmerged partials go straight to the
     per-group finish in ONE exchange — the finish's stable sort + cumsum
     sums duplicate (group, value) partials exactly as a merge would, since
     equal values land adjacent. Above it, a value-hash partition merges
@@ -687,7 +689,7 @@ def lineitem_price_quantiles(
         return pa.table(cols)
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    if n_total <= merge_threshold:
+    if n_total <= QUANTILE_MERGE_ROWS:
         return partials.groupby("l_returnflag").map_groups(
             finish, batch_format="pyarrow"
         )
@@ -844,7 +846,7 @@ FROM orders
 """
 
 
-def revenue_rollup(sf_dir: str, broadcast: bool | None = None) -> pd.DataFrame:
+def revenue_rollup(sf_dir: str) -> pd.DataFrame:
     """GROUP BY ROLLUP(region, nation) revenue report — the hierarchical
     subtotal verb Ray Data lacks. Scale shape: ONE pass over the orders
     fact (cents combiner per batch AFTER the custkey→(region, nation)
@@ -874,7 +876,7 @@ def revenue_rollup(sf_dir: str, broadcast: bool | None = None) -> pd.DataFrame:
         batch_format="pyarrow",
     )
 
-    if _want_broadcast(broadcast, f"{sf_dir}/customer.parquet"):
+    if _want_broadcast(f"{sf_dir}/customer.parquet"):
         cust = _read_pandas(sf_dir, "customer", ["c_custkey", "c_nationkey"])
         dim = cust.merge(nr, on="c_nationkey").rename(
             columns={"c_custkey": "o_custkey"}
@@ -893,6 +895,7 @@ def revenue_rollup(sf_dir: str, broadcast: bool | None = None) -> pd.DataFrame:
         )
         joined = partitioned_hash_join(
             orders, dim_ds, "o_custkey",
+            exchange_parts(sf_dir, "orders", "customer"),
             left_schema=pa.schema(
                 [("o_custkey", pa.int64()), ("cents", pa.int64())]),
             right_schema=pa.schema(
@@ -1144,7 +1147,7 @@ GROUP BY CUBE (o_orderpriority, o_orderstatus)
 """
 
 
-def revenue_grouping_sets(sf_dir: str, broadcast: bool | None = None) -> pd.DataFrame:
+def revenue_grouping_sets(sf_dir: str) -> pd.DataFrame:
     """GROUP BY GROUPING SETS ((region), (segment)) — ARBITRARY slice
     lists, the third subtotal verb beside ROLLUP (hierarchy) and CUBE
     (power set). The two requested sets are non-hierarchical (region and
@@ -1178,7 +1181,7 @@ def revenue_grouping_sets(sf_dir: str, broadcast: bool | None = None) -> pd.Data
         batch_format="pyarrow",
     )
 
-    if _want_broadcast(broadcast, f"{sf_dir}/customer.parquet"):
+    if _want_broadcast(f"{sf_dir}/customer.parquet"):
         cust = _read_pandas(
             sf_dir, "customer", ["c_custkey", "c_nationkey", "c_mktsegment"]
         )
@@ -1200,6 +1203,7 @@ def revenue_grouping_sets(sf_dir: str, broadcast: bool | None = None) -> pd.Data
         )
         joined = partitioned_hash_join(
             orders, dim_ds, "o_custkey",
+            exchange_parts(sf_dir, "orders", "customer"),
             left_schema=pa.schema(
                 [("o_custkey", pa.int64()), ("cents", pa.int64())]),
             right_schema=pa.schema(

@@ -171,11 +171,11 @@ def _segment_pair_chunks(starts: np.ndarray, sizes: np.ndarray, pair_chunk: int)
         yield np.concatenate(buf_a), np.concatenate(buf_b)
 
 
-def _bucket_walk(bands: rd.Dataset, walk) -> rd.Dataset:
+def _bucket_walk(bands: rd.Dataset, fold) -> rd.Dataset:
     """(bucket, image_id, phash) band rows → one bucket-keyed
-    ``copartition`` feeding ``walk`` per partition."""
+    ``copartition`` feeding ``fold`` per partition."""
     return copartition(
-        [bands], walk,
+        [bands], fold,
         pa.schema([("image_id", pa.string()), ("phash", pa.int64())]),
         joins.EXCHANGE_PARTS, key="bucket",
     )
@@ -317,8 +317,9 @@ def images_phash_near_dups_multiprobe(images: rd.Dataset, max_hamming: int = 6) 
     volume with no saturation to pay for), and under extreme bit bias
     (p(1)=0.2) both are hot-bucket-bound (40 s vs 36 s) — a genuinely hot
     bucket needs recursive re-banding or capping, not probing. Routing:
-    ``image_dup_clusters(walk='auto')`` uses multiprobe for radius >= 6
-    where the real-phash regime is the one that matters."""
+    ``image_dup_clusters`` uses multiprobe from radius
+    ``clusters.MULTIPROBE_MIN_HAMMING`` (6) up, where the real-phash
+    regime is the one that matters."""
     B = max(2, max_hamming // 2 + 1)
     widths = [64 // B + (1 if i < 64 % B else 0) for i in range(B)]
     offsets = np.cumsum([0] + widths[:-1]).tolist()

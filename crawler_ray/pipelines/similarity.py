@@ -137,87 +137,57 @@ LIMIT {k}
 """
 
 
-def embedding_near_dup_pairs(
-    sf_dir: str, threshold: float = 0.3, n_blocks: int = 8
-) -> rd.Dataset:
+# block-grid floor of the vector pair walks (``joins.pair_blocks``)
+VECTOR_PAIR_BLOCKS = 8
+
+
+def _emb_rows(sf_dir: str) -> int:
+    return joins._footer_rows(f"{sf_dir}/embeddings.parquet")
+
+
+def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.3) -> rd.Dataset:
     """All pairs with round(cosine, 3) ≥ threshold (round-then-threshold so
     the DuckDB oracle sees the identical boundary).
 
-    EXACT all-pairs as a block-nested-loop SELF-JOIN: vectors hash into
-    ``n_blocks`` blocks; every unordered block pair (p ≤ q) becomes one
-    shuffle group holding both blocks' rows, where a single matmul scores
-    the cross product. Each vector ships to exactly ``n_blocks`` groups —
-    bounded replication instead of a full-corpus broadcast, no driver-side
-    read, per-task memory 2·n/B vectors. (O(n²) WORK is inherent to the
-    exact answer; ``ann_lsh_topk`` below is the sub-quadratic approximate
-    path.) Every unordered vector pair lands in exactly one group, so the
-    output needs no dedup exchange."""
-    ds = _read_emb(sf_dir)
-    B = n_blocks
+    EXACT all-pairs as a block-nested-loop SELF-JOIN (``joins.block_pairs``):
+    vectors hash into B blocks (``VECTOR_PAIR_BLOCKS``, more once the
+    footer rows pass ``joins.PAIR_BLOCK_ROWS`` per block); every unordered
+    block pair (p ≤ q) is one fold holding both blocks' rows, where a
+    single matmul scores the cross product. Each vector ships to exactly B
+    folds — bounded replication instead of a full-corpus broadcast, no
+    driver-side read, per-task memory 2·n/B vectors. (O(n²) WORK is
+    inherent to the exact answer; ``ann_lsh_topk`` below is the
+    sub-quadratic approximate path.) Every unordered vector pair lands in
+    exactly one fold, so the output needs no dedup exchange."""
+    out_schema = pa.schema(
+        [("vec_a", pa.int64()), ("vec_b", pa.int64()), ("cos_sim", pa.float64())]
+    )
 
-    def explode(t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_numpy()
-        blk = (ids % B).astype(np.int64)
-        # row with block b joins pair-groups (p=b, q>=b) and (p<b, q=b)
-        pair_ids, idx = [], []
-        for i, b in enumerate(blk.tolist()):
-            for q in range(b, B):
-                pair_ids.append(b * B + q)
-                idx.append(i)
-            for p in range(0, b):
-                pair_ids.append(p * B + b)
-                idx.append(i)
-        take = pa.array(np.asarray(idx, dtype=np.int64))
-        return pa.table(
-            {
-                "pair": pa.array(np.asarray(pair_ids, dtype=np.int64), pa.int64()),
-                "vec_id": t["vec_id"].take(take),
-                "embedding": t["embedding"].take(take),
-            }
-        )
-
-    def score(g: pa.Table) -> pa.Table:
-        pair = int(g["pair"][0].as_py())
-        p, q = divmod(pair, B)
+    def score(g: pa.Table, left) -> pa.Table:
         ids, mat = _stack(g)
         mat = _normalize(mat)
-        blk = ids % B
-        empty = pa.table(
-            {"vec_a": pa.array([], pa.int64()),
-             "vec_b": pa.array([], pa.int64()),
-             "cos_sim": pa.array([], pa.float64())}
-        )
-        if p == q:
+        if left is None:
             order = np.argsort(ids)
             ids, mat = ids[order], mat[order]
             if len(ids) < 2:
-                return empty
+                return out_schema.empty_table()
             sims = round_np((mat @ mat.T).ravel(), 3).reshape(len(ids), len(ids))
             ai, bi = np.nonzero(np.triu(sims >= threshold, k=1))
             return pa.table(
-                {"vec_a": pa.array(ids[ai], pa.int64()),
-                 "vec_b": pa.array(ids[bi], pa.int64()),
-                 "cos_sim": pa.array(sims[ai, bi], pa.float64())}
-            )
-        li, ri = blk == p, blk == q
-        if not li.any() or not ri.any():
-            return empty
-        la, lm = ids[li], mat[li]
-        ra, rm = ids[ri], mat[ri]
+                [ids[ai], ids[bi], sims[ai, bi]], schema=out_schema)
+        la, lm = ids[left], mat[left]
+        ra, rm = ids[~left], mat[~left]
         sims = round_np((lm @ rm.T).ravel(), 3).reshape(len(la), len(ra))
         ai, bi = np.nonzero(sims >= threshold)
         a, b = la[ai], ra[bi]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
         return pa.table(
-            {"vec_a": pa.array(lo, pa.int64()),
-             "vec_b": pa.array(hi, pa.int64()),
-             "cos_sim": pa.array(sims[ai, bi], pa.float64())}
-        )
+            [np.minimum(a, b), np.maximum(a, b), sims[ai, bi]], schema=out_schema)
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("pair")
-        .map_groups(score, batch_format="pyarrow")
+    return joins.block_pairs(
+        _read_emb(sf_dir), "vec_id",
+        joins.footer_schema(sf_dir, "embeddings", ["vec_id", "embedding"]),
+        score, out_schema,
+        joins.pair_blocks(_emb_rows(sf_dir), VECTOR_PAIR_BLOCKS),
     )
 
 
@@ -1185,46 +1155,25 @@ def append_to_ivf_index(
 # its most similar DIFFERENT-label neighbor (the best "hard" negative)
 
 
-def hard_negative_pairs(sf_dir: str, n_blocks: int = 8) -> rd.Dataset:
+def hard_negative_pairs(sf_dir: str) -> rd.Dataset:
     """Per vector: the top-1 cosine neighbor with a DIFFERENT label —
-    hard-negative mining for contrastive training. Same block-nested-loop
-    engine as ``embedding_near_dup_pairs`` (each vector ships to exactly
-    ``n_blocks`` pair-groups, per-task memory 2·n/B, O(n²) WORK inherent
-    to the exact answer; the ANN indexes are the approximate scale path),
-    plus ONE bounded argmax fold: each pair-group emits a per-vector
-    PARTIAL best (≤ n_blocks rows per vector), the final per-vec_id fold
-    keeps the max. Determinism: cosine rounds to 6 before the argmax and
-    ties break to the smallest neg_id — identical to the oracle's
-    ROW_NUMBER ordering."""
+    hard-negative mining for contrastive training. Same block-pair walk as
+    ``embedding_near_dup_pairs`` (each vector ships to exactly B
+    pair folds, per-task memory 2·n/B, O(n²) WORK inherent to the exact
+    answer; the ANN indexes are the approximate scale path), plus ONE
+    bounded argmax fold: each pair fold emits a per-vector PARTIAL best
+    (≤ B rows per vector), the final per-vec_id fold keeps the max.
+    Determinism: cosine rounds to 6 before the argmax and ties break to
+    the smallest neg_id — identical to the oracle's ROW_NUMBER ordering."""
     from crawler_ray.functions.rounding import round_np
     from crawler_ray.sources.io import read_parquet_sized
 
-    ds = read_parquet_sized(
-        f"{sf_dir}/embeddings.parquet",
-        columns=["vec_id", "embedding", "label"],
+    cols = ["vec_id", "embedding", "label"]
+    ds = read_parquet_sized(f"{sf_dir}/embeddings.parquet", columns=cols)
+    rows = _emb_rows(sf_dir)
+    out_schema = pa.schema(
+        [("vec_id", pa.int64()), ("neg_id", pa.int64()), ("cos_sim", pa.float64())]
     )
-    B = n_blocks
-
-    def explode(t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_numpy()
-        blk = (ids % B).astype(np.int64)
-        pair_ids, idx = [], []
-        for i, b in enumerate(blk.tolist()):
-            for q in range(b, B):
-                pair_ids.append(b * B + q)
-                idx.append(i)
-            for p in range(0, b):
-                pair_ids.append(p * B + b)
-                idx.append(i)
-        take = pa.array(np.asarray(idx, dtype=np.int64))
-        return pa.table(
-            {
-                "pair": pa.array(np.asarray(pair_ids, np.int64), pa.int64()),
-                "vec_id": t["vec_id"].take(take),
-                "embedding": t["embedding"].take(take),
-                "label": t["label"].take(take),
-            }
-        )
 
     def _best(ids_l, mat_l, lab_l, ids_r, mat_r, lab_r):
         """Per left vector: best different-label right candidate."""
@@ -1243,48 +1192,28 @@ def hard_negative_pairs(sf_dir: str, n_blocks: int = 8) -> rd.Dataset:
         ok = np.isfinite(best)
         return ids_l[ok], cand[j[ok]], best[ok]
 
-    def score(g: pa.Table) -> pa.Table:
-        pair = int(g["pair"][0].as_py())
-        p, q = divmod(pair, B)
+    def score(g: pa.Table, left) -> pa.Table:
         ids = g["vec_id"].to_numpy()
         mat = _normalize(
             np.stack(g["embedding"].to_numpy(zero_copy_only=False))
             .astype(np.float64)
         )
         lab = g["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        blk = ids % B
-        outs = []
-        if p == q:
-            if len(ids) >= 2:
-                outs.append(_best(ids, mat, lab, ids, mat, lab))
+        if left is None:
+            if len(ids) < 2:
+                return out_schema.empty_table()
+            outs = [_best(ids, mat, lab, ids, mat, lab)]
         else:
-            li, ri = blk == p, blk == q
-            if li.any() and ri.any():
-                outs.append(
-                    _best(ids[li], mat[li], lab[li], ids[ri], mat[ri], lab[ri])
-                )
-                outs.append(
-                    _best(ids[ri], mat[ri], lab[ri], ids[li], mat[li], lab[li])
-                )
-        if not outs:
-            return pa.table(
-                {"vec_id": pa.array([], pa.int64()),
-                 "neg_id": pa.array([], pa.int64()),
-                 "cos_sim": pa.array([], pa.float64())}
-            )
-        v = np.concatenate([o[0] for o in outs])
-        n = np.concatenate([o[1] for o in outs])
-        c = np.concatenate([o[2] for o in outs])
+            li, ri = left, ~left
+            outs = [_best(ids[li], mat[li], lab[li], ids[ri], mat[ri], lab[ri]),
+                    _best(ids[ri], mat[ri], lab[ri], ids[li], mat[li], lab[li])]
         return pa.table(
-            {"vec_id": pa.array(v, pa.int64()),
-             "neg_id": pa.array(n, pa.int64()),
-             "cos_sim": pa.array(c, pa.float64())}
-        )
+            [np.concatenate(col) for col in zip(*outs)], schema=out_schema)
 
-    partials = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("pair")
-        .map_groups(score, batch_format="pyarrow")
+    blocks = joins.pair_blocks(rows, VECTOR_PAIR_BLOCKS)
+    partials = joins.block_pairs(
+        ds, "vec_id", joins.footer_schema(sf_dir, "embeddings", cols),
+        score, out_schema, blocks,
     )
 
     def final_fold(g: pa.Table) -> pa.Table:
@@ -1300,8 +1229,8 @@ def hard_negative_pairs(sf_dir: str, n_blocks: int = 8) -> rd.Dataset:
     return copartition(
         [partials], final_fold,
         pa.schema([("neg_id", pa.int64()), ("cos_sim", pa.float64())]),
-        # bounded second exchange: ≤ n_blocks partial rows per vector
-        exchange_parts(sf_dir, *["embeddings"] * n_blocks),
+        # bounded second exchange: ≤ B partial rows per vector
+        joins.parts_for_rows(rows * blocks),
         key="vec_id",
     )
 

@@ -22,6 +22,7 @@ from crawler_ray.functions.rounding import round_np
 from crawler_ray.pipelines import joins
 from crawler_ray.pipelines.dedup import _read_docs
 from crawler_ray.pipelines.joins import copartition, exchange_parts
+from crawler_ray.pipelines.ordering import global_sort_rank
 
 
 class TokenStats:
@@ -1965,26 +1966,20 @@ FROM lists l LEFT JOIN sc USING (doc_id)
 # --------------------------------------------------------------------------
 
 
-def curriculum_export(
-    sf_dir: str, n_ranges: int = 32, per_block_sample: int = 8
-) -> rd.Dataset:
+def curriculum_export(sf_dir: str) -> rd.Dataset:
     """Curriculum-training order: every doc ranked by (classifier margin
     DESC, doc_id) — highest-quality first. The rank is a distributed
-    SAMPLE SORT: unlike ``shuffled_export`` (whose md5 keys are uniform, so
-    256 static byte buckets range-partition for free), a computed quality
-    key is arbitrarily skewed, so the cut points must be SAMPLED — the
-    TeraSort recipe. Sampling skew affects only range BALANCE, never rank
+    SAMPLE SORT (``ordering.global_sort_rank``): unlike
+    ``shuffled_export`` (whose md5 keys are uniform, so 256 static byte
+    buckets range-partition for free), a computed quality key is
+    arbitrarily skewed, so the cut points must be SAMPLED — the TeraSort
+    recipe. Sampling skew affects only range BALANCE, never rank
     correctness.
 
-    Shape: (1) the slim (doc_id, key) table is computed once and
-    materialized — key packs (-margin, doc_id) into one int64 so ascending
-    key order IS the output order (asserted bounds: abs(margin) < 2^30,
-    doc_id < 2^32); (2) each block contributes ``per_block_sample`` evenly
-    spaced sorted keys — an O(blocks) driver sample that yields the
-    n_ranges-quantile cut points; (3) per-range counts fold to exclusive
-    offsets (O(n_ranges) driver rows); (4) ranges sort internally and add
-    their offset. Two passes over the materialized key table, none over
-    the corpus text."""
+    The slim (doc_id, key) table is computed once; the key packs
+    (-margin, doc_id) into one int64 so ascending key order IS the output
+    order (asserted bounds: abs(margin) < 2^30, doc_id < 2^32). The sort
+    makes two passes over that key table, none over the corpus text."""
     scorer = HashingTrickScorer()
 
     def key_rows(df: pd.DataFrame) -> pd.DataFrame:
@@ -1997,72 +1992,11 @@ def curriculum_export(
         key = ((1 << 30) - margin) * (1 << 32) + ids
         return pd.DataFrame({"doc_id": ids, "key": key})
 
-    keys = (
-        _read_docs(sf_dir, ["doc_id", "text"])
-        .map_batches(key_rows, batch_format="pandas")
-        .materialize()
-    )
-
-    def block_sample(df: pd.DataFrame) -> pd.DataFrame:
-        k = np.sort(df["key"].to_numpy(np.int64))
-        if not len(k):
-            return pd.DataFrame({"key": np.array([], np.int64)})
-        idx = np.linspace(0, len(k) - 1, num=per_block_sample).astype(int)
-        return pd.DataFrame({"key": k[idx]})
-
-    sdf = keys.map_batches(block_sample, batch_format="pandas").to_pandas()
-    # empty corpus: Ray drops the fold's columns entirely, not just its rows
-    sample = (
-        np.sort(sdf["key"].to_numpy(np.int64))
-        if not sdf.empty
-        else np.array([], np.int64)
-    )
-    qs = np.linspace(0, len(sample) - 1, num=n_ranges + 1).astype(int)[1:-1]
-    cuts = np.unique(sample[qs]) if len(sample) else np.array([], np.int64)
-
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["rng"] = np.searchsorted(cuts, df["key"].to_numpy(np.int64),
-                                    side="right").astype(np.int64)
-        return df
-
-    from ray.data.aggregate import Sum
-
-    def rng_counts(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("rng", sort=False).size()
-        return pd.DataFrame(
-            {"rng": g.index.to_numpy(np.int64), "cnt": g.to_numpy(np.int64)}
-        )
-
-    assigned = keys.map_batches(assign, batch_format="pandas").materialize()
-    counts = (
-        assigned.map_batches(rng_counts, batch_format="pandas")
-        .groupby("rng")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
-    if counts.empty:  # empty corpus: no ranges, rank() never fires
-        offsets: dict = {}
-    else:
-        counts = counts.sort_values("rng")
-        offsets = dict(
-            zip(
-                counts["rng"].to_numpy(np.int64),
-                np.cumsum(counts["cnt"].to_numpy(np.int64))
-                - counts["cnt"].to_numpy(np.int64),
-            )
-        )
-
-    def rank(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("key", kind="mergesort")
-        base = offsets[int(g["rng"].iloc[0])]
-        return pd.DataFrame(
-            {"doc_id": g["doc_id"].to_numpy(np.int64),
-             "curriculum_rank": base
-             + np.arange(1, len(g) + 1, dtype=np.int64)}
-        )
-
-    return assigned.groupby("rng").map_groups(rank, batch_format="pandas")
+    keys = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+        key_rows, batch_format="pandas")
+    ranks, _total = global_sort_rank(
+        keys, id_col="doc_id", key_col="key", rank_col="curriculum_rank")
+    return ranks
 
 
 def curriculum_export_sql(bias: int = 3, mod: int = 21, off: int = 10) -> str:

@@ -59,4 +59,19 @@ def force_parts(monkeypatch):
     return force
 
 
+@pytest.fixture
+def force_bsp(monkeypatch):
+    """``force_bsp()`` makes every graph verb (components, triangles,
+    k-core, BFS distances) take its partitioned BSP path: a one-task
+    crossover of no edges. No verb takes a crossover option."""
+
+    def force() -> None:
+        from crawler_ray.pipelines import clusters
+
+        monkeypatch.setattr(clusters, "GRAPH_ONE_TASK_EDGES", 0)
+        monkeypatch.setattr(clusters, "TRIANGLE_ONE_TASK_EDGES", 0)
+
+    return force
+
+
 SF_DIR = "/root/testdata/sf0.001"

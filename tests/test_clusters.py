@@ -2,7 +2,8 @@
 
 - union-find fast path vs BSP hash-to-min rounds: identical labels on the
   same graphs (chains force multi-round convergence in the BSP path).
-- parallelism invariance: n_buckets must not change the answer.
+- parallelism invariance: the BSP rounds' partition count must not change
+  the answer.
 - near_dup_clusters vs the DuckDB recursive-CTE oracle: value-EXACT,
   including the membership rule (singleton docs with no near-dup vanish;
   exact-duplicate docs cluster even with no cross-set edge).
@@ -39,11 +40,15 @@ GRAPHS = {
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_cc_paths_agree(ray_session, name):
+def test_cc_paths_agree(ray_session, force_bsp, force_parts, name):
     a, b = GRAPHS[name]
     edges = rd.from_pandas(pd.DataFrame({"doc_a": a, "doc_b": b}))
     fast = _labels(connected_components(edges))
-    bsp = _labels(connected_components(edges, small_edges=0))
+    # BSP rounds over a real 8-way exchange (a handful of edges alone
+    # sizes the rounds to one partition)
+    force_bsp()
+    force_parts(8)
+    bsp = _labels(connected_components(edges))
     pd.testing.assert_frame_equal(fast, bsp)
     # ground truth by brute force
     parent = {}
@@ -64,14 +69,17 @@ def test_cc_paths_agree(ray_session, name):
     pd.testing.assert_frame_equal(fast, exp)
 
 
-def test_cc_bucket_invariance(ray_session):
+def test_cc_bucket_invariance(ray_session, force_bsp, force_parts):
     rng = np.random.default_rng(11)
     a = rng.integers(0, 300, size=400)
     b = rng.integers(0, 300, size=400)
     edges = rd.from_pandas(pd.DataFrame({"doc_a": a, "doc_b": b}))
-    l4 = _labels(connected_components(edges, n_buckets=4, small_edges=0))
-    l16 = _labels(connected_components(edges, n_buckets=16, small_edges=0))
     luf = _labels(connected_components(edges))
+    force_bsp()
+    force_parts(4)
+    l4 = _labels(connected_components(edges))
+    force_parts(16)
+    l16 = _labels(connected_components(edges))
     pd.testing.assert_frame_equal(l4, l16)
     pd.testing.assert_frame_equal(l4, luf)
 

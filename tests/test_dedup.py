@@ -6,6 +6,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from tests.test_conformance import oracle_con  # noqa: F401
+
 
 @pytest.fixture(scope="module")
 def planted_corpus(tmp_path_factory):
@@ -212,22 +214,64 @@ def test_simhash_adaptive_banding_exact_recall(ray_session, planted_corpus):
         assert set(map(frozenset, pairs)) == exp, f"radius {radius}"
 
 
-def test_jaccard_pairs_block_grid_invariant(ray_session, planted_corpus):
-    """The block-nested-loop set-pair matmul must emit the SAME doc pairs
-    for any block count B (exercises the explode replication pattern, the
-    same-block upper-triangle logic and the row-chunked pairing kernel)."""
-    from crawler_ray.pipelines.dedup import token_jaccard_pairs
+# the three users of the block-pair walk: the module and name of each one's
+# block-grid floor, and the output columns holding a pair's two block keys
+# (None where the key, a token set's id, is not in the output)
+PAIR_WALKS = {
+    "token_jaccard_pairs": ("dedup", "SET_PAIR_BLOCKS", None),
+    "embedding_near_dup_pairs": ("similarity", "VECTOR_PAIR_BLOCKS",
+                                 ("vec_a", "vec_b")),
+    "hard_negative_pairs": ("similarity", "VECTOR_PAIR_BLOCKS",
+                            ("vec_id", "neg_id")),
+}
 
-    sf, _docs, _truth = planted_corpus
-    results = []
-    for nb in (1, 3, 7):
-        df = token_jaccard_pairs(sf, threshold=0.8, n_blocks=nb).to_pandas()
-        results.append(
-            df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-        )
-    for other in results[1:]:
-        pd.testing.assert_frame_equal(results[0], other)
-    assert len(results[0]) > 0  # planted near-dups must appear
+
+@pytest.mark.parametrize("name", sorted(PAIR_WALKS))
+def test_jaccard_pairs_block_grid_invariant(ray_session, oracle_con,
+                                            monkeypatch, name):
+    """Every block-pair walk emits the SAME rows, the oracle's, for any
+    block count B: forced to B = 1, 3 and 7 through its floor, and derived
+    above the floor by a lowered ``PAIR_BLOCK_ROWS`` (exercises the
+    replication map, the diagonal upper-triangle logic and the cross-pair
+    split). The oracle must hold pairs whose two rows sit in different
+    blocks, so the off-diagonal folds are shown to emit rows."""
+    import importlib
+
+    import __ray_entry__ as entry_mod
+    from crawler_ray.pipelines import joins
+    from tests.test_conformance import SF_DIR, _canon
+
+    mod_name, floor, keys = PAIR_WALKS[name]
+    mod = importlib.import_module(f"crawler_ray.pipelines.{mod_name}")
+    fn = entry_mod.queries()[name]
+    grids = []
+    real = joins.pair_blocks
+    monkeypatch.setattr(
+        joins, "pair_blocks",
+        lambda rows, fl: grids.append(real(rows, fl)) or grids[-1])
+
+    def run() -> pd.DataFrame:
+        grids.clear()
+        return _canon(fn(SF_DIR).to_pandas())
+
+    exp = _canon(oracle_con.sql(entry_mod.oracle_sql()[name]).df())
+    if keys is None:
+        # pairs of distinct token sets, not only same-set self pairs
+        assert (exp["jaccard"] < 1).any()
+    for b in (1, 3, 7):
+        if keys is not None and b > 1:
+            assert (exp[keys[0]] % b != exp[keys[1]] % b).any()
+        monkeypatch.setattr(mod, floor, b)
+        got = run()
+        assert grids == [b]
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False,
+                                      atol=1e-6, rtol=1e-9)
+    monkeypatch.setattr(mod, floor, 4)
+    monkeypatch.setattr(joins, "PAIR_BLOCK_ROWS", 60)
+    got = run()
+    assert len(grids) == 1 and grids[0] > 4
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False,
+                                  atol=1e-6, rtol=1e-9)
 
 
 def test_substring_span_dedup_planted(ray_session, tmp_path):

@@ -143,11 +143,13 @@ def test_interval_join_boundaries(ray_session, window_fixture, force_parts):
     assert n.loc[4] == 0
 
 
-@pytest.mark.parametrize("merge_threshold", [20_000_000, 0])
-def test_quantiles_duplicate_heavy(ray_session, tmp_path, merge_threshold):
-    # merge_threshold=0 forces the large-n two-phase value-hash merge path;
-    # the default takes the single-exchange unmerged-histogram fast path —
-    # both must rank duplicates identically
+@pytest.mark.parametrize("merge_rows", [20_000_000, 0])
+def test_quantiles_duplicate_heavy(ray_session, tmp_path, monkeypatch,
+                                   merge_rows):
+    # a merge bar of 0 rows forces the large-n two-phase value-hash merge
+    # path; the default takes the single-exchange unmerged-histogram fast
+    # path — both must rank duplicates identically
+    monkeypatch.setattr(relational, "QUANTILE_MERGE_ROWS", merge_rows)
     rng = np.random.default_rng(7)
     df = pd.DataFrame(
         {
@@ -161,9 +163,7 @@ def test_quantiles_duplicate_heavy(ray_session, tmp_path, merge_threshold):
         f"CREATE VIEW lineitem AS SELECT * FROM read_parquet('{tmp_path}/lineitem.parquet')"
     )
     got = _run_sorted(
-        relational.lineitem_price_quantiles(
-            str(tmp_path), merge_threshold=merge_threshold
-        ),
+        relational.lineitem_price_quantiles(str(tmp_path)),
         ["l_returnflag"],
     )
     exp = con.sql(relational.LINEITEM_QUANTILES_SQL).df().sort_values(
@@ -260,105 +260,46 @@ def test_bloom_semi_join_matches_naive(ray_session):
     assert got.equals(naive)
 
 
-# ---------------------------------------------------------------------------
-# skew handling: hot-key detection + salted partitioned hash join
-
-
-def _skewed_sides(n_cold=2000, n_hot=6000, hot_key=7, seed=3):
-    rng = np.random.default_rng(seed)
-    lk = np.concatenate(
-        [rng.integers(100, 200, n_cold), np.full(n_hot, hot_key)]
-    ).astype(np.int64)
-    left = pd.DataFrame({"k": lk, "lv": np.arange(len(lk), dtype=np.int64)})
-    rk = np.concatenate([np.arange(100, 200), [hot_key], [999]]).astype(np.int64)
-    right = pd.DataFrame({"k": rk, "rv": rk * 10})
-    return left, right
-
-
-def test_detect_hot_keys_finds_planted_key(ray_session):
-    import ray.data as rd
-
-    left, _ = _skewed_sides()
-    ds = rd.from_pandas(left).repartition(8)
-    hot = joins.detect_hot_keys(ds, "k", n_buckets=32, hot_factor=4.0)
-    assert 7 in hot.tolist()
-    # no cold key qualifies: each holds ~2000/100 rows << 4×(8000/32)
-    assert all(k == 7 for k in hot.tolist())
-
-
 @pytest.mark.parametrize("how", ["inner", "left"])
-def test_salted_join_matches_unsalted_and_pandas(ray_session, how):
+def test_partitioned_hash_join_matches_pandas(ray_session, how):
+    """The merge fold over a 16-way exchange equals a pandas merge, with
+    one hot key holding three quarters of the left rows and a right key
+    no left row matches."""
     import ray.data as rd
 
-    left, right = _skewed_sides()
-    lds = rd.from_pandas(left).repartition(8)
-    rds = rd.from_pandas(right).repartition(4)
-    got = (
-        joins.salted_partitioned_hash_join(
-            lds, rds, "k", n_buckets=16, n_salts=4, how=how
-        )
-        .to_pandas()
-        .sort_values(["k", "lv"], kind="mergesort")
-        .reset_index(drop=True)
-    )
-    base = (
-        joins.partitioned_hash_join(lds, rds, "k", n_buckets=16, how=how)
-        .to_pandas()
-        .sort_values(["k", "lv"], kind="mergesort")
-        .reset_index(drop=True)
-    )
-    exp = (
-        left.merge(right, on="k", how=how)
-        .sort_values(["k", "lv"], kind="mergesort")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got[exp.columns], exp, check_dtype=False)
-    pd.testing.assert_frame_equal(got[exp.columns], base[exp.columns],
-                                  check_dtype=False)
-
-
-def test_salted_join_hot_key_absent_on_right(ray_session):
-    import ray.data as rd
-
-    left, right = _skewed_sides()
-    right = right[right["k"] != 7]  # hot key has NO match
-    lds = rd.from_pandas(left).repartition(8)
-    rds = rd.from_pandas(right).repartition(4)
-    inner = joins.salted_partitioned_hash_join(
-        lds, rds, "k", n_buckets=16, n_salts=4, hot_keys=np.array([7])
+    rng = np.random.default_rng(3)
+    lk = np.concatenate([rng.integers(100, 200, 2000),
+                         np.full(6000, 7)]).astype(np.int64)
+    left = pd.DataFrame({"k": lk, "lv": np.arange(len(lk), dtype=np.int64)})
+    rk = np.concatenate([np.arange(100, 200), [7, 999]]).astype(np.int64)
+    right = pd.DataFrame({"k": rk, "rv": rk * 10})
+    got = joins.partitioned_hash_join(
+        rd.from_pandas(left).repartition(8), rd.from_pandas(right).repartition(4),
+        "k", 16, how=how,
     ).to_pandas()
-    assert (inner["k"] != 7).all()
-    lhow = joins.salted_partitioned_hash_join(
-        lds, rds, "k", n_buckets=16, n_salts=4, hot_keys=np.array([7]),
-        how="left",
-    ).to_pandas()
-    # every hot left row survives exactly once with a null right value
-    hot_rows = lhow[lhow["k"] == 7]
-    assert len(hot_rows) == 6000 and hot_rows["rv"].isna().all()
+    exp = left.merge(right, on="k", how=how)
+
+    def norm(df):
+        return df.sort_values(["k", "lv"], kind="mergesort").reset_index(
+            drop=True)[exp.columns]
+
+    pd.testing.assert_frame_equal(norm(got), norm(exp), check_dtype=False)
 
 
-def test_salted_join_rejects_outer(ray_session):
-    import ray.data as rd
-
-    left, right = _skewed_sides()
-    with pytest.raises(ValueError):
-        joins.salted_partitioned_hash_join(
-            rd.from_pandas(left), rd.from_pandas(right), "k", how="outer"
-        )
-
-
-def test_bloom_prefilter_on_off_identical(ray_session):
+def test_bloom_prefilter_on_off_identical(ray_session, monkeypatch):
     """The bloom gate is an exchange-volume optimization only: forced ON
-    vs forced OFF must produce identical rows (no false negatives; FPs die
-    in the exact in-partition merge)."""
+    (a crossover of no rows) vs forced OFF must produce identical rows (no
+    false negatives; FPs die in the exact in-partition merge)."""
     sf = "/root/testdata/sf0.001"
     for fn in (
         joins.nation_trade_flows,
         joins.nation_market_share,
         joins.shipping_priority_orders,
     ):
-        on = fn(sf, bloom_prefilter=True).to_pandas()
-        off = fn(sf, bloom_prefilter=False).to_pandas()
+        monkeypatch.setattr(joins, "BLOOM_PROBE_CROSSOVER_ROWS", 0)
+        on = fn(sf).to_pandas()
+        monkeypatch.setattr(joins, "BLOOM_PROBE_CROSSOVER_ROWS", 1 << 62)
+        off = fn(sf).to_pandas()
         cols = sorted(on.columns)
         on = on[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
         off = off[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
@@ -422,7 +363,7 @@ def test_copartition_wide_int64_exact(ray_session):
     left = rd.from_arrow(pa.table({"key": lk, "big": lk + 1}))
     right = rd.from_arrow(pa.table({"key": lk[[1, 3]],
                                     "tag": pa.array([1, 3], pa.int64())}))
-    got = joins.partitioned_hash_join(left, right, "key", n_buckets=3)
+    got = joins.partitioned_hash_join(left, right, "key", 3)
     got = got.to_pandas().sort_values("key")
     assert got["key"].tolist() == [int(base + 1), int((1 << 62) + 7)]
     assert got["big"].tolist() == [int(base + 2), int((1 << 62) + 8)]
@@ -564,9 +505,9 @@ def test_exchange_parts_bar_is_one_read_block(tmp_path):
     assert joins.exchange_parts(str(tmp_path), "one", "one") == 1
 
 
-def _part_groupby_sites(path) -> list[tuple[str, str | None]]:
+def _groupby_sites(path, col: str) -> list[tuple[str, str | None]]:
     """(file:line, enclosing top-level function) of every
-    ``groupby("part")`` call in one module."""
+    ``groupby(col)`` call in one module."""
     import ast
 
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -579,7 +520,7 @@ def _part_groupby_sites(path) -> list[tuple[str, str | None]]:
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "groupby"
-            and any(isinstance(a, ast.Constant) and a.value == "part"
+            and any(isinstance(a, ast.Constant) and a.value == col
                     for a in node.args)
         ):
             rel = path.relative_to(path.parent.parent.parent)
@@ -598,15 +539,23 @@ def test_part_exchanges_go_through_copartition():
     """Every pipeline picks its exchange in one place: a hand-written
     ``groupby("part")`` would bypass the sizing rule."""
     sites = [site for path in _pipeline_modules()
-             for site in _part_groupby_sites(path)]
+             for site in _groupby_sites(path, "part")]
     bad = sorted(loc for loc, func in sites if func != "copartition")
     assert not bad, f"groupby(\"part\") outside copartition: {bad}"
     assert [func for _, func in sites] == ["copartition"]
 
 
-def _n_parts_params(path) -> list[tuple[str, str]]:
-    """(file:line, function) of every function in one module that takes
-    an ``n_parts`` parameter."""
+# parameter names that would let a caller pick a plan: block and bucket
+# counts, one-task crossovers, strategy switches and sort sampling
+PLAN_PARAMS = {
+    "n_buckets", "n_blocks", "small_edges", "broadcast", "bloom_prefilter",
+    "merge_threshold", "n_ranges", "per_block_sample", "walk",
+}
+
+
+def _params(path) -> list[tuple[str, str, str]]:
+    """(file:line, function, parameter) of every parameter of every
+    function (lambdas included) in one module."""
     import ast
 
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -616,21 +565,29 @@ def _n_parts_params(path) -> list[tuple[str, str]]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
             a = node.args
-            names = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
-            if "n_parts" in names:
+            for x in (*a.posonlyargs, *a.args, *a.kwonlyargs):
                 out.append((f"{rel}:{node.lineno}",
-                            getattr(node, "name", "<lambda>")))
+                            getattr(node, "name", "<lambda>"), x.arg))
     return out
 
 
 def test_only_copartition_takes_n_parts():
-    """The partition count is chosen by the sizing rule, never by a
-    caller: no pipeline function but ``copartition`` takes ``n_parts``."""
-    found = [site for path in _pipeline_modules()
-             for site in _n_parts_params(path)]
-    bad = sorted(loc for loc, func in found if func != "copartition")
+    """Every plan choice is worked out from the inputs, never passed by a
+    caller: no pipeline function but ``copartition`` takes ``n_parts``, none
+    takes a ``PLAN_PARAMS`` parameter, and the only all-pairs exchange is
+    ``joins.block_pairs`` (no ``groupby("pair")`` anywhere else)."""
+    found = [site for path in _pipeline_modules() for site in _params(path)]
+    n_parts = [(loc, func) for loc, func, arg in found if arg == "n_parts"]
+    bad = sorted(loc for loc, func in n_parts if func != "copartition")
     assert not bad, f"n_parts parameter outside copartition: {bad}"
-    assert [func for _, func in found] == ["copartition"]
+    assert [func for _, func in n_parts] == ["copartition"]
+    plan = sorted(f"{loc} {func}({arg})" for loc, func, arg in found
+                  if arg in PLAN_PARAMS)
+    assert not plan, f"plan parameters: {plan}"
+    pairs = sorted(loc for path in _pipeline_modules()
+                   for loc, func in _groupby_sites(path, "pair")
+                   if func != "block_pairs")
+    assert not pairs, f"groupby(\"pair\") outside block_pairs: {pairs}"
 
 
 # every oracled query whose exchange goes through copartition and sizes
@@ -788,9 +745,9 @@ def test_pareto_skyline_worstcase_antichain(ray_session, tmp_path):
 # ---------------------------------------------------------------------------
 # broadcast-vs-partitioned auto-guard (VERDICT r3 #1): customer scales with
 # SF, so the dim-join strategy must switch above a footer-row-count
-# crossover. These force BOTH paths on the driver testdata and assert
-# identical, oracle-exact results — proving the partitioned fallback is a
-# drop-in for the broadcast fast path.
+# crossover. These force BOTH paths on the driver testdata (by patching the
+# crossover) and assert identical, oracle-exact results — proving the
+# partitioned fallback is a drop-in for the broadcast fast path.
 
 
 SF_DIR = "/root/testdata/sf0.001"
@@ -800,12 +757,30 @@ def _norm(df, keys):
     return df.sort_values(keys).reset_index(drop=True)
 
 
-def test_market_segment_revenue_partitioned_path_matches(ray_session):
-    bro = _norm(relational.market_segment_revenue(SF_DIR, broadcast=True)
-                .to_pandas(), ["c_mktsegment"])
-    par = _norm(relational.market_segment_revenue(SF_DIR, broadcast=False)
-                .to_pandas(), ["c_mktsegment"])
+@pytest.fixture
+def both_dim_paths(monkeypatch, force_parts):
+    """``both_dim_paths(fn)`` runs ``fn(SF_DIR)`` with the customer dim
+    broadcast, then partitioned as the inputs size it (the one-partition
+    fold at sf0.001), then partitioned over a forced 7-way exchange."""
+
+    def run(fn):
+        monkeypatch.setattr(relational, "BROADCAST_DIM_CROSSOVER_ROWS", 1 << 62)
+        out = [fn(SF_DIR)]
+        monkeypatch.setattr(relational, "BROADCAST_DIM_CROSSOVER_ROWS", 0)
+        out.append(fn(SF_DIR))
+        force_parts(7)
+        out.append(fn(SF_DIR))
+        return out
+
+    return run
+
+
+def test_market_segment_revenue_partitioned_path_matches(ray_session,
+                                                         both_dim_paths):
+    bro, par, par7 = (_norm(ds.to_pandas(), ["c_mktsegment"])
+                      for ds in both_dim_paths(relational.market_segment_revenue))
     pd.testing.assert_frame_equal(bro, par)
+    pd.testing.assert_frame_equal(bro, par7)
     con = duckdb.connect()
     for t in ("orders", "customer"):
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF_DIR}/{t}.parquet'")
@@ -815,33 +790,27 @@ def test_market_segment_revenue_partitioned_path_matches(ray_session):
         par.astype({"n_orders": "int64"}), ora.astype({"n_orders": "int64"}))
 
 
-def test_revenue_rollup_partitioned_path_matches(ray_session):
-    bro = _norm(relational.revenue_rollup(SF_DIR, broadcast=True),
-                ["region", "nation"])
-    par = _norm(relational.revenue_rollup(SF_DIR, broadcast=False),
-                ["region", "nation"])
+def test_revenue_rollup_partitioned_path_matches(ray_session, both_dim_paths):
+    bro, par, par7 = (_norm(df, ["region", "nation"])
+                      for df in both_dim_paths(relational.revenue_rollup))
     pd.testing.assert_frame_equal(bro, par)
+    pd.testing.assert_frame_equal(bro, par7)
 
 
-def test_revenue_grouping_sets_partitioned_path_matches(ray_session):
-    bro = _norm(relational.revenue_grouping_sets(SF_DIR, broadcast=True),
-                ["region", "segment"])
-    par = _norm(relational.revenue_grouping_sets(SF_DIR, broadcast=False),
-                ["region", "segment"])
+def test_revenue_grouping_sets_partitioned_path_matches(ray_session,
+                                                        both_dim_paths):
+    bro, par, par7 = (_norm(df, ["region", "segment"])
+                      for df in both_dim_paths(relational.revenue_grouping_sets))
     pd.testing.assert_frame_equal(bro, par)
+    pd.testing.assert_frame_equal(bro, par7)
 
 
-def test_want_broadcast_crossover(tmp_path):
+def test_want_broadcast_crossover(tmp_path, monkeypatch):
     """The gate reads ONLY the parquet footer: below the bar -> broadcast,
-    above -> partitioned; an explicit flag always wins."""
+    at or above it -> partitioned."""
     small = pd.DataFrame({"k": np.arange(10, dtype=np.int64)})
     pq.write_table(pa.Table.from_pandas(small, preserve_index=False),
                    f"{tmp_path}/small.parquet")
-    assert relational._want_broadcast(None, f"{tmp_path}/small.parquet")
-    assert not relational._want_broadcast(False, f"{tmp_path}/small.parquet")
-    old = relational.BROADCAST_DIM_CROSSOVER_ROWS
-    try:
-        relational.BROADCAST_DIM_CROSSOVER_ROWS = 5
-        assert not relational._want_broadcast(None, f"{tmp_path}/small.parquet")
-    finally:
-        relational.BROADCAST_DIM_CROSSOVER_ROWS = old
+    assert relational._want_broadcast(f"{tmp_path}/small.parquet")
+    monkeypatch.setattr(relational, "BROADCAST_DIM_CROSSOVER_ROWS", 10)
+    assert not relational._want_broadcast(f"{tmp_path}/small.parquet")

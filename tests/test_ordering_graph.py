@@ -232,15 +232,16 @@ def test_kcore_matches_brute_force_peeling(ray_session):
     assert 0 < len(live) < n  # some peeled, some kept: non-vacuous
 
 
-def test_kcore_fully_peeled_graph_terminates_early(ray_session):
+def test_kcore_fully_peeled_graph_terminates_early(ray_session, force_bsp):
     """k above the max degree peels every node in round 1; the BSP loop
     must then BREAK (Dataset.sum on the empty degree table returns None,
     which a naive '== 0' check misses) instead of scheduling all 30
     max_rounds of empty exchanges."""
     import time
 
+    force_bsp()
     t0 = time.monotonic()
-    got = clusters.doc_link_kcore(SF_DIR, k=100, small_edges=0).to_pandas()
+    got = clusters.doc_link_kcore(SF_DIR, k=100).to_pandas()
     wall = time.monotonic() - t0
     assert len(got) == 0
     # with the early break this is one peel round (~2-5s); 30 dead rounds
@@ -248,40 +249,32 @@ def test_kcore_fully_peeled_graph_terminates_early(ray_session):
     assert wall < 40, f"fully-peeled k-core took {wall:.1f}s"
 
 
-def test_graph_verbs_fast_and_bsp_paths_agree(ray_session):
+def test_graph_verbs_fast_and_bsp_paths_agree(ray_session, force_bsp):
     """The single-task fast path and the partitioned BSP/staged path must
-    produce identical tables for triangles and k-core (small_edges=0
+    produce identical tables for triangles and k-core (``force_bsp``
     forces the distributed path on the small test graph)."""
-    tri_fast = (
-        clusters.doc_link_triangles(SF_DIR)
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-    tri_bsp = (
-        clusters.doc_link_triangles(SF_DIR, small_edges=0)
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(tri_fast, tri_bsp)
 
-    kc_fast = (
-        clusters.doc_link_kcore(SF_DIR)
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-    kc_bsp = (
-        clusters.doc_link_kcore(SF_DIR, small_edges=0)
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(kc_fast, kc_bsp)
+    def run(fn):
+        return (fn(SF_DIR).to_pandas().sort_values("doc_id")
+                .reset_index(drop=True))
+
+    verbs = (clusters.doc_link_triangles, clusters.doc_link_kcore)
+    fast = [run(fn) for fn in verbs]
+    force_bsp()
+    for fn, f in zip(verbs, fast):
+        pd.testing.assert_frame_equal(f, run(fn))
 
 
-def test_bfs_distances_fast_and_bsp_paths_agree(ray_session):
+def test_bfs_distances_fast_and_bsp_paths_agree(ray_session, force_bsp):
     """BFS hop distances: single-task fast path == BSP frontier path, and
     both match a brute-force numpy BFS (dist 0 exactly on the seeds)."""
     fast = (
         clusters.doc_link_distances(SF_DIR)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
+    force_bsp()
     bsp = (
-        clusters.doc_link_distances(SF_DIR, small_edges=0)
+        clusters.doc_link_distances(SF_DIR)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(fast, bsp)

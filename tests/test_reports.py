@@ -305,14 +305,25 @@ def test_multiprobe_phash_walk_identical(ray_session):
         assert len(a) > 0
 
 
-def test_image_dup_clusters_auto_multiprobe(ray_session):
+def test_image_dup_clusters_auto_multiprobe(ray_session, monkeypatch):
     """image_dup_clusters at radius 6 routes through the multi-probe walk
-    and recovers the identical clusters the banded walk produces."""
-    from crawler_ray.pipelines.clusters import image_dup_clusters
+    and recovers the identical clusters the banded walk produces (forced
+    by a multi-probe bar above every radius)."""
+    from crawler_ray.pipelines import clusters, reports
 
     sf = "/root/testdata/sf0.001"
-    auto = image_dup_clusters(sf, max_hamming=6).to_pandas()
-    banded = image_dup_clusters(sf, max_hamming=6, walk="banded").to_pandas()
+    walks = []
+    for name in ("images_phash_near_dups", "images_phash_near_dups_multiprobe"):
+        real = getattr(reports, name)
+        monkeypatch.setattr(
+            reports, name,
+            lambda *a, _real=real, **k: walks.append(_real.__name__)
+            or _real(*a, **k))
+    auto = clusters.image_dup_clusters(sf, max_hamming=6).to_pandas()
+    monkeypatch.setattr(clusters, "MULTIPROBE_MIN_HAMMING", 65)
+    banded = clusters.image_dup_clusters(sf, max_hamming=6).to_pandas()
+    assert walks == ["images_phash_near_dups_multiprobe",
+                     "images_phash_near_dups"]
 
     def norm(df):
         return sorted(
