@@ -18,10 +18,13 @@ exists on the driver, and no round runs an exchange:
             → selected rows, chunked: fetch (synthetic | real HTTP w/
               redirect→successor resolution) → image decode/hash/dedup →
               parse → robots → seen anti-join → brand first-wins upsert
-            → images/entities/brands/errors/successors ALL written in-stage
-              (sources/io.write_part: one minilance dataset per part,
-              content-derived idempotent names; successors bucketed)
-      → output = per-(host,kind) sel_stat + <type>_stat summary ROWS only
+            → each row class written to its sink where it is produced:
+              images, categories, products, brands, errors, pages, and
+              successors + backlog (sources/io.write_part: one minilance
+              dataset per part, content-derived idempotent names; the
+              frontier host-bucketed once per call)
+      → output = (row_type, host, kind, status) stat rows only: per-(host,
+        kind) sel_stat / error_stat, backlog_stat, per-part <class>_stat
     driver: one small collect for metrics/lineage/loop control and the
     per-host quota guard, then save_round (atomic rename of the staging
     dir) → frontier_{k+1} path
@@ -89,9 +92,7 @@ class CrawlConfig:
     num_seen_shards: int = 4
     seen_capacity: int = 1 << 16
     fetch_concurrency: int = 4
-    parse_concurrency: int | None = None  # None = elastic stateless tasks
     batch_size: int = 128
-    image_batch_size: int = 32  # wide binary rows → small batches
     max_rounds: int = 1000
     max_attempts: int = 3
     # on-demand image synthesis (dict: seed, img_sizes, robots_frac): image
@@ -104,7 +105,6 @@ class CrawlConfig:
     # (stages/fetch.py HttpFetchStage)
     fetcher: str = "synthetic"
     http_opts: dict | None = None
-    use_politeness_actors: bool = True
     num_politeness_shards: int = 2
     seed: int = 7
     # inert: nothing reads it; removed with the next benchmark change
@@ -212,16 +212,12 @@ class CrawlDriver:
             for host, prefixes in robots_rules.items()
         }
         self.seen = SeenSet.create(
-            cfg.num_seen_shards, cfg.seen_capacity, exact=True, seed=cfg.seed
+            cfg.num_seen_shards, cfg.seen_capacity, seed=cfg.seed
         )
-        self.politeness = (
-            [
-                PolitenessActor.remote(self.robots_txt, virtual=True)
-                for _ in range(cfg.num_politeness_shards)
-            ]
-            if cfg.use_politeness_actors
-            else []
-        )
+        self.politeness = [
+            PolitenessActor.remote(self.robots_txt, virtual=True)
+            for _ in range(cfg.num_politeness_shards)
+        ]
         self.metrics: dict[str, dict] = {}
         self.lineage: dict[str, dict] = {}
         # set by _heal_actors; the round loop re-broadcasts stage args so
@@ -357,8 +353,8 @@ class CrawlDriver:
         from crawler_ray.stages.process import make_round_fn
 
         # stable per-crawl stage args (shipped ONCE; per-round sink dirs are
-        # plain attrs on the worker-cached stage, so workers build the stage
-        # once for the whole crawl, not once per round)
+        # set on the worker-cached stage per call, so workers build the
+        # stage once for the whole crawl, not once per round)
         def _make_base_args_ref():
             return ray.put(
                 (
@@ -368,8 +364,6 @@ class CrawlDriver:
                     self.robots_txt,
                     cfg.max_attempts,
                     cfg.synth_images,
-                    None,  # images_dir (per-round attr)
-                    None,  # sink_dirs (per-round attr)
                     cfg.fetcher,
                     cfg.http_opts,
                 )
@@ -400,7 +394,8 @@ class CrawlDriver:
             # visible output is a handful of summary-stat rows — no branch
             # re-scans, no driver-side frontier/entity data, and the
             # frontier parts land directly in the checkpoint staging dir
-            sink_dirs = {
+            sinks = {
+                "images": self.ckpt.images_dir(rnd),
                 "categories": os.path.join(
                     cfg.out_dir, "tables", "categories", f"round_{rnd:04d}"
                 ),
@@ -416,7 +411,6 @@ class CrawlDriver:
                 ),
                 "frontier": self.ckpt.begin_round(rnd),
             }
-            images_dir = self.ckpt.images_dir(rnd)  # direct image sink
             seeds_dir = None  # round 0's bucketed seed list
             # every round is one round_fn call per host-complete group of
             # its frontier, with NO exchange: the frontier is stored
@@ -439,8 +433,7 @@ class CrawlDriver:
                 cfg.batch_size,
                 # seed admission (robots + seen) inside the round fn
                 frontier_source is None,
-                images_dir,
-                sink_dirs,
+                sinks,
                 buckets=target,
                 fail_once_marker=cfg.fail_once_marker,
                 kill_actor_once_marker=cfg.kill_actor_once_marker,
@@ -466,7 +459,7 @@ class CrawlDriver:
                     # map-only pass through the stage's writer first stores
                     # it host-bucketed
                     seeds_dir = os.path.join(
-                        os.path.dirname(sink_dirs["frontier"]), "seeds"
+                        os.path.dirname(sinks["frontier"]), "seeds"
                     )
                     _stage_seed_frontier(seeds_path, seeds_dir, n_groups)
                     src_dir = seeds_dir
@@ -487,16 +480,15 @@ class CrawlDriver:
                 max_retries=0,
             )
 
-            # the round output is ONLY summary-stat rows (every data class
-            # sank in-stage) — a single small collect drives the execution.
+            # the round output is ONLY stat rows (row_type, host, kind,
+            # status): every data class sank in-stage, so a single small
+            # collect drives the execution.
             # Stage tasks run with max_retries=0 (a retried task would see
             # its own first attempt's seen-set inserts and silently drop
             # those URLs), so any task failure surfaces HERE and the whole
             # round rolls back to the last complete checkpoint and re-runs.
             try:
-                stats = processed.select_columns(
-                    ["row_type", "host", "kind", "status"]
-                ).to_pandas()
+                stats = processed.to_pandas()
             except Exception:
                 if round_retries_left <= 0:
                     raise

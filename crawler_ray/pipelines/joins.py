@@ -265,10 +265,10 @@ def _fields(ds: rd.Dataset, given) -> list[tuple[str, pa.DataType]] | None:
     return out
 
 
-def _merge_fold(lf, rf, on: str, how: str):
-    """The pandas merge of one partition's left and right rows. Output is
-    an Arrow table with a FIXED schema (left fields, then right fields
-    minus ``on``), so empty partitions cannot drift dtypes."""
+def _merge_fold(lf, rf, on: str):
+    """The pandas inner merge of one partition's left and right rows.
+    Output is an Arrow table with a FIXED schema (left fields, then right
+    fields minus ``on``), so empty partitions cannot drift dtypes."""
     lcols = [n for n, _ in lf]
     rcols = [n for n, _ in rf]
     out_schema = pa.schema(lf + [(n, t) for n, t in rf if n != on])
@@ -276,10 +276,10 @@ def _merge_fold(lf, rf, on: str, how: str):
     def merge(left: pa.Table, right: pa.Table) -> pa.Table:
         lg = left.select(lcols).to_pandas()
         rg = right.select(rcols).to_pandas()
-        if how == "inner" and (lg.empty or rg.empty):
+        if lg.empty or rg.empty:
             df = pd.DataFrame(columns=out_schema.names)
         else:
-            df = lg.merge(rg, on=on, how=how)[out_schema.names]
+            df = lg.merge(rg, on=on)[out_schema.names]
         return pa.Table.from_pandas(df, schema=out_schema, preserve_index=False)
 
     return merge
@@ -290,36 +290,28 @@ def partitioned_hash_join(
     right: rd.Dataset,
     on: str,
     parts: int,
-    how: str = "inner",
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
 ) -> rd.Dataset:
-    """Hash-partitioned join of two Datasets on an integer key column: one
-    ``copartition`` exchange over ``parts`` partitions (the caller's
-    ``exchange_parts`` / ``parts_for_rows`` figure) and a pandas merge per
-    partition. Column sets of the two sides must be disjoint apart from
+    """Hash-partitioned inner join of two Datasets on an integer key
+    column: one ``copartition`` exchange over ``parts`` partitions (the
+    caller's ``exchange_parts`` / ``parts_for_rows`` figure) and a pandas
+    merge per partition. Column sets of the two sides must be disjoint apart from
     ``on``.
 
     Pass ``left_schema`` / ``right_schema`` when a side's block schema is
     pandas-typed with object columns (bytes vs str is not inferrable)."""
     lf, rf = _fields(left, left_schema), _fields(right, right_schema)
     if lf is None or rf is None:
-        # A schema-less side has zero rows, so the join degenerates: empty
-        # for inner (either side) and for left-with-empty-LEFT. The typed
-        # result uses every KNOWN field; a left join against an untyped
-        # empty right cannot be typed — demand the explicit schema.
-        if how == "left" and lf is not None and rf is None:
-            raise ValueError(
-                "left join against an empty (schema-less) right side needs "
-                "right_schema to type the output"
-            )
+        # A schema-less side has zero rows, so the inner join is empty;
+        # the typed result uses every KNOWN field
         fields = (lf or []) + [(n, t) for n, t in (rf or []) if n != on]
         return rd.from_arrow(
             pa.schema(fields).empty_table() if fields else pa.table({})
         )
     payload = pa.schema([(n, t) for n, t in lf + rf if n != on])
     return copartition(
-        [left, right], _merge_fold(lf, rf, on, how), payload, parts, key=on
+        [left, right], _merge_fold(lf, rf, on), payload, parts, key=on
     )
 
 

@@ -12,14 +12,24 @@ politeness — lives in state actors the stage holds handles to. Every crawl
 round runs ``make_round_fn``: seed admission (round 0 only), per-host
 selection (``select_per_host``), then this stage over the selected rows.
 
-Output: ONE union-schema Arrow table per batch with a ``row_type``
-discriminator:
+Output: every row class goes straight to its sink where it is produced, one
+part per class per call, named by a digest of its rows
+(``sources/io.write_keyed_part``; images ``io.write_part``):
 
-    succ      — new frontier candidate (robots-allowed, first-seen)
-    category  — category entity record (JSON in ``record``)
-    product   — product entity record (JSON in ``record``)
-    image     — new (first-seen content) image row: IMAGES columns filled
-    error     — dead letter (fetch status ≠ 200 or parse failure)
+    images      — first-seen image content (``schemas.IMAGES``)
+    categories  — category entity records (JSON in ``record``)
+    products    — product entity records (JSON in ``record``)
+    brands      — first-wins brand records (JSON in ``record``)
+    errors      — dead letters (fetch status ≠ 200, undecodable image,
+                  parse failure)
+    pages       — page fetch metadata (``etag``, ``last_modified``)
+    frontier    — robots-allowed first-seen successors, plus the call's
+                  backlog, host-bucketed once per call by ``flush_frontier``
+
+A call returns only stat rows ``(row_type, host, kind, status)`` with the
+row count in ``status``: one ``<class>_stat`` row per written part (per
+(host, kind) for ``error_stat``), ``backlog_stat``, and per-(host, kind)
+``sel_stat`` selection counts. They are all the driver reads of a round.
 
 Determinism contract: the seen-SET after a round is independent of actor
 scheduling (set membership is insertion-order-free); successor/image *rows*
@@ -32,76 +42,60 @@ alt-texts may differ per link, in which case caption is 'first discovered').
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from crawler_ray import schemas
 from crawler_ray.context import worker_cached
 from crawler_ray.functions.codecs import decode_image, sniff_fmt
 from crawler_ray.functions.hashing import md5_hex, phash64
+from crawler_ray.sources import io
 from crawler_ray.stages.fetch import SyntheticFetchStage
 from crawler_ray.stages.parse import _PARSERS
 from crawler_ray.state.politeness import RobotsCache
 
-ROUND_SCHEMA = pa.schema(
+# all a stage call or round call returns: ``status`` holds a row count
+STAT_SCHEMA = pa.schema(
     [
         ("row_type", pa.string()),
-        ("url", pa.string()),
         ("host", pa.string()),
         ("kind", pa.string()),
-        ("depth", pa.int32()),
-        ("priority", pa.float64()),
-        ("seed_id", pa.string()),
-        ("caption", pa.string()),
-        ("record", pa.string()),
         ("status", pa.int32()),
-        ("attempt", pa.int32()),
-        ("bytes", pa.binary()),
-        ("image_id", pa.string()),
-        ("w", pa.int32()),
-        ("h", pa.int32()),
-        ("fmt", pa.string()),
-        ("phash", pa.int64()),
-        ("etag", pa.string()),
-        ("last_modified", pa.string()),
     ]
 )
 
-_EMPTY = {
-    "record": "",
-    "status": 200,
-    "attempt": 1,
-    "bytes": None,
-    "image_id": None,
-    "w": None,
-    "h": None,
-    "fmt": None,
-    "phash": None,
-    "etag": "",
-    "last_modified": "",
+
+def _cols(names: str, **typed) -> pa.Schema:
+    return pa.schema([(n, typed.get(n, pa.string())) for n in names.split()])
+
+
+_ENTITY = _cols("url host kind seed_id record")
+# row class → (sink, columns it writes), in the order a call writes them
+_SINKS = {
+    "category": ("categories", _ENTITY),
+    "product": ("products", _ENTITY),
+    "brand": ("brands", _cols("host kind record")),
+    "error": ("errors", _cols("url host kind seed_id status attempt",
+                              status=pa.int32(), attempt=pa.int32())),
+    "page": ("pages", _cols("url host kind seed_id status etag last_modified",
+                            status=pa.int32())),
+    "succ": ("frontier", schemas.FRONTIER),
 }
 
 
-def _row(base: dict, **over) -> dict:
-    r = {
-        "row_type": "",
-        "url": base["url"],
-        "host": base["host"],
-        "kind": base["kind"],
-        "depth": base["depth"],
-        "priority": base["priority"],
-        "seed_id": base["seed_id"],
-        "caption": base.get("caption", ""),
-        **_EMPTY,
-    }
-    r.update(over)
-    return r
+def _stat_table(stats: list[tuple]) -> pa.Table:
+    return pa.Table.from_pylist(
+        [dict(zip(STAT_SCHEMA.names, s)) for s in stats], schema=STAT_SCHEMA
+    )
 
 
-def _cached_stage(init_args_ref, images_dir, sink_dirs,
-                  buckets: int) -> "CrawlProcessStage":
+def _cached_stage(init_args_ref, sinks: dict, buckets: int
+                  ) -> "CrawlProcessStage":
     import ray
 
     key = init_args_ref.hex() if hasattr(init_args_ref, "hex") else str(init_args_ref)
@@ -110,8 +104,7 @@ def _cached_stage(init_args_ref, images_dir, sink_dirs,
     stage = worker_cached(
         "crawl_stage", key, lambda: CrawlProcessStage(*ray.get(init_args_ref))
     )
-    stage.images_dir = images_dir
-    stage.sink_dirs = sink_dirs or {}
+    stage.sinks = sinks
     stage.buckets = buckets
     # frontier rows a failed call left unflushed belong to a round that is
     # rolled back; they must not reach this call's frontier
@@ -119,39 +112,7 @@ def _cached_stage(init_args_ref, images_dir, sink_dirs,
     return stage
 
 
-_FRONTIER_COLS = ["url", "host", "kind", "depth", "priority", "seed_id", "caption"]
-
-
-def _passthrough_rows(df, row_type: str, status=None) -> pa.Table:
-    """Frontier rows → ROUND_SCHEMA rows (vectorized; used for backlog
-    passthrough and per-(host,kind) selection accounting)."""
-    n = len(df)
-    st = (np.asarray(status, dtype=np.int32) if status is not None
-          else np.full(n, 200, dtype=np.int32))
-    return pa.table(
-        {
-            "row_type": pa.array([row_type] * n, pa.string()),
-            "url": pa.array(df["url"], pa.string()),
-            "host": pa.array(df["host"], pa.string()),
-            "kind": pa.array(df["kind"], pa.string()),
-            "depth": pa.array(np.asarray(df["depth"], dtype=np.int32), pa.int32()),
-            "priority": pa.array(np.asarray(df["priority"], dtype=np.float64),
-                                 pa.float64()),
-            "seed_id": pa.array(df["seed_id"], pa.string()),
-            "caption": pa.array(df["caption"], pa.string()),
-            "record": pa.array([""] * n, pa.string()),
-            "status": pa.array(st, pa.int32()),
-            "attempt": pa.array(np.ones(n, dtype=np.int32), pa.int32()),
-            "bytes": pa.nulls(n, pa.binary()),
-            "image_id": pa.nulls(n, pa.string()),
-            "w": pa.nulls(n, pa.int32()),
-            "h": pa.nulls(n, pa.int32()),
-            "fmt": pa.nulls(n, pa.string()),
-            "phash": pa.nulls(n, pa.int64()),
-            "etag": pa.array([""] * n, pa.string()),
-            "last_modified": pa.array([""] * n, pa.string()),
-        }
-    ).cast(ROUND_SCHEMA)
+_FRONTIER_COLS = schemas.FRONTIER.names
 
 
 def select_per_host(df: pd.DataFrame, quota: int
@@ -168,7 +129,7 @@ def select_per_host(df: pd.DataFrame, quota: int
 
 
 def make_round_fn(init_args_ref, quota: int, batch_size: int,
-                  admit_seeds: bool, images_dir, sink_dirs, buckets: int,
+                  admit_seeds: bool, sinks: dict, buckets: int,
                   fail_once_marker: str | None = None,
                   kill_actor_once_marker: str | None = None):
     """Fused ADMIT + SELECT + PROCESS for one host-complete group of the
@@ -182,12 +143,13 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
     read directly. ``select_per_host`` runs where the group's rows already
     are. Unselected rows go to the next round's frontier as backlog
     and selected rows are processed in ``batch_size`` chunks by the cached
-    CrawlProcessStage; the call's backlog and successors are written once,
-    at its end, host-bucketed into ``buckets`` dirs. The frontier therefore
-    never exists on the driver: selection, backlog carry-over and fetching
-    all happen inside one distributed execution (VERDICT round-1 item #5).
-    Per-(host,kind) ``sel_stat`` summary rows replace the driver-side
-    metrics pass."""
+    CrawlProcessStage, which writes every row class to its dir in
+    ``sinks``; the call's backlog and successors are written once, at its
+    end, host-bucketed into ``buckets`` dirs. The frontier therefore never
+    exists on the driver: selection, backlog carry-over and fetching all
+    happen inside one distributed execution. The call returns
+    ``STAT_SCHEMA`` rows only: per-(host,kind) ``sel_stat`` selection
+    counts, ``backlog_stat`` and the stage's per-class stat rows."""
 
     def round_fn(group: pa.Table) -> pa.Table:
         if fail_once_marker is not None:
@@ -205,7 +167,7 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
                 raise RuntimeError("injected round failure (fail_once_marker)")
             except FileExistsError:
                 pass
-        stage = _cached_stage(init_args_ref, images_dir, sink_dirs, buckets)
+        stage = _cached_stage(init_args_ref, sinks, buckets)
         if kill_actor_once_marker is not None:
             # fault-injection hook (tests only): the FIRST task to claim the
             # marker KILLS a seen-shard STATE ACTOR mid-round (no_restart —
@@ -224,57 +186,42 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
                 _ray.kill(stage.seen.shards[0], no_restart=True)
             except FileExistsError:
                 pass
-        outs: list[pa.Table] = []
         group = group.select(_FRONTIER_COLS)
         if admit_seeds:
             # seed admission BEFORE selection: blocked/seen rows never take
             # quota slots and never reach the backlog
             group = stage._admit(group)
         sdf, backlog = select_per_host(group.to_pandas(), quota)
+        stats: list[tuple] = []
+        outs: list[pa.Table] = []
         if len(backlog):
-            if stage.sink_dirs.get("frontier") is not None:
-                # backlog rows go to the next-round frontier with the
-                # successors (flushed together below)
-                stage._sink_write(
-                    pa.Table.from_pandas(backlog, preserve_index=False)
-                    .select(_FRONTIER_COLS),
-                    "frontier",
-                    "backlog",
-                )
-                outs.append(pa.Table.from_pylist(
-                    [_row({"url": "", "host": "", "kind": "backlog",
-                           "depth": 0, "priority": 0.0, "seed_id": ""},
-                          row_type="backlog_stat", status=len(backlog))],
-                    schema=ROUND_SCHEMA,
-                ))
-            else:
-                outs.append(_passthrough_rows(backlog, "backlog"))
+            # backlog rows go to the next-round frontier with the
+            # successors (flushed together below)
+            stage.frontier_rows.append(
+                pa.Table.from_pandas(backlog, preserve_index=False)
+                .select(_FRONTIER_COLS)
+            )
+            stats.append(("backlog_stat", "", "backlog", len(backlog)))
         if len(sdf):
             # per-(host,kind) selection accounting for driver metrics
-            cnt = (sdf.groupby(["host", "kind"], sort=True)
-                   .size().reset_index(name="n"))
-            cnt = cnt.assign(url="", depth=0, priority=0.0, seed_id="",
-                             caption="")
-            outs.append(_passthrough_rows(cnt, "sel_stat", status=cnt["n"]))
+            cnt = sdf.groupby(["host", "kind"], sort=True).size()
+            stats += [("sel_stat", h, k, int(n)) for (h, k), n in cnt.items()]
             sel_t = pa.Table.from_pandas(sdf, preserve_index=False)
             for c0 in range(0, len(sdf), batch_size):
                 outs.append(stage(sel_t.slice(c0, batch_size)))
         stage.flush_frontier()
-        if not outs:
-            return pa.Table.from_pylist([], schema=ROUND_SCHEMA)
-        return pa.concat_tables(outs)
+        return pa.concat_tables([_stat_table(stats), *outs])
 
     return round_fn
 
 
 class CrawlProcessStage:
-    """``frontier batch -> union-schema round rows``; one instance per actor."""
+    """``frontier batch -> STAT_SCHEMA rows``, every row class written to
+    its sink on the way; one instance per worker process."""
 
     def __init__(self, pages_ref, politeness, seen, robots_txt: dict[str, str],
                  max_attempts: int = 3, synth_images: dict | None = None,
-                 images_dir: str | None = None,
-                 sink_dirs: dict | None = None, fetcher: str = "synthetic",
-                 http_opts: dict | None = None):
+                 fetcher: str = "synthetic", http_opts: dict | None = None):
         if fetcher == "http":
             from crawler_ray.stages.fetch import HttpFetchStage
 
@@ -288,27 +235,15 @@ class CrawlProcessStage:
         self.seen = seen
         self.robots = RobotsCache(lambda host: robots_txt.get(host))
         self.has_robots_rules = bool(robots_txt)
-        # direct image sink: when set, new-image rows are written HERE
-        # (one deterministically-named part per batch, sources/io.write_part)
-        # instead of being carried through the object store for a second
-        # write pass — images are the bulk payload at scale, and this keeps
-        # them out of the round's materialized control output entirely.
-        self.images_dir = images_dir
-        # in-stage sinks (same rationale as the image sink above, applied to
-        # EVERY output class): {"categories":…, "products":…, "errors":…,
-        # "frontier":…} per-round dirs. When set, entity/error/successor
-        # rows are written HERE (deterministically named parts —
-        # content-derived digests, so re-running the same batch overwrites
-        # its own part; NOTE the seen-set mutation is NOT idempotent, which
-        # is why crawl.py disables Ray task retries and retries whole ROUNDS
-        # from the checkpoint instead) and the stage emits one
-        # ``<type>_stat`` summary row per batch. The whole round then needs
-        # exactly ONE streaming execution whose output is a handful of stat
-        # rows.
-        self.sink_dirs = sink_dirs or {}
-        # frontier rows (successors, backlog) wait in ``frontier_rows``
-        # until the caller's ``flush_frontier``, which splits them into
-        # ``buckets`` host buckets; _cached_stage sets both per call
+        # per-call state, which _cached_stage sets: the round's sink dirs
+        # ("images" plus every sink of ``_SINKS``), the frontier's
+        # host-bucket count, and the frontier rows (successors, backlog)
+        # held until ``flush_frontier``. Part names are content-derived, so
+        # re-running a batch overwrites its own parts; the seen-set
+        # mutation is NOT idempotent, which is why crawl.py disables Ray
+        # task retries and retries whole ROUNDS from the checkpoint instead
+        self.sinks: dict[str, str] = {}
+        self.buckets = 1
         self.frontier_rows: list[pa.Table] = []
 
     def _admit(self, batch: pa.Table) -> pa.Table:
@@ -325,29 +260,28 @@ class CrawlProcessStage:
         seen_mask = self.seen.check_and_insert(urls)
         return batch.filter(pa.array(~seen_mask)) if seen_mask.any() else batch
 
-    def _process_images(self, fetched: pa.Table, out: list[dict]) -> None:
+    def _process_images(self, fetched: pa.Table, errors: list[dict]
+                        ) -> list[tuple]:
         """Vectorized image path: columnar in/out, per-row work is only the
         codec/hash kernels — no per-row dict building (measured ~0.5 ms/row
-        of pure-python overhead at breadth scale)."""
+        of pure-python overhead at breadth scale). Writes the first-seen
+        images to the images sink and returns its stat row; a payload that
+        does not decode is dead-lettered into ``errors``."""
         mask = pa.compute.and_(
             pa.compute.equal(fetched["kind"], "image"),
             pa.compute.equal(fetched["status"], 200),
         )
         imgs = fetched.filter(mask)
         if imgs.num_rows == 0:
-            return
+            return []
         payloads = imgs["payload"].to_pylist()
         captions = imgs["caption"].to_pylist()
         # md5 first (cheap) → issue the seen-set RPC asynchronously → the
         # decode/phash loop below OVERLAPS the shard round-trip, hiding the
         # membership latency entirely behind per-batch compute
         all_ids = [md5_hex(d) for d in payloads]
-        pending = (
-            self.seen.check_and_insert_async(["img:" + i for i in all_ids])
-            if hasattr(self.seen, "check_and_insert_async")
-            else None
-        )
-        ids, ws, hs, fmts, hashes, keep = [], [], [], [], [], []
+        pending = self.seen.check_and_insert_async(["img:" + i for i in all_ids])
+        ws, hs, fmts, hashes, keep = [], [], [], [], []
         bad: list[int] = []
         for i, data in enumerate(payloads):
             fmt = sniff_fmt(data)
@@ -361,77 +295,36 @@ class CrawlProcessStage:
                 bad.append(i)
                 continue
             keep.append(i)
-            ids.append(all_ids[i])
             ws.append(px.shape[1])
             hs.append(px.shape[0])
             fmts.append(fmt)
             hashes.append(phash64(px))
         if bad:
-            rows = imgs.select(
-                ["url", "host", "kind", "depth", "priority", "seed_id"]
-            ).take(pa.array(bad, pa.int64())).to_pylist()
-            for r in rows:
-                out.append(_row(r, row_type="error", status=422, attempt=0))
-        if not ids:
-            if pending is not None:
-                type(self.seen).gather(pending)
-            return
-        if pending is not None:
-            dup_all = type(self.seen).gather(pending)
-            dup = dup_all[np.asarray(keep, dtype=np.int64)]
-        else:
-            dup = self.seen.check_and_insert(["img:" + i for i in ids])
-        new_idx = [j for j, d in enumerate(dup) if not d]
-        if not new_idx:
-            return
+            rows = imgs.select(["url", "host", "kind", "seed_id"]).take(
+                pa.array(bad, pa.int64())).to_pylist()
+            errors += [dict(r, status=422, attempt=0) for r in rows]
+        dup = type(self.seen).gather(pending)[np.asarray(keep, dtype=np.int64)]
+        new = [j for j, d in enumerate(dup) if not d]
+        if not new:
+            return []
+        ids = [all_ids[keep[j]] for j in new]
         table = pa.table(
             {
-                "image_id": pa.array([ids[j] for j in new_idx], pa.string()),
-                "bytes": pa.array([payloads[keep[j]] for j in new_idx], pa.binary()),
-                "w": pa.array([ws[j] for j in new_idx], pa.int32()),
-                "h": pa.array([hs[j] for j in new_idx], pa.int32()),
-                "fmt": pa.array([fmts[j] for j in new_idx], pa.string()),
-                "caption": pa.array([captions[keep[j]] for j in new_idx], pa.string()),
-                "phash": pa.array([hashes[j] for j in new_idx], pa.int64()),
+                "image_id": pa.array(ids, pa.string()),
+                "bytes": pa.array([payloads[keep[j]] for j in new], pa.binary()),
+                "w": pa.array([ws[j] for j in new], pa.int32()),
+                "h": pa.array([hs[j] for j in new], pa.int32()),
+                "fmt": pa.array([fmts[j] for j in new], pa.string()),
+                "caption": pa.array([captions[keep[j]] for j in new], pa.string()),
+                "phash": pa.array([hashes[j] for j in new], pa.int64()),
             }
         )
-        if self.images_dir:
-            import hashlib as _hl
-
-            from crawler_ray.sources.io import write_part
-
-            digest = _hl.md5("".join(ids[j] for j in new_idx).encode()).hexdigest()[:16]
-            write_part(table, self.images_dir, digest)
-            # one summary row per batch instead of 10^3 marker rows
-            out.append(
-                _row(
-                    {"url": "", "host": "", "kind": "image",
-                     "depth": 0, "priority": 0.0, "seed_id": ""},
-                    row_type="image_stat",
-                    status=len(new_idx),
-                )
-            )
-        else:
-            urls = imgs["url"].to_pylist()
-            for j in new_idx:
-                out.append(
-                    _row(
-                        {"url": urls[keep[j]], "host": "", "kind": "image",
-                         "depth": 0, "priority": 0.0, "seed_id": "",
-                         "caption": captions[keep[j]]},
-                        row_type="image",
-                        image_id=ids[j],
-                        w=int(ws[j]),
-                        h=int(hs[j]),
-                        fmt=fmts[j],
-                        phash=int(hashes[j]),
-                    )
-                )
+        digest = hashlib.md5("".join(ids).encode()).hexdigest()[:16]
+        io.write_part(table, self.sinks["images"], digest)
+        return [("image_stat", "", "image", len(new))]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out: list[dict] = []
-        succ_rows: list[dict] = []
-        brand_rows: list[dict] = []
+        rows: dict[str, list[dict]] = {row_type: [] for row_type in _SINKS}
         fetched = self.fetch(batch)
 
         # redirect chains become FRONTIER DATA (HttpResponse.cs:39-66
@@ -450,23 +343,21 @@ class CrawlProcessStage:
                 for r in redirs.to_pylist():
                     target = r["redirect_url"]
                     if not target:
-                        out.append(_row(r, row_type="error", status=r["status"],
-                                        attempt=r["attempt"]))
+                        rows["error"].append(r)
                         continue
                     target = normalize_url(target)
-                    succ_rows.append(_row(
+                    rows["succ"].append(
                         {"url": target, "host": url_host(target),
                          "kind": r["kind"], "depth": r["depth"] + 1,
                          "priority": r["priority"], "seed_id": r["seed_id"],
-                         "caption": r.get("caption", "")},
-                        row_type="succ",
-                    ))
+                         "caption": r.get("caption", "")}
+                    )
             fetched = fetched.filter(pa.compute.invert(is_redir)).drop_columns(
                 ["redirect_url"]
             )
 
         # vectorized image path (typically the bulk of a breadth round)
-        self._process_images(fetched, out)
+        stats = self._process_images(fetched, rows["error"])
 
         # page + error rows: row-at-a-time is fine (control-plane volumes)
         rest = fetched.filter(
@@ -477,9 +368,7 @@ class CrawlProcessStage:
         )
         for r in rest.to_pylist():
             if r["status"] != 200:
-                out.append(
-                    _row(r, row_type="error", status=r["status"], attempt=r["attempt"])
-                )
+                rows["error"].append(r)
                 continue
             if r["kind"] == "image":
                 continue  # handled above (only non-200 images reach here)
@@ -487,10 +376,9 @@ class CrawlProcessStage:
             # refresh loop's conditional-GET sweep revalidates against
             # (validators are captured by HttpFetchStage; the synthetic
             # fetcher has none and the columns default to "")
-            out.append(_row(
-                r, row_type="page", status=200,
-                etag=r.get("etag", "") or "",
-                last_modified=r.get("last_modified", "") or "",
+            rows["page"].append(dict(
+                r, etag=r.get("etag") or "",
+                last_modified=r.get("last_modified") or "",
             ))
             # page: parse (M1 envelope + per-kind parser)
             try:
@@ -502,122 +390,61 @@ class CrawlProcessStage:
             except (ValueError, UnicodeDecodeError):
                 doc, ok = None, False
             if not ok:
-                out.append(_row(r, row_type="error", status=422))
+                rows["error"].append(dict(r, status=422, attempt=1))
                 continue
             parser = _PARSERS.get(r["kind"])
-            if not parser:
-                continue
-            for p in parser(doc, r):
-                if p["row_type"] == "succ":
-                    succ_rows.append(_row(p, row_type="succ"))
-                elif p["row_type"] == "error":
-                    out.append(_row(p, row_type="error", status=422))
-                elif p["row_type"] == "brand":
-                    brand_rows.append(_row(p, row_type="brand", record=p["record"]))
-                else:
-                    out.append(_row(p, row_type=p["row_type"], record=p["record"]))
+            if parser:
+                for p in parser(doc, r):
+                    rows[p["row_type"]].append(p)
 
         # successors: robots filter THEN seen anti-join — a blocked URL is
         # never visited, so it stays unmarked (a later robots change could
         # admit it)
-        if succ_rows:
-            allowed = self.robots.allowed([r["url"] for r in succ_rows])
-            succ_rows = [r for r, a in zip(succ_rows, allowed) if a]
-        if succ_rows:
-            seen_mask = self.seen.check_and_insert([r["url"] for r in succ_rows])
-            out.extend(r for r, s in zip(succ_rows, seen_mask) if not s)
+        succ = rows["succ"]
+        if succ:
+            allowed = self.robots.allowed([r["url"] for r in succ])
+            succ = [r for r, a in zip(succ, allowed) if a]
+        if succ:
+            seen_mask = self.seen.check_and_insert([r["url"] for r in succ])
+            succ = [r for r, s in zip(succ, seen_mask) if not s]
+        rows["succ"] = succ
 
         # brand first-wins upsert (J1, ShiweijiaProduct.cs:228-240): the
         # seen set IS the lookup-or-insert — one brand row ever, globally,
         # and row content is discovery-independent so the winner is
         # byte-irrelevant
-        if brand_rows:
+        brands = rows["brand"]
+        if brands:
             dupb = self.seen.check_and_insert(
-                ["brand:" + r["host"] + ":" + r["caption"] for r in brand_rows]
+                ["brand:" + r["host"] + ":" + r["caption"] for r in brands]
             )
-            out.extend(r for r, dup in zip(brand_rows, dupb) if not dup)
+            rows["brand"] = [r for r, dup in zip(brands, dupb) if not dup]
 
-        result = pa.Table.from_pylist(out, schema=ROUND_SCHEMA)
-        if self.sink_dirs:
-            result = self._drain_sinks(result)
-        return result
-
-    _SINK_SPECS = (
-        ("category", "categories", ["url", "host", "kind", "seed_id", "record"]),
-        ("product", "products", ["url", "host", "kind", "seed_id", "record"]),
-        ("brand", "brands", ["host", "kind", "record"]),
-        ("error", "errors", ["url", "host", "kind", "seed_id", "status", "attempt"]),
-        ("page", "pages",
-         ["url", "host", "kind", "seed_id", "status", "etag", "last_modified"]),
-        ("succ", "frontier",
-         ["url", "host", "kind", "depth", "priority", "seed_id", "caption"]),
-    )
-
-    def _sink_write(self, table: pa.Table, sink: str, tag: str) -> None:
-        from crawler_ray.sources.io import write_keyed_part
-
-        if sink == "frontier":
-            self.frontier_rows.append(table)
-        else:
-            write_keyed_part(table, self.sink_dirs[sink], tag)
+        for row_type, (sink, schema) in _SINKS.items():
+            class_rows = rows[row_type]
+            if not class_rows:
+                continue
+            table = pa.Table.from_pylist(class_rows, schema=schema)
+            if sink == "frontier":
+                self.frontier_rows.append(table)
+            else:
+                io.write_keyed_part(table, self.sinks[sink], row_type)
+            if row_type == "error":
+                # per-(host, kind) counts, like sel_stat, so the round's
+                # host_metrics report real per-host error counts
+                n = Counter((r["host"], r["kind"]) for r in class_rows)
+                stats += [("error_stat", h, k, c) for (h, k), c in n.items()]
+            else:
+                stats.append((f"{row_type}_stat", "", row_type, len(class_rows)))
+        return _stat_table(stats)
 
     def flush_frontier(self) -> None:
         """Write the frontier rows held since the last flush as one part per
         host bucket they touch. Called once per task-level call, so a
         round's frontier has at most (calls × buckets) parts however many
         chunks each call processed."""
-        from crawler_ray.sources.io import write_keyed_part
-
         if self.frontier_rows:
             rows = pa.concat_tables(self.frontier_rows)
             self.frontier_rows = []
-            write_keyed_part(rows, self.sink_dirs["frontier"], "frontier",
-                             self.buckets)
-
-    def _drain_sinks(self, result: pa.Table) -> pa.Table:
-        """Write entity/error/successor rows to their per-round sinks and
-        replace them with one ``<type>_stat`` summary row each (status =
-        rows written)."""
-        stats: list[dict] = []
-        drained = []
-        for row_type, sink, columns in self._SINK_SPECS:
-            if self.sink_dirs.get(sink) is None:
-                continue
-            rows = result.filter(pa.compute.equal(result["row_type"], row_type))
-            if rows.num_rows:
-                self._sink_write(rows.select(columns), sink, row_type)
-                if row_type == "error":
-                    # per-(host, kind) stat rows, like sel_stat, so the
-                    # round's host_metrics can report real per-host error
-                    # counts (a single aggregate row would force errors=0
-                    # in the per-host table)
-                    grouped = (
-                        rows.select(["host", "kind"])
-                        .group_by(["host", "kind"])
-                        .aggregate([([], "count_all")])
-                    )
-                    for g in grouped.to_pylist():
-                        stats.append(
-                            _row({"url": "", "host": g["host"],
-                                  "kind": g["kind"], "depth": 0,
-                                  "priority": 0.0, "seed_id": ""},
-                                 row_type="error_stat",
-                                 status=g["count_all"])
-                        )
-                else:
-                    stats.append(
-                        _row({"url": "", "host": "", "kind": row_type,
-                              "depth": 0, "priority": 0.0, "seed_id": ""},
-                             row_type=f"{row_type}_stat", status=rows.num_rows)
-                    )
-            drained.append(row_type)
-        if drained:
-            keep = pa.compute.invert(
-                pa.compute.is_in(result["row_type"], value_set=pa.array(drained))
-            )
-            result = result.filter(keep)
-        if stats:
-            result = pa.concat_tables(
-                [result, pa.Table.from_pylist(stats, schema=ROUND_SCHEMA)]
-            )
-        return result
+            io.write_keyed_part(rows, self.sinks["frontier"], "frontier",
+                                self.buckets)

@@ -16,8 +16,7 @@ tests verify), but two DISTINCT URLs whose md5s collide in the first 8
 bytes alias — the second is treated as seen and never crawled. Expected
 collisions ≈ n²/2⁶⁵: ~0 at test scale, ~2.7 at the 10^10-URL design point —
 a bounded, quantified completeness loss, not a correctness loss (widen the
-fold to 128 bits if even that is unacceptable). Set ``exact=False`` to drop
-the exact set at extreme scale and accept the ~2^-13 cuckoo FP rate.
+fold to 128 bits if even that is unacceptable).
 
 Shards snapshot/restore for per-round checkpointing.
 """
@@ -33,11 +32,11 @@ from crawler_ray.state.filters import BloomFilter, CuckooFilter, keys_to_u64
 class _SeenShardImpl:
     """Plain-python core (unit-testable without Ray)."""
 
-    def __init__(self, capacity: int = 1 << 16, exact: bool = True, seed: int = 7):
+    def __init__(self, capacity: int = 1 << 16, seed: int = 7):
         self.cuckoo = CuckooFilter(capacity, seed=seed)
         self.bloom_overflow: BloomFilter | None = None
         self.capacity = capacity
-        self.exact: set[int] | None = set() if exact else None
+        self.exact: set[int] = set()
         self.seed = seed
         self.ops = 0  # total keys processed (the frontier-ops metric)
 
@@ -50,7 +49,7 @@ class _SeenShardImpl:
         seen = self.cuckoo.contains(h)
         if self.bloom_overflow is not None:
             seen |= self.bloom_overflow.contains(h)
-        if self.exact is not None and seen.any():
+        if seen.any():
             # verify approximate hits exactly (no false "seen" drops)
             idx = np.nonzero(seen)[0]
             for j in idx:
@@ -70,26 +69,11 @@ class _SeenShardImpl:
                 if self.bloom_overflow is None:
                     self.bloom_overflow = BloomFilter(self.capacity)
                 self.bloom_overflow.add(ins[~ok])
-            if self.exact is not None:
-                self.exact.update(int(x) for x in ins)
-        return seen
-
-    def contains(self, h: np.ndarray) -> np.ndarray:
-        h = np.asarray(h, dtype=np.uint64)
-        seen = self.cuckoo.contains(h)
-        if self.bloom_overflow is not None:
-            seen |= self.bloom_overflow.contains(h)
-        if self.exact is not None and seen.any():
-            idx = np.nonzero(seen)[0]
-            for j in idx:
-                if int(h[j]) not in self.exact:
-                    seen[j] = False
+            self.exact.update(int(x) for x in ins)
         return seen
 
     def size(self) -> int:
-        if self.exact is not None:
-            return len(self.exact)
-        return self.cuckoo.count
+        return len(self.exact)
 
     def total_ops(self) -> int:
         return self.ops
@@ -101,11 +85,8 @@ class _SeenShardImpl:
             "ops": self.ops,
             "cuckoo": self.cuckoo.state(),
             "bloom": self.bloom_overflow.state() if self.bloom_overflow else None,
-            "exact": (
-                np.fromiter(self.exact, dtype=np.uint64, count=len(self.exact))
-                if self.exact is not None
-                else None
-            ),
+            "exact": np.fromiter(self.exact, dtype=np.uint64,
+                                 count=len(self.exact)),
         }
 
     @classmethod
@@ -118,18 +99,14 @@ class _SeenShardImpl:
         obj.bloom_overflow = (
             BloomFilter.from_state(st["bloom"]) if st["bloom"] is not None else None
         )
-        obj.exact = (
-            set(int(x) for x in st["exact"]) if st["exact"] is not None else None
-        )
+        obj.exact = set(int(x) for x in st["exact"])
         return obj
 
     def reset(self) -> "_SeenShardImpl":
         """Fresh shard with the same parameters — the round-0 rollback
         target when a round fails before any checkpoint exists (cheaper and
         exact vs snapshotting the empty initial state)."""
-        return _SeenShardImpl(
-            self.capacity, self.exact is not None, self.seed
-        )
+        return _SeenShardImpl(self.capacity, self.seed)
 
 
 @ray.remote(num_cpus=0.25)
@@ -137,14 +114,11 @@ class SeenShard:
     """Actor wrapper: one shard of the seen-set pool. ``num_cpus=0.25`` so a
     32-shard pool doesn't reserve the whole node away from fetch/parse."""
 
-    def __init__(self, capacity: int, exact: bool, seed: int):
-        self.impl = _SeenShardImpl(capacity, exact, seed)
+    def __init__(self, capacity: int, seed: int):
+        self.impl = _SeenShardImpl(capacity, seed)
 
     def check_and_insert(self, h: np.ndarray) -> np.ndarray:
         return self.impl.check_and_insert(h)
-
-    def contains(self, h: np.ndarray) -> np.ndarray:
-        return self.impl.contains(h)
 
     def size(self) -> int:
         return self.impl.size()
@@ -169,7 +143,7 @@ class SeenSet:
     def __init__(self, shards: list, num_shards: int, init_args: tuple | None = None):
         self.shards = shards
         self.num_shards = num_shards
-        # (capacity_per_shard, exact, seed) — kept so heal() can respawn a
+        # (capacity_per_shard, seed) — kept so heal() can respawn a
         # DEAD shard actor with its original parameters (incl. per-shard
         # seed, which the cuckoo hashing depends on)
         self.init_args = init_args
@@ -179,14 +153,13 @@ class SeenSet:
         cls,
         num_shards: int = 8,
         capacity_per_shard: int = 1 << 16,
-        exact: bool = True,
         seed: int = 7,
     ) -> "SeenSet":
         shards = [
-            SeenShard.remote(capacity_per_shard, exact, seed + i)
+            SeenShard.remote(capacity_per_shard, seed + i)
             for i in range(num_shards)
         ]
-        return cls(shards, num_shards, (capacity_per_shard, exact, seed))
+        return cls(shards, num_shards, (capacity_per_shard, seed))
 
     def heal(self) -> int:
         """Respawn every DEAD shard actor (node loss / OOM kill) with its
@@ -198,13 +171,13 @@ class SeenSet:
         observed-and-survived the dead shard's partial state."""
         if self.init_args is None:
             raise RuntimeError("SeenSet built without init_args cannot heal")
-        capacity, exact, seed = self.init_args
+        capacity, seed = self.init_args
         respawned = 0
         for i, s in enumerate(self.shards):
             try:
                 ray.get(s.size.remote())
             except ray.exceptions.RayActorError:
-                self.shards[i] = SeenShard.remote(capacity, exact, seed + i)
+                self.shards[i] = SeenShard.remote(capacity, seed + i)
                 respawned += 1
         return respawned
 
@@ -236,18 +209,6 @@ class SeenSet:
         """Batch check-and-insert across shards; one RPC per touched shard.
         Returns the ``seen`` mask aligned with ``keys``."""
         return self.gather(self.check_and_insert_async(keys))
-
-    def contains(self, keys) -> np.ndarray:
-        h, shard_of = self._route(keys)
-        out = np.zeros(len(h), dtype=bool)
-        futs, idxs = [], []
-        for s in np.unique(shard_of):
-            idx = np.nonzero(shard_of == s)[0]
-            futs.append(self.shards[int(s)].contains.remote(h[idx]))
-            idxs.append(idx)
-        for idx, res in zip(idxs, ray.get(futs)):
-            out[idx] = res
-        return out
 
     def size(self) -> int:
         return sum(ray.get([s.size.remote() for s in self.shards]))

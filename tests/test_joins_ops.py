@@ -260,8 +260,7 @@ def test_bloom_semi_join_matches_naive(ray_session):
     assert got.equals(naive)
 
 
-@pytest.mark.parametrize("how", ["inner", "left"])
-def test_partitioned_hash_join_matches_pandas(ray_session, how):
+def test_partitioned_hash_join_matches_pandas(ray_session):
     """The merge fold over a 16-way exchange equals a pandas merge, with
     one hot key holding three quarters of the left rows and a right key
     no left row matches."""
@@ -275,9 +274,9 @@ def test_partitioned_hash_join_matches_pandas(ray_session, how):
     right = pd.DataFrame({"k": rk, "rv": rk * 10})
     got = joins.partitioned_hash_join(
         rd.from_pandas(left).repartition(8), rd.from_pandas(right).repartition(4),
-        "k", 16, how=how,
+        "k", 16,
     ).to_pandas()
-    exp = left.merge(right, on="k", how=how)
+    exp = left.merge(right, on="k")
 
     def norm(df):
         return df.sort_values(["k", "lv"], kind="mergesort").reset_index(

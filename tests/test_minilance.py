@@ -13,6 +13,7 @@ surface. The end-to-end crawl over minilance sinks is covered by
 import glob
 import json
 import os
+import time
 
 import pyarrow as pa
 import pytest
@@ -161,18 +162,30 @@ def test_cleanup_old_versions_reclaims_unreferenced_files(tmp_path):
     minilance.write_dataset(_t(10), uri)
     minilance.write_dataset(_t(5, off=10), uri, mode="overwrite")
     minilance.write_dataset(_t(3, off=20), uri, mode="append")
-    # plus an orphan from a crashed write — GC must reclaim it too
+    # plus an orphan from a crashed write, older than the grace window —
+    # GC must reclaim it too
+    ddir = os.path.join(uri, "data")
+    before = set(os.listdir(ddir))
     minilance.write_fragment(_t(7, off=50), uri)
+    (crashed,) = set(os.listdir(ddir)) - before
+    old = time.time() - minilance.ORPHAN_GRACE_S - 60
+    os.utime(os.path.join(ddir, crashed), (old, old))
+    # and a fresh orphan: an in-flight write's fragment, not yet committed
+    minilance.write_fragment(_t(4, off=70), uri)
+    (in_flight,) = set(os.listdir(ddir)) - before - {crashed}
     assert minilance.dataset(uri).versions() == [1, 2, 3]
-    n_files = len(os.listdir(os.path.join(uri, "data")))
-    assert n_files == 4
+    n_files = len(os.listdir(ddir))
+    assert n_files == 5
 
     res = minilance.cleanup_old_versions(uri, keep_versions=1)
-    # dropped: v1+v2 manifests; reclaimed: v1's fragment + the orphan
-    # (v2's fragments survive — v3 still references them via append)
+    # dropped: v1+v2 manifests; reclaimed: v1's fragment + the old orphan
+    # (v2's fragments survive — v3 still references them via append — and
+    # so does the fresh orphan)
     assert res["versions_removed"] == 2
     assert res["files_removed"] == 2
     assert res["bytes_reclaimed"] > 0
+    assert crashed not in os.listdir(ddir)
+    assert in_flight in os.listdir(ddir)
     ds = minilance.dataset(uri)
     assert ds.versions() == [3]
     assert ds.count_rows() == 8

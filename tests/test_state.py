@@ -61,9 +61,13 @@ def test_seen_shard_semantics():
 
 
 def test_seen_shard_overflow_falls_back_to_bloom():
-    s = _SeenShardImpl(capacity=64, exact=False)
+    s = _SeenShardImpl(capacity=64)
     h = _keys(500)  # way over cuckoo capacity → bloom overflow engages
-    s.check_and_insert(h)
+    assert not s.check_and_insert(h).any()
+    assert s.bloom_overflow is not None
+    # an overflowed key is in no cuckoo bucket: only the bloom lookup
+    # reports it, so it reads as seen again, not as new
+    assert not s.cuckoo.contains(h).all()
     assert s.check_and_insert(h).all()  # still no false negatives
 
 
