@@ -109,27 +109,11 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_compact(args) -> int:
-    """Compact a crawl sink's part tree into one serving table (the single
-    north-rule Lance table, as a minilance dataset)."""
-    import os
-
-    _init_ray(args.cpus)
-    from crawler_ray.sources.io import compact_parts
-
-    root = os.path.join(args.out, args.table) if args.table == "images" else (
-        os.path.join(args.out, "tables", args.table)
-    )
-    n = compact_parts(root, args.dest)
-    print(json.dumps({"table": args.table, "rows": n, "dest": args.dest}))
-    return 0
-
-
 def cmd_optimize(args) -> int:
-    """Lance-table maintenance on a ``.lance`` dataset: merge small
-    fragments into full-size ones (a new committed version — old versions
-    still time-travel) and optionally GC manifests/fragments beyond
-    ``--keep-versions``. Mirrors the real library's
+    """Lance-table maintenance on a dataset, in place — e.g. a crawl sink
+    (``--uri <out>/images``): merge small fragments into full-size ones (a
+    new committed version — old versions still time-travel) and optionally
+    GC manifests/fragments beyond ``--keep-versions``. Mirrors the real library's
     ``DatasetOptimizer.compact_files`` + ``cleanup_old_versions``; runs on
     the vendored store in this sandbox."""
     from crawler_ray.vendor import minilance
@@ -321,21 +305,12 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--out", required=True)
     r.set_defaults(fn=cmd_report)
 
-    k = sub.add_parser(
-        "compact", help="compact a crawl sink's parts into one serving table"
-    )
-    k.add_argument("--out", required=True, help="crawl out_dir")
-    k.add_argument("--table", default="images",
-                   choices=["images", "products", "categories", "brands"])
-    k.add_argument("--dest", required=True)
-    k.add_argument("--cpus", type=int, default=None)
-    k.set_defaults(fn=cmd_compact)
-
     z = sub.add_parser(
         "optimize",
         help="Lance-table maintenance: merge small fragments, GC old versions",
     )
-    z.add_argument("--uri", required=True, help=".lance dataset path")
+    z.add_argument("--uri", required=True,
+                   help="dataset path, e.g. a crawl sink <out>/images")
     z.add_argument("--target-rows", type=int, default=1 << 20,
                    help="target rows per fragment after compaction")
     z.add_argument("--keep-versions", type=int, default=0,

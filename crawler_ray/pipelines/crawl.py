@@ -4,12 +4,13 @@ reference's whole-crawl lifecycle (SURVEY.md §3).
 Each round is ONE distributed streaming execution; the frontier never
 exists on the driver, and no round runs an exchange:
 
-    frontier_k: the previous round's checkpoint dir, host-bucketed
-                (frontier/bucket=NNNN/part-*.lance, bucket = hash(host) % B).
-                Round 0: the seed list, first staged into buckets by a
-                map-only pass through the same writer — or, when the quota
-                is at least the seed count, read straight from seeds.parquet
-      → read_parts: one block per group of WHOLE bucket dirs (group count
+    frontier_k: the previous round's checkpoint dir, one minilance dataset
+                whose fragments are host-bucketed (each entry records its
+                bucket = hash(host) % B). Round 0: the seed list, first
+                staged into buckets by a map-only pass through the same
+                writer — or, when the quota is at least the seed count,
+                read straight from seeds.parquet
+      → read_parts: one block per group of WHOLE buckets (group count
         from the frontier size, capped at the non-empty buckets)
       → map_batches(make_round_fn, batch_size=None)  # fused, per group:
             round 0 only: seed admission (robots → seen anti-join)
@@ -18,20 +19,24 @@ exists on the driver, and no round runs an exchange:
             → selected rows, chunked: fetch (synthetic | real HTTP w/
               redirect→successor resolution) → image decode/hash/dedup →
               parse → robots → seen anti-join → brand first-wins upsert
-            → each row class written to its sink where it is produced:
-              images, categories, products, brands, errors, pages, and
-              successors + backlog (sources/io.write_part: one minilance
-              dataset per part, content-derived idempotent names; the
-              frontier host-bucketed once per call)
-      → output = (row_type, host, kind, status) stat rows only: per-(host,
-        kind) sel_stat / error_stat, backlog_stat, per-part <class>_stat
+            → each row class written where it is produced, as uncommitted
+              fragments of its sink (stages/process.SINKS): images,
+              tables/{categories,products,brands,pages}, errors, and
+              successors + backlog (the frontier, host-bucketed once per
+              call)
+      → output = stat rows only: one ``part`` row per fragment, carrying
+        its manifest entry, and per-(host, kind) sel_stat / error_stat
+        and backlog_stat counts
     driver: one small collect for metrics/lineage/loop control and the
-    per-host quota guard, then save_round (atomic rename of the staging
-    dir) → frontier_{k+1} path
+    per-host quota guard; one commit per sink of exactly the entries the
+    collect returned (round 0 overwrites each output sink, later rounds
+    append; the frontier is one ``create`` commit); then save_round
+    (atomic rename of the staging dir, ``_COMPLETE`` last) →
+    frontier_{k+1} path
 
 B is the round's task target (cluster CPUs × ``_BLOCKS_PER_CPU``), shared by
-every task of the round. Each bucket dir holds every row of its hosts, so a
-read group of whole bucket dirs is host-complete: the selection sees each
+every task of the round. Each bucket holds every row of its hosts, so a read
+group of whole buckets is host-complete: the selection sees each
 host's whole frontier in one call, as a host-hash exchange would give it.
 
 The reference's do/while page loop (``BaseSpider.cs:115-141``) becomes
@@ -44,15 +49,17 @@ so the final seen-set, images, and brands tables are bit-identical across
 runs AND parallelism levels (north-rule reproducibility; verified in tests,
 including mid-run SIGKILL + resume).
 
-Scale notes (10^10-URL design point): between rounds the frontier is
-host-bucketed minilance parts on shared storage (written/read by stage
-tasks, one group of buckets per task); within a round it is object-store
-blocks (spillable).
+Scale notes (10^10-URL design point): between rounds the frontier is a
+host-bucketed minilance dataset on shared storage (written/read by stage
+tasks, one group of buckets per task; the driver handles only its
+manifest); within a round it is object-store blocks (spillable).
 Driver state = paths, counters, actor handles (asserted in tests). The
 pages index inside each fetch worker is a sandbox stand-in for HTTP
 (``fetcher="http"`` holds real sessions instead). Seen-set = ``num_shards``
 cuckoo actors sized ~1.2e8 keys each (state/filters.py sizing note).
-Checkpoints bound re-work to one round.
+Checkpoints bound re-work to one round: a failed round, or one that
+committed its sinks but not its checkpoint, rolls every output sink back to
+the version the last complete round recorded and re-runs.
 """
 
 from __future__ import annotations
@@ -70,10 +77,12 @@ import ray
 import ray.data as rd
 
 from crawler_ray import schemas
-from crawler_ray.sources.io import read_parts
+from crawler_ray.sources.io import read_parts, read_parts_table, write_bucketed
+from crawler_ray.stages import process
 from crawler_ray.state.checkpoint import CheckpointManager
 from crawler_ray.state.politeness import PolitenessActor
-from crawler_ray.state.seen import SeenSet
+from crawler_ray.state.seen import SeenSet, SeenShard
+from crawler_ray.vendor import minilance
 
 # round input blocks per CPU: 1 is a single wave of uniform tasks (best for
 # the uniform breadth workload); 3 absorbs skewed, straggler-prone rounds.
@@ -167,24 +176,26 @@ def _seed_batch_to_frontier(t: pa.Table) -> pa.Table:
     return pa.Table.from_pandas(out, preserve_index=False).cast(schemas.FRONTIER)
 
 
-def _stage_seed_frontier(seeds_path: str, root: str, n_groups: int) -> None:
-    """Write the seed list as a host-bucketed frontier under ``root``: a
-    map-only pass (no exchange) through the writer the round stage uses
-    for successors and backlog, so round 0 reads the seeds as whole host
-    buckets, like every later round. Only round 0 reads it, as ``n_groups``
-    groups, so it is split into ``n_groups`` buckets: more would only add
-    parts (a seed list that fits one group is one part per read block).
-    Parts are content-named, so a re-run of the pass rewrites the same
-    parts."""
-    from crawler_ray.sources.io import write_keyed_part
+def _stage_seed_frontier(seeds_path: str, uri: str, n_groups: int) -> None:
+    """Write the seed list as a host-bucketed frontier dataset at ``uri``:
+    a map-only pass (no exchange) through the writer the round stage uses
+    for successors and backlog, then one ``create`` commit of the
+    fragments it wrote, so round 0 reads the seeds as whole host buckets,
+    like every later round. Only round 0 reads it, as ``n_groups`` groups,
+    so it is split into ``n_groups`` buckets: more would only add
+    fragments (a seed list that fits one group is one fragment per read
+    block)."""
 
     def stage(t: pa.Table) -> pa.Table:
-        write_keyed_part(_seed_batch_to_frontier(t), root, "seed", n_groups)
-        return pa.table({"rows": [t.num_rows]})
+        entries = write_bucketed(_seed_batch_to_frontier(t), uri, n_groups)
+        return pa.table({"entry": pa.array([json.dumps(e) for e in entries],
+                                           pa.string())})
 
-    rd.read_parquet(seeds_path, override_num_blocks=n_groups).map_batches(
-        stage, batch_format="pyarrow", batch_size=None
-    ).materialize()
+    staged = rd.read_parquet(seeds_path, override_num_blocks=n_groups
+                             ).map_batches(stage, batch_format="pyarrow",
+                                           batch_size=None).take_all()
+    minilance.commit(uri, schemas.FRONTIER,
+                     [json.loads(r["entry"]) for r in staged], mode="create")
 
 
 def _prewarm_worker(t: pa.Table) -> pa.Table:
@@ -199,6 +210,23 @@ def _prewarm_worker(t: pa.Table) -> pa.Table:
 
 class CrawlDriver:
     def __init__(self, cfg: CrawlConfig):
+        # every seen and politeness shard holds its CPU reservation for the
+        # whole crawl: with less than one CPU left no round task schedules,
+        # and round 0 would wait forever
+        if not ray.is_initialized():
+            ray.init()  # what the first actor creation would do
+        cpus = ray.cluster_resources().get("CPU", 0)
+        reserved = (
+            cfg.num_seen_shards * SeenShard._default_options["num_cpus"]
+            + cfg.num_politeness_shards
+            * PolitenessActor._default_options["num_cpus"]
+        )
+        if cpus - reserved < 1:
+            raise ValueError(
+                f"{cfg.num_seen_shards} seen and {cfg.num_politeness_shards} "
+                f"politeness shards reserve {reserved:g} of the cluster's "
+                f"{cpus:g} CPUs, leaving less than 1 CPU for round tasks"
+            )
         self.cfg = cfg
         self.ckpt = CheckpointManager(cfg.out_dir)
         robots_path = os.path.join(cfg.fixture_dir, "robots.json")
@@ -278,22 +306,26 @@ class CrawlDriver:
         cfg = self.cfg
         start_round = 0
         seeds_path = os.path.join(cfg.fixture_dir, "seeds.parquet")
+        # the output sinks: one minilance dataset each, under out_dir
+        outputs = {name: os.path.join(cfg.out_dir, name)
+                   for name in process.SINKS if name != "frontier"}
         # the frontier NEVER lives on the driver: between rounds it is the
-        # checkpoint's per-round part dir (``frontier_source``); the
-        # driver holds only this path plus row counters (round-1 VERDICT #5)
+        # checkpoint's per-round dataset (``frontier_source``); the driver
+        # holds only this path plus row counters (round-1 VERDICT #5)
         frontier_source: str | None = None  # None → seed round pending
         frontier_rows: int | None = None  # None → unknown (seed round)
 
         def _rollback_to_latest() -> int:
-            """Roll driver + actor state back to the last COMPLETE checkpoint
-            (or the pristine pre-crawl state when none exists) and return the
-            next round to run. Shared by resume=True and the round-retry
-            path: a failed/killed round leaves partial sink parts and partial
-            seen-set mutations, and because part names are content-derived
-            (batch-composition digests differ across widths) a re-run would
-            otherwise leave the old parts alongside new ones — so later
-            output is pruned and the seen shards are restored/reset before
-            the round re-runs whole."""
+            """Roll driver, actor and sink state back to the last COMPLETE
+            checkpoint (or the pristine pre-crawl state when none exists)
+            and return the next round to run. Shared by resume=True and the
+            round-retry path: a failed round leaves uncommitted fragments
+            (orphans no reader sees) and partial seen-set mutations, and
+            one that failed after its sink commits leaves committed sink
+            versions too — so each output sink is re-committed at the
+            version the checkpoint's lineage records (no file is deleted),
+            later checkpoint dirs are pruned and the seen shards are
+            restored/reset before the round re-runs whole."""
             nonlocal frontier_source, frontier_rows
             # respawn any DEAD state actor first: restore()/reset() on a
             # dead handle would re-raise and make the rollback itself fail
@@ -305,13 +337,14 @@ class CrawlDriver:
                 )
                 self.seen.restore(snaps)
                 self.ckpt.prune_rounds_after(latest)
-                lin = self.lineage.get(f"round_{latest:04d}", {})
-                frontier_rows = int(lin.get("successors", 0)) + int(
-                    lin.get("backlog", 0)
-                )
+                lin = self.lineage[f"round_{latest:04d}"]
+                for name, version in lin["versions"].items():
+                    if minilance.dataset(outputs[name]).version != version:
+                        minilance.dataset(outputs[name], version=version).restore()
+                frontier_rows = int(lin["successors"]) + int(lin["backlog"])
                 return latest + 1
-            # no complete checkpoint: prune any partial round-0 output and
-            # reset to the pristine pre-crawl state
+            # no complete checkpoint: round 0 overwrites every output sink,
+            # so only the checkpoint dirs and the seen-set need resetting
             self.ckpt.prune_rounds_after(-1)
             self.seen.reset()
             self.metrics, self.lineage = {}, {}
@@ -350,9 +383,7 @@ class CrawlDriver:
         else:
             pages_ref = None
 
-        from crawler_ray.stages.process import make_round_fn
-
-        # stable per-crawl stage args (shipped ONCE; per-round sink dirs are
+        # stable per-crawl stage args (shipped ONCE; per-round sinks are
         # set on the worker-cached stage per call, so workers build the
         # stage once for the whole crawl, not once per round)
         def _make_base_args_ref():
@@ -386,53 +417,36 @@ class CrawlDriver:
                 self._actors_respawned = False
             width = int(ray.cluster_resources().get("CPU", cfg.fetch_concurrency))
             # the round's task target; also the number of host buckets its
-            # tasks split the next frontier into (io.write_keyed_part)
+            # tasks split the next frontier into (io.write_bucketed)
             target = width * _BLOCKS_PER_CPU
 
             # every output class sinks IN-STAGE (images, entities, errors,
             # successors+backlog): the round is ONE streaming execution whose
-            # visible output is a handful of summary-stat rows — no branch
-            # re-scans, no driver-side frontier/entity data, and the
-            # frontier parts land directly in the checkpoint staging dir
-            sinks = {
-                "images": self.ckpt.images_dir(rnd),
-                "categories": os.path.join(
-                    cfg.out_dir, "tables", "categories", f"round_{rnd:04d}"
-                ),
-                "products": os.path.join(
-                    cfg.out_dir, "tables", "products", f"round_{rnd:04d}"
-                ),
-                "brands": os.path.join(
-                    cfg.out_dir, "tables", "brands", f"round_{rnd:04d}"
-                ),
-                "errors": os.path.join(cfg.out_dir, "errors", f"round_{rnd:04d}"),
-                "pages": os.path.join(
-                    cfg.out_dir, "tables", "pages", f"round_{rnd:04d}"
-                ),
-                "frontier": self.ckpt.begin_round(rnd),
-            }
+            # visible output is a handful of stat rows — no branch re-scans,
+            # no driver-side frontier/entity data, and the frontier
+            # fragments land directly in the checkpoint staging dir
+            sinks = {**outputs, "frontier": self.ckpt.begin_round(rnd)}
             seeds_dir = None  # round 0's bucketed seed list
             # every round is one round_fn call per host-complete group of
             # its frontier, with NO exchange: the frontier is stored
-            # host-bucketed (frontier/bucket=NNNN/), and the read hands each
-            # task the rows of whole bucket dirs as one block — fused
-            # per-host SELECT (quota) + PROCESS, with backlog rows written
-            # back to the next frontier. The driver never touches a
-            # frontier row. The group count tracks the KNOWN frontier size
-            # (a driver counter; round 0's from the seed file's footer): a
-            # small frontier is one group (tail rounds of a BFS crawl are
-            # mostly this case), a big one fans out to the full task
-            # target; the read caps it at the non-empty buckets
+            # host-bucketed, and the read hands each task the rows of whole
+            # buckets as one block — fused per-host SELECT (quota) +
+            # PROCESS, with backlog rows written back to the next frontier.
+            # The driver never touches a frontier row. The group count
+            # tracks the KNOWN frontier size (a driver counter; round 0's
+            # from the seed file's footer): a small frontier is one group
+            # (tail rounds of a BFS crawl are mostly this case), a big one
+            # fans out to the full task target; the read caps it at the
+            # non-empty buckets
             est_rows = seed_rows if frontier_rows is None else frontier_rows
             n_groups = 1 if est_rows <= max(512, cfg.batch_size * 2) else (
                 max(2, min(target, -(-est_rows // max(64, cfg.batch_size))))
             )
-            round_fn = make_round_fn(
+            round_fn = process.make_round_fn(
                 base_args_ref,
                 cfg.quota_per_host,
                 cfg.batch_size,
-                # seed admission (robots + seen) inside the round fn
-                frontier_source is None,
+                rnd,  # round 0 admits seeds (robots + seen) in the round fn
                 sinks,
                 buckets=target,
                 fail_once_marker=cfg.fail_once_marker,
@@ -472,23 +486,26 @@ class CrawlDriver:
             # max_retries so Ray fuses it with round_fn: an unfused read
             # would slice a group above target_max_block_size into several
             # blocks, and each piece would get the full quota (the quota
-            # guard below fails such a round). Side-effecting stage: the
-            # round, not the task, is the retry unit (see
-            # CrawlConfig.round_retries)
+            # guard fails such a round). Side-effecting stage: the round,
+            # not the task, is the retry unit (see CrawlConfig.round_retries)
             processed = src.map_batches(
                 round_fn, batch_format="pyarrow", batch_size=None,
                 max_retries=0,
             )
 
-            # the round output is ONLY stat rows (row_type, host, kind,
-            # status): every data class sank in-stage, so a single small
-            # collect drives the execution.
+            # the round output is ONLY stat rows: every data class sank
+            # in-stage, so a single small collect drives the execution.
             # Stage tasks run with max_retries=0 (a retried task would see
             # its own first attempt's seen-set inserts and silently drop
-            # those URLs), so any task failure surfaces HERE and the whole
-            # round rolls back to the last complete checkpoint and re-runs.
+            # those URLs), so any task failure surfaces HERE, and any
+            # failure up to the checkpoint rolls the whole round back to
+            # the last complete checkpoint and re-runs it.
             try:
                 stats = processed.to_pandas()
+                if seeds_dir is not None:
+                    shutil.rmtree(seeds_dir)  # round 0 has read it
+                frontier_rows = self._close_round(rnd, stats, sinks,
+                                                  frontier_rows, totals)
             except Exception:
                 if round_retries_left <= 0:
                     raise
@@ -496,82 +513,10 @@ class CrawlDriver:
                 rnd = _rollback_to_latest()  # heals dead state actors first
                 totals = _totals_from_metrics()
                 continue
-            s = stats.groupby("row_type")["status"].sum()
-            n_imgs = int(s.get("image_stat", 0))
-            n_dead = int(s.get("error_stat", 0))
-            n_succ = int(s.get("succ_stat", 0))
-            n_backlog = int(s.get("backlog_stat", 0))
-            in_frontier = frontier_rows
-            frontier_rows = n_succ + n_backlog
-            if seeds_dir is not None:
-                shutil.rmtree(seeds_dir)  # round 0 has read it
-
-            # --- metrics: pages by (host, kind) from the in-stage sel_stat
-            # summary rows (one per (host, kind) per call). The per-host
-            # rows go to the round's CHECKPOINT dir, not the driver dict —
-            # at millions of hosts a dict accumulating hosts × rounds rows
-            # is driver state the de-drivered frontier otherwise avoids
-            # (round-2 VERDICT #5); the driver keeps scalar per-round totals
-            # only.
-            mdf = (
-                stats[stats["row_type"] == "sel_stat"]
-                .groupby(["host", "kind"], sort=True)["status"]
-                .sum()
-                .reset_index()
-                .rename(columns={"status": "pages"})
-            )
-            edf = (
-                stats[stats["row_type"] == "error_stat"]
-                .groupby(["host", "kind"], sort=True)["status"]
-                .sum()
-                .reset_index()
-                .rename(columns={"status": "errors"})
-            )
-            mdf = mdf.merge(edf, on=["host", "kind"], how="outer", sort=True)
-            mdf["pages"] = mdf["pages"].fillna(0).astype("int64")
-            mdf["errors"] = mdf["errors"].fillna(0).astype("int64")
-            # quota guard: a host group split over two round_fn calls gets
-            # the quota once per piece, and it over-selects exactly when
-            # the pieces' sum exceeds the quota — so this check is complete
-            per_host = mdf.groupby("host", sort=True)["pages"].sum()
-            over = per_host[per_host > cfg.quota_per_host]
-            if len(over):
-                raise RuntimeError(
-                    f"round {rnd}: host {over.index[0]!r} selected "
-                    f"{int(over.iloc[0])} pages, over its quota of "
-                    f"{cfg.quota_per_host} (a host group was split across "
-                    f"round_fn calls)"
-                )
-            self.ckpt.write_host_metrics(
-                rnd, pa.Table.from_pandas(mdf, preserve_index=False)
-            )
-            n_pages = int(mdf["pages"].sum())
-            self.metrics[f"round_{rnd:04d}"] = {
-                "pages": n_pages,
-                "hosts": int(mdf["host"].nunique()),
-            }
-            totals["pages"] += n_pages
-            totals["images"] += n_imgs
-            totals["errors"] += n_dead
-            self.metrics["_totals"] = dict(totals)
-            self.lineage[f"round_{rnd:04d}"] = {
-                "in_frontier": -1 if in_frontier is None else int(in_frontier),
-                "selected": n_pages,
-                "backlog": n_backlog,
-                "successors": n_succ,
-                "images": int(n_imgs),
-                "errors": int(n_dead),
-                "prev_round": rnd - 1,
-            }
-
+            frontier_source = self.ckpt.frontier_dir(rnd)
             # advance virtual politeness clocks one round-tick
             for p in self.politeness:
                 p.advance_clock.remote(1.0)
-
-            self.ckpt.save_round(
-                rnd, self.seen.snapshot(), self.metrics, self.lineage
-            )
-            frontier_source = self.ckpt.frontier_dir(rnd)
             if stop_after_round is not None and rnd >= stop_after_round:
                 rnd += 1
                 break
@@ -587,19 +532,109 @@ class CrawlDriver:
             out_dir=cfg.out_dir,
         )
 
+    def _close_round(self, rnd: int, stats: pd.DataFrame, sinks: dict,
+                     in_frontier: int | None, totals: dict) -> int:
+        """The round barrier, from the round's stat rows: per-host metrics
+        and the quota guard; one commit per sink of exactly the fragment
+        entries the rows carry (round 0 overwrites each output sink, even
+        with none, so a fresh run starts clean; later rounds append; the
+        frontier is one ``create``); then the checkpoint, whose lineage
+        records every output sink's committed version. Returns the next
+        frontier's row count."""
+        parts = stats[stats["row_type"] == "part"]
+        part_rows = parts.groupby("kind")["status"].sum()
+        s = stats.groupby("row_type")["status"].sum()
+        n_imgs = int(part_rows.get("images", 0))
+        n_dead = int(s.get("error_stat", 0))
+        n_backlog = int(s.get("backlog_stat", 0))
+        n_next = int(part_rows.get("frontier", 0))
+
+        # --- metrics: pages by (host, kind) from the in-stage sel_stat
+        # summary rows (one per (host, kind) per call). The per-host
+        # rows go to the round's CHECKPOINT dir, not the driver dict —
+        # at millions of hosts a dict accumulating hosts × rounds rows
+        # is driver state the de-drivered frontier otherwise avoids
+        # (round-2 VERDICT #5); the driver keeps scalar per-round totals
+        # only.
+        mdf = (
+            stats[stats["row_type"] == "sel_stat"]
+            .groupby(["host", "kind"], sort=True)["status"]
+            .sum()
+            .reset_index()
+            .rename(columns={"status": "pages"})
+        )
+        edf = (
+            stats[stats["row_type"] == "error_stat"]
+            .groupby(["host", "kind"], sort=True)["status"]
+            .sum()
+            .reset_index()
+            .rename(columns={"status": "errors"})
+        )
+        mdf = mdf.merge(edf, on=["host", "kind"], how="outer", sort=True)
+        mdf["pages"] = mdf["pages"].fillna(0).astype("int64")
+        mdf["errors"] = mdf["errors"].fillna(0).astype("int64")
+        # quota guard: a host group split over two round_fn calls gets
+        # the quota once per piece, and it over-selects exactly when
+        # the pieces' sum exceeds the quota — so this check is complete
+        per_host = mdf.groupby("host", sort=True)["pages"].sum()
+        over = per_host[per_host > self.cfg.quota_per_host]
+        if len(over):
+            raise RuntimeError(
+                f"round {rnd}: host {over.index[0]!r} selected "
+                f"{int(over.iloc[0])} pages, over its quota of "
+                f"{self.cfg.quota_per_host} (a host group was split across "
+                f"round_fn calls)"
+            )
+
+        entries: dict[str, list] = {name: [] for name in sinks}
+        for name, entry in zip(parts["kind"], parts["entry"]):
+            entries[name].append(json.loads(entry))
+        versions = {}
+        for name, uri in sinks.items():
+            mode = ("create" if name == "frontier"
+                    else "overwrite" if rnd == 0 else "append")
+            v = minilance.commit(uri, process.SINKS[name], entries[name], mode)
+            if name != "frontier":
+                versions[name] = v
+
+        self.ckpt.write_host_metrics(
+            rnd, pa.Table.from_pandas(mdf, preserve_index=False)
+        )
+        n_pages = int(mdf["pages"].sum())
+        self.metrics[f"round_{rnd:04d}"] = {
+            "pages": n_pages,
+            "hosts": int(mdf["host"].nunique()),
+        }
+        totals["pages"] += n_pages
+        totals["images"] += n_imgs
+        totals["errors"] += n_dead
+        self.metrics["_totals"] = dict(totals)
+        self.lineage[f"round_{rnd:04d}"] = {
+            "in_frontier": -1 if in_frontier is None else int(in_frontier),
+            "selected": n_pages,
+            "backlog": n_backlog,
+            "successors": n_next - n_backlog,
+            "images": n_imgs,
+            "errors": n_dead,
+            "prev_round": rnd - 1,
+            "versions": versions,
+        }
+        self.ckpt.save_round(
+            rnd, self.seen.snapshot(), self.metrics, self.lineage
+        )
+        return n_next
+
     # ------------------------------------------------------------------
     def images_dataset(self) -> rd.Dataset:
-        root = os.path.join(self.cfg.out_dir, "images")
-        if not os.path.isdir(root) or not os.listdir(root):
-            return rd.from_arrow(pa.Table.from_pylist([], schema=schemas.IMAGES))
-        return read_parts(root)
+        uri = os.path.join(self.cfg.out_dir, "images")
+        if not minilance.is_dataset(uri):
+            return rd.from_arrow(schemas.IMAGES.empty_table())
+        return read_parts(uri)
 
 
 def read_images_table(out_dir: str) -> pa.Table:
     """All written image rows, sorted by image_id (the comparison order)."""
-    from crawler_ray.sources.io import read_parts_table
-
     t = read_parts_table(os.path.join(out_dir, "images"))
     if t is None:
-        return pa.Table.from_pylist([], schema=schemas.IMAGES)
+        return schemas.IMAGES.empty_table()
     return t.cast(schemas.IMAGES).sort_by("image_id")

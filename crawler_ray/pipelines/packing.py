@@ -8,8 +8,7 @@ batch into tar shards capped at ``target_bytes``, so the only knob that
 matters at 100 TB is the upstream block size (one block ≈ a handful of
 shards). Shard files are named by the md5 of their member image_ids —
 content-derived, so a Ray task retry re-creates the SAME file and the
-write-if-absent publish keeps the output exactly-once (same contract as
-``sources/io.write_part``).
+write-if-absent publish keeps the output exactly-once.
 
 Reference parity: the reference uploads each image individually via its
 FileStation client (HZ.Crawler.Common/FileStation.cs); sharding is the

@@ -33,15 +33,11 @@ from crawler_ray.pipelines import joins
 from crawler_ray.pipelines.joins import copartition, exchange_parts
 
 
-def _read_round_tables(out_dir: str, table: str) -> pa.Table | None:
-    from crawler_ray.sources.io import read_parts_table
-
-    return read_parts_table(os.path.join(out_dir, "tables", table))
-
-
 def load_entity_df(out_dir: str, table: str) -> pd.DataFrame:
     """Crawled entity records (JSON in ``record``) → typed DataFrame."""
-    t = _read_round_tables(out_dir, table)
+    from crawler_ray.sources.io import read_parts_table
+
+    t = read_parts_table(os.path.join(out_dir, "tables", table))
     if t is None:
         return pd.DataFrame()
     return pd.DataFrame([json.loads(r) for r in t["record"].to_pylist()])

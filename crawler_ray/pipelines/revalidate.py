@@ -137,32 +137,25 @@ def freshness_summary(verdicts: rd.Dataset) -> pa.Table:
 
 def manifest_from_crawl(out_dir: str) -> rd.Dataset:
     """Build the revalidation manifest from a completed crawl's ``pages``
-    sink (``tables/pages/round_NNNN/part-*``): one ``(url, etag,
-    last_modified)`` row per crawled page, LATEST round wins (a page
-    re-crawled in a later round carries fresher validators).
+    sink (the ``tables/pages`` dataset): one ``(url, etag, last_modified)``
+    row per crawled page, LATEST round wins (a page re-crawled in a later
+    round carries fresher validators; each row records its ``round``).
 
     Closes the refresh loop end-to-end: crawl → pages sink (validators
     captured per fetched page by ``HttpFetchStage``) → this manifest →
     :func:`revalidate_manifest` → verdicts → re-crawl only the
-    ``changed`` rows. Distributed shape: per-round part trees read as
-    Datasets with a constant round column, one url-keyed ``copartition``
-    picks the max-round row per url. The sink has no parquet footer, so
-    the part manifests' row counts size the exchange.
+    ``changed`` rows. Distributed shape: one read of the dataset, then one
+    url-keyed ``copartition`` picks the max-round row per url. The sink has
+    no parquet footer, so its manifest's row count sizes the exchange.
     """
     import os
-    import re
 
     from crawler_ray.pipelines.joins import copartition, parts_for_rows
-    from crawler_ray.sources.io import part_rows, read_parts
+    from crawler_ray.sources.io import read_parts
+    from crawler_ray.vendor import minilance
 
-    root = os.path.join(out_dir, "tables", "pages")
-    round_re = re.compile(r"^round_(\d+)$")
-    rounds = sorted(
-        (int(m.group(1)), os.path.join(root, name))
-        for name in (os.listdir(root) if os.path.isdir(root) else [])
-        if (m := round_re.match(name))
-    )
-    if not rounds:
+    uri = os.path.join(out_dir, "tables", "pages")
+    if not minilance.is_dataset(uri):
         return rd.from_arrow(
             pa.table(
                 {"url": pa.array([], pa.string()),
@@ -171,38 +164,18 @@ def manifest_from_crawl(out_dir: str) -> rd.Dataset:
             )
         )
 
-    def tag(rnd: int):
-        def fn(t: pa.Table) -> pa.Table:
-            from crawler_ray.functions.hashing import stable_hash_u64
+    def tag(t: pa.Table) -> pa.Table:
+        from crawler_ray.functions.hashing import stable_hash_u64
 
-            urls = t["url"].to_pylist()
-            # process-salted hash() would scatter one url across partitions
-            key = np.asarray([stable_hash_u64(u) for u in urls], np.uint64)
-            return pa.table(
-                {
-                    "key": pa.array(key.view(np.int64)),
-                    "rnd": pa.array(
-                        np.full(t.num_rows, rnd, dtype=np.int64), pa.int64()
-                    ),
-                    "url": t["url"],
-                    "etag": t["etag"],
-                    "last_modified": t["last_modified"],
-                }
-            )
-
-        return fn
-
-    ds = None
-    for rnd, path in rounds:
-        part = read_parts(
-            path, columns=["url", "etag", "last_modified"]
-        ).map_batches(tag(rnd), batch_format="pyarrow")
-        ds = part if ds is None else ds.union(part)
+        urls = t["url"].to_pylist()
+        # process-salted hash() would scatter one url across partitions
+        key = np.asarray([stable_hash_u64(u) for u in urls], np.uint64)
+        return t.append_column("key", pa.array(key.view(np.int64)))
 
     def latest(g: pa.Table) -> pa.Table:
         df = g.to_pandas()
         df = (
-            df.sort_values(["url", "rnd"], kind="mergesort")
+            df.sort_values(["url", "round"], kind="mergesort")
             .groupby("url", sort=False)
             .tail(1)
         )
@@ -210,9 +183,11 @@ def manifest_from_crawl(out_dir: str) -> rd.Dataset:
             df[["url", "etag", "last_modified"]], preserve_index=False
         )
 
+    cols = ["url", "round", "etag", "last_modified"]
     return copartition(
-        [ds], latest,
-        pa.schema([("rnd", pa.int64()), ("url", pa.string()),
+        [read_parts(uri, columns=cols).map_batches(tag, batch_format="pyarrow")],
+        latest,
+        pa.schema([("round", pa.int32()), ("url", pa.string()),
                    ("etag", pa.string()), ("last_modified", pa.string())]),
-        parts_for_rows(sum(part_rows(path) for _, path in rounds)),
+        parts_for_rows(minilance.dataset(uri).count_rows()),
     )

@@ -1,14 +1,21 @@
-"""Table IO: minilance part trees, local binary-file ingestion.
+"""Table IO: the crawl sinks as minilance datasets, local binary-file
+ingestion.
 
 The north rule targets **Lance** tables for the image+caption output. Every
-crawl sink is written and read here as the vendored
+crawl sink (images, the four entity tables, errors, and each round's
+frontier) is ONE dataset of the vendored
 :mod:`crawler_ray.vendor.minilance` store (fragmented, versioned,
-atomically-committed datasets with the real library's API subset and write
-semantics, Arrow-IPC fragment encoding). This module is the only place that
-knows the sink format: a swap to the real ``pylance`` wheel is a change here
-and nowhere else. It also owns the part naming (content digests) and the
-crawl frontier's host-bucketed layout (``bucket=NNNN`` subdirs), on both
-the write side (``write_keyed_part``) and the read side (``read_parts``).
+atomically-committed, with the real library's API subset and write
+semantics, Arrow-IPC fragment encoding), written and read here. A sink is
+written the way ``MiniLanceDatasink`` writes a Dataset: stage tasks write
+fragments (``write_part``, ``write_bucketed``) and get back their manifest
+entries, uncommitted; the crawl driver commits each sink's entries for a
+round in one manifest (``minilance.commit``). Until then no reader sees
+them, and a failed attempt's fragments stay orphans no manifest references.
+
+The crawl frontier is host-bucketed: each of its fragments holds the rows
+of one bucket ``hash(host) % B``, recorded in its manifest entry, and
+``read_parts`` hands whole buckets to one consumer call.
 
 ``read_local_images`` is the reference's local-file image source (S5:
 ``UploadImgsByFile``/``GetImgStr``/``FileHelper.GetAllFiles``,
@@ -18,142 +25,72 @@ the write side (``write_keyed_part``) and the read side (``read_parts``).
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 import ray.data as rd
 
 from crawler_ray.vendor import minilance
 
 
-def write_part(table: pa.Table, root: str, stem: str) -> str:
-    """ONE deterministically-named part of a table directory — the unit every
-    crawl sink writes (images, entities, errors, frontier). Each part is its
-    OWN minilance dataset (``part-<stem>.lance``, ``mode="overwrite"``): a
-    Ray task retry re-running the same content-derived ``stem`` replaces its
-    own part rather than appending a duplicate fragment, so retries stay
-    idempotent. Readers go through ``read_parts`` / ``read_parts_table``; a
-    post-crawl ``compact_parts`` yields the single north-rule Lance table
-    when wanted. Returns the path written."""
-    os.makedirs(root, exist_ok=True)
-    uri = os.path.join(root, f"part-{stem}.lance")
-    minilance.write_dataset(table, uri, mode="overwrite")
-    return uri
+def write_part(table: pa.Table, uri: str) -> dict:
+    """Write ``table`` as ONE fragment of the sink dataset at ``uri`` and
+    return its manifest entry, uncommitted: the rows become visible when
+    the driver commits the entry."""
+    return minilance.write_fragment(table, uri)
 
 
-def _part_entries(root: str):
-    """Yield every part path under a ``write_part`` sink tree: parts directly
-    in ``root`` and parts one level down (``round_NNNN`` subdirs in the
-    images / entity-table layout, ``bucket=NNNN`` subdirs in the frontier
-    layout). Sorted for a deterministic read order. A ``.parquet`` part (a
-    tree written by an older parquet sink) raises instead of being skipped
-    or read silently."""
-    if not os.path.isdir(root):
-        return
-
-    def emit(dirpath: str, names: list[str]):
-        for n in sorted(names):
-            if n.endswith(".parquet"):
-                raise ValueError(
-                    f"parquet part {os.path.join(dirpath, n)} in a minilance "
-                    "sink tree: parquet sinks are no longer read"
-                )
-            if n.endswith(".lance"):
-                yield os.path.join(dirpath, n)
-
-    top = sorted(os.listdir(root))
-    yield from emit(root, top)
-    for name in top:
-        p = os.path.join(root, name)
-        if os.path.isdir(p):
-            yield from emit(p, os.listdir(p))
-
-
-_BUCKET = "bucket="
-
-
-def write_keyed_part(table: pa.Table, root: str, tag: str,
-                     buckets: int | None = None) -> None:
-    """Write a sink batch as part(s) named by a digest of its key column
-    (``url``, else ``record``) and ``tag``, so re-running the same batch
-    overwrites its own parts.
-
-    With ``buckets`` the rows are host-bucketed (the crawl frontier): the
-    rows of bucket ``b = hash(host) % buckets`` go to
-    ``root/bucket=NNNN/part-<digest>.lance``. Every row of a host lands in
-    one bucket dir, whichever task wrote it, so a reader that hands whole
-    bucket dirs to one consumer call (``read_parts``) co-partitions hosts
-    without an exchange."""
-    import hashlib
-
+def write_bucketed(table: pa.Table, uri: str, buckets: int) -> list[dict]:
+    """Write a frontier batch host-bucketed: the rows of bucket
+    ``b = hash(host) % buckets`` form one fragment whose entry records
+    ``bucket = b``. Every row of a host lands in one bucket, whichever task
+    wrote it, so a reader that hands whole buckets to one consumer call
+    (``read_parts``) co-partitions hosts without an exchange. Returns the
+    entries, uncommitted."""
     import numpy as np
     import pandas as pd
 
-    def write(t: pa.Table, dest: str) -> None:
-        key_col = "url" if "url" in t.column_names else "record"
-        digest = hashlib.md5(
-            ("\x00".join(t[key_col].to_pylist()) + tag).encode()
-        ).hexdigest()[:16]
-        write_part(t, dest, digest)
-
-    if buckets is None:
-        write(table, root)
-        return
     host = table["host"].to_numpy(zero_copy_only=False).astype(object)
     bucket = pd.util.hash_array(host) % np.uint64(buckets)
+    entries = []
     for b in np.unique(bucket):
-        write(table.filter(pa.array(bucket == b)),
-              os.path.join(root, f"{_BUCKET}{int(b):04d}"))
+        entry = write_part(table.filter(pa.array(bucket == b)), uri)
+        entries.append({**entry, "bucket": int(b)})
+    return entries
 
 
 def read_parts(
-    root: str,
+    uri: str,
     columns: list[str] | None = None,
     override_num_blocks: int | None = None,
     ray_remote_args: dict | None = None,
 ) -> rd.Dataset:
-    """Distributed read of a ``write_part`` sink tree as ONE datasource over
-    every part: a per-part read + union plan pays per-operator driver
-    overhead for each part (measured 61 s vs 0.3 s on a 52-part frontier
-    round). Column pruning is pushed into the fragment reads. Callers whose
-    downstream map uses non-default remote args (the crawl's
-    ``max_retries=0``) must pass the same ``ray_remote_args`` here, or Ray
-    Data will not fuse the read with the map.
+    """Distributed read of a sink dataset's latest version, with column
+    pruning pushed into the fragment reads. Callers whose downstream map
+    uses non-default remote args (the crawl's ``max_retries=0``) must pass
+    the same ``ray_remote_args`` here, or Ray Data will not fuse the read
+    with the map.
 
-    A host-bucketed tree (parts under ``bucket=NNNN`` subdirs, the crawl
-    frontier) is read as one block per group of WHOLE bucket dirs:
-    ``override_num_blocks`` groups, fewer when there are fewer non-empty
-    buckets (``MiniLanceDatasource.groups``). With a fused
-    ``map_batches(batch_size=None)`` consumer, each host's rows therefore
-    reach one consumer call, with no exchange."""
+    A host-bucketed dataset (the crawl frontier) is read as one block per
+    group of WHOLE buckets: ``override_num_blocks`` groups, fewer when
+    there are fewer non-empty buckets (``MiniLanceDatasource.groups``).
+    With a fused ``map_batches(batch_size=None)`` consumer, each host's
+    rows therefore reach one consumer call, with no exchange."""
     from crawler_ray.sources.lance_ray import read_minilance
 
-    uris = list(_part_entries(root))
-    keys = [os.path.basename(os.path.dirname(u)) for u in uris]
-    bucketed = any(k.startswith(_BUCKET) for k in keys)
     return read_minilance(
-        uris,
+        uri,
         columns=columns,
         override_num_blocks=override_num_blocks,
         ray_remote_args=ray_remote_args,
-        buckets=keys if bucketed else None,
     )
 
 
-def part_rows(root: str) -> int:
-    """Rows in a ``write_part`` sink tree, from each part's manifest (no
-    data read)."""
-    return sum(minilance.dataset(p).count_rows() for p in _part_entries(root))
-
-
-def read_parts_table(root: str, columns: list[str] | None = None) -> pa.Table | None:
-    """Driver-side read of a small ``write_part`` sink tree (entity tables,
-    test-scale image checks) → one concatenated Arrow table. Returns None
-    when the tree is empty/absent."""
-    tables = [
-        minilance.dataset(p).to_table(columns=columns) for p in _part_entries(root)
-    ]
-    return pa.concat_tables(tables) if tables else None
+def read_parts_table(uri: str, columns: list[str] | None = None) -> pa.Table | None:
+    """Driver-side read of a small sink dataset (entity tables, test-scale
+    image checks) → one Arrow table. Returns None when nothing was ever
+    committed at ``uri``."""
+    if not minilance.is_dataset(uri):
+        return None
+    return minilance.dataset(uri).to_table(columns=columns)
 
 
 # most rows ``read_parquet_sized`` puts in one block by default: one read
@@ -188,19 +125,6 @@ def read_parquet_sized(
     nb = min(-(-n // target_rows_per_block), cpus)
     nb = max(nb, -(-n // max_rows_per_block), 1)
     return rd.read_parquet(path, columns=columns, override_num_blocks=nb)
-
-
-def compact_parts(root: str, dest: str, columns: list[str] | None = None) -> int:
-    """Post-crawl compaction: the per-round part tree written by
-    ``write_part`` → ONE minilance table at ``dest`` (the single north-rule
-    Lance table). The part tree stays resumable/idempotent during the crawl;
-    compaction is the serving-layout step afterwards. Returns the number of
-    rows compacted, read from the committed manifest rather than by running
-    the read plan a second time."""
-    from crawler_ray.sources.lance_ray import write_minilance
-
-    write_minilance(read_parts(root, columns=columns), dest, mode="overwrite")
-    return minilance.dataset(dest).count_rows()
 
 
 def read_local_images(root: str) -> rd.Dataset:

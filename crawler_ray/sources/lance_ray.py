@@ -1,15 +1,16 @@
 """Ray Data ←→ minilance integration: distributed snapshot reads and
 distributed fragment writes with ONE atomic manifest commit.
 
-``crawler_ray.sources.io`` reads and writes every crawl sink through these
-two classes. They give the vendored :mod:`crawler_ray.vendor.minilance`
-store the same execution shape as ``ray.data.read_lance`` /
-``Dataset.write_lance``:
+``crawler_ray.sources.io`` reads every crawl sink through the datasource,
+and the crawl writes its sinks by the datasink's protocol (fragments in
+stage tasks, one driver commit per sink per round). The two classes give
+the vendored :mod:`crawler_ray.vendor.minilance` store the same execution
+shape as ``ray.data.read_lance`` / ``Dataset.write_lance``:
 
 * **Read** — one ``ReadTask`` per committed fragment, or per group of
-  whole units (fragments, or co-partitioned bucket dirs) when fewer blocks
-  are asked for, planned from the manifest's per-fragment row/byte stats
-  (so the streaming executor sizes and schedules blocks from real
+  whole units (fragments, or the fragments of one host bucket) when fewer
+  blocks are asked for, planned from the manifest's per-fragment row/byte
+  stats (so the streaming executor sizes and schedules blocks from real
   metadata, exactly like the parquet footer-driven reads elsewhere in the
   engine), with column projection pushed into the fragment read.
 * **Write** — every Ray write task lands its blocks as immutable fragment
@@ -45,61 +46,44 @@ def _total_size(sizes: List[Optional[int]]) -> Optional[int]:
 
 
 class MiniLanceDatasource(Datasource):
-    """Plan read tasks over ONE OR MANY committed datasets.
+    """Plan read tasks over one committed version of one dataset.
 
-    Accepting a list of URIs matters: the crawl sinks write one dataset per
-    content-addressed part, and a frontier round reads dozens of them. A
-    per-part ``read_datasource`` + ``Dataset.union`` plan gives every part
-    its own input operator — measured 61 s for a 52-part round on the tiny
-    CLI fixture, pure driver/operator overhead — while one datasource over
-    all parts is a single operator, exactly how ``read_parquet`` treats a
-    directory.
-
-    ``buckets`` (one key per uri) marks a co-partitioned read: the datasets
-    that share a key form one indivisible unit (the crawl frontier's
-    ``bucket=NNNN`` dirs, each holding every row of its hosts). Without it
-    every fragment is its own unit."""
+    Fragments whose manifest entries record a ``bucket`` (the crawl
+    frontier's host buckets, each holding every row of its hosts) are
+    grouped by it into indivisible read units; otherwise every fragment is
+    its own unit."""
 
     def __init__(
         self,
-        uris: str | List[str],
+        uri: str,
         columns: Optional[List[str]] = None,
         version: Optional[int] = None,
-        buckets: Optional[List[str]] = None,
     ):
-        if isinstance(uris, str):
-            uris = [uris]
-        if not uris:
-            raise ValueError("no dataset uris given")
-        if version is not None and len(uris) != 1:
-            raise ValueError("version= only applies to a single-uri read")
-        if buckets is not None and len(buckets) != len(uris):
-            raise ValueError("buckets= needs one key per uri")
         self._columns = columns
-        self._buckets = buckets
-        # resolve the snapshots ONCE on the driver: every read task then
-        # reads the same committed versions even if writers commit meanwhile
-        self._dsets = [minilance.dataset(u, version=version) for u in uris]
+        # resolve the snapshot ONCE on the driver: every read task then
+        # reads the same committed version even if writers commit meanwhile
+        self._ds = minilance.dataset(uri, version=version)
+        self.bucketed = any(
+            "bucket" in f.metadata for f in self._ds.get_fragments()
+        )
 
     def get_name(self) -> str:
         return "MiniLance"
 
     def estimate_inmemory_data_size(self) -> Optional[int]:
-        sizes = [
-            f.size_bytes for ds in self._dsets for f in ds.get_fragments()
-        ]
+        sizes = [f.size_bytes for f in self._ds.get_fragments()]
         return _total_size(sizes) if sizes else 0
 
     def _units(self) -> List[list]:
-        """Fragments in indivisible read units: one per bucket key for a
-        co-partitioned read (empty buckets dropped), else one per
-        fragment."""
-        if self._buckets is None:
-            return [[f] for ds in self._dsets for f in ds.get_fragments()]
-        by_key: dict = {}
-        for key, ds in zip(self._buckets, self._dsets):
-            by_key.setdefault(key, []).extend(ds.get_fragments())
-        return [frags for _, frags in sorted(by_key.items()) if frags]
+        """Fragments in indivisible read units: one per bucket of a
+        bucketed dataset, else one per fragment."""
+        frags = self._ds.get_fragments()
+        if not self.bucketed:
+            return [[f] for f in frags]
+        by_bucket: dict = {}
+        for f in frags:
+            by_bucket.setdefault(f.metadata["bucket"], []).append(f)
+        return [by_bucket[b] for b in sorted(by_bucket)]
 
     def groups(self, parallelism: int) -> List[list]:
         """Deal whole units into at most ``parallelism`` groups (one per
@@ -125,7 +109,7 @@ class MiniLanceDatasource(Datasource):
         # one task per group of WHOLE units, yielding ONE concatenated
         # table: a fused map_batches(batch_size=None) consumer sees each
         # group as one batch. The crawl's per-host quota selection relies
-        # on it (a group of whole bucket dirs holds every row of its hosts),
+        # on it (a group of whole buckets holds every row of its hosts),
         # and read→map fusion needs the task count to match the plan.
         for group in self.groups(parallelism):
             paths = [f.path for f in group]
@@ -146,8 +130,8 @@ class MiniLanceDatasource(Datasource):
 
             tasks.append(ReadTask(read_fn, meta))
         if not tasks:
-            # empty committed version(s): one task yielding the empty schema
-            schema = self._dsets[0].schema
+            # empty committed version: one task yielding the empty schema
+            schema = self._ds.schema
             if columns is not None:
                 schema = pa.schema([schema.field(c) for c in columns])
             empty = schema.empty_table()
@@ -226,29 +210,26 @@ class MiniLanceDatasink(Datasink[List[dict]]):
 
 
 def read_minilance(
-    uris: str | List[str],
+    uri: str,
     columns: Optional[List[str]] = None,
     version: Optional[int] = None,
     override_num_blocks: Optional[int] = None,
     ray_remote_args: Optional[dict] = None,
-    buckets: Optional[List[str]] = None,
 ):
-    """``ray.data.read_lance`` twin over the vendored store; a list of uris
-    reads many datasets as ONE operator (see MiniLanceDatasource).
+    """``ray.data.read_lance`` twin over the vendored store.
     ``ray_remote_args`` must be forwarded by callers whose downstream map
     uses non-default remote args (e.g. the crawl's ``max_retries=0``) or
     Ray Data will not fuse the read with the map — the round-5 minilance
     crawl regression was exactly this missing fusion.
 
-    A co-partitioned read (``buckets``) yields exactly one block per group
-    of whole buckets: it asks Ray for as many blocks as ``groups`` makes,
+    A bucketed dataset yields exactly one block per group of whole
+    buckets: the read asks Ray for as many blocks as ``groups`` makes,
     because a read that plans fewer tasks than requested has each task's
     output split to make up the count."""
     import ray.data as rd
 
-    src = MiniLanceDatasource(uris, columns=columns, version=version,
-                              buckets=buckets)
-    if buckets is not None:
+    src = MiniLanceDatasource(uri, columns=columns, version=version)
+    if src.bucketed:
         override_num_blocks = max(1, len(src.groups(override_num_blocks)))
     kwargs = {}
     if override_num_blocks is not None:

@@ -12,24 +12,31 @@ politeness — lives in state actors the stage holds handles to. Every crawl
 round runs ``make_round_fn``: seed admission (round 0 only), per-host
 selection (``select_per_host``), then this stage over the selected rows.
 
-Output: every row class goes straight to its sink where it is produced, one
-part per class per call, named by a digest of its rows
-(``sources/io.write_keyed_part``; images ``io.write_part``):
+Output: every row class goes straight to its sink where it is produced, as
+one fragment per class per call (``sources/io.write_part``). Each sink is
+one minilance dataset, named by its dir (``SINKS``: name → schema):
 
-    images      — first-seen image content (``schemas.IMAGES``)
-    categories  — category entity records (JSON in ``record``)
-    products    — product entity records (JSON in ``record``)
-    brands      — first-wins brand records (JSON in ``record``)
-    errors      — dead letters (fetch status ≠ 200, undecodable image,
-                  parse failure)
-    pages       — page fetch metadata (``etag``, ``last_modified``)
-    frontier    — robots-allowed first-seen successors, plus the call's
-                  backlog, host-bucketed once per call by ``flush_frontier``
+    images            — first-seen image content (``schemas.IMAGES``)
+    tables/categories — category entity records (JSON in ``record``)
+    tables/products   — product entity records (JSON in ``record``)
+    tables/brands     — first-wins brand records (JSON in ``record``)
+    errors            — dead letters (fetch status ≠ 200, undecodable
+                        image, parse failure)
+    tables/pages      — page fetch metadata (``etag``, ``last_modified``)
+                        and the ``round`` that fetched it
+    frontier          — robots-allowed first-seen successors, plus the
+                        call's backlog, host-bucketed once per call by
+                        ``flush_frontier`` (``io.write_bucketed``)
 
-A call returns only stat rows ``(row_type, host, kind, status)`` with the
-row count in ``status``: one ``<class>_stat`` row per written part (per
-(host, kind) for ``error_stat``), ``backlog_stat``, and per-(host, kind)
-``sel_stat`` selection counts. They are all the driver reads of a round.
+The output sinks sit under the crawl's out dir, the frontier under the
+round's checkpoint dir. A fragment is invisible until the driver commits
+it: a call returns only stat rows ``(row_type, host, kind, status,
+entry)``. Each fragment written gives one ``part`` row (``kind`` = sink,
+``status`` = its rows, ``entry`` = its manifest entry as JSON), the rows the
+driver commits at the round barrier. The count rows have no entry:
+``backlog_stat``, and per-(host, kind) ``sel_stat`` selection and
+``error_stat`` dead-letter counts. They are all the driver reads of a
+round.
 
 Determinism contract: the seen-SET after a round is independent of actor
 scheduling (set membership is insertion-order-free); successor/image *rows*
@@ -42,7 +49,6 @@ alt-texts may differ per link, in which case caption is 'first discovered').
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 
@@ -59,13 +65,15 @@ from crawler_ray.stages.fetch import SyntheticFetchStage
 from crawler_ray.stages.parse import _PARSERS
 from crawler_ray.state.politeness import RobotsCache
 
-# all a stage call or round call returns: ``status`` holds a row count
+# all a stage call or round call returns: ``status`` holds a row count,
+# ``entry`` a written fragment's uncommitted manifest entry
 STAT_SCHEMA = pa.schema(
     [
         ("row_type", pa.string()),
         ("host", pa.string()),
         ("kind", pa.string()),
         ("status", pa.int32()),
+        ("entry", pa.string()),
     ]
 )
 
@@ -77,15 +85,18 @@ def _cols(names: str, **typed) -> pa.Schema:
 _ENTITY = _cols("url host kind seed_id record")
 # row class → (sink, columns it writes), in the order a call writes them
 _SINKS = {
-    "category": ("categories", _ENTITY),
-    "product": ("products", _ENTITY),
-    "brand": ("brands", _cols("host kind record")),
+    "category": ("tables/categories", _ENTITY),
+    "product": ("tables/products", _ENTITY),
+    "brand": ("tables/brands", _cols("host kind record")),
     "error": ("errors", _cols("url host kind seed_id status attempt",
                               status=pa.int32(), attempt=pa.int32())),
-    "page": ("pages", _cols("url host kind seed_id status etag last_modified",
-                            status=pa.int32())),
+    "page": ("tables/pages",
+             _cols("url host kind seed_id status etag last_modified round",
+                   status=pa.int32(), round=pa.int32())),
     "succ": ("frontier", schemas.FRONTIER),
 }
+# every sink a round writes → its schema; the driver commits each one
+SINKS = {"images": schemas.IMAGES, **dict(_SINKS.values())}
 
 
 def _stat_table(stats: list[tuple]) -> pa.Table:
@@ -94,7 +105,13 @@ def _stat_table(stats: list[tuple]) -> pa.Table:
     )
 
 
-def _cached_stage(init_args_ref, sinks: dict, buckets: int
+def _part_stat(sink: str, entry: dict) -> tuple:
+    """The stat row that carries a written fragment's entry to the
+    driver."""
+    return ("part", "", sink, entry["rows"], json.dumps(entry))
+
+
+def _cached_stage(init_args_ref, sinks: dict, buckets: int, rnd: int
                   ) -> "CrawlProcessStage":
     import ray
 
@@ -106,6 +123,7 @@ def _cached_stage(init_args_ref, sinks: dict, buckets: int
     )
     stage.sinks = sinks
     stage.buckets = buckets
+    stage.round = rnd
     # frontier rows a failed call left unflushed belong to a round that is
     # rolled back; they must not reach this call's frontier
     stage.frontier_rows = []
@@ -129,27 +147,28 @@ def select_per_host(df: pd.DataFrame, quota: int
 
 
 def make_round_fn(init_args_ref, quota: int, batch_size: int,
-                  admit_seeds: bool, sinks: dict, buckets: int,
+                  rnd: int, sinks: dict, buckets: int,
                   fail_once_marker: str | None = None,
                   kill_actor_once_marker: str | None = None):
     """Fused ADMIT + SELECT + PROCESS for one host-complete group of the
     frontier: the caller hands each call ALL rows of the hosts it holds, in
     one block (``map_batches(batch_size=None)`` over a read of whole
-    ``bucket=NNNN`` dirs), so no exchange runs in front of it. Round 0 runs
-    with ``admit_seeds``: the robots filter and seen anti-join drop seed
-    rows before selection. Its source is the seed list staged into buckets
-    the same way, or, when the quota is at least the whole seed count (no
+    buckets), so no exchange runs in front of it. Round 0 (``rnd == 0``)
+    admits seeds: the robots filter and seen anti-join drop seed rows
+    before selection. Its source is the seed list staged into buckets the
+    same way, or, when the quota is at least the whole seed count (no
     host can exceed it, so any grouping selects every row), the seed file
     read directly. ``select_per_host`` runs where the group's rows already
     are. Unselected rows go to the next round's frontier as backlog
     and selected rows are processed in ``batch_size`` chunks by the cached
-    CrawlProcessStage, which writes every row class to its dir in
+    CrawlProcessStage, which writes every row class to its sink in
     ``sinks``; the call's backlog and successors are written once, at its
-    end, host-bucketed into ``buckets`` dirs. The frontier therefore never
-    exists on the driver: selection, backlog carry-over and fetching all
-    happen inside one distributed execution. The call returns
+    end, host-bucketed into ``buckets`` buckets. The frontier therefore
+    never exists on the driver: selection, backlog carry-over and fetching
+    all happen inside one distributed execution. The call returns
     ``STAT_SCHEMA`` rows only: per-(host,kind) ``sel_stat`` selection
-    counts, ``backlog_stat`` and the stage's per-class stat rows."""
+    counts, ``backlog_stat``, the stage's stat rows and one ``part`` row
+    per frontier fragment."""
 
     def round_fn(group: pa.Table) -> pa.Table:
         if fail_once_marker is not None:
@@ -167,7 +186,7 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
                 raise RuntimeError("injected round failure (fail_once_marker)")
             except FileExistsError:
                 pass
-        stage = _cached_stage(init_args_ref, sinks, buckets)
+        stage = _cached_stage(init_args_ref, sinks, buckets, rnd)
         if kill_actor_once_marker is not None:
             # fault-injection hook (tests only): the FIRST task to claim the
             # marker KILLS a seen-shard STATE ACTOR mid-round (no_restart —
@@ -187,7 +206,7 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
             except FileExistsError:
                 pass
         group = group.select(_FRONTIER_COLS)
-        if admit_seeds:
+        if rnd == 0:
             # seed admission BEFORE selection: blocked/seen rows never take
             # quota slots and never reach the backlog
             group = stage._admit(group)
@@ -209,7 +228,7 @@ def make_round_fn(init_args_ref, quota: int, batch_size: int,
             sel_t = pa.Table.from_pandas(sdf, preserve_index=False)
             for c0 in range(0, len(sdf), batch_size):
                 outs.append(stage(sel_t.slice(c0, batch_size)))
-        stage.flush_frontier()
+        stats += stage.flush_frontier()
         return pa.concat_tables([_stat_table(stats), *outs])
 
     return round_fn
@@ -235,15 +254,16 @@ class CrawlProcessStage:
         self.seen = seen
         self.robots = RobotsCache(lambda host: robots_txt.get(host))
         self.has_robots_rules = bool(robots_txt)
-        # per-call state, which _cached_stage sets: the round's sink dirs
-        # ("images" plus every sink of ``_SINKS``), the frontier's
-        # host-bucket count, and the frontier rows (successors, backlog)
-        # held until ``flush_frontier``. Part names are content-derived, so
-        # re-running a batch overwrites its own parts; the seen-set
-        # mutation is NOT idempotent, which is why crawl.py disables Ray
-        # task retries and retries whole ROUNDS from the checkpoint instead
+        # per-call state, which _cached_stage sets: the round's sink uris
+        # (one per name of ``SINKS``), the frontier's host-bucket count,
+        # the round number (the pages rows carry it), and the frontier rows
+        # (successors, backlog) held until ``flush_frontier``. A fragment is
+        # invisible until the driver commits it, but the seen-set mutation
+        # is NOT idempotent, which is why crawl.py disables Ray task
+        # retries and retries whole ROUNDS from the checkpoint instead
         self.sinks: dict[str, str] = {}
         self.buckets = 1
+        self.round = 0
         self.frontier_rows: list[pa.Table] = []
 
     def _admit(self, batch: pa.Table) -> pa.Table:
@@ -319,9 +339,7 @@ class CrawlProcessStage:
                 "phash": pa.array([hashes[j] for j in new], pa.int64()),
             }
         )
-        digest = hashlib.md5("".join(ids).encode()).hexdigest()[:16]
-        io.write_part(table, self.sinks["images"], digest)
-        return [("image_stat", "", "image", len(new))]
+        return [_part_stat("images", io.write_part(table, self.sinks["images"]))]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows: dict[str, list[dict]] = {row_type: [] for row_type in _SINKS}
@@ -378,7 +396,7 @@ class CrawlProcessStage:
             # fetcher has none and the columns default to "")
             rows["page"].append(dict(
                 r, etag=r.get("etag") or "",
-                last_modified=r.get("last_modified") or "",
+                last_modified=r.get("last_modified") or "", round=self.round,
             ))
             # page: parse (M1 envelope + per-kind parser)
             try:
@@ -427,24 +445,24 @@ class CrawlProcessStage:
             table = pa.Table.from_pylist(class_rows, schema=schema)
             if sink == "frontier":
                 self.frontier_rows.append(table)
-            else:
-                io.write_keyed_part(table, self.sinks[sink], row_type)
+                continue
+            stats.append(_part_stat(sink, io.write_part(table, self.sinks[sink])))
             if row_type == "error":
                 # per-(host, kind) counts, like sel_stat, so the round's
                 # host_metrics report real per-host error counts
                 n = Counter((r["host"], r["kind"]) for r in class_rows)
                 stats += [("error_stat", h, k, c) for (h, k), c in n.items()]
-            else:
-                stats.append((f"{row_type}_stat", "", row_type, len(class_rows)))
         return _stat_table(stats)
 
-    def flush_frontier(self) -> None:
-        """Write the frontier rows held since the last flush as one part per
-        host bucket they touch. Called once per task-level call, so a
-        round's frontier has at most (calls × buckets) parts however many
-        chunks each call processed."""
-        if self.frontier_rows:
-            rows = pa.concat_tables(self.frontier_rows)
-            self.frontier_rows = []
-            io.write_keyed_part(rows, self.sinks["frontier"], "frontier",
-                                self.buckets)
+    def flush_frontier(self) -> list[tuple]:
+        """Write the frontier rows held since the last flush as one fragment
+        per host bucket they touch, and return their ``part`` stat rows.
+        Called once per task-level call, so a round's frontier has at most
+        (calls × buckets) fragments however many chunks each call
+        processed."""
+        if not self.frontier_rows:
+            return []
+        rows = pa.concat_tables(self.frontier_rows)
+        self.frontier_rows = []
+        entries = io.write_bucketed(rows, self.sinks["frontier"], self.buckets)
+        return [_part_stat("frontier", e) for e in entries]

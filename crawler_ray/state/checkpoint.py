@@ -6,27 +6,29 @@ The reference has no mid-run checkpoint — only a coarse DB warm start
 (``BaseSpider.cs:146-162``). Here every BFS round writes an atomic checkpoint:
 
     <dir>/round_0007/
-        frontier/             # the frontier entering the NEXT round:
-          bucket=0003/        #   host-bucketed minilance parts; a host's
-            part-<digest>.lance  # rows all sit in bucket hash(host) % B
+        frontier/             # the frontier entering the NEXT round: one
+          _versions/1.manifest.json  # minilance dataset, committed once;
+          data/*.lance        #   each fragment's entry records its host
+                              #   bucket hash(host) % B
         host_metrics.parquet  # per-(host, kind) page/error counts
         seen_shards.pkl       # cuckoo+bloom+exact snapshot per shard
         metrics.json          # cumulative per-host/kind counters
-        lineage.json          # round -> input/output row counts + upstream round
+        lineage.json          # round -> input/output row counts, upstream
+                              #   round, and every output sink's version
         _COMPLETE             # written last; resume only trusts complete rounds
 
 B is the writing round's task target (cluster CPUs × blocks per CPU). It is
-not recorded: each frontier dir describes itself by its ``bucket=NNNN``
-subdirs, and a reader only needs every host inside one of them, so a
-resume at another width simply writes later rounds with another B. Each
-task-level stage call writes its frontier rows once, so a bucket dir holds
-at most one part per read group of the writing round. While a quota-path
+not recorded as such: a reader only needs every host inside one bucket, so
+a resume at another width simply writes later rounds with another B. Each
+task-level stage call writes its frontier rows once, so a bucket holds at
+most one fragment per read group of the writing round. While a quota-path
 round 0 runs, ``round_0000.tmp/seeds/`` holds the seed list, staged in the
 same layout with one bucket per round-0 read group.
 
-Output images land in ``<dir>/images/round_%04d/`` — one directory per round
-partition, so a resumed run skips rounds that already produced output
-(resumable-output layout, SURVEY.md §4 checkpoint row).
+The output sinks (``<dir>/images/``, ``<dir>/tables/*/``, ``<dir>/errors/``)
+are one minilance dataset each, outside the round dirs; the driver commits
+each once per round before ``save_round``, and rolls a sink back by
+re-committing the version a complete round's lineage records.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import shutil
 
 import pyarrow as pa
 
+from crawler_ray.vendor import minilance
+
 
 class CheckpointManager:
     def __init__(self, root: str):
@@ -47,9 +51,6 @@ class CheckpointManager:
     def _round_dir(self, rnd: int) -> str:
         return os.path.join(self.root, f"round_{rnd:04d}")
 
-    def images_dir(self, rnd: int) -> str:
-        return os.path.join(self.root, "images", f"round_{rnd:04d}")
-
     def frontier_dir(self, rnd: int) -> str:
         """Directory holding the frontier entering round ``rnd + 1``."""
         return os.path.join(self._round_dir(rnd), "frontier")
@@ -57,9 +58,10 @@ class CheckpointManager:
     def begin_round(self, rnd: int) -> str:
         """Create the round's STAGING dir and return its frontier subdir.
         The round's distributed stage tasks write successor/backlog
-        parts straight into it (the frontier never lands on the driver;
-        VERDICT round-1 item #5); ``save_round`` then completes the staging
-        dir and atomically renames it."""
+        fragments straight into it (the frontier never lands on the driver;
+        VERDICT round-1 item #5), the driver commits them, and
+        ``save_round`` then completes the staging dir and atomically
+        renames it."""
         tmp = self._round_dir(rnd) + ".tmp"
         if os.path.exists(tmp):
             shutil.rmtree(tmp)
@@ -125,11 +127,12 @@ class CheckpointManager:
         never survive a power loss that the round's data did not.
 
         Durability boundary: the barrier covers everything resume TRUSTS
-        (frontier parts, seen shards, metrics/lineage). Output-table parts
-        (images/, tables/) are not fsynced here — the hot sink path stays
-        fsync-free for throughput; on real deployments they land on shared
-        storage with its own durability, and rounds after the last complete
-        marker are pruned + re-run on resume anyway."""
+        (the frontier dataset, seen shards, metrics/lineage). Output-sink
+        fragments (images/, tables/, errors/) are not fsynced here — the
+        hot sink path stays fsync-free for throughput; on real deployments
+        they land on shared storage with its own durability, and a resume
+        rolls each sink back to the version the last complete round
+        recorded anyway."""
         final = self._round_dir(rnd)
         tmp = final + ".tmp"
         os.makedirs(os.path.join(tmp, "frontier"), exist_ok=True)
@@ -171,18 +174,16 @@ class CheckpointManager:
     def load_round(self, rnd: int) -> tuple[str, list[dict], dict, dict]:
         """Returns (frontier_dir, seen snapshot, metrics, lineage). The
         frontier stays on disk — callers read it as a Dataset. A frontier
-        dir with parts directly in it (no ``bucket=`` subdirs) was written
-        by the older unbucketed layout: its hosts are not co-partitioned,
-        so it is rejected before any part is read."""
+        dir that is not one minilance dataset was written by an older
+        layout (a dataset per part, in ``bucket=NNNN`` subdirs or directly
+        in the dir), so it is rejected before any fragment is opened."""
         d = self._round_dir(rnd)
         fdir = self.frontier_dir(rnd)
-        if os.path.isdir(fdir) and any(
-            n.endswith(".lance") for n in os.listdir(fdir)
-        ):
+        if not minilance.is_dataset(fdir):
             raise ValueError(
-                f"frontier dir {fdir} holds parts without bucket= subdirs: "
-                "it was written by the older unbucketed layout and cannot be "
-                "resumed; start the crawl afresh"
+                f"frontier dir {fdir} is not one minilance dataset: it was "
+                "written by an older layout and cannot be resumed; start the "
+                "crawl afresh"
             )
         with open(os.path.join(d, "seen_shards.pkl"), "rb") as f:
             snaps = pickle.load(f)
@@ -193,8 +194,9 @@ class CheckpointManager:
         return self.frontier_dir(rnd), snaps, metrics, lineage
 
     def prune_rounds_after(self, rnd: int) -> None:
-        """Drop incomplete/later state so a resume is consistent (images from
-        later rounds are removed — they were produced after the checkpoint)."""
+        """Drop the checkpoint dirs of rounds after ``rnd`` and every
+        staging dir, so a resume is consistent. The output sinks are rolled
+        back by the driver, which re-commits their recorded versions."""
         for name in list(os.listdir(self.root)):
             if name.startswith("round_"):
                 try:
@@ -203,20 +205,3 @@ class CheckpointManager:
                     continue
                 if r > rnd or name.endswith(".tmp"):
                     shutil.rmtree(os.path.join(self.root, name), ignore_errors=True)
-        roots = [os.path.join(self.root, "images"),
-                 os.path.join(self.root, "errors"),
-                 os.path.join(self.root, "tables", "categories"),
-                 os.path.join(self.root, "tables", "brands"),
-                 os.path.join(self.root, "tables", "products"),
-                 os.path.join(self.root, "tables", "pages")]
-        import re
-
-        round_re = re.compile(r"^round_(\d+)$")
-        for root in roots:
-            if os.path.isdir(root):
-                for name in list(os.listdir(root)):
-                    m = round_re.match(name)
-                    # skip stray files / .tmp leftovers — only round_NNNN
-                    # entries are ours to prune (round-2 advice)
-                    if m and int(m.group(1)) > rnd:
-                        shutil.rmtree(os.path.join(root, name), ignore_errors=True)

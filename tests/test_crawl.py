@@ -56,10 +56,10 @@ def test_crawl_matches_ground_truth(crawl_once):
     assert res.pages_fetched == len(site.expected_seen)
     imgs = read_images_table(str(out))
     assert imgs.equals(site.expected_images)  # bit-identical images table
-    # every image part is a minilance dataset; nothing is written as parquet
-    parts = glob.glob(str(out / "images" / "round_*" / "part-*"))
-    assert parts and all(minilance.is_dataset(p) for p in parts)
-    assert not glob.glob(str(out / "images" / "round_*" / "*.parquet"))
+    # the images sink is one minilance dataset; nothing is written as parquet
+    assert minilance.is_dataset(str(out / "images"))
+    assert not glob.glob(str(out / "images" / "**" / "*.parquet"),
+                         recursive=True)
 
 
 def test_image_row_invariants(crawl_once):
@@ -225,14 +225,139 @@ def test_resume_without_complete_checkpoint_prunes_partials(
     shutil.rmtree(str(out), ignore_errors=True)
 
 
-_SINK_NAMES = ("images", "categories", "products", "brands", "errors",
-               "pages", "frontier")
+def test_driver_rejects_shards_that_leave_no_round_cpu(ray_session, tmp_path,
+                                                      monkeypatch):
+    """Seen and politeness shards that reserve more than all but one of the
+    session's 4 CPUs leave round tasks no CPU: the driver raises, naming
+    the reservation and the CPU count, before it creates any actor."""
+    from crawler_ray.pipelines import crawl as crawl_mod
+
+    def no_actor(*args, **kwargs):
+        raise AssertionError("a state actor was created")
+
+    monkeypatch.setattr(crawl_mod.SeenSet, "create", no_actor)
+    with pytest.raises(ValueError, match=r"reserve 3\.5 of the cluster's 4 CPUs"):
+        CrawlDriver(CrawlConfig(fixture_dir=str(tmp_path), out_dir=str(tmp_path),
+                                num_seen_shards=12, num_politeness_shards=2))
 
 
-def _sink_rows(sinks) -> dict:
-    from crawler_ray.sources.io import part_rows
+def _fail_save_round_once(monkeypatch, rnd: int) -> list:
+    """Make ``save_round`` raise once, for round ``rnd``: the round's sinks
+    are committed, but its checkpoint and ``_COMPLETE`` marker are not."""
+    from crawler_ray.state.checkpoint import CheckpointManager
 
-    return {name: part_rows(d) for name, d in sinks.items()}
+    save_round = CheckpointManager.save_round
+    fired = []
+
+    def flaky(self, r, *args, **kwargs):
+        if r == rnd and not fired:
+            fired.append(r)
+            raise OSError("injected crash before _COMPLETE")
+        return save_round(self, r, *args, **kwargs)
+
+    monkeypatch.setattr(CheckpointManager, "save_round", flaky)
+    return fired
+
+
+def test_sinks_committed_without_complete_checkpoint_roll_back(
+    ray_session, small_site, tmp_path_factory, monkeypatch
+):
+    """The crash window between a round's sink commits and its
+    ``_COMPLETE`` marker: round 3 (which appends 54 images) commits every
+    sink, then its checkpoint fails. With a round retry the sinks roll back
+    to round 2's versions and the round re-runs; without one the crawl
+    raises, and a fresh driver's resume rolls back and finishes. Either
+    way the images table is the golden one, with no duplicate rows."""
+    import os
+
+    from crawler_ray.vendor import minilance
+
+    site, site_dir = small_site
+    for retries in (1, 0):
+        out = tmp_path_factory.mktemp(f"commit_crash{retries}")
+        cfg = CrawlConfig(fixture_dir=site_dir, out_dir=str(out),
+                          quota_per_host=50, fetch_concurrency=2,
+                          num_seen_shards=2, round_retries=retries)
+        with monkeypatch.context() as m:
+            fired = _fail_save_round_once(m, 3)
+            drv = CrawlDriver(cfg)
+            try:
+                if retries:
+                    res = drv.run()
+                else:
+                    with pytest.raises(OSError, match="injected crash"):
+                        drv.run()
+            finally:
+                drv.shutdown()
+        assert fired == [3]
+        if not retries:
+            # round 3's images are committed, its checkpoint is not
+            assert drv.ckpt.latest_complete_round() == 2
+            assert not os.path.exists(os.path.join(str(out), "round_0003",
+                                                   "_COMPLETE"))
+            assert minilance.dataset(str(out / "images")).version == 4
+            drv = CrawlDriver(cfg)
+            res = drv.run(resume=True)
+            drv.shutdown()
+        assert res.pages_fetched == len(site.expected_seen)
+        imgs = read_images_table(str(out))
+        assert imgs.equals(site.expected_images)
+        assert len(set(imgs["image_id"].to_pylist())) == imgs.num_rows
+
+
+def test_each_sink_is_one_dataset_committed_once_per_round(
+    ray_session, small_site, tmp_path, monkeypatch
+):
+    """After an N-round crawl every output sink is one dataset with at
+    most N versions and no subdir but its own, each round's frontier is
+    one dataset committed once, and the driver opens each frontier it
+    reads as one manifest."""
+    import collections
+    import os
+
+    from crawler_ray.stages.process import SINKS
+    from crawler_ray.vendor import minilance
+
+    dataset = minilance.dataset
+    opened = []
+
+    def spy(uri, version=None):
+        opened.append(uri)
+        return dataset(uri, version=version)
+
+    monkeypatch.setattr(minilance, "dataset", spy)
+    _, site_dir = small_site
+    out = tmp_path / "out"
+    drv, res = _run(site_dir, out)
+    monkeypatch.setattr(minilance, "dataset", dataset)
+    assert res.rounds > 2
+    for name in SINKS:
+        if name != "frontier":
+            assert 1 <= len(dataset(str(out / name)).versions()) <= res.rounds
+            assert sorted(os.listdir(out / name)) == ["_versions", "data"]
+    fdirs = [drv.ckpt.frontier_dir(rnd) for rnd in range(res.rounds)]
+    assert all(dataset(f).versions() == [1] for f in fdirs)
+    # every round after round 0 reads its predecessor's frontier
+    reads = collections.Counter(u for u in opened if u in fdirs)
+    assert reads == {f: 1 for f in fdirs[:-1]}
+
+
+def _commit_parts(sinks: dict, stats) -> dict:
+    """Commit the fragments a stage or round call reported in its ``part``
+    stat rows, one ``create`` per sink (as the driver does at the round
+    barrier), and return each sink's committed row count."""
+    import json
+
+    from crawler_ray.stages.process import SINKS
+    from crawler_ray.vendor import minilance
+
+    parts = [r for r in stats.to_pylist() if r["row_type"] == "part"]
+    rows = {}
+    for name, uri in sinks.items():
+        entries = [json.loads(r["entry"]) for r in parts if r["kind"] == name]
+        minilance.commit(uri, SINKS[name], entries, mode="create")
+        rows[name] = minilance.dataset(uri).count_rows()
+    return rows
 
 
 def test_corrupt_image_payload_dead_lettered(tmp_path):
@@ -245,7 +370,7 @@ def test_corrupt_image_payload_dead_lettered(tmp_path):
 
     from crawler_ray.functions.codecs import encode_png
     from crawler_ray.sources.io import read_parts_table
-    from crawler_ray.stages.process import STAT_SCHEMA, CrawlProcessStage
+    from crawler_ray.stages.process import SINKS, STAT_SCHEMA, CrawlProcessStage
 
     class FakeSeen:
         """Every key is new."""
@@ -265,7 +390,7 @@ def test_corrupt_image_payload_dead_lettered(tmp_path):
         "status": pa.array([200, 200], pa.int32()),
     }), str(tmp_path / "pages.parquet"))
     stage = CrawlProcessStage(str(tmp_path / "pages.parquet"), [], FakeSeen(), {})
-    stage.sinks = {n: str(tmp_path / n) for n in _SINK_NAMES}
+    stage.sinks = {n: str(tmp_path / n) for n in SINKS}
     batch = pa.table({
         "url": urls,
         "host": ["h", "h"],
@@ -277,32 +402,40 @@ def test_corrupt_image_payload_dead_lettered(tmp_path):
     })
     stats = stage(batch)
     assert stats.schema.equals(STAT_SCHEMA)
-    assert sorted(stats.to_pylist(), key=lambda r: r["row_type"]) == [
+    assert sorted(stats.drop_columns(["entry"]).to_pylist(),
+                  key=lambda r: (r["row_type"], r["kind"])) == [
         {"row_type": "error_stat", "host": "h", "kind": "image", "status": 1},
-        {"row_type": "image_stat", "host": "", "kind": "image", "status": 1},
+        {"row_type": "part", "host": "", "kind": "errors", "status": 1},
+        {"row_type": "part", "host": "", "kind": "images", "status": 1},
     ]
+    # written, but invisible until the entries are committed
+    assert read_parts_table(stage.sinks["images"]) is None
+    assert _commit_parts(stage.sinks, stats) == {
+        "images": 1, "tables/categories": 0, "tables/products": 0,
+        "tables/brands": 0, "errors": 1, "tables/pages": 0, "frontier": 0,
+    }
     imgs = read_parts_table(stage.sinks["images"])
     assert imgs["caption"].to_pylist() == ["a"]  # good row kept
     errs = read_parts_table(stage.sinks["errors"]).to_pylist()
     assert errs == [{"url": "http://h/img/bad.png", "host": "h",
                      "kind": "image", "seed_id": "s", "status": 422,
                      "attempt": 0}]
-    assert _sink_rows(stage.sinks) == {
-        "images": 1, "categories": 0, "products": 0, "brands": 0,
-        "errors": 1, "pages": 0, "frontier": 0,
-    }
 
 
 def test_round_fn_returns_stat_rows_and_sinks_every_class(
         ray_session, small_site, tmp_path):
     """One round_fn call over a fixture group: the output is exactly the
-    four-column stat schema, every row class of the group lands in its
-    sink, and each sink holds as many rows as its stat rows count."""
+    stat schema, every row class of the group lands in its sink, and each
+    sink, once the entries its ``part`` rows carry are committed, holds as
+    many rows as those rows count; the frontier's fragments are
+    host-bucketed and hold the successors and the backlog."""
+    import json
+
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
 
-    from crawler_ray.stages.process import STAT_SCHEMA, make_round_fn
+    from crawler_ray.stages.process import SINKS, STAT_SCHEMA, make_round_fn
     from crawler_ray.state.seen import SeenSet
 
     site, _ = small_site
@@ -323,8 +456,8 @@ def test_round_fn_returns_stat_rows_and_sinks_every_class(
     seen = SeenSet.create(2, 1 << 12)
     args = ray.put((ray.put(pages.select(["url", "payload", "status"])),
                     [], seen, {}, 3, None, "synthetic", None))
-    sinks = {name: str(tmp_path / name) for name in _SINK_NAMES}
-    round_fn = make_round_fn(args, quota, 16, False, sinks, buckets=4)
+    sinks = {name: str(tmp_path / name) for name in SINKS}
+    round_fn = make_round_fn(args, quota, 16, 1, sinks, buckets=4)
     try:
         out = round_fn(group)
     finally:
@@ -332,24 +465,24 @@ def test_round_fn_returns_stat_rows_and_sinks_every_class(
             ray.kill(shard)
     assert out.schema.equals(STAT_SCHEMA)
 
-    def count(row_type):
+    def count(row_type, kind=None):
         m = pc.equal(out["row_type"], row_type)
+        if kind is not None:
+            m = pc.and_(m, pc.equal(out["kind"], kind))
         return pc.sum(out.filter(m)["status"]).as_py() or 0
 
     per_host = pages.group_by("host").aggregate([([], "count_all")])
     selected = sum(min(quota, c) for c in per_host["count_all"].to_pylist())
     assert count("sel_stat") == selected
     assert count("backlog_stat") == n - selected > 0
-    rows = _sink_rows(sinks)
-    assert rows == {
-        "images": count("image_stat"),
-        "categories": count("category_stat"),
-        "products": count("product_stat"),
-        "brands": count("brand_stat"),
-        "errors": count("error_stat"),
-        "pages": count("page_stat"),
-        "frontier": count("succ_stat") + count("backlog_stat"),
-    }
+    frontier = [json.loads(e) for e, k in zip(out["entry"].to_pylist(),
+                                              out["kind"].to_pylist())
+                if k == "frontier"]
+    assert frontier and all(0 <= e["bucket"] < 4 for e in frontier)
+    rows = _commit_parts(sinks, out)
+    assert rows == {name: count("part", name) for name in SINKS}
+    assert count("error_stat") == rows["errors"]
+    assert rows["frontier"] > count("backlog_stat")  # successors too
     assert all(rows.values()), rows
 
 
@@ -420,27 +553,21 @@ def test_entity_tables_written(crawl_once):
 
 def test_frontier_never_driver_resident(crawl_once):
     """VERDICT round-1 #5: between rounds the frontier exists only as the
-    checkpoint's per-round parquet dir (plus object-store blocks inside an
-    execution); the driver holds paths + counters. Asserts (a) the crawl
-    module has no driver-side selection helper wired in, (b) every round's
-    checkpointed frontier row count equals lineage successors + backlog."""
-    import os
-
-    import pyarrow.parquet as pq
-
+    checkpoint's per-round frontier dataset (plus object-store blocks
+    inside an execution); the driver holds paths + counters. Asserts (a)
+    the crawl module has no driver-side selection helper wired in, (b)
+    every round's checkpointed frontier row count equals lineage
+    successors + backlog."""
     from crawler_ray.pipelines import crawl as crawl_mod
+    from crawler_ray.vendor import minilance
 
     assert not hasattr(crawl_mod, "split_selected")
     site, _, out, drv, res = crawl_once
     for key, lin in drv.lineage.items():
         if not key.startswith("round_"):
             continue
-        from crawler_ray.sources.io import read_parts_table
-
         rnd = int(key.split("_")[1])
-        fdir = drv.ckpt.frontier_dir(rnd)
-        tbl = read_parts_table(fdir) if os.path.isdir(fdir) else None
-        rows = tbl.num_rows if tbl is not None else 0
+        rows = minilance.dataset(drv.ckpt.frontier_dir(rnd)).count_rows()
         assert rows == lin["successors"] + lin["backlog"], key
 
 
@@ -671,15 +798,13 @@ def _check_wide(site, drv, res) -> None:
 
 
 def _buckets(drv, rnd) -> dict[int, int]:
-    """Round ``rnd``'s frontier layout: {bucket id: parts in its dir}."""
-    import glob
-    import os
+    """Round ``rnd``'s frontier layout: {bucket id: fragments in it}."""
+    from collections import Counter
 
-    fdir = drv.ckpt.frontier_dir(rnd)
-    assert not glob.glob(os.path.join(fdir, "*.lance"))  # bucketed only
-    return {int(os.path.basename(b).split("=")[1]):
-            len(glob.glob(os.path.join(b, "part-*.lance")))
-            for b in glob.glob(os.path.join(fdir, "bucket=*"))}
+    from crawler_ray.vendor import minilance
+
+    frags = minilance.dataset(drv.ckpt.frontier_dir(rnd)).get_fragments()
+    return dict(Counter(f.metadata["bucket"] for f in frags))  # all bucketed
 
 
 def test_wide_rounds_bucket_count_invariant_and_exchange_free(
@@ -720,7 +845,7 @@ def test_wide_rounds_bucket_count_invariant_and_exchange_free(
         assert max(ids) < 4 * blocks_per_cpu
         assert blocks_per_cpu == 1 or max(ids) >= 8
         # each round_fn call writes its frontier rows once, so a bucket
-        # dir holds at most one part per read group (groups <= B)
+        # holds at most one fragment per read group (groups <= B)
         assert max(n for lay in layouts for n in lay.values()) \
             <= 4 * blocks_per_cpu
         seen_sizes.append(res.seen_size)
@@ -804,10 +929,10 @@ def test_quota_guard_fails_a_round_whose_read_is_not_fused(
 
 def test_resume_rejects_unbucketed_frontier(ray_session, small_site,
                                             tmp_path_factory, monkeypatch):
-    """A checkpoint whose frontier parts sit directly in ``frontier/`` (the
-    layout before host buckets) is rejected on resume with an error naming
-    the dir, before any part is read."""
-    import glob
+    """A checkpoint whose frontier is not one dataset is rejected on resume
+    with an error naming the dir, before any fragment is opened. Both older
+    layouts wrote a dataset per part: in ``bucket=NNNN`` subdirs, and
+    before host buckets directly in ``frontier/``."""
     import os
     import re
     import shutil
@@ -823,19 +948,20 @@ def test_resume_rejects_unbucketed_frontier(ray_session, small_site,
     drv1.run(stop_after_round=0)
     drv1.shutdown()
     fdir = drv1.ckpt.frontier_dir(0)
-    for part in glob.glob(os.path.join(fdir, "bucket=*", "part-*.lance")):
-        shutil.move(part, fdir)
-    for b in glob.glob(os.path.join(fdir, "bucket=*")):
-        os.rmdir(b)
-    assert glob.glob(os.path.join(fdir, "part-*.lance"))
+    rows = minilance.dataset(fdir).to_table()
+    write_dataset = minilance.write_dataset
 
     def no_read(*args, **kwargs):
-        raise AssertionError("a frontier part was opened")
+        raise AssertionError("a frontier fragment was opened")
 
-    monkeypatch.setattr(minilance, "dataset", no_read)
-    drv2 = CrawlDriver(cfg)
-    try:
-        with pytest.raises(ValueError, match=re.escape(fdir)):
-            drv2.run(resume=True)
-    finally:
-        drv2.shutdown()
+    for layout in ("bucket=0003/part-0a1b.lance", "part-0a1b.lance"):
+        shutil.rmtree(fdir)
+        write_dataset(rows, os.path.join(fdir, layout))
+        with monkeypatch.context() as m:
+            m.setattr(minilance, "dataset", no_read)
+            drv2 = CrawlDriver(cfg)
+            try:
+                with pytest.raises(ValueError, match=re.escape(fdir)):
+                    drv2.run(resume=True)
+            finally:
+                drv2.shutdown()

@@ -194,12 +194,8 @@ def test_http_crawl_end_to_end(ray_session, http_site, tmp_path_factory):
     from crawler_ray.pipelines.revalidate import manifest_from_crawl
     from crawler_ray.sources.io import read_parts_table
 
-    pages_rows = []
-    proot = os.path.join(str(out), "tables", "pages")
-    for rdir in sorted(os.listdir(proot)):
-        t = read_parts_table(os.path.join(proot, rdir))
-        if t is not None:
-            pages_rows.extend(t.to_pylist())
+    pages_rows = read_parts_table(
+        os.path.join(str(out), "tables", "pages")).to_pylist()
     by_url = {r["url"]: r for r in pages_rows}
     for pid in ("112", "12", "13"):
         row = by_url[f"{base}/api/GetProductDetail?ProductId={pid}"]

@@ -5,9 +5,9 @@ item #8 — previously only mock-tested).
 Covers: single-process round-trip + versioning/time-travel/append semantics,
 fragments-first-manifest-last atomicity, the Ray Data Datasource (one block
 per fragment, pruned columns) and Datasink (distributed fragment writes, one
-atomic commit, the upstream plan run once), and the ``sources/io`` part-tree
-surface. The end-to-end crawl over minilance sinks is covered by
-``tests/test_crawl.py``.
+atomic commit, the upstream plan run once), and the ``sources/io`` sink
+surface (uncommitted fragments, host-bucketed reads). The end-to-end crawl
+over minilance sinks is covered by ``tests/test_crawl.py``.
 """
 
 import glob
@@ -303,33 +303,6 @@ def test_write_minilance_runs_upstream_plan_once(ray_session, tmp_path):
     assert minilance.dataset(str(tmp_path / "once.lance")).count_rows() == 10
 
 
-def test_compact_parts_reads_each_fragment_once(ray_session, tmp_path, monkeypatch):
-    from crawler_ray.sources import io as io_mod
-    from crawler_ray.sources import lance_ray
-
-    root = str(tmp_path / "parts")
-    for i in range(4):
-        io_mod.write_part(_t(2, off=2 * i), os.path.join(root, f"round_{i:04d}"), f"s{i}")
-    marks = tmp_path / "marks"
-    marks.mkdir()
-    mark = _marker(str(marks))
-    orig = lance_ray.MiniLanceDatasource.get_read_tasks
-
-    def get_read_tasks(self, parallelism):
-        tasks = orig(self, parallelism)
-        for task in tasks:
-            def read_fn(fn=task._read_fn):
-                mark()
-                return fn()
-
-            task._read_fn = read_fn
-        return tasks
-
-    monkeypatch.setattr(lance_ray.MiniLanceDatasource, "get_read_tasks", get_read_tasks)
-    assert io_mod.compact_parts(root, str(tmp_path / "final.lance")) == 8
-    assert len(os.listdir(marks)) == 4
-
-
 def test_datasource_unknown_fragment_size_reported_unknown(tmp_path):
     """A manifest entry without ``size_bytes`` means the size is unknown:
     the datasource reports None, not 0 bytes."""
@@ -353,70 +326,67 @@ def test_datasource_unknown_fragment_size_reported_unknown(tmp_path):
 # ------------------------------------------------------- io dispatch surface
 
 
-def test_io_write_part_minilance_retry_idempotent(tmp_path):
-    from crawler_ray.sources import io as io_mod
-
-    t = _t(4)
-    root = str(tmp_path / "images" / "round_0000")
-    path = io_mod.write_part(t, root, "d1g3st")
-    assert path.endswith("part-d1g3st.lance")
-    assert minilance.dataset(path).to_table().equals(t)
-    # task retry: same content-derived stem → mode=overwrite → latest
-    # version holds the rows ONCE (no duplicate fragment visible)
-    io_mod.write_part(t, root, "d1g3st")
-    ds = minilance.dataset(path)
-    assert ds.count_rows() == 4 and ds.versions() == [1, 2]
-
-
 def test_io_read_parts_and_table_dispatch_on_writer_format(ray_session, tmp_path):
+    """``write_part`` fragments are invisible until their entries are
+    committed; then the distributed and the driver-side reader both see
+    every committed row once, with column pruning."""
     from crawler_ray.sources import io as io_mod
 
+    uri = str(tmp_path / "images")
     t1, t2 = _t(3), _t(2, off=3)
-    io_mod.write_part(t1, str(tmp_path / "round_0000"), "aaa")
-    io_mod.write_part(t2, str(tmp_path / "round_0001"), "bbb")
-    # distributed read unions the per-part minilance datasets
-    ds = io_mod.read_parts(str(tmp_path), columns=["image_id", "phash"])
+    entries = [io_mod.write_part(t1, uri), io_mod.write_part(t2, uri)]
+    assert [e["rows"] for e in entries] == [3, 2]
+    assert io_mod.read_parts_table(uri) is None  # nothing committed yet
+    minilance.commit(uri, t1.schema, entries)
+    ds = io_mod.read_parts(uri, columns=["image_id", "phash"])
     rows = sorted(ds.take_all(), key=lambda r: r["image_id"])
     assert [r["image_id"] for r in rows] == [f"id{i}" for i in range(5)]
     assert all(set(r) == {"image_id", "phash"} for r in rows)
-    # driver-side concat read
-    tbl = io_mod.read_parts_table(str(tmp_path))
+    tbl = io_mod.read_parts_table(uri)
     assert tbl.sort_by("image_id").equals(
         pa.concat_tables([t1, t2]).sort_by("image_id")
     )
 
 
-def test_io_compact_parts_to_single_lance_table(ray_session, tmp_path):
+def test_bucketed_read_keeps_each_bucket_in_one_block(ray_session, tmp_path):
+    """Two writers' fragments of one host bucket reach the same block: the
+    read groups fragments by the ``bucket`` their entries record, so each
+    host's rows meet in one block whatever the group count."""
     from crawler_ray.sources import io as io_mod
+    from crawler_ray.sources.lance_ray import read_minilance
 
-    root = str(tmp_path / "parts")
-    for i, stem in enumerate(("aaa", "bbb", "ccc")):
-        io_mod.write_part(_t(4, off=4 * i), os.path.join(root, f"round_{i:04d}"), stem)
-    dest = str(tmp_path / "final.lance")
-    n = io_mod.compact_parts(root, dest)
-    assert n == 12
-    assert minilance.is_dataset(dest)
-    got = minilance.dataset(dest).to_table().sort_by("image_id")
-    assert got["phash"].to_pylist() == sorted(range(12), key=lambda i: f"id{i}")
+    uri = str(tmp_path / "frontier")
+    hosts = [f"h{i}" for i in range(12)]
+    t = pa.table({"host": hosts, "n": list(range(12))})
+    entries = io_mod.write_bucketed(t, uri, 5) + io_mod.write_bucketed(t, uri, 5)
+    assert all(0 <= e["bucket"] < 5 for e in entries)
+    minilance.commit(uri, t.schema, entries)
+
+    def tag(b: pa.Table) -> pa.Table:
+        import uuid
+
+        return b.append_column("blk", pa.array([uuid.uuid4().hex] * len(b)))
+
+    for blocks in (1, 2, 3, None):
+        rows = read_minilance(uri, override_num_blocks=blocks).map_batches(
+            tag, batch_format="pyarrow", batch_size=None).take_all()
+        assert len(rows) == 24
+        blk = {}
+        for r in rows:
+            assert blk.setdefault(r["host"], r["blk"]) == r["blk"], blocks
+        assert len(set(blk.values())) <= (blocks or 5)
 
 
-def test_io_parquet_part_in_tree_raises(ray_session, tmp_path):
-    """A part tree holding a ``.parquet`` part (written by an older parquet
-    sink) is rejected by both readers with an error naming the file, never
-    read or skipped silently."""
-    import pyarrow.parquet as pq
-
-    from crawler_ray.sources import io as io_mod
-
-    root = str(tmp_path / "images")
-    io_mod.write_part(_t(3), os.path.join(root, "round_0000"), "aaa")
-    bad = os.path.join(root, "round_0001", "part-bbb.parquet")
-    os.makedirs(os.path.dirname(bad))
-    pq.write_table(_t(2, off=3), bad)
-    with pytest.raises(ValueError, match="part-bbb.parquet"):
-        io_mod.read_parts(root)
-    with pytest.raises(ValueError, match="part-bbb.parquet"):
-        io_mod.read_parts_table(root)
+def test_restore_recommits_an_old_version(tmp_path):
+    """``restore`` makes an old version the newest again, deleting no file:
+    the rolled-back version stays readable by number."""
+    uri = str(tmp_path / "r.lance")
+    minilance.write_dataset(_t(3), uri)
+    minilance.write_dataset(_t(2, off=3), uri, mode="append")
+    assert minilance.dataset(uri, version=1).restore() == 3
+    ds = minilance.dataset(uri)
+    assert ds.version == 3 and ds.to_table().equals(_t(3))
+    assert minilance.dataset(uri, version=2).count_rows() == 5
 
 
 def test_datasink_empty_overwrite_truncates(ray_session, tmp_path):

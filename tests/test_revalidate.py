@@ -198,3 +198,29 @@ def test_cli_revalidate_sweep(ray_session, reval_site, tmp_path, capsys):
 
     written = _rd.read_parquet(str(dest)).to_pandas()
     assert sorted(written["verdict"]) == ["fresh", "gone"]
+
+
+def test_manifest_from_crawl_latest_round_wins(ray_session, tmp_path):
+    """A url in the pages sink twice takes the validators of its LATEST
+    round. The round-3 row is written before the round-1 row, in one
+    fragment, so a rule that ignored ``round`` and kept the last row read
+    would pick the stale round-1 etag."""
+    from crawler_ray.pipelines.revalidate import manifest_from_crawl
+    from crawler_ray.sources.io import write_part
+    from crawler_ray.stages.process import SINKS
+    from crawler_ray.vendor import minilance
+
+    schema = SINKS["tables/pages"]
+    rows = [("http://h/a", 3, '"a-v3"'), ("http://h/b", 1, '"b-v1"'),
+            ("http://h/a", 1, '"a-v1"')]
+    pages = pa.Table.from_pylist(
+        [{"url": u, "host": "h", "kind": "product_detail", "seed_id": "s",
+          "status": 200, "etag": e, "last_modified": "", "round": r}
+         for u, r, e in rows],
+        schema=schema,
+    )
+    uri = str(tmp_path / "out" / "tables" / "pages")
+    minilance.commit(uri, schema, [write_part(pages, uri)], mode="overwrite")
+    got = {r["url"]: r["etag"]
+           for r in manifest_from_crawl(str(tmp_path / "out")).take_all()}
+    assert got == {"http://h/a": '"a-v3"', "http://h/b": '"b-v1"'}

@@ -135,25 +135,21 @@ def test_checkpoint_roundtrip(tmp_path):
     import pyarrow as pa
 
     from crawler_ray.state.checkpoint import CheckpointManager
-
-    import os
-
-    import pyarrow.parquet as pq
+    from crawler_ray.vendor import minilance
 
     cm = CheckpointManager(str(tmp_path / "ck"))
     t = pa.table({"url": ["a", "b"], "n": [1, 2]})
     snap = [{"x": np.arange(3)}]
     for rnd, m, l in ((0, 1, 2), (1, 2, 3)):
-        # stage tasks write frontier parts into the staging dir, then the
+        # the frontier dataset is committed in the staging dir, then the
         # driver completes the round atomically
         fdir = cm.begin_round(rnd)
-        pq.write_table(t, os.path.join(fdir, "part-0.parquet"))
+        minilance.write_dataset(t, fdir)
         cm.save_round(rnd, snap, {"m": m}, {"l": l})
     assert cm.latest_complete_round() == 1
     fdir, snaps, metrics, lineage = cm.load_round(1)
     assert metrics == {"m": 2} and lineage == {"l": 3}
-    got = pq.read_table(os.path.join(fdir, "part-0.parquet"))
-    assert got.equals(t)
+    assert minilance.dataset(fdir).to_table().equals(t)
     assert np.array_equal(snaps[0]["x"], np.arange(3))
     cm.prune_rounds_after(0)
     assert cm.latest_complete_round() == 0
