@@ -1,11 +1,11 @@
 """Startup capability probe (round-4 verdict item 6).
 
 Every optional heavy dependency in the engine sits behind an import gate
-(``HAVE_PYAV``/``HAVE_SOUNDFILE`` and the CLIP-tower gate in
-pipelines/multimodal.py) so the same code runs real decoders on a full
-cluster and deterministic stand-ins in this sandbox.
+(``HAVE_SOUNDFILE`` and the CLIP-tower gate in pipelines/multimodal.py)
+so the same code runs real decoders on a full cluster and deterministic
+stand-ins where the wheels are absent.
 This module makes that state VISIBLE: bench.py embeds ``capability_report()``
-in its JSON line, so an environment upgrade (a PyAV wheel appearing, CLIP
+in its JSON line, so an environment upgrade (a soundfile wheel appearing, CLIP
 weights mounted) is noticed the round it happens instead of the stub paths
 silently continuing to serve.
 """
@@ -25,10 +25,9 @@ def _importable(name: str) -> bool:
 def capability_report() -> dict[str, bool]:
     """One bool per optional capability; ``True`` means the REAL
     implementation serves, ``False`` means the declared stand-in
-    (deterministic fake towers, NotImplementedError video decode) is on the
-    path."""
+    (deterministic fake towers, NotImplementedError compressed-audio
+    decode) is on the path."""
     caps = {
-        "pyav": _importable("av"),
         "soundfile": _importable("soundfile"),
         "pillow": _importable("PIL"),
         "torch": _importable("torch"),

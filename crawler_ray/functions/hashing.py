@@ -131,16 +131,6 @@ def phash64(pixels: np.ndarray) -> int:
     return v
 
 
-def hamming64(a: int, b: int) -> int:
-    return int(bin((a ^ b) & 0xFFFFFFFFFFFFFFFF).count("1"))
-
-
-def hamming64_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized Hamming distance between two uint64/int64 arrays."""
-    x = (a.astype(np.uint64) ^ b.astype(np.uint64)).view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(x, axis=1).sum(axis=1)
-
-
 # ---------------------------------------------------------------------------
 # simhash (document fingerprinting)
 

@@ -37,21 +37,3 @@ def normalize_fmt(url_or_ext: str) -> str:
     tail = url_or_ext.rsplit(".", 1)[-1]
     tail = tail.split("-", 1)[0].split("?", 1)[0].lower()
     return _FMT_ALIAS.get(tail, tail)
-
-
-def image_data_uri(data: bytes, url_or_ext: str) -> str:
-    """Image bytes → ``data:image/{ext};base64,...`` upload payload
-    (``UploadImgsByLink``/``UploadImgsByFile``, BaseSpider.cs:225-261:
-    ext from the URL tail stripped of a '-suffix', body base64). The
-    reference md5-keys this exact URI string for its upload dedup; our
-    images pipeline instead content-addresses the RAW bytes (deliberate
-    divergence: byte-identical payloads under two claimed extensions are
-    the same image and should dedup together — the URI hash would keep
-    both). This helper exists for emitting the reference's upload payload
-    format when a sink needs wire parity."""
-    import base64
-
-    return (
-        f"data:image/{normalize_fmt(url_or_ext)};base64,"
-        + base64.b64encode(data).decode("ascii")
-    )

@@ -7,6 +7,8 @@ Covers the reference's string/URL helpers re-expressed on stdlib ``urllib``:
 - ``is_link`` / ``is_phone_num`` / ``is_email`` — regex predicates
   (``StringExtension.cs:26-42``).
 - ``to_url_encode`` — ``StringExtension.ToUrlEncode`` (``:44-70``).
+  ``ToHtmlEncode`` and ``ToBase64`` have no wrapper here: the stdlib
+  (``urllib.parse.quote_plus``, ``base64``) covers them (SURVEY.md §2).
 - ``url_join`` — relative→absolute redirect resolution
   (``HZ.Crawler.Common/Net/HttpResponse.cs:39-66``).
 - ``normalize_url`` — new design: the canonical frontier key feeding the
@@ -97,12 +99,6 @@ def strip_tracking_params(url: str) -> str:
     )
 
 
-# HttpUtility.UrlEncode's unescaped set (alnum + -_.!*() — note '~' IS
-# escaped, unlike RFC-3986 quote) with space → '+'
-_FORM_SAFE = frozenset(
-    b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.!*()"
-)
-
 # Uri.EscapeDataString's (.NET Framework) unescaped set: RFC-3986 unreserved
 # plus the RFC-2396 marks !*'() — space becomes %20, not '+'
 _DATA_SAFE = frozenset(
@@ -115,7 +111,7 @@ def to_url_encode(s: str, to_upper: bool = True) -> str:
     everything else percent-encoded over UTF-8 bytes
     (``ToUrlEncode``, StringExtension.cs:44-56: Uri.EscapeDataString,
     which already emits uppercase hex; ``to_upper=False`` gives the
-    lowercase variant for symmetry with :func:`to_html_encode`)."""
+    lowercase variant)."""
     out = []
     for b in s.encode("utf-8"):
         if b in _DATA_SAFE:
@@ -123,39 +119,3 @@ def to_url_encode(s: str, to_upper: bool = True) -> str:
         else:
             out.append(f"%{b:02X}" if to_upper else f"%{b:02x}")
     return "".join(out)
-
-
-def to_html_encode(s: str, to_upper: bool = True) -> str:
-    """Form-style URL encode — space → ``+``, ``-_.!*()`` kept, everything
-    else (including ``~``) percent-encoded over UTF-8 bytes, hex upper-cased
-    by default (``ToHtmlEncode``/``EncodeToUpper``,
-    StringExtension.cs:58-93: HttpUtility.UrlEncode then %xx → %XX)."""
-    out = []
-    for b in s.encode("utf-8"):
-        if b == 0x20:
-            out.append("+")
-        elif b in _FORM_SAFE:
-            out.append(chr(b))
-        else:
-            out.append(f"%{b:02X}" if to_upper else f"%{b:02x}")
-    return "".join(out)
-
-
-def to_base64(s: str, encoding: str = "utf-8") -> str:
-    """Base64 of the string's encoded bytes; empty in → empty out
-    (``ToBase64``, StringExtension.cs:95-105)."""
-    import base64
-
-    if not s:
-        return s
-    return base64.b64encode(s.encode(encoding)).decode("ascii")
-
-
-def from_base64(s: str, encoding: str = "utf-8") -> str:
-    """Inverse of :func:`to_base64` (the reference pairs its encoder with
-    Convert.FromBase64String call sites)."""
-    import base64
-
-    if not s:
-        return s
-    return base64.b64decode(s.encode("ascii")).decode(encoding)

@@ -172,24 +172,6 @@ def _ensure_layout(sf_dir: str, grid_bits: int = 3) -> str:
     )
 
 
-def layout_prune_stats(
-    root: str, u_lo: int, u_hi: int, t_lo_us: int, t_hi_us: int
-) -> tuple[int, int]:
-    """(candidate partition dirs that exist, total written dirs) — the
-    pruning evidence the tests assert on."""
-    with open(os.path.join(root, "meta.json")) as f:
-        meta = json.load(f)
-    cands = candidate_buckets(meta, u_lo, u_hi, t_lo_us, t_hi_us)
-    existing = {
-        d for d in os.listdir(root) if d.startswith("zbucket=")
-    }
-    hit = sum(1 for z in cands if f"zbucket={z}" in existing)
-    return hit, len(existing)
-
-
-_US = 1_000_000
-
-
 def _iso_us(iso: str) -> int:
     return int(np.datetime64(iso, "us").astype(np.int64))
 

@@ -1,24 +1,19 @@
-"""Multimodal-column stages: image/audio/video as opaque ``binary`` columns
-with typed metadata, processed by actor-pool ``map_batches`` stages.
+"""Multimodal pipelines over images, captions and audio carried as opaque
+``binary`` columns with typed metadata.
 
 The crawl's own image path (``CrawlProcessStage._process_images`` in
 stages/process.py) uses the real PNG codec and deterministic lossy
-stand-ins. The stages here are the GENERIC plumbing a
-training-data pipeline needs over arbitrary media blobs:
+stand-ins. This module holds the query pipelines built on the same codecs:
+the CLIP-style image-caption alignment gate, the image-corpus curation
+chain, audio near-dup fingerprinting, aspect-ratio bucketing, the image
+training-data build, PSNR-verified transcoding and the phash k-NN probe.
 
-- ``ImageResizeStage`` — decode → resize → re-encode (REAL for the formats
-  codecs.py supports; nearest-neighbour resample).
-- ``AudioFeatureStage`` — REAL for WAV/RIFF PCM (stdlib ``wave``; 8/16/32
-  bit, multi-channel downmixed), plus the deterministic FAUD fixture
-  container; compressed formats decode via soundfile when its wheel is
-  present (``HAVE_SOUNDFILE`` import gate), else raise clearly.
-- ``VideoFrameSampleStage`` — the Ray-side plumbing (schema, batch sizing,
-  actor signature, flat-map output layout) is real and tested; real
-  containers decode via PyAV when present (``HAVE_PYAV`` import gate,
-  streaming frame iterator — never the whole clip in memory), else only
-  the deterministic FVID fixture container is supported.
+``_decode_audio`` is REAL for WAV/RIFF PCM (stdlib ``wave``; 8/16/32 bit,
+multi-channel downmixed), plus the deterministic FAUD fixture container;
+compressed formats decode via soundfile when its wheel is present
+(``HAVE_SOUNDFILE`` import gate), else raise clearly.
 
-All stages take/return Arrow batches (``batch_format='pyarrow'``) and are
+Stages take/return Arrow batches (``batch_format='pyarrow'``) and are
 meant for SMALL ``batch_size`` — rows carry media payloads (SURVEY.md §7.5
 wide-binary-row guidance).
 """
@@ -31,41 +26,21 @@ import struct
 import numpy as np
 import pyarrow as pa
 
-from crawler_ray.functions.codecs import decode_image, encode_image, sniff_fmt
+from crawler_ray.functions.codecs import decode_image, sniff_fmt
 from crawler_ray.pipelines.joins import copartition, exchange_parts
 
-# deterministic fake containers for tests (no media libs in this sandbox)
+# deterministic fake audio container for tests
 FAKE_AUDIO_MAGIC = b"FAUD"  # FAKE header: FAUD + u32 n_samples + u16 rate/100
-FAKE_VIDEO_MAGIC = b"FVID"  # FAKE header: FVID + u16 n_frames + u8 w + u8 h
 
-# optional real codecs, gated on import: a cluster that HAS the wheel gets
-# the real decode with zero code changes;
-# this sandbox (no PyAV/soundfile) falls through to the fixture containers
-try:  # pragma: no cover - absent in this sandbox
-    import av as _av  # noqa: F401
-
-    HAVE_PYAV = True
-except ImportError:
-    HAVE_PYAV = False
-
+# optional real codec, gated on import: a cluster that HAS the wheel gets
+# the real decode with zero code changes; without it only WAV and the
+# fixture container decode
 try:  # pragma: no cover - absent in this sandbox
     import soundfile as _soundfile  # noqa: F401
 
     HAVE_SOUNDFILE = True
 except ImportError:
     HAVE_SOUNDFILE = False
-
-
-def make_fake_audio(n_samples: int, rate: int, seed: int = 0) -> bytes:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    samples = (rng.standard_normal(n_samples) * 1000).astype(np.int16)
-    return FAKE_AUDIO_MAGIC + struct.pack(">IH", n_samples, rate // 100) + samples.tobytes()
-
-
-def make_fake_video(n_frames: int, w: int, h: int, seed: int = 0) -> bytes:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    frames = rng.integers(0, 256, (n_frames, h, w, 3), dtype=np.uint8)
-    return FAKE_VIDEO_MAGIC + struct.pack(">HBB", n_frames, w, h) + frames.tobytes()
 
 
 def _decode_audio(data: bytes) -> tuple[np.ndarray, int]:
@@ -111,197 +86,6 @@ def _decode_audio(data: bytes) -> tuple[np.ndarray, int]:
         "compressed audio decoding requires soundfile/ffmpeg — not available "
         "in this environment; WAV (RIFF PCM) and the FAUD fixture container "
         "are decoded natively"
-    )
-
-
-def _decode_video(data: bytes) -> np.ndarray:
-    """Video decode → (n_frames, h, w, 3) uint8 RGB. Real containers
-    (mp4/mkv/webm/…) decode via PyAV when its wheel is present
-    (``HAVE_PYAV`` import gate — a real cluster needs no code change);
-    the deterministic FVID fixture container decodes natively. With
-    neither, raises with a clear message (this sandbox ships no PyAV)."""
-    if data[:4] == FAKE_VIDEO_MAGIC:
-        n, w, h = struct.unpack(">HBB", data[4:8])
-        return np.frombuffer(data[8 : 8 + n * h * w * 3], dtype=np.uint8).reshape(
-            n, h, w, 3
-        )
-    if HAVE_PYAV:  # pragma: no cover - wheel absent in this sandbox
-        import io
-
-        import av
-
-        frames = []
-        with av.open(io.BytesIO(data)) as container:
-            for frame in container.decode(video=0):
-                frames.append(frame.to_ndarray(format="rgb24"))
-        if not frames:
-            raise ValueError("video stream decoded to zero frames")
-        return np.stack(frames)
-    raise NotImplementedError(
-        "real video decoding requires PyAV/ffmpeg — not available in this "
-        "environment; only the deterministic FVID fixture container is supported"
-    )
-
-
-def _iter_video_frames(data: bytes):
-    """Streaming frame iterator — yields (h, w, 3) uint8 frames one at a
-    time so a sampling stage never materializes the whole clip (a real
-    60 fps video is GBs decoded; holding every frame per row would blow
-    the worker heap at production batch sizes)."""
-    if data[:4] == FAKE_VIDEO_MAGIC:
-        n, w, h = struct.unpack(">HBB", data[4:8])
-        frame_sz = h * w * 3
-        for i in range(n):
-            yield np.frombuffer(
-                data[8 + i * frame_sz : 8 + (i + 1) * frame_sz], dtype=np.uint8
-            ).reshape(h, w, 3)
-        return
-    if HAVE_PYAV:  # pragma: no cover - wheel absent in this sandbox
-        import io
-
-        import av
-
-        with av.open(io.BytesIO(data)) as container:
-            for frame in container.decode(video=0):
-                yield frame.to_ndarray(format="rgb24")
-        return
-    raise NotImplementedError(
-        "real video decoding requires PyAV/ffmpeg — not available in this "
-        "environment; only the deterministic FVID fixture container is supported"
-    )
-
-
-def _resize_nn(px: np.ndarray, w: int, h: int) -> np.ndarray:
-    ys = (np.arange(h) * px.shape[0] // h).clip(0, px.shape[0] - 1)
-    xs = (np.arange(w) * px.shape[1] // w).clip(0, px.shape[1] - 1)
-    return px[np.ix_(ys, xs)]
-
-
-class ImageResizeStage:
-    """bytes → decode → resize to (target_w, target_h) → re-encode.
-    Real end-to-end for png/jpeg/webp stand-ins."""
-
-    def __init__(self, target_w: int = 16, target_h: int = 16):
-        self.tw = target_w
-        self.th = target_h
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_bytes, out_w, out_h = [], [], []
-        for data in batch["bytes"].to_pylist():
-            fmt = sniff_fmt(data)
-            px = decode_image(data, fmt)
-            rs = _resize_nn(px, self.tw, self.th)
-            out_bytes.append(encode_image(np.ascontiguousarray(rs), fmt))
-            out_w.append(self.tw)
-            out_h.append(self.th)
-        return (
-            batch.drop_columns([c for c in ("bytes", "w", "h") if c in batch.column_names])
-            .append_column("bytes", pa.array(out_bytes, pa.binary()))
-            .append_column("w", pa.array(out_w, pa.int32()))
-            .append_column("h", pa.array(out_h, pa.int32()))
-        )
-
-
-class AudioFeatureStage:
-    """audio bytes → (duration_sec, rms, sample_rate). WAV/RIFF-PCM decode
-    is real (stdlib ``wave``); compressed formats need external codecs."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        dur, rms, rate = [], [], []
-        for data in batch["audio"].to_pylist():
-            samples, sr = _decode_audio(data)
-            dur.append(round(len(samples) / sr, 4))
-            rms.append(round(float(np.sqrt(np.mean(samples.astype(np.float64) ** 2))), 4))
-            rate.append(sr)
-        return (
-            batch.drop_columns(["audio"])
-            .append_column("duration_sec", pa.array(dur, pa.float64()))
-            .append_column("rms", pa.array(rms, pa.float64()))
-            .append_column("sample_rate", pa.array(rate, pa.int32()))
-        )
-
-
-class VideoFrameSampleStage:
-    """video bytes → every k-th frame re-encoded as PNG rows (flat_map-shaped:
-    one input row → n output rows)."""
-
-    def __init__(self, every_k: int = 2):
-        self.k = every_k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        vids, frames_idx, frame_bytes = [], [], []
-        ids = (
-            batch["video_id"].to_pylist()
-            if "video_id" in batch.column_names
-            else [hashlib.md5(b).hexdigest() for b in batch["video"].to_pylist()]
-        )
-        for vid, data in zip(ids, batch["video"].to_pylist()):
-            # streaming decode: only every k-th frame is ever held/encoded
-            for i, frame in enumerate(_iter_video_frames(data)):
-                if i % self.k:
-                    continue
-                vids.append(vid)
-                frames_idx.append(i)
-                frame_bytes.append(encode_image(np.ascontiguousarray(frame), "png"))
-        return pa.table(
-            {
-                "video_id": pa.array(vids, pa.string()),
-                "frame_idx": pa.array(frames_idx, pa.int32()),
-                "frame_png": pa.array(frame_bytes, pa.binary()),
-            }
-        )
-
-
-class ImageStatsStage:
-    """bytes → decode → per-image pixel statistics: channel-mean luminance,
-    contrast (luma std), and an 8-bit-histogram entropy. The LAION-style
-    *decoded-pixel* quality gate (`pipelines/packing.filter_images` gates on
-    METADATA only; this stage gates on content — near-uniform images are
-    tracking pixels/placeholders, near-zero-entropy ones are blanks).
-
-    Decode is per-row by nature (codecs are per-buffer); the stats are
-    vectorized numpy per image. Batch-local — zero exchanges; at 100 TB
-    size batches so decode memory (w*h*3 per row) x batch_size fits the
-    worker heap."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lum_mean, lum_std, entropy = [], [], []
-        for data in batch["bytes"].to_pylist():
-            px = decode_image(data, sniff_fmt(data)).astype(np.float64)
-            # ITU-R BT.601 luma
-            luma = px[..., 0] * 0.299 + px[..., 1] * 0.587 + px[..., 2] * 0.114
-            lum_mean.append(float(luma.mean()))
-            lum_std.append(float(luma.std()))
-            hist = np.bincount(
-                np.clip(luma, 0, 255).astype(np.uint8).ravel(), minlength=256
-            )
-            p = hist[hist > 0] / luma.size
-            entropy.append(float(-(p * np.log2(p)).sum()))
-        return (
-            batch.append_column("lum_mean", pa.array(lum_mean, pa.float64()))
-            .append_column("lum_std", pa.array(lum_std, pa.float64()))
-            .append_column("entropy", pa.array(entropy, pa.float64()))
-        )
-
-
-def filter_images_by_content(
-    ds, min_std: float = 2.0, min_entropy: float = 1.0
-):
-    """Decoded-pixel quality gate: drop near-uniform (placeholder/tracking)
-    and near-zero-entropy (blank) images. Composes with the metadata gate
-    in ``packing.filter_images``; stats columns stay on the output for
-    downstream reporting."""
-    import pyarrow.compute as pc_
-
-    def gate(t: pa.Table) -> pa.Table:
-        keep = pc_.and_(
-            pc_.greater_equal(t["lum_std"], min_std),
-            pc_.greater_equal(t["entropy"], min_entropy),
-        )
-        return t.filter(keep)
-
-    return ds.map_batches(ImageStatsStage(), batch_format="pyarrow").map_batches(
-        gate, batch_format="pyarrow"
     )
 
 

@@ -164,21 +164,3 @@ def pack_webdataset_shards(
     return ds.map_batches(
         ShardPacker(out_dir, target_bytes), batch_format="pyarrow"
     )
-
-
-def read_webdataset_shard(path: str) -> list[dict]:
-    """Read one shard back into sample dicts (test/serving helper)."""
-    out: dict[str, dict] = {}
-    with tarfile.open(path, mode="r") as tf:
-        for m in tf.getmembers():
-            key, _, suffix = m.name.rpartition(".")
-            data = tf.extractfile(m).read()
-            row = out.setdefault(key, {"image_id": key})
-            if suffix == "txt":
-                row["caption"] = data.decode()
-            elif suffix == "json":
-                row.update(json.loads(data))
-            else:
-                row["bytes"] = data
-                row["fmt"] = suffix
-    return list(out.values())

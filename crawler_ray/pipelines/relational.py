@@ -25,10 +25,10 @@ import ray
 import ray.data as rd
 
 from crawler_ray.context import worker_cached
-from crawler_ray.functions.rounding import round_np, round_pa
+from crawler_ray.functions.rounding import round_np
 from crawler_ray.pipelines.joins import copartition, exchange_parts, footer_schema
 from crawler_ray.pipelines.result import scalar_safe, schema_safe
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.aggregate import Count, Max, Min, Sum
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:
@@ -90,19 +90,17 @@ def _read_pandas(
 
 
 class BroadcastJoiner:
-    """Map-side hash join against a broadcast small table (J1/J2 pattern:
-    the reference probes in-memory brand/category bags,
+    """Map-side inner hash join against a broadcast small table (J1/J2
+    pattern: the reference probes in-memory brand/category bags,
     ``ShiweijiaProduct.cs:228-240,395-396``). ``ray.put`` the small side
     once; the task-mode instance holds only the REF (shipped in the pickled
     callable) and resolves it once per worker process
     (``context.worker_cached``) — never re-shipped per batch, and no
     actor-pool spin-up per execution."""
 
-    def __init__(self, small_ref: ray.ObjectRef, on: str | list[str],
-                 how: str = "inner"):
+    def __init__(self, small_ref: ray.ObjectRef, on: str | list[str]):
         self.ref = small_ref
         self.on = on
-        self.how = how
         self._small: pd.DataFrame | None = None
 
     def __call__(self, batch: pd.DataFrame) -> pa.Table:
@@ -116,13 +114,13 @@ class BroadcastJoiner:
         # Arrow out: broadcast-join results usually feed a groupby shuffle,
         # and sort-shuffles over Arrow blocks are much faster than pandas
         return pa.Table.from_pandas(
-            batch.merge(self._small, on=self.on, how=self.how), preserve_index=False
+            batch.merge(self._small, on=self.on), preserve_index=False
         )
 
 
-def _bjoin(ds: rd.Dataset, small: pd.DataFrame, on, how="inner"):
+def _bjoin(ds: rd.Dataset, small: pd.DataFrame, on):
     return ds.map_batches(
-        BroadcastJoiner(ray.put(small), on, how), batch_format="pandas"
+        BroadcastJoiner(ray.put(small), on), batch_format="pandas"
     )
 
 

@@ -11,7 +11,6 @@ scans — recall measured in tests/test_similarity.py.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
@@ -19,7 +18,7 @@ import ray.data as rd
 
 from crawler_ray.functions.rounding import round_np
 from crawler_ray.pipelines import joins
-from crawler_ray.pipelines.joins import copartition, exchange_parts
+from crawler_ray.pipelines.joins import copartition
 
 
 def _read_emb(sf_dir: str) -> rd.Dataset:
@@ -717,7 +716,8 @@ def embedding_kmeans(
     Because the update is fixed-point (order-independent) and the
     assignment/seeding are deterministic, the distributed result is
     BIT-IDENTICAL to a single-node numpy Lloyd reference at any batch
-    split — asserted in tests (the non-SQL analogue of the hash oracle).
+    split — asserted against ``tests/_refs.kmeans_reference`` (the non-SQL
+    analogue of the hash oracle).
     Rows-only driver check; returns (vec_id, cluster)."""
     ds = _read_emb(sf_dir)
     cents = _kmeans_centroids(sf_dir, k, iters)
@@ -744,28 +744,6 @@ def embedding_kmeans(
     return ds.map_batches(final_assign, batch_format="pyarrow")
 
 
-def kmeans_reference(
-    emb: np.ndarray, ids: np.ndarray, seed_vec: np.ndarray, iters: int
-) -> np.ndarray:
-    """Single-node numpy Lloyd with the IDENTICAL fixed-point update — the
-    bit-exactness oracle for :func:`embedding_kmeans` in tests."""
-    SCALE = float(1 << 20)
-    k = len(seed_vec)
-    cents = _normalize(seed_vec.astype(np.float64))
-    mat = _normalize(emb.astype(np.float64))
-    for _ in range(iters):
-        assign = np.argmax(mat @ cents.T, axis=1)
-        fx = np.floor(mat * SCALE).astype(np.int64)
-        sums = np.zeros((k, mat.shape[1]), np.int64)
-        np.add.at(sums, assign, fx)
-        counts = np.bincount(assign, minlength=k)
-        new = cents.copy()
-        nz = counts > 0
-        new[nz] = sums[nz] / (counts[nz, None].astype(np.float64) * SCALE)
-        cents = _normalize(new)
-    return np.argmax(mat @ cents.T, axis=1)
-
-
 def _dup_components(
     n: int, ai: np.ndarray, bi: np.ndarray
 ) -> np.ndarray:
@@ -789,9 +767,10 @@ def _semantic_dedup_group(
     ids: np.ndarray, mat: np.ndarray, centroid: np.ndarray, threshold: float
 ) -> pa.Table:
     """Shared per-cluster kernel for :func:`semantic_dedup` and its
-    single-node reference: rows sorted by vec_id, one cosine matmul, CC
-    over the ≥threshold graph, keep-one-per-component = LOWEST
-    centroid-cosine (ties → min vec_id)."""
+    single-node reference (``tests/_refs.semantic_dedup_reference``):
+    rows sorted by vec_id, one cosine matmul, CC over the ≥threshold
+    graph, keep-one-per-component = LOWEST centroid-cosine (ties → min
+    vec_id)."""
     order = np.argsort(ids)
     ids, mat = ids[order], mat[order]
     n = len(ids)
@@ -837,8 +816,8 @@ def semantic_dedup(
     Deterministic end to end (fixed-point kmeans, cosines rounded to 3
     decimals before thresholding, sorted-by-vec_id group order), so the
     distributed result is row-identical to the single-node
-    :func:`semantic_dedup_reference` at any batch split — asserted in
-    tests. Approximate BY DESIGN vs the global pair graph (cross-cluster
+    ``tests/_refs.semantic_dedup_reference`` at any batch split.
+    Approximate BY DESIGN vs the global pair graph (cross-cluster
     duplicates are unseen — the paper's accepted trade); recall vs the
     exact graph is measured in tests. Rows-only driver check; returns
     (vec_id, cluster, dup_group, centroid_sim, keep)."""
@@ -882,43 +861,6 @@ def semantic_dedup(
         .groupby("cluster")
         .map_groups(dedup_group, batch_format="pyarrow")
     )
-
-
-def semantic_dedup_reference(
-    emb: np.ndarray, ids: np.ndarray, seed_vec: np.ndarray,
-    iters: int, threshold: float,
-) -> pa.Table:
-    """Single-node numpy SemDeDup with the IDENTICAL fixed-point kmeans,
-    per-cluster kernel and keep policy — the row-exactness oracle for
-    :func:`semantic_dedup` in tests."""
-    SCALE = float(1 << 20)
-    k = len(seed_vec)
-    cents = _normalize(seed_vec.astype(np.float64))
-    mat = _normalize(emb.astype(np.float64))
-    for _ in range(iters):
-        assign = np.argmax(mat @ cents.T, axis=1)
-        fx = np.floor(mat * SCALE).astype(np.int64)
-        sums = np.zeros((k, mat.shape[1]), np.int64)
-        np.add.at(sums, assign, fx)
-        counts = np.bincount(assign, minlength=k)
-        new = cents.copy()
-        nz = counts > 0
-        new[nz] = sums[nz] / (counts[nz, None].astype(np.float64) * SCALE)
-        cents = _normalize(new)
-    assign = np.argmax(mat @ cents.T, axis=1)
-    parts = []
-    for cl in np.unique(assign):
-        sel = assign == cl
-        t = _semantic_dedup_group(
-            ids[sel], mat[sel], cents[cl], threshold
-        )
-        parts.append(
-            t.add_column(
-                1, "cluster",
-                pa.array(np.full(len(t), cl, dtype=np.int64), pa.int64()),
-            )
-        )
-    return pa.concat_tables(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,48 +1048,6 @@ def ann_pq_topk(
         pa.table({"vec_id": pa.array(ids[order], pa.int64()),
                   "cos_sim": pa.array(round_np(sims[order], 4), pa.float64())})
     )
-
-
-def append_to_ivf_index(
-    index_dir: str, new_vectors: rd.Dataset
-) -> int:
-    """INCREMENTAL index maintenance: assign a batch of NEW vectors
-    (columns vec_id, embedding) to the EXISTING coarse quantizer and
-    append them as additional parquet files inside the matching
-    ``list_id=<c>/`` partitions — no rebuild, no touch of existing files,
-    and ``ivf_query`` picks the appended rows up transparently (it lists
-    each probed partition dir). The write is retry-idempotent: each task's
-    file name derives from the content md5 of its rows, so a re-executed
-    task overwrites its own file rather than duplicating rows. Centroids
-    are immutable here — the standard IVF maintenance trade-off (quality
-    decays if the data drifts far from the trained quantizer; monitor and
-    rebuild offline), documented rather than hidden. Returns rows added."""
-    import hashlib
-    import os
-
-    cents = np.load(os.path.join(index_dir, "centroids.npy"))
-    assigned = new_vectors.map_batches(
-        IvfAssignStage(cents), batch_format="pyarrow"
-    )
-
-    def write_part_files(t: pa.Table) -> pa.Table:
-        added = 0
-        df = t.to_pandas()
-        for lid, g in df.groupby("list_id"):
-            sub = pa.Table.from_pandas(
-                g[["vec_id", "embedding"]], preserve_index=False
-            )
-            d = os.path.join(index_dir, f"list_id={int(lid)}")
-            os.makedirs(d, exist_ok=True)
-            stem = hashlib.md5(
-                np.ascontiguousarray(g["vec_id"].to_numpy(np.int64)).tobytes()
-            ).hexdigest()[:16]
-            pq.write_table(sub, os.path.join(d, f"append-{stem}.parquet"))
-            added += len(g)
-        return pa.table({"n": pa.array([added], pa.int64())})
-
-    parts = assigned.map_batches(write_part_files, batch_format="pyarrow").to_pandas()
-    return int(parts["n"].sum())
 
 
 # ---------------------------------------------------------------------------

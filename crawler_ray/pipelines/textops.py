@@ -2413,7 +2413,8 @@ def dsir_sample_docs_sql(k: int = 200) -> str:
 def _hashed_counts(texts: pd.Series, dim: int) -> "list[tuple]":
     """Per-doc (feature_ids, counts) over the hashing trick, PLUS a
     constant bias feature at index ``dim`` — shared by the distributed
-    trainer and the single-node numpy reference so bit-equality is about
+    trainer and the single-node numpy reference
+    (``tests/_refs.train_doc_classifier_reference``) so bit-equality is about
     the DISTRIBUTED arithmetic, not tokenizer drift."""
     from crawler_ray.functions.hashing import stable_hash_u64
 
@@ -2474,7 +2475,7 @@ def train_doc_classifier(
     the driver folds O(dim × blocks) slim rows and applies
     ``w ← w − (grad · lr_num) // (n_docs · lr_den)``. Every fold is
     integer, so the result is BIT-IDENTICAL to the single-node numpy
-    reference at any batch split (asserted in tests), and R rounds =
+    reference at any batch split (``tests/_refs``), and R rounds =
     R corpus scans with zero shuffles. Driver state is O(dim).
 
     Returns (feature, weight_scaled, weight) — weight = weight_scaled/2^16;
@@ -2542,65 +2543,10 @@ def train_doc_classifier(
     )
 
 
-def train_doc_classifier_reference(
-    texts: pd.Series,
-    labels: np.ndarray,
-    dim: int = 256,
-    n_iters: int = 10,
-    lr_num: int = 1,
-    lr_den: int = 8,
-) -> np.ndarray:
-    """Single-node numpy reference: IDENTICAL arithmetic to the distributed
-    trainer (shared featurizer + per-doc quantized errors + integer
-    update), one process, one loop. Tests assert bit-equality."""
-    W_SCALE = 1 << 16
-    ic = _hashed_counts(texts, dim)
-    ys = np.asarray(labels, np.int64)
-    n = len(texts)
-    w = np.zeros(dim + 1, np.int64)
-    for _ in range(n_iters):
-        grad = _lr_step_partial(ic, ys, w, dim + 1, W_SCALE)
-        w = w - (grad * np.int64(lr_num)) // (np.int64(n) * np.int64(lr_den))
-    return w
-
-
 # --------------------------------------------------------------------------
 # BPE tokenizer TRAINING (Sennrich et al. 2016) — learn merge rules on the
 # engine; the tokenizer-side twin of train_doc_classifier
 # --------------------------------------------------------------------------
-
-
-def _bpe_reference(word_counts: dict, n_merges: int) -> list[tuple]:
-    """Single-node reference: identical argmax/tie rules to the
-    distributed trainer; tests assert the merge lists are equal."""
-    syms = {w: tuple(w) + ("</w>",) for w in word_counts}
-    merges = []
-    for _ in range(n_merges):
-        pairs: dict = {}
-        for w, cnt in word_counts.items():
-            s = syms[w]
-            for a, b in zip(s, s[1:]):
-                pairs[(a, b)] = pairs.get((a, b), 0) + cnt
-        if not pairs:
-            break
-        # deterministic: max count, ties to the lexicographically smallest
-        best = min(pairs, key=lambda p: (-pairs[p], p))
-        merges.append((best[0], best[1], pairs[best]))
-        la, lb = best
-        fused = la + lb
-        for w, s in syms.items():
-            if la not in s:
-                continue
-            out, i = [], 0
-            while i < len(s):
-                if i + 1 < len(s) and s[i] == la and s[i + 1] == lb:
-                    out.append(fused)
-                    i += 2
-                else:
-                    out.append(s[i])
-                    i += 1
-            syms[w] = tuple(out)
-    return merges
 
 
 def bpe_learn_merges(sf_dir: str, n_merges: int = 12) -> pd.DataFrame:
@@ -2619,7 +2565,8 @@ def bpe_learn_merges(sf_dir: str, n_merges: int = 12) -> pd.DataFrame:
     the vocab table re-materializes between rounds (the kmeans/pagerank
     superstep pattern). Deterministic: ties break to the lexicographically
     smallest pair, so re-runs, any block split, and the single-node
-    reference produce the IDENTICAL merge list (asserted in tests).
+    reference (``tests/_refs.bpe_reference``) produce the IDENTICAL merge
+    list.
 
     Returns (rank, left, right, pair_count). Rows-only driver check
     (iterative, no SQL twin)."""
@@ -2949,28 +2896,6 @@ LIMIT {k}
 # --------------------------------------------------------------------------
 # Fuzzy vocabulary join: edit-distance-1 word pairs (typo detection)
 # --------------------------------------------------------------------------
-
-
-def _lev_le1(a: str, b: str) -> bool:
-    """Exact levenshtein(a, b) <= 1 for DISTINCT a != b, O(len) early-exit."""
-    la, lb = len(a), len(b)
-    if la == lb:
-        seen = False
-        for x, y in zip(a, b):
-            if x != y:
-                if seen:
-                    return False
-                seen = True
-        return True
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
-    if lb - la != 1:
-        return False
-    # b is a with ONE insertion iff dropping b's first mismatch char equals a
-    i = 0
-    while i < la and a[i] == b[i]:
-        i += 1
-    return b[i + 1:] == a[i:]
 
 
 def _edit1_pairs(words: rd.Dataset) -> rd.Dataset:

@@ -1,8 +1,4 @@
-"""Crawl-corpus interchange formats: JSONL and (minimal) WARC.
-
-JSONL is the standard corpus exchange shape (one JSON doc per line) —
-``ray.data.read_json`` handles it natively; the writer emits partitioned
-``part-*.jsonl`` files from the worker tasks (no driver materialization).
+"""Crawl-corpus interchange format: (minimal) WARC.
 
 WARC (ISO 28500) is the archival format crawls are published in (Common
 Crawl et al.). ``read_warc`` parses uncompressed WARC files into one row
@@ -21,45 +17,11 @@ from __future__ import annotations
 
 import gzip
 import io
-import json
 
 import pyarrow as pa
 import ray.data as rd
 
 _WARC_COLUMNS = ["warc_type", "warc_target_uri", "warc_date", "content_type"]
-
-
-def read_jsonl(path: str, **kwargs) -> rd.Dataset:
-    """JSONL → Dataset (ray.data.read_json; works on a file or a dir of
-    part files)."""
-    return rd.read_json(path, **kwargs)
-
-
-def write_jsonl(ds: rd.Dataset, out_dir: str) -> None:
-    """Dataset → partitioned part-*.jsonl under ``out_dir`` — one file per
-    block, written by the worker tasks (the driver never sees the rows)."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def dump(t: pa.Table) -> pa.Table:
-        import hashlib
-
-        rows = t.to_pylist()
-        body = "\n".join(json.dumps(r, sort_keys=True, default=str)
-                         for r in rows)
-        stem = hashlib.md5(body.encode()).hexdigest()  # content-derived →
-        path = os.path.join(out_dir, f"part-{stem}.jsonl")  # retry-idempotent
-        if not os.path.exists(path):
-            tmp = f"{path}.tmp-{stem}"
-            with open(tmp, "w") as f:
-                f.write(body + "\n")
-            os.replace(tmp, path)
-        return pa.table({"path": pa.array([path], pa.string()),
-                         "rows": pa.array([len(rows)], pa.int64())})
-
-    # consume the manifest (small: one row per block)
-    ds.map_batches(dump, batch_format="pyarrow").materialize()
 
 
 def parse_warc_records(data: bytes) -> list[dict]:

@@ -6,12 +6,13 @@ crawl sink (images, the four entity tables, errors, and each round's
 frontier) is ONE dataset of the vendored
 :mod:`crawler_ray.vendor.minilance` store (fragmented, versioned,
 atomically-committed, with the real library's API subset and write
-semantics, Arrow-IPC fragment encoding), written and read here. A sink is
-written the way ``MiniLanceDatasink`` writes a Dataset: stage tasks write
-fragments (``write_part``, ``write_bucketed``) and get back their manifest
-entries, uncommitted; the crawl driver commits each sink's entries for a
-round in one manifest (``minilance.commit``). Until then no reader sees
-them, and a failed attempt's fragments stay orphans no manifest references.
+semantics, Arrow-IPC fragment encoding), written and read here. Stage
+tasks write fragments (``write_part``, ``write_bucketed``) and get back
+their manifest entries, uncommitted; the crawl driver commits each sink's
+entries for a round in one manifest (``minilance.commit``). Until then no
+reader sees them, and a failed attempt's fragments stay orphans no
+manifest references. ``read_parts`` is the one distributed read of a
+sink (``lance_ray.MiniLanceDatasource``).
 
 The crawl frontier is host-bucketed: each of its fragments holds the rows
 of one bucket ``hash(host) % B``, recorded in its manifest entry, and
@@ -67,21 +68,27 @@ def read_parts(
     pruning pushed into the fragment reads. Callers whose downstream map
     uses non-default remote args (the crawl's ``max_retries=0``) must pass
     the same ``ray_remote_args`` here, or Ray Data will not fuse the read
-    with the map.
+    with the map — the round-5 minilance crawl regression was exactly
+    this missing fusion.
 
     A host-bucketed dataset (the crawl frontier) is read as one block per
     group of WHOLE buckets: ``override_num_blocks`` groups, fewer when
     there are fewer non-empty buckets (``MiniLanceDatasource.groups``).
-    With a fused ``map_batches(batch_size=None)`` consumer, each host's
-    rows therefore reach one consumer call, with no exchange."""
-    from crawler_ray.sources.lance_ray import read_minilance
+    The read asks Ray for exactly that many blocks, because a read that
+    plans fewer tasks than requested has each task's output split to make
+    up the count. With a fused ``map_batches(batch_size=None)`` consumer,
+    each host's rows therefore reach one consumer call, with no exchange."""
+    from crawler_ray.sources.lance_ray import MiniLanceDatasource
 
-    return read_minilance(
-        uri,
-        columns=columns,
-        override_num_blocks=override_num_blocks,
-        ray_remote_args=ray_remote_args,
-    )
+    src = MiniLanceDatasource(uri, columns=columns)
+    if src.bucketed:
+        override_num_blocks = max(1, len(src.groups(override_num_blocks)))
+    kwargs = {}
+    if override_num_blocks is not None:
+        kwargs["override_num_blocks"] = override_num_blocks
+    if ray_remote_args is not None:
+        kwargs["ray_remote_args"] = ray_remote_args
+    return rd.read_datasource(src, **kwargs)
 
 
 def read_parts_table(uri: str, columns: list[str] | None = None) -> pa.Table | None:

@@ -221,7 +221,14 @@ class SeenSet:
         return ray.get([s.snapshot.remote() for s in self.shards])
 
     def restore(self, snaps: list[dict]) -> None:
-        assert len(snaps) == self.num_shards
+        """Load one snapshot per shard. Keys are routed ``% num_shards``,
+        so snapshots taken with another shard count cannot be restored."""
+        if len(snaps) != self.num_shards:
+            raise ValueError(
+                f"checkpoint holds {len(snaps)} seen-shard snapshots but this "
+                f"seen-set has {self.num_shards} shards; resume with the "
+                f"shard count the checkpoint was written with"
+            )
         ray.get(
             [s.restore.remote(st) for s, st in zip(self.shards, snaps)]
         )

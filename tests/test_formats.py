@@ -1,18 +1,10 @@
-"""JSONL + WARC corpus-interchange sources (`sources/formats.py`)."""
+"""WARC corpus-interchange source (`sources/formats.py`)."""
 
-import glob
 import gzip
 
 import pyarrow as pa
-import pyarrow.parquet as pq
-import ray.data as rd
 
-from crawler_ray.sources.formats import (
-    parse_warc_records,
-    read_jsonl,
-    read_warc,
-    write_jsonl,
-)
+from crawler_ray.sources.formats import parse_warc_records, read_warc
 
 
 def _warc_bytes(records) -> bytes:
@@ -64,24 +56,6 @@ def test_read_warc_response_filter(ray_session, tmp_path):
         "https://a.example/x", "https://b.example/y",
     ]
     assert bytes(range(256)) in set(df["payload"])
-
-
-def test_jsonl_roundtrip(ray_session, tmp_path):
-    t = pa.table(
-        {
-            "doc_id": pa.array(range(100), pa.int64()),
-            "text": pa.array([f"doc {i} text" for i in range(100)], pa.string()),
-        }
-    )
-    out = str(tmp_path / "jsonl")
-    write_jsonl(rd.from_arrow(t).repartition(4), out)
-    parts = glob.glob(f"{out}/part-*.jsonl")
-    assert len(parts) == 4  # one per block, worker-written
-    back = read_jsonl(out).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert back.equals(t.to_pandas())
-    # retry-idempotent: re-writing the same blocks adds no new files
-    write_jsonl(rd.from_arrow(t).repartition(4), out)
-    assert sorted(glob.glob(f"{out}/part-*.jsonl")) == sorted(parts)
 
 
 def test_warc_to_documents_pipeline(ray_session, tmp_path):

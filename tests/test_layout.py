@@ -5,6 +5,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 
 from crawler_ray.pipelines import layout
+from tests._refs import layout_prune_stats
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -30,7 +31,7 @@ def test_zorder_box_query_exact_and_pruned(ray_session, tmp_path):
     assert meta["n_buckets"] == 64
 
     u_lo, u_hi, t0, t1 = 2, 6, "2024-01-08", "2024-01-15"
-    hit, total = layout.layout_prune_stats(
+    hit, total = layout_prune_stats(
         root, u_lo, u_hi, layout._iso_us(t0), layout._iso_us(t1)
     )
     # the box covers a strict minority of the grid — pruning must be real

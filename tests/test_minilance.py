@@ -4,9 +4,8 @@ item #8 — previously only mock-tested).
 
 Covers: single-process round-trip + versioning/time-travel/append semantics,
 fragments-first-manifest-last atomicity, the Ray Data Datasource (one block
-per fragment, pruned columns) and Datasink (distributed fragment writes, one
-atomic commit, the upstream plan run once), and the ``sources/io`` sink
-surface (uncommitted fragments, host-bucketed reads). The end-to-end crawl
+per fragment, pruned columns), and the ``sources/io`` sink surface
+(uncommitted fragments, the one distributed read, host-bucketed reads). The end-to-end crawl
 over minilance sinks is covered by ``tests/test_crawl.py``.
 """
 
@@ -210,12 +209,12 @@ def test_empty_table_roundtrip(tmp_path):
 
 
 def test_ray_read_one_block_per_fragment_with_pruning(ray_session, tmp_path):
-    from crawler_ray.sources.lance_ray import read_minilance
+    from crawler_ray.sources.io import read_parts
 
     uri = str(tmp_path / "ds.lance")
     t = _t(90)
     minilance.write_dataset(t, uri, max_rows_per_file=30)
-    ds = read_minilance(uri)
+    ds = read_parts(uri)
     out = ds.take_all()
     assert len(out) == 90
     got = pa.Table.from_pylist(out).sort_by("image_id")
@@ -229,78 +228,22 @@ def test_ray_read_one_block_per_fragment_with_pruning(ray_session, tmp_path):
     assert [m.num_rows for m in (t.metadata for t in tasks)] == [30, 30, 30]
     assert all(m.size_bytes and m.input_files for m in (t.metadata for t in tasks))
     # column projection pushed into the fragment read
-    pruned = read_minilance(uri, columns=["phash"]).take_all()
+    pruned = read_parts(uri, columns=["phash"]).take_all()
     assert all(set(r) == {"phash"} for r in pruned[:5])
     assert sorted(r["phash"] for r in pruned) == list(range(90))
 
 
 def test_ray_read_time_travel(ray_session, tmp_path):
-    from crawler_ray.sources.lance_ray import read_minilance
+    """The Ray read serves the latest version only; an older version stays
+    readable by number through ``minilance.dataset``."""
+    from crawler_ray.sources.io import read_parts
 
     uri = str(tmp_path / "ds.lance")
     minilance.write_dataset(_t(5), uri)
     minilance.write_dataset(_t(3, off=50), uri, mode="overwrite")
-    assert read_minilance(uri).count() == 3
-    old = read_minilance(uri, version=1)
-    assert old.count() == 5
-
-
-def test_ray_datasink_distributed_write_then_read_back(ray_session, tmp_path):
-    import ray.data as rd
-
-    from crawler_ray.sources.lance_ray import read_minilance, write_minilance
-
-    uri = str(tmp_path / "sink.lance")
-    t = _t(200)
-    ds = rd.from_arrow(t).repartition(8)
-    write_minilance(ds, uri, mode="create")
-    got = minilance.dataset(uri)
-    assert got.count_rows() == 200
-    assert got.to_table().sort_by("image_id").equals(t.sort_by("image_id"))
-    # distributed fragment writes: more than one fragment landed, and the
-    # manifest references every one exactly once
-    assert len(got.get_fragments()) > 1
-    # append a second distributed write
-    t2 = _t(40, off=500)
-    write_minilance(rd.from_arrow(t2).repartition(2), uri, mode="append")
-    allrows = read_minilance(uri).take_all()
-    assert len(allrows) == 240
-    ids = sorted(r["image_id"] for r in allrows)
-    expect = sorted(t["image_id"].to_pylist() + t2["image_id"].to_pylist())
-    assert ids == expect
-
-
-def _marker(dirpath):
-    """A Ray-side side-effect counter: every call leaves one file."""
-
-    def mark():
-        import os as _os
-        import uuid as _uuid
-
-        open(_os.path.join(dirpath, _uuid.uuid4().hex), "w").close()
-
-    return mark
-
-
-def test_write_minilance_runs_upstream_plan_once(ray_session, tmp_path):
-    """The schema comes back from the write tasks, so the upstream plan is
-    not executed a second time just to learn it: one map call per block."""
-    import ray.data as rd
-
-    from crawler_ray.sources.lance_ray import write_minilance
-
-    marks = tmp_path / "marks"
-    marks.mkdir()
-    mark = _marker(str(marks))
-
-    def counted(b):
-        mark()
-        return b
-
-    ds = rd.from_arrow(_t(10)).map_batches(counted, batch_format="pyarrow")
-    write_minilance(ds, str(tmp_path / "once.lance"), mode="create")
-    assert len(os.listdir(marks)) == 1
-    assert minilance.dataset(str(tmp_path / "once.lance")).count_rows() == 10
+    rows = read_parts(uri, columns=["image_id"]).take_all()
+    assert sorted(r["image_id"] for r in rows) == ["id50", "id51", "id52"]
+    assert minilance.dataset(uri, version=1).to_table().equals(_t(5))
 
 
 def test_datasource_unknown_fragment_size_reported_unknown(tmp_path):
@@ -353,7 +296,6 @@ def test_bucketed_read_keeps_each_bucket_in_one_block(ray_session, tmp_path):
     read groups fragments by the ``bucket`` their entries record, so each
     host's rows meet in one block whatever the group count."""
     from crawler_ray.sources import io as io_mod
-    from crawler_ray.sources.lance_ray import read_minilance
 
     uri = str(tmp_path / "frontier")
     hosts = [f"h{i}" for i in range(12)]
@@ -368,7 +310,7 @@ def test_bucketed_read_keeps_each_bucket_in_one_block(ray_session, tmp_path):
         return b.append_column("blk", pa.array([uuid.uuid4().hex] * len(b)))
 
     for blocks in (1, 2, 3, None):
-        rows = read_minilance(uri, override_num_blocks=blocks).map_batches(
+        rows = io_mod.read_parts(uri, override_num_blocks=blocks).map_batches(
             tag, batch_format="pyarrow", batch_size=None).take_all()
         assert len(rows) == 24
         blk = {}
@@ -387,43 +329,3 @@ def test_restore_recommits_an_old_version(tmp_path):
     ds = minilance.dataset(uri)
     assert ds.version == 3 and ds.to_table().equals(_t(3))
     assert minilance.dataset(uri, version=2).count_rows() == 5
-
-
-def test_datasink_empty_overwrite_truncates(ray_session, tmp_path):
-    """write_minilance(empty_ds, uri, mode='overwrite') publishes an EMPTY
-    version rather than leaving the previous rows visible (round-4 advice)."""
-    import ray.data as rd
-
-    from crawler_ray.sources.lance_ray import write_minilance
-
-    uri = str(tmp_path / "trunc.lance")
-    t = _t(6)
-    write_minilance(rd.from_arrow(t), uri, mode="create")
-    assert minilance.dataset(uri).count_rows() == 6
-    empty = rd.from_arrow(t).filter(lambda r: False)
-    write_minilance(empty, uri, mode="overwrite")
-    ds = minilance.dataset(uri)
-    assert ds.count_rows() == 0
-    assert ds.versions() == [1, 2]
-    assert ds.schema.equals(t.schema)
-    # append of zero rows stays a no-op (no version bump)
-    write_minilance(empty, uri, mode="append")
-    assert minilance.dataset(uri).versions() == [1, 2]
-    # time travel still serves the pre-truncate rows
-    assert minilance.dataset(uri, version=1).count_rows() == 6
-
-
-def test_datasink_empty_create_commits_shipped_schema(ray_session, tmp_path):
-    """An all-empty create with no previous version still commits an empty
-    version: the write task ships the schema of the empty block it saw."""
-    import ray.data as rd
-
-    from crawler_ray.sources.lance_ray import write_minilance
-
-    uri = str(tmp_path / "fresh.lance")
-    t = _t(6)
-    write_minilance(rd.from_arrow(t).filter(expr="phash < 0"), uri, mode="create")
-    ds = minilance.dataset(uri)
-    assert ds.versions() == [1]
-    assert ds.count_rows() == 0
-    assert ds.schema.equals(t.schema)

@@ -10,11 +10,8 @@ import pyarrow as pa
 import ray.data as rd
 
 from crawler_ray import schemas
-from crawler_ray.pipelines.packing import (
-    filter_images,
-    pack_webdataset_shards,
-    read_webdataset_shard,
-)
+from crawler_ray.pipelines.packing import filter_images, pack_webdataset_shards
+from tests._refs import read_webdataset_shard
 
 
 def _images_table(n: int = 40, seed: int = 11) -> pa.Table:
@@ -142,33 +139,3 @@ def test_pack_parallelism_invariant_samples(ray_session, tmp_path):
         }
         sets.append(samples)
     assert sets[0] == sets[1]
-
-
-def test_image_content_gate(ray_session):
-    """Decoded-pixel gate: uniform placeholder dropped, structured kept."""
-    from crawler_ray.functions.codecs import encode_image
-    from crawler_ray.pipelines.multimodal import filter_images_by_content
-
-    rng = np.random.Generator(np.random.PCG64(2))
-    flat = np.full((16, 16, 3), 128, np.uint8)           # tracking pixel
-    noise = rng.integers(0, 256, (16, 16, 3)).astype(np.uint8)
-    checker = np.zeros((16, 16, 3), np.uint8)
-    checker[::2, ::2] = 255
-    checker[1::2, 1::2] = 255
-    rows = [
-        {"image_id": "flat", "bytes": encode_image(flat, "png")},
-        {"image_id": "noise", "bytes": encode_image(noise, "png")},
-        {"image_id": "checker", "bytes": encode_image(checker, "png")},
-    ]
-    t = pa.table(
-        {
-            "image_id": pa.array([r["image_id"] for r in rows], pa.string()),
-            "bytes": pa.array([r["bytes"] for r in rows], pa.binary()),
-        }
-    )
-    kept = filter_images_by_content(rd.from_arrow(t)).to_pandas()
-    assert set(kept["image_id"]) == {"noise", "checker"}
-    st = kept.set_index("image_id")
-    assert st.loc["checker", "entropy"] <= 1.0 + 1e-9  # two-value histogram
-    assert st.loc["noise", "entropy"] > 6.0            # near-uniform histogram
-    assert (kept["lum_std"] >= 2.0).all()

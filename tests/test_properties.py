@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crawler_ray.functions.codecs import decode_image, encode_image, psnr, sniff_fmt
-from crawler_ray.functions.hashing import hamming64, phash64, simhash64
+from crawler_ray.functions.hashing import simhash64
 from crawler_ray.functions.urls import normalize_url, url_join
 from crawler_ray.state.filters import CuckooFilter, keys_to_u64
 from crawler_ray.state.seen import _SeenShardImpl

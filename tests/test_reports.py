@@ -144,8 +144,8 @@ def test_phash_banding_guarantees_requested_distance(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from crawler_ray.functions.hashing import hamming64_batch
     from crawler_ray.pipelines.reports import images_phash_near_dups
+    from tests._refs import hamming64_batch
 
     rng = np.random.default_rng(21)
     base = rng.integers(0, 1 << 63, size=12, dtype=np.int64)

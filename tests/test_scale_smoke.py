@@ -155,9 +155,10 @@ def test_image_dup_clusters_50k(ray_session, corpus50k):
     out-of-radius with the scalar phash kernel directly (recall proof —
     a walk that drops an in-radius pair fails that check)."""
     from crawler_ray.functions.codecs import decode_image, sniff_fmt
-    from crawler_ray.functions.hashing import hamming64, phash64
+    from crawler_ray.functions.hashing import phash64
     from crawler_ray.pipelines.clusters import image_dup_clusters
     from crawler_ray.sources.synthetic import planted_image_batch
+    from tests._refs import hamming64
 
     got, wall = _timed(image_dup_clusters, corpus50k)
     print(f"[smoke] image_dup_clusters 50k: {wall:.1f}s")

@@ -5,6 +5,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from tests._refs import (
+    kmeans_reference,
+    make_fake_audio,
+    semantic_dedup_reference,
+)
 from tests.conftest import SF_DIR
 
 
@@ -55,69 +60,20 @@ def test_embedding_near_dup_planted(ray_session, tmp_path):
     assert (1, 101) in pairs
 
 
-def test_image_resize_stage(ray_session):
-    import ray.data as rd
+def test_fake_audio_container_decode():
+    """The FAUD fixture container decodes to its samples and rate."""
+    from crawler_ray.pipelines.multimodal import _decode_audio
 
-    from crawler_ray.functions.codecs import decode_image, encode_image
-    from crawler_ray.pipelines.multimodal import ImageResizeStage
-
-    rng = np.random.default_rng(4)
-    rows = []
-    for i in range(8):
-        px = rng.integers(0, 256, (32, 32, 3)).astype(np.uint8)
-        fmt = ["png", "jpeg", "webp"][i % 3]
-        rows.append({"image_id": str(i), "bytes": encode_image(px, fmt), "fmt": fmt})
-    ds = rd.from_arrow(pa.Table.from_pylist(rows))
-    out = ds.map_batches(
-        ImageResizeStage,
-        fn_constructor_args=(16, 16),
-        batch_format="pyarrow",
-        batch_size=4,
-        concurrency=(1, 2),
-    ).to_pandas()
-    assert (out["w"] == 16).all() and (out["h"] == 16).all()
-    px0 = decode_image(out.iloc[0]["bytes"], out.iloc[0]["fmt"])
-    assert px0.shape == (16, 16, 3)
-
-
-def test_audio_video_stages(ray_session):
-    import ray.data as rd
-
-    from crawler_ray.pipelines.multimodal import (
-        AudioFeatureStage,
-        VideoFrameSampleStage,
-        make_fake_audio,
-        make_fake_video,
-    )
-
-    audio_rows = [
-        {"clip_id": i, "audio": make_fake_audio(16000 * 2, 16000, seed=i)}
-        for i in range(4)
-    ]
-    ds = rd.from_arrow(pa.Table.from_pylist(audio_rows))
-    out = ds.map_batches(
-        AudioFeatureStage, batch_format="pyarrow", batch_size=2, concurrency=(1, 2)
-    ).to_pandas()
-    assert (out["duration_sec"] == 2.0).all()
-    assert (out["sample_rate"] == 16000).all()
-    assert (out["rms"] > 0).all()
-
-    video_rows = [
-        {"video_id": f"v{i}", "video": make_fake_video(6, 8, 8, seed=i)} for i in range(3)
-    ]
-    vds = rd.from_arrow(pa.Table.from_pylist(video_rows))
-    frames = vds.map_batches(
-        VideoFrameSampleStage, fn_constructor_args=(2,), batch_format="pyarrow",
-        batch_size=2, concurrency=(1, 2),
-    ).to_pandas()
-    assert len(frames) == 3 * 3  # every 2nd of 6 frames
-    assert set(frames["frame_idx"]) == {0, 2, 4}
+    for i in range(4):
+        samples, sr = _decode_audio(make_fake_audio(16000 * 2, 16000, seed=i))
+        assert sr == 16000 and samples.dtype == np.int16
+        assert len(samples) == 32000 and samples.any()
 
 
 def test_real_media_raises(ray_session):
     import wave
 
-    from crawler_ray.pipelines.multimodal import _decode_audio, _decode_video
+    from crawler_ray.pipelines.multimodal import _decode_audio
 
     # compressed audio (mp3 frame header) is genuinely unsupported
     with pytest.raises(NotImplementedError):
@@ -126,8 +82,6 @@ def test_real_media_raises(ray_session):
     # error, not NotImplementedError
     with pytest.raises(wave.Error):
         _decode_audio(b"RIFF....WAVE")
-    with pytest.raises(NotImplementedError):
-        _decode_video(b"\x00\x00\x00 ftypmp42")
 
 
 def test_persisted_ann_index(ray_session, tmp_path):
@@ -188,18 +142,16 @@ def test_persisted_ann_index(ray_session, tmp_path):
         assert served.iloc[0]["cos_sim"] >= 0.999
 
 
-def test_audio_wav_real_decode(ray_session):
+def test_audio_wav_real_decode():
     """WAV is decoded for REAL (stdlib wave): a synthesized 440 Hz sine at
-    8 kHz must round-trip through AudioFeatureStage with exact duration,
+    8 kHz must round-trip through ``_decode_audio`` with exact duration,
     rate, and the analytically-known RMS (A/sqrt(2))."""
     import io
     import wave
 
     import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
 
-    from crawler_ray.pipelines.multimodal import AudioFeatureStage
+    from crawler_ray.pipelines.multimodal import _decode_audio
 
     sr, secs, amp = 8000, 2, 10000
     t = np.arange(sr * secs) / sr
@@ -219,18 +171,12 @@ def test_audio_wav_real_decode(ray_session):
         w.setsampwidth(2)
         w.setframerate(sr)
         w.writeframes(stereo.tobytes())
-    ds = rd.from_arrow(pa.table({"audio_id": ["mono", "stereo"],
-                                 "audio": [wav_mono, buf2.getvalue()]}))
-    out = (
-        ds.map_batches(AudioFeatureStage, batch_format="pyarrow",
-                       concurrency=1, batch_size=2)
-        .to_pandas()
-        .set_index("audio_id")
-    )
-    for name in ("mono", "stereo"):
-        assert out.loc[name, "duration_sec"] == 2.0
-        assert out.loc[name, "sample_rate"] == sr
-        assert abs(out.loc[name, "rms"] - amp / np.sqrt(2)) < amp * 0.01
+    for wav in (wav_mono, buf2.getvalue()):
+        samples, got_sr = _decode_audio(wav)
+        assert got_sr == sr
+        assert len(samples) / got_sr == 2.0
+        rms = np.sqrt(np.mean(samples.astype(np.float64) ** 2))
+        assert abs(rms - amp / np.sqrt(2)) < amp * 0.01
 
 
 def test_ann_lsh_no_whole_corpus_driver_read(ray_session, monkeypatch):
@@ -300,11 +246,7 @@ def test_embedding_kmeans_matches_numpy_reference(ray_session):
     import numpy as np
     import pyarrow.parquet as pq
 
-    from crawler_ray.pipelines.similarity import (
-        _kmeans_seed_ids,
-        embedding_kmeans,
-        kmeans_reference,
-    )
+    from crawler_ray.pipelines.similarity import _kmeans_seed_ids, embedding_kmeans
 
     sf = "/root/testdata/sf0.001"
     out = (
@@ -404,48 +346,6 @@ def test_audio_fingerprint_scale_invariance():
     assert audio_fingerprint64(s) == audio_fingerprint64(s * 7.5)
 
 
-def test_ivf_append_serves_new_vectors(ray_session, tmp_path):
-    """Incremental IVF maintenance: appended vectors are found by
-    ivf_query without a rebuild, pre-existing results are unchanged, and
-    the append is retry-idempotent (same content -> same file name)."""
-    import glob
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from crawler_ray.pipelines import similarity
-    from tests.conftest import SF_DIR
-
-    idx = str(tmp_path / "ivf")
-    similarity.build_ivf_index(SF_DIR, idx)
-
-    # a new vector equal to vec 7's embedding but with a fresh id: it must
-    # land in the same posting list and surface as an exact match
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(
-        f"{SF_DIR}/embeddings.parquet", columns=["vec_id", "embedding"],
-        filters=[("vec_id", "=", 7)],
-    )
-    q = np.asarray(t["embedding"].to_pylist()[0], np.float64)
-    new = rd.from_arrow(
-        pa.table({"vec_id": pa.array([100000], pa.int64()),
-                  "embedding": t["embedding"]})
-    )
-    n_files_before = len(glob.glob(os.path.join(idx, "list_id=*", "*.parquet")))
-    assert similarity.append_to_ivf_index(idx, new) == 1
-    res = similarity.ivf_query(idx, q, k=3).to_pandas()
-    assert 100000 in set(res.vec_id)
-    assert res[res.vec_id == 100000].cos_sim.iloc[0] >= 0.9999
-    # idempotence: re-appending identical content adds no new file
-    n_files = len(glob.glob(os.path.join(idx, "list_id=*", "*.parquet")))
-    similarity.append_to_ivf_index(idx, new)
-    assert len(glob.glob(os.path.join(idx, "list_id=*", "*.parquet"))) == n_files
-    assert n_files == n_files_before + 1
-
-
 def test_embedding_pca_project(ray_session, force_parts):
     """Distributed PCA: bit-identical across exchange partitionings (the
     moment fold is exact integers), allclose to single-node float PCA with
@@ -502,41 +402,6 @@ def test_embedding_pca_project(ray_session, force_parts):
 # the gates are exercised with injected fake modules.
 
 
-def test_pyav_gate_routes_to_real_decoder(monkeypatch):
-    import contextlib
-    import sys
-    import types
-
-    from crawler_ray.pipelines import multimodal as mm
-
-    decoded = np.arange(2 * 4 * 4 * 3, dtype=np.uint8).reshape(2, 4, 4, 3)
-
-    class _Frame:
-        def __init__(self, arr):
-            self.arr = arr
-
-        def to_ndarray(self, format):
-            assert format == "rgb24"
-            return self.arr
-
-    class _Container:
-        def decode(self, video):
-            assert video == 0
-            return iter([_Frame(decoded[0]), _Frame(decoded[1])])
-
-    fake_av = types.ModuleType("av")
-    fake_av.open = lambda buf: contextlib.nullcontext(_Container())
-    monkeypatch.setitem(sys.modules, "av", fake_av)
-    monkeypatch.setattr(mm, "HAVE_PYAV", True)
-
-    got = mm._decode_video(b"\x00\x00\x00 ftypmp42" + b"\x00" * 16)
-    np.testing.assert_array_equal(got, decoded)
-    # streaming iterator takes the same gate
-    frames = list(mm._iter_video_frames(b"\x00\x00\x00 ftypmp42"))
-    assert len(frames) == 2
-    np.testing.assert_array_equal(frames[1], decoded[1])
-
-
 def test_soundfile_gate_routes_to_real_decoder(monkeypatch):
     import sys
     import types
@@ -559,16 +424,6 @@ def test_soundfile_gate_routes_to_real_decoder(monkeypatch):
     assert sr == 22050
     assert samples.dtype == np.int16
     assert samples[0] == -32767 and samples[-1] == 32767
-
-
-def test_iter_video_frames_matches_full_decode():
-    from crawler_ray.pipelines.multimodal import (
-        _decode_video, _iter_video_frames, make_fake_video)
-
-    data = make_fake_video(5, 6, 4, seed=3)
-    full = _decode_video(data)
-    streamed = np.stack(list(_iter_video_frames(data)))
-    np.testing.assert_array_equal(full, streamed)
 
 
 def test_clip_tower_gate(monkeypatch):
@@ -616,11 +471,7 @@ def test_semantic_dedup_matches_numpy_reference(ray_session):
     import numpy as np
     import pyarrow.parquet as pq
 
-    from crawler_ray.pipelines.similarity import (
-        _kmeans_seed_ids,
-        semantic_dedup,
-        semantic_dedup_reference,
-    )
+    from crawler_ray.pipelines.similarity import _kmeans_seed_ids, semantic_dedup
 
     sf = "/root/testdata/sf0.001"
     k, iters, thr = 16, 3, 0.3

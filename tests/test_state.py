@@ -80,6 +80,23 @@ def test_seen_shard_snapshot_restore():
     assert r.size() == 200
 
 
+def test_seen_set_restore_rejects_other_shard_count():
+    """A checkpoint of 4 shards cannot be restored into 8: keys were routed
+    ``% 4``. The check raises before any shard is touched, and holds under
+    ``python -O`` (it is no ``assert``)."""
+    from crawler_ray.state.seen import SeenSet
+
+    class _Untouchable:
+        class restore:
+            @staticmethod
+            def remote(st):
+                raise AssertionError("a shard was restored")
+
+    seen = SeenSet([_Untouchable() for _ in range(8)], 8)
+    with pytest.raises(ValueError, match=r"4 seen-shard snapshots.*8 shards"):
+        seen.restore([{}] * 4)
+
+
 def test_token_bucket_virtual_clock():
     clock = VirtualClock()
     b = TokenBucket(rate_per_sec=2.0, burst=4.0, clock=clock)

@@ -24,6 +24,7 @@ from crawler_ray.pipelines.textops import (
     heavy_hitter_tokens,
     heavy_hitter_tokens_sql,
 )
+from tests._refs import bpe_reference, train_doc_classifier_reference
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -581,7 +582,7 @@ def _planted_classifier_corpus(tmp_path, n=800, seed=7):
 def test_train_classifier_bit_equal_and_learns(ray_session, tmp_path):
     sf, texts, ys = _planted_classifier_corpus(tmp_path)
     got = textops.train_doc_classifier(sf)
-    ref = textops.train_doc_classifier_reference(texts, ys.astype(np.int64))
+    ref = train_doc_classifier_reference(texts, ys.astype(np.int64))
     assert (got["weight_scaled"].to_numpy() == ref).all()  # bit-identical
 
     # the planted corpus is linearly separable: trained weights classify
@@ -596,7 +597,7 @@ def test_train_classifier_bit_equal_and_learns(ray_session, tmp_path):
     l10, acc10 = loss_and_acc(ref)
     assert acc10 == 1.0
     l5, _ = loss_and_acc(
-        textops.train_doc_classifier_reference(
+        train_doc_classifier_reference(
             texts, ys.astype(np.int64), n_iters=5
         )
     )
@@ -611,7 +612,7 @@ def test_train_classifier_bit_equal_on_testdata(ray_session):
     df = pq.read_table(
         f"{SF_DIR}/documents.parquet", columns=["text", "lang"]
     ).to_pandas()
-    ref = textops.train_doc_classifier_reference(
+    ref = train_doc_classifier_reference(
         df["text"], (df["lang"] == "en").to_numpy(np.int64), n_iters=3
     )
     assert (got["weight_scaled"].to_numpy() == ref).all()
@@ -625,7 +626,7 @@ def test_train_classifier_bit_equal_on_testdata(ray_session):
 
 def test_bpe_reference_toy_corpus():
     toy = {"low": 5, "lower": 2, "newest": 6, "widest": 3}
-    merges = textops._bpe_reference(toy, 4)
+    merges = bpe_reference(toy, 4)
     # the canonical Sennrich example: es -> est -> est</w>, then lo
     assert merges == [
         ("e", "s", 9), ("es", "t", 9), ("est", "</w>", 9), ("l", "o", 7),
@@ -642,7 +643,7 @@ def test_bpe_distributed_equals_reference(ray_session):
     wc: Counter = Counter()
     for t in df["text"]:
         wc.update(t.split())
-    ref = textops._bpe_reference(dict(wc), 8)
+    ref = bpe_reference(dict(wc), 8)
     assert list(zip(got["left"], got["right"], got["pair_count"])) == ref
     assert got["rank"].tolist() == list(range(len(ref)))
 
@@ -745,14 +746,15 @@ def test_fuzzy_name_pairs_parallelism_invariant(ray_session, force_parts):
 
 def test_edit1_pairs_vs_lev_le1_property(ray_session, force_parts):
     """Property cross-check: _edit1_pairs (deletion-neighborhood proof, no
-    string verify) vs the brute-force _lev_le1 scalar over a deterministic
+    string verify) vs the brute-force lev_le1 scalar over a deterministic
     adversarial vocabulary — equal-char runs, repeats, short words, empty
     neighbors, unicode."""
     import itertools
 
     import ray.data as rd
 
-    from crawler_ray.pipelines.textops import _edit1_pairs, _lev_le1
+    from crawler_ray.pipelines.textops import _edit1_pairs
+    from tests._refs import lev_le1
 
     rng = np.random.default_rng(7)
     alpha = list("abc")
@@ -768,7 +770,7 @@ def test_edit1_pairs_vs_lev_le1_property(ray_session, force_parts):
     got = _edit1_pairs(ds).to_pandas()
     got_pairs = set(zip(got["word_a"], got["word_b"]))
     exp_pairs = {
-        (a, b) for a, b in itertools.combinations(words, 2) if _lev_le1(a, b)
+        (a, b) for a, b in itertools.combinations(words, 2) if lev_le1(a, b)
     }
     assert got_pairs == exp_pairs and len(exp_pairs) > 50
     # payload columns ride through intact and pairs are globally unique
